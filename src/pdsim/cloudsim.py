@@ -31,11 +31,13 @@ class TokenSource:
 
     Two sources with the same seed agree everywhere except at positions in
     ``divergence``, which model a paired device generating a different token.
+    Each position is drawn once per source and then served from its cache.
     """
 
     seed: int
     total_tokens: int
     divergence: frozenset[int] = frozenset()
+    _drawn: dict[int, str] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.total_tokens < 1:
@@ -46,9 +48,12 @@ class TokenSource:
             raise ValueError(f"position {position} outside 1..{self.total_tokens}")
         if position == self.total_tokens:
             return EOT_TOKEN
-        salt = "alt" if position in self.divergence else "tok"
-        draw = random.Random(f"{self.seed}:{salt}:{position}").randrange(1 << 16)
-        return f"{salt}{position}_{draw:04x}"
+        token = self._drawn.get(position)
+        if token is None:
+            salt = "alt" if position in self.divergence else "tok"
+            draw = random.Random(f"{self.seed}:{salt}:{position}").randrange(1 << 16)
+            token = self._drawn[position] = f"{salt}{position}_{draw:04x}"
+        return token
 
 
 @dataclass(frozen=True)
@@ -101,6 +106,7 @@ def uniform_scores(prompt: TokenizedPrompt, seed: int | str) -> TokenScores:
 
 def serve_request(
     req: AssistRequest,
+    prompt: TokenizedPrompt,
     plan_table: PlanTable | None,
     model: TimingModel,
     source: TokenSource,
@@ -114,11 +120,11 @@ def serve_request(
 ) -> CloudTrace:
     """Serve one request: refine, piggyback the first token, stream, terminate.
 
-    A missing plan serves with ratio 1 and no budget (stream until EOT) and
-    is flagged as a planning miss. Overrides pin the sweep variant's ratio
-    or budget regardless of the plan.
+    ``prompt`` is the request's reference tokenization, shared with the
+    device; the mask is computed over it. A missing plan serves with ratio 1
+    and no budget (stream until EOT) and is flagged as a planning miss.
+    Overrides pin the sweep variant's ratio or budget regardless of the plan.
     """
-    prompt = TokenizedPrompt.from_text(req.prefix, req.content, req.suffix)
     plan = plan_table.lookup(req.scene, req.device_class, prompt.total_tokens) if plan_table else None
     miss = plan is None
     if ratio_override is not None:

@@ -89,11 +89,16 @@ class DeviceTrace:
 
 
 class _Session:
-    """One device session wired onto an event loop; see run_session."""
+    """One device session wired onto an event loop; see run_session.
+
+    The mask is checked against the request's shared tokenization, and only
+    the prompt length and the refined length are kept from it.
+    """
 
     def __init__(
         self,
         req: AssistRequest,
+        prompt: TokenizedPrompt,
         frame: FirstTokenFrame,
         timed_stream: list[tuple[float, StreamEvent | DoneMarker]],
         model: TimingModel,
@@ -111,7 +116,6 @@ class _Session:
         self.frame = frame
         self.budget = frame.max_tokens  # 0 = until EOT
 
-        prompt = TokenizedPrompt.from_text(req.prefix, req.content, req.suffix)
         self.prompt_tokens = prompt.total_tokens
         mask = unpack(frame.mask)
         if len(mask) != prompt.total_tokens:
@@ -345,6 +349,7 @@ class _Session:
 
 def run_session(
     req: AssistRequest,
+    prompt: TokenizedPrompt,
     frame: FirstTokenFrame,
     stream: Iterable[tuple[float, StreamEvent | DoneMarker]],
     model: TimingModel,
@@ -356,14 +361,15 @@ def run_session(
 ) -> DeviceTrace:
     """Simulate one device session and return its trace.
 
+    ``prompt`` is the request's reference tokenization, the same one the
+    cloud selected over; the device validates the mask length against it.
     ``stream`` holds (arrival time, event-or-DONE) pairs as produced by the
-    cloud simulator. The device tokenizes the request itself with the shared
-    reference tokenizer and validates the mask against it. Raises
-    ProtocolError on a mask/prompt mismatch and StallError when the stream
-    is short without a terminal marker.
+    cloud simulator. Raises ProtocolError on a mask/prompt mismatch and
+    StallError when the stream is short without a terminal marker.
     """
     session = _Session(
         req=req,
+        prompt=prompt,
         frame=frame,
         timed_stream=list(stream),
         model=model,

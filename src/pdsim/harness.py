@@ -21,6 +21,7 @@ from .cloudsim import BatchModel, TokenSource, run_throughput, serve_request
 from .devicesim import DEFAULT_SCRUB_RULES, CorrectionPolicy, ScrubRule, run_session, scrub
 from .planner import PlanConstraints, build_plan_table, check_plan, solve_plan
 from .protocol import AssistRequest
+from .refiner import TokenizedPrompt
 from .timing import RttClass, TimingModel, affine_cost, build_model
 
 
@@ -473,19 +474,22 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path, seed: int | No
     metrics: list[VariantMetrics] = []
     trace_files: list[str] = []
 
-    for variant in config.variants:
-        rng_rtt = random.Random(f"{seed}:{variant.name}:rtt")
-        rows: list[dict] = []
-        occupancies: list[float] = []
-        for gen in workload:
-            req = gen.request
-            model = config.models[req.device_class]
-            constraints = config.scenes[req.scene]
+    # requests outer, variants inner: each prompt is tokenized and each token
+    # drawn once per request, and only one request's prompt is alive at a time;
+    # each variant keeps its own RTT stream, drawn in request order
+    rtt_rngs = [random.Random(f"{seed}:{variant.name}:rtt") for variant in config.variants]
+    variant_rows: list[list[dict]] = [[] for _ in config.variants]
+    for gen in workload:
+        req = gen.request
+        model = config.models[req.device_class]
+        constraints = config.scenes[req.scene]
+        prompt = TokenizedPrompt.from_text(req.prefix, req.content, req.suffix)
+        cloud_source = TokenSource(seed=gen.source_seed, total_tokens=gen.output_tokens)
+        device_source = TokenSource(
+            seed=gen.source_seed, total_tokens=gen.output_tokens, divergence=gen.divergence
+        )
+        for variant, rng_rtt, rows in zip(config.variants, rtt_rngs, variant_rows):
             rtt = model.rtt_class.sample(rng_rtt)
-            cloud_source = TokenSource(seed=gen.source_seed, total_tokens=gen.output_tokens)
-            device_source = TokenSource(
-                seed=gen.source_seed, total_tokens=gen.output_tokens, divergence=gen.divergence
-            )
             max_override = variant.max_tokens
             if variant.ratio is not None and variant.max_tokens is None:
                 # pinning the ratio re-solves the budget; inheriting a budget
@@ -493,7 +497,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path, seed: int | No
                 pinned = solve_plan(model, constraints, gen.prompt_tokens, ratio=variant.ratio)
                 max_override = pinned.max_tokens
             trace_c = serve_request(
-                req, table, model, cloud_source,
+                req, prompt, table, model, cloud_source,
                 start_ms=gen.arrival_ms,
                 rtt_ms=rtt,
                 ratio_override=variant.ratio,
@@ -501,7 +505,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path, seed: int | No
                 score_seed=seed,
             )
             trace_d = run_session(
-                req, trace_c.frame, trace_c.delivery(), model, device_source, config.policy,
+                req, prompt, trace_c.frame, trace_c.delivery(), model, device_source, config.policy,
                 start_ms=gen.arrival_ms, frame_time_ms=trace_c.frame_time_ms,
             )
             record = trace_c.record
@@ -546,9 +550,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path, seed: int | No
                     "feasible": feasible,
                 }
             )
-            occupancies.append(record.occupancy_ms)
 
-        if occupancies:
+    for variant, rows in zip(config.variants, variant_rows):
+        if rows:
+            occupancies = [row["occupancy"] for row in rows]
             result = run_throughput(config.batch, occupancies, config.batch_completions, seed=seed)
             tps, analytic = result.tps, result.analytic_tps
         else:

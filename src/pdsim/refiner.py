@@ -1,22 +1,25 @@
 """Prompt refinement: attention-window token scoring and sentence selection.
 
-Both ends of the protocol tokenize with the same deterministic reference
-tokenizer (whitespace word split, punctuation as separate tokens), so a
-selection mask computed on one side reconstructs the identical refined
-prompt on the other.
+Both ends of the protocol share one deterministic reference tokenizer
+(whitespace word split, punctuation as separate tokens), so a selection mask
+computed on one side reconstructs the identical refined prompt on the other.
+A request is tokenized once into a ``TokenizedPrompt``, which the cloud uses
+to select and the device uses to check the mask and rebuild the prompt.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain, repeat
 from math import ceil
 from typing import Sequence
 
 import numpy as np
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
-_SENTENCE_BREAK = frozenset(".!?\n")
+# a run up to and including a terminator; failing that, the terminator-free tail
+_SENTENCE_RE = re.compile(r"[^.!?\n]*[.!?\n]|[^.!?\n]+")
 
 
 def tokenize(text: str) -> list[str]:
@@ -29,14 +32,7 @@ def split_sentences(text: str) -> list[str]:
 
     Segments that tokenize to nothing (stray whitespace) are dropped.
     """
-    pieces: list[str] = []
-    start = 0
-    for i, ch in enumerate(text):
-        if ch in _SENTENCE_BREAK:
-            pieces.append(text[start : i + 1])
-            start = i + 1
-    pieces.append(text[start:])
-    return [p for p in pieces if _TOKEN_RE.search(p)]
+    return [p for p in _SENTENCE_RE.findall(text) if _TOKEN_RE.search(p)]
 
 
 @dataclass(frozen=True)
@@ -55,11 +51,10 @@ class TokenizedPrompt:
     def __post_init__(self) -> None:
         if len(self.sentence_ids) != len(self.content):
             raise ValueError("one sentence id per content token required")
-        prev = -1
-        for sid in self.sentence_ids:
-            if sid not in (prev, prev + 1):
-                raise ValueError("sentence ids must be contiguous and nondecreasing")
-            prev = max(prev, sid)
+        ids = np.asarray(self.sentence_ids, dtype=np.int64)
+        steps = np.diff(ids)
+        if ids.size and (ids[0] != 0 or not ((steps == 0) | (steps == 1)).all()):
+            raise ValueError("sentence ids must be contiguous and nondecreasing from zero")
 
     @property
     def total_tokens(self) -> int:
@@ -71,15 +66,11 @@ class TokenizedPrompt:
 
     @classmethod
     def from_text(cls, prefix: str, content: str, suffix: str) -> "TokenizedPrompt":
-        content_tokens: list[str] = []
-        ids: list[int] = []
-        for sid, sentence in enumerate(split_sentences(content)):
-            toks = tokenize(sentence)
-            content_tokens.extend(toks)
-            ids.extend([sid] * len(toks))
+        sentences = [_TOKEN_RE.findall(s) for s in split_sentences(content)]
+        ids = chain.from_iterable(repeat(sid, len(toks)) for sid, toks in enumerate(sentences))
         return cls(
             prefix=tuple(tokenize(prefix)),
-            content=tuple(content_tokens),
+            content=tuple(chain.from_iterable(sentences)),
             sentence_ids=tuple(ids),
             suffix=tuple(tokenize(suffix)),
         )
@@ -236,14 +227,9 @@ def sentence_order(prompt: TokenizedPrompt, scores: TokenScores) -> list[int]:
     """Sentences sorted by descending mean token score, earlier position first on ties."""
     if len(scores) != len(prompt.content):
         raise ValueError(f"expected {len(prompt.content)} scores, got {len(scores)}")
-    n_sentences = prompt.sentence_ids[-1] + 1 if prompt.sentence_ids else 0
     ids = np.asarray(prompt.sentence_ids, dtype=np.int64)
-    totals = np.zeros(n_sentences)
-    counts = np.zeros(n_sentences)
-    np.add.at(totals, ids, scores.scores)
-    np.add.at(counts, ids, 1.0)
-    means = totals / counts
-    return sorted(range(n_sentences), key=lambda sid: (-means[sid], sid))
+    means = np.bincount(ids, weights=scores.scores) / np.bincount(ids)
+    return np.argsort(-means, kind="stable").tolist()
 
 
 def select_sentences(prompt: TokenizedPrompt, scores: TokenScores, ratio: float) -> SelectionMask:
@@ -259,18 +245,13 @@ def select_sentences(prompt: TokenizedPrompt, scores: TokenScores, ratio: float)
     n_content = len(prompt.content)
     if n_content == 0 or ratio == 1.0:
         return SelectionMask(bits)
-    budget = ceil(ratio * n_content)
-    ids = np.asarray(prompt.sentence_ids)
-    selected: set[int] = set()
-    count = 0
-    for sid in sentence_order(prompt, scores):
-        selected.add(sid)
-        count += int((ids == sid).sum())
-        if count >= budget:
-            break
-    span = prompt.content_span
-    keep = np.isin(ids, list(selected))
-    bits[span] = keep.astype(np.uint8)
+    order = np.asarray(sentence_order(prompt, scores), dtype=np.int64)
+    ids = np.asarray(prompt.sentence_ids, dtype=np.int64)
+    covered = np.cumsum(np.bincount(ids)[order])
+    taken = int(np.searchsorted(covered, ceil(ratio * n_content))) + 1
+    chosen = np.zeros(order.size, dtype=np.uint8)
+    chosen[order[:taken]] = 1
+    bits[prompt.content_span] = chosen[ids]
     return SelectionMask(bits)
 
 

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
 
 from pdsim.planner import PlanConstraints
-from pdsim.refiner import SelectionMask, TokenizedPrompt
+from pdsim.protocol import AssistRequest
+from pdsim.refiner import SelectionMask, TokenScores, TokenizedPrompt, tokenize
 from pdsim.timing import RttClass, TimingModel, affine_cost, build_model, ttft_cloud, ttft_device
 
 
@@ -79,6 +81,11 @@ def clustered_mask(rng: random.Random, length: int, mean_run: float = 24.0) -> S
     return SelectionMask(bits[:length])
 
 
+def tokenized(req: AssistRequest) -> TokenizedPrompt:
+    """The request's reference tokenization, as the harness builds it once per request."""
+    return TokenizedPrompt.from_text(req.prefix, req.content, req.suffix)
+
+
 def synthetic_prompt(rng: random.Random, n_sentences: int, prefix_tokens: int = 3, suffix_tokens: int = 2,
                      sentence_len: tuple[int, int] = (3, 9)) -> TokenizedPrompt:
     """Small prompt with explicit sentence structure for selection tests."""
@@ -89,3 +96,60 @@ def synthetic_prompt(rng: random.Random, n_sentences: int, prefix_tokens: int = 
         words = rng.randint(*sentence_len)
         sentences.append(" ".join(f"c{s}x{w}" for w in range(words)) + ".")
     return TokenizedPrompt.from_text(prefix, " ".join(sentences), suffix)
+
+
+# --- reference refiner: the loop forms the vectorised refiner must match -------
+
+
+def reference_split_sentences(text: str) -> list[str]:
+    """Character loop: cut after every '.', '!', '?' and newline; drop token-free pieces."""
+    pieces: list[str] = []
+    start = 0
+    for i, ch in enumerate(text):
+        if ch in ".!?\n":
+            pieces.append(text[start : i + 1])
+            start = i + 1
+    pieces.append(text[start:])
+    return [p for p in pieces if tokenize(p)]
+
+
+def reference_from_text(prefix: str, content: str, suffix: str) -> tuple:
+    """(prefix, content, sentence_ids, suffix) built sentence by sentence, token by token."""
+    content_tokens: list[str] = []
+    ids: list[int] = []
+    for sid, sentence in enumerate(reference_split_sentences(content)):
+        toks = tokenize(sentence)
+        content_tokens.extend(toks)
+        ids.extend([sid] * len(toks))
+    return tuple(tokenize(prefix)), tuple(content_tokens), tuple(ids), tuple(tokenize(suffix))
+
+
+def reference_sentence_order(prompt: TokenizedPrompt, scores: TokenScores) -> list[int]:
+    """np.add.at sums per sentence, then a Python sort on (-mean, sentence id)."""
+    n_sentences = prompt.sentence_ids[-1] + 1 if prompt.sentence_ids else 0
+    ids = np.asarray(prompt.sentence_ids, dtype=np.int64)
+    totals = np.zeros(n_sentences)
+    counts = np.zeros(n_sentences)
+    np.add.at(totals, ids, scores.scores)
+    np.add.at(counts, ids, 1.0)
+    means = totals / counts
+    return sorted(range(n_sentences), key=lambda sid: (-means[sid], sid))
+
+
+def reference_select_sentences(prompt: TokenizedPrompt, scores: TokenScores, ratio: float) -> SelectionMask:
+    """Greedy loop that counts each chosen sentence's tokens with (ids == sid).sum()."""
+    bits = np.ones(prompt.total_tokens, dtype=np.uint8)
+    n_content = len(prompt.content)
+    if n_content == 0 or ratio == 1.0:
+        return SelectionMask(bits)
+    budget = math.ceil(ratio * n_content)
+    ids = np.asarray(prompt.sentence_ids)
+    selected: set[int] = set()
+    count = 0
+    for sid in reference_sentence_order(prompt, scores):
+        selected.add(sid)
+        count += int((ids == sid).sum())
+        if count >= budget:
+            break
+    bits[prompt.content_span] = np.isin(ids, list(selected)).astype(np.uint8)
+    return SelectionMask(bits)

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from helpers import tokenized
+
 from pdsim.cloudsim import (
     EOT_TOKEN,
     BatchModel,
@@ -11,7 +13,6 @@ from pdsim.cloudsim import (
 )
 from pdsim.planner import PlanConstraints, build_plan_table
 from pdsim.protocol import DONE, AssistRequest, SseDecoder
-from pdsim.refiner import TokenizedPrompt
 
 
 def make_request(content_sentences: int = 40, words: int = 9, scene: str = "doc_qa") -> AssistRequest:
@@ -47,6 +48,24 @@ class TestTokenSource:
             else:
                 assert diverged.token_at(position) == base.token_at(position)
 
+    def test_each_position_is_drawn_once(self, monkeypatch):
+        seeded = []
+
+        class CountingRandom(random.Random):
+            def __init__(self, seed):
+                seeded.append(seed)
+                super().__init__(seed)
+
+        monkeypatch.setattr(random, "Random", CountingRandom)
+        source = TokenSource(seed=9, total_tokens=8, divergence=frozenset({3}))
+        first = [source.token_at(p) for p in range(1, 9)]
+        for _ in range(3):
+            assert [source.token_at(p) for p in range(8, 0, -1)] == first[::-1]
+        assert sorted(seeded) == sorted(f"9:{'alt' if p == 3 else 'tok'}:{p}" for p in range(1, 8))
+        # the cache is invisible to equality and hashing
+        fresh = TokenSource(seed=9, total_tokens=8, divergence=frozenset({3}))
+        assert source == fresh and hash(source) == hash(fresh)
+
     def test_position_bounds(self):
         source = TokenSource(seed=1, total_tokens=3)
         with pytest.raises(ValueError):
@@ -62,7 +81,7 @@ class TestServeRequest:
         req = make_request()
         source = TokenSource(seed=3, total_tokens=500)
         trace = serve_request(
-            req, None, calibrated_model, source,
+            req, tokenized(req), None, calibrated_model, source,
             ratio_override=0.5, max_tokens_override=21,
         )
         record = trace.record
@@ -79,7 +98,7 @@ class TestServeRequest:
     def test_natural_finish_before_budget(self, calibrated_model):
         req = make_request()
         source = TokenSource(seed=3, total_tokens=3)
-        trace = serve_request(req, None, calibrated_model, source, ratio_override=0.5, max_tokens_override=21)
+        trace = serve_request(req, tokenized(req), None, calibrated_model, source, ratio_override=0.5, max_tokens_override=21)
         assert len(trace.events) == 2
         assert trace.record.tokens_emitted == 3
         assert trace.events[-1][1].token == EOT_TOKEN
@@ -88,7 +107,7 @@ class TestServeRequest:
         req = make_request(scene="unplanned")
         table = build_plan_table({"phone": calibrated_model}, {"doc_qa": PlanConstraints(0.25, 100.0)}, (8000,))
         source = TokenSource(seed=4, total_tokens=40)
-        trace = serve_request(req, table, calibrated_model, source)
+        trace = serve_request(req, tokenized(req), table, calibrated_model, source)
         assert trace.record.planning_miss
         assert trace.record.ratio == 1.0
         assert trace.frame.max_tokens == 0
@@ -97,10 +116,10 @@ class TestServeRequest:
     def test_planned_request_uses_table(self, calibrated_model):
         req = make_request()
         table = build_plan_table({"phone": calibrated_model}, {"doc_qa": PlanConstraints(0.25, 100.0)}, (8000,))
-        prompt = TokenizedPrompt.from_text(req.prefix, req.content, req.suffix)
+        prompt = tokenized(req)
         plan = table.lookup("doc_qa", "phone", prompt.total_tokens)
         source = TokenSource(seed=5, total_tokens=500)
-        trace = serve_request(req, table, calibrated_model, source)
+        trace = serve_request(req, prompt, table, calibrated_model, source)
         assert not trace.record.planning_miss
         assert trace.record.ratio == plan.ratio
         assert trace.frame.max_tokens == plan.max_tokens
@@ -110,7 +129,7 @@ class TestServeRequest:
     def test_wire_bytes_decode_to_one_frame_then_events_then_done(self, calibrated_model):
         req = make_request()
         source = TokenSource(seed=6, total_tokens=100)
-        trace = serve_request(req, None, calibrated_model, source, ratio_override=0.5, max_tokens_override=12)
+        trace = serve_request(req, tokenized(req), None, calibrated_model, source, ratio_override=0.5, max_tokens_override=12)
         items = SseDecoder().feed(trace.wire_bytes())
         assert items[0] == trace.frame
         assert len(items) == 1 + 11 + 1
@@ -119,16 +138,16 @@ class TestServeRequest:
     def test_determinism(self, calibrated_model):
         req = make_request()
         source = TokenSource(seed=7, total_tokens=64)
-        a = serve_request(req, None, calibrated_model, source, ratio_override=0.5, max_tokens_override=9)
-        b = serve_request(req, None, calibrated_model, source, ratio_override=0.5, max_tokens_override=9)
+        a = serve_request(req, tokenized(req), None, calibrated_model, source, ratio_override=0.5, max_tokens_override=9)
+        b = serve_request(req, tokenized(req), None, calibrated_model, source, ratio_override=0.5, max_tokens_override=9)
         assert a.wire_bytes() == b.wire_bytes()
         assert a.events == b.events
 
     def test_rtt_sample_shifts_first_frame(self, calibrated_model):
         req = make_request()
         source = TokenSource(seed=8, total_tokens=30)
-        base = serve_request(req, None, calibrated_model, source, rtt_ms=50.0, ratio_override=1.0, max_tokens_override=5)
-        slow = serve_request(req, None, calibrated_model, source, rtt_ms=150.0, ratio_override=1.0, max_tokens_override=5)
+        base = serve_request(req, tokenized(req), None, calibrated_model, source, rtt_ms=50.0, ratio_override=1.0, max_tokens_override=5)
+        slow = serve_request(req, tokenized(req), None, calibrated_model, source, rtt_ms=150.0, ratio_override=1.0, max_tokens_override=5)
         assert slow.frame_time_ms - base.frame_time_ms == pytest.approx(100.0)
 
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from helpers import tokenized
+
 from pdsim.cloudsim import EOT_TOKEN, TokenSource, serve_request
 from pdsim.devicesim import (
     CorrectionPolicy,
@@ -41,9 +43,10 @@ def serve(calibrated_model, plan_table, *, n=60, divergence=frozenset(), policy=
     req = request or content_prompt_request()
     cloud_source = TokenSource(seed=77, total_tokens=n)
     device_source = TokenSource(seed=77, total_tokens=n, divergence=divergence)
-    trace_c = serve_request(req, plan_table, calibrated_model, cloud_source, **kwargs)
+    prompt = tokenized(req)
+    trace_c = serve_request(req, prompt, plan_table, calibrated_model, cloud_source, **kwargs)
     trace_d = run_session(
-        req, trace_c.frame, trace_c.delivery(), calibrated_model, device_source, policy,
+        req, prompt, trace_c.frame, trace_c.delivery(), calibrated_model, device_source, policy,
         start_ms=0.0, frame_time_ms=trace_c.frame_time_ms,
     )
     return trace_c, trace_d
@@ -154,12 +157,13 @@ class TestCorrector:
         req = content_prompt_request()
         cloud_source = TokenSource(seed=77, total_tokens=60)
         device_source = TokenSource(seed=77, total_tokens=60, divergence=frozenset({3}))
-        trace_c = serve_request(req, plan_table, calibrated_model, cloud_source)
+        prompt = tokenized(req)
+        trace_c = serve_request(req, prompt, plan_table, calibrated_model, cloud_source)
         # hold every event back until long after the device finished decoding
         late = [(6000.0 + 10.0 * i, event) for i, (_, event) in enumerate(trace_c.events, start=1)]
         late.append((late[-1][0], DONE))
         trace_d = run_session(
-            req, trace_c.frame, late, calibrated_model, device_source, CorrectionPolicy.DEVICE_DISPLAY,
+            req, prompt, trace_c.frame, late, calibrated_model, device_source, CorrectionPolicy.DEVICE_DISPLAY,
             start_ms=0.0, frame_time_ms=trace_c.frame_time_ms,
         )
         assert trace_d.corrections >= 1
@@ -173,19 +177,20 @@ class TestFailureModes:
     def test_stalled_stream_raises(self, calibrated_model, plan_table):
         req = content_prompt_request()
         source = TokenSource(seed=77, total_tokens=60)
-        trace_c = serve_request(req, plan_table, calibrated_model, source)
+        prompt = tokenized(req)
+        trace_c = serve_request(req, prompt, plan_table, calibrated_model, source)
         truncated = [(t, e) for t, e in trace_c.events[:5]]  # no DONE, fewer than budget
         with pytest.raises(StallError):
-            run_session(req, trace_c.frame, truncated, calibrated_model, source,
+            run_session(req, prompt, trace_c.frame, truncated, calibrated_model, source,
                         start_ms=0.0, frame_time_ms=trace_c.frame_time_ms)
 
     def test_mask_prompt_mismatch_raises(self, calibrated_model, plan_table):
         req = content_prompt_request()
         other = content_prompt_request(sentences=400, request_id="req-2")
         source = TokenSource(seed=77, total_tokens=60)
-        trace_c = serve_request(other, plan_table, calibrated_model, source)
+        trace_c = serve_request(other, tokenized(other), plan_table, calibrated_model, source)
         with pytest.raises(ProtocolError):
-            run_session(req, trace_c.frame, trace_c.delivery(), calibrated_model, source,
+            run_session(req, tokenized(req), trace_c.frame, trace_c.delivery(), calibrated_model, source,
                         start_ms=0.0, frame_time_ms=trace_c.frame_time_ms)
 
 

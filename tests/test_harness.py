@@ -18,7 +18,7 @@ from pdsim.harness import (
     run_experiment,
     synthesize_prompt,
 )
-from pdsim.refiner import tokenize
+from pdsim.refiner import TokenizedPrompt, tokenize
 from pdsim.timing import ttft_cloud
 
 
@@ -197,6 +197,21 @@ class TestRunExperiment:
         assert (tmp_path / "trace_planned.csv").read_text().count("\n") == 1
         assert (tmp_path / "summary.csv").exists()
 
+    def test_each_request_is_tokenized_once(self, tmp_path, monkeypatch):
+        data = base_config_dict()
+        data["workload"]["requests"] = 5
+        data["variants"] = [{"name": "planned"}, {"name": "L8", "max_tokens": 8}, {"name": "r40", "ratio": 0.4}]
+        calls = []
+        original = TokenizedPrompt.from_text.__func__
+
+        def counting(cls, *args):
+            calls.append(args)
+            return original(cls, *args)
+
+        monkeypatch.setattr(TokenizedPrompt, "from_text", classmethod(counting))
+        run_experiment(config_from_dict(data), tmp_path)
+        assert len(calls) == 5
+
     def test_seed_override_changes_outputs(self, tmp_path):
         config = config_from_dict(base_config_dict())
         run_experiment(config, tmp_path / "a", seed=1)
@@ -233,4 +248,15 @@ class TestGoldenReport:
         config = load_config(Path(__file__).parent / "data" / "report_config.json")
         run_experiment(config, tmp_path)
         for name in ("summary.txt", "summary.csv", "trace_planned.csv"):
+            assert (tmp_path / name).read_bytes() == (golden_dir / name).read_bytes(), name
+
+    def test_sweep_outputs_match_frozen_files(self, tmp_path):
+        # jittered and truncated RTT draws, pinned-ratio and budget variants,
+        # device_display corrections and a Poisson batch: every written file
+        golden_dir = Path(__file__).parent / "golden" / "sweep"
+        config = load_config(Path(__file__).parent / "data" / "sweep_config.json")
+        run_experiment(config, tmp_path)
+        written = sorted(p.name for p in tmp_path.iterdir())
+        assert written == sorted(p.name for p in golden_dir.iterdir())
+        for name in written:
             assert (tmp_path / name).read_bytes() == (golden_dir / name).read_bytes(), name

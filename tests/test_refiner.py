@@ -4,8 +4,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import synthetic_prompt
+from helpers import (
+    reference_from_text,
+    reference_select_sentences,
+    reference_sentence_order,
+    reference_split_sentences,
+    synthetic_prompt,
+)
 
 from pdsim.refiner import (
     AttentionInputs,
@@ -17,6 +25,7 @@ from pdsim.refiner import (
     refined_text,
     score_tokens,
     select_sentences,
+    sentence_order,
     split_sentences,
     tokenize,
 )
@@ -58,9 +67,10 @@ class TestTokenizer:
         assert prompt.sentence_ids == (0, 0, 0, 1, 1, 1)
         assert prompt.total_tokens == 9
 
-    def test_sentence_ids_must_be_contiguous(self):
-        with pytest.raises(ValueError):
-            TokenizedPrompt(prefix=(), content=("a", "b"), sentence_ids=(0, 2), suffix=())
+    @pytest.mark.parametrize("ids", [(0, 2), (1, 1), (0, 1, 0), (-1, 0, 1), (-1, -1)])
+    def test_sentence_ids_must_be_contiguous_from_zero(self, ids):
+        with pytest.raises(ValueError, match="from zero"):
+            TokenizedPrompt(prefix=(), content=tuple("abc"[: len(ids)]), sentence_ids=ids, suffix=())
 
 
 class TestAttentionWeights:
@@ -283,7 +293,7 @@ class TestRefinedText:
             prompt_cloud = synthetic_prompt(rng, n_sentences=rng.randint(2, 10))
             scores = TokenScores(np.array([rng.random() for _ in prompt_cloud.content]))
             mask = select_sentences(prompt_cloud, scores, 0.4)
-            # the device re-tokenizes the same raw text with the shared tokenizer
+            # tokenizing the same raw text again yields the same prompt
             text = (" ".join(prompt_cloud.prefix), " ".join(prompt_cloud.content), " ".join(prompt_cloud.suffix))
             prompt_device = TokenizedPrompt.from_text(*text)
             assert prompt_device.total_tokens == prompt_cloud.total_tokens
@@ -300,3 +310,48 @@ class TestRefinedText:
         bits[0] = 0
         with pytest.raises(ValueError):
             refined_text(prompt, SelectionMask(bits))
+
+
+# --- equivalence with the loop references in helpers ---------------------------
+
+_PIECES = ["alpha", "b2", "w1234", "Ünï", "_x", " ", "   ", "\t", ",", ";", ":", ".", "!", "?", "\n", "\n\n\n", "..."]
+prompt_text = st.one_of(
+    st.lists(st.sampled_from(_PIECES), max_size=60).map("".join),
+    st.text(alphabet="ab1 \t,;:.!?\n", max_size=80),
+)
+
+
+@st.composite
+def scored_prompts(draw):
+    """A tokenized prompt with scores; half the draws force ties with exact per-sentence values."""
+    prompt = TokenizedPrompt.from_text("sys tokens", draw(prompt_text), "q ?")
+    if draw(st.booleans()):
+        n_sentences = prompt.sentence_ids[-1] + 1 if prompt.sentence_ids else 0
+        levels = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=n_sentences, max_size=n_sentences))
+        values = [levels[sid] for sid in prompt.sentence_ids]
+    else:
+        values = draw(st.lists(st.floats(0.0, 1.0), min_size=len(prompt.content), max_size=len(prompt.content)))
+    return prompt, TokenScores(np.array(values, dtype=np.float64))
+
+
+class TestMatchesLoopReference:
+    @settings(max_examples=200, deadline=None)
+    @given(prompt_text)
+    def test_split_sentences(self, text):
+        assert split_sentences(text) == reference_split_sentences(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(prompt_text, prompt_text, prompt_text)
+    def test_from_text(self, prefix, content, suffix):
+        prompt = TokenizedPrompt.from_text(prefix, content, suffix)
+        assert (prompt.prefix, prompt.content, prompt.sentence_ids, prompt.suffix) == reference_from_text(
+            prefix, content, suffix
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(scored_prompts(), st.floats(0.0, 1.0, exclude_min=True))
+    def test_sentence_order_and_selection(self, scored, ratio):
+        prompt, scores = scored
+        assert sentence_order(prompt, scores) == reference_sentence_order(prompt, scores)
+        got = select_sentences(prompt, scores, ratio)
+        assert np.array_equal(got.bits, reference_select_sentences(prompt, scores, ratio).bits)
