@@ -25,6 +25,16 @@ from .timing import TimingModel, request_occupancy, ttft_cloud
 EOT_TOKEN = "<eot>"
 
 
+def mt_words(rng: random.Random, k: int) -> np.ndarray:
+    """The next ``k`` 32-bit Mersenne Twister outputs of ``rng``, in draw order.
+
+    ``getrandbits(32 * k)`` consumes exactly ``k`` outputs and puts the first
+    in the least significant word, so the generator ends where ``k`` single
+    draws would leave it.
+    """
+    return np.frombuffer(rng.getrandbits(32 * k).to_bytes(4 * k, "little"), dtype="<u4")
+
+
 @dataclass(frozen=True)
 class TokenSource:
     """Seeded deterministic token stream; position ``total_tokens`` is the EOT label.
@@ -99,9 +109,15 @@ class CloudTrace:
 
 
 def uniform_scores(prompt: TokenizedPrompt, seed: int | str) -> TokenScores:
-    """Synthetic stand-in for attention-derived scores, deterministic per seed."""
-    rng = random.Random(f"scores:{seed}")
-    return TokenScores(np.array([rng.random() for _ in prompt.content]))
+    """Synthetic stand-in for attention-derived scores, deterministic per seed.
+
+    Score i is bit-equal to the i-th ``random()`` of ``random.Random(f"scores:{seed}")``:
+    each ``random()`` takes two 32-bit outputs ``w0, w1`` and returns
+    ``((w0 >> 5) * 2**26 + (w1 >> 6)) * 2**-53``, which is exact in float64,
+    so all scores come from one bulk draw.
+    """
+    words = mt_words(random.Random(f"scores:{seed}"), 2 * len(prompt.content)).reshape(-1, 2)
+    return TokenScores(((words[:, 0] >> 5) * 67108864.0 + (words[:, 1] >> 6)) * (1.0 / 9007199254740992.0))
 
 
 def serve_request(

@@ -13,11 +13,14 @@ import json
 import math
 import random
 import statistics
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .cloudsim import BatchModel, TokenSource, run_throughput, serve_request
+import numpy as np
+
+from .cloudsim import BatchModel, TokenSource, mt_words, run_throughput, serve_request
 from .devicesim import DEFAULT_SCRUB_RULES, CorrectionPolicy, ScrubRule, run_session, scrub
 from .planner import PlanConstraints, build_plan_table, check_plan, solve_plan
 from .protocol import AssistRequest
@@ -294,33 +297,114 @@ def _choice(rng: random.Random, weights: Mapping):
     return key  # float rounding: fall through to the last key
 
 
+# Mersenne Twister outputs in a prompt's first bulk draw; each further draw
+# doubles the block. A prompt consumes about 1.7 outputs per token.
+_DRAW_BLOCK_WORDS = 4096
+_WORD_LIMIT = 10000 << 18  # randrange(10000) keeps w >> 18 and rejects values >= 10000
+_LENGTH_LIMIT = 25 << 27  # randint(8, 32) keeps 8 + (w >> 27) and rejects w >> 27 >= 25
+
+
+class _DrawReplay:
+    """Replays ``rng.randrange(10000)`` and ``rng.randint(8, 32)`` from bulk Mersenne Twister outputs.
+
+    CPython draws both from one 32-bit output at a time, rejecting outputs
+    out of range, so each draw maps to the first acceptable output at or after
+    the current stream position. Outputs are drawn in blocks on demand;
+    ``finish`` rewinds ``rng`` and advances it by exactly the outputs consumed.
+    """
+
+    def __init__(self, rng: random.Random) -> None:
+        self._rng = rng
+        self._state = rng.getstate()
+        self._block = np.empty(0, dtype=np.uint32)
+        self._pos = 0  # stream index of the next unconsumed output
+        self._word_at: list[int] = []  # stream index of each acceptable word output
+        self._values = np.empty(0, dtype=np.uint32)  # its drawn value
+
+    def _extend(self) -> None:
+        drawn = self._block.size
+        block = mt_words(self._rng, max(_DRAW_BLOCK_WORDS, drawn))
+        ok = block < _WORD_LIMIT
+        self._word_at += (np.flatnonzero(ok) + drawn).tolist()
+        self._values = np.concatenate((self._values, block[ok] >> 18))
+        self._block = np.concatenate((self._block, block))
+
+    def words(self, n: int) -> np.ndarray:
+        """Values of the next ``n`` word draws."""
+        if n <= 0:
+            return self._values[:0]
+        i = bisect_left(self._word_at, self._pos)
+        while i + n > len(self._word_at):
+            self._extend()
+        self._pos = self._word_at[i + n - 1] + 1
+        return self._values[i : i + n]
+
+    def length(self) -> int:
+        """The next sentence-length draw."""
+        while True:
+            if self._pos == self._block.size:
+                self._extend()
+            w = self._block.item(self._pos)
+            self._pos += 1
+            if w < _LENGTH_LIMIT:
+                return 8 + (w >> 27)
+
+    def finish(self) -> None:
+        self._rng.setstate(self._state)
+        self._rng.getrandbits(32 * self._pos)
+
+
+def _word_text(values: np.ndarray, periods: Sequence[int] = ()) -> str:
+    """``" ".join(f"w{v}" for v in values)`` for values below 10000, with a '.' after the words at ``periods``."""
+    # one row of characters per word: "w", four digit places, ".", " ";
+    # leading zero places and unflagged periods are dropped
+    chars = np.empty((values.size, 7), dtype=np.uint8)
+    keep = np.ones(chars.shape, dtype=bool)
+    chars[:, 0] = ord("w")
+    for col, place in enumerate((1000, 100, 10, 1), start=1):
+        chars[:, col] = values // place % 10 + ord("0")
+        if place > 1:
+            keep[:, col] = values >= place
+    chars[:, 5] = ord(".")
+    keep[:, 5] = False
+    keep[periods, 5] = True
+    chars[:, 6] = ord(" ")
+    return chars[keep].tobytes()[:-1].decode("ascii")
+
+
 def synthesize_prompt(rng: random.Random, total_tokens: int, prefix_tokens: int, suffix_tokens: int) -> tuple[str, str, str]:
-    """Build prompt text whose reference tokenization has exactly total_tokens tokens."""
+    """Build prompt text whose reference tokenization has exactly total_tokens tokens.
+
+    Exact replay: the text, and the state ``rng`` is left in, equal those of
+    drawing one by one with ``rng`` the prefix words, the suffix words, then
+    per sentence a length ``randint(8, 32)`` and its words, each word
+    ``f"w{rng.randrange(10000)}"``. The draws are replayed from bulk
+    Mersenne Twister outputs (see ``_DrawReplay``).
+    """
     content_target = total_tokens - prefix_tokens - suffix_tokens
     if content_target < 2:
         raise ValueError("prompt too short for the requested prefix/suffix")
 
-    def word() -> str:
-        return f"w{rng.randrange(10000)}"
-
-    prefix = " ".join(word() for _ in range(prefix_tokens))
+    draws = _DrawReplay(rng)
+    prefix = _word_text(draws.words(prefix_tokens))
     if suffix_tokens > 0:
-        suffix = " ".join(word() for _ in range(suffix_tokens - 1)) + (" ?" if suffix_tokens > 1 else "?")
+        suffix = _word_text(draws.words(suffix_tokens - 1)) + (" ?" if suffix_tokens > 1 else "?")
     else:
         suffix = ""
 
+    # each sentence is its words plus a '.'; the last one takes what is left,
+    # so ``remaining`` is never 1 and every sentence has at least one word
     sentences = []
     remaining = content_target
     while remaining > 0:
-        words = rng.randint(8, 32)
+        words = draws.length()
         if remaining - (words + 1) < 10:
             words = remaining - 1
-        if words <= 0:
-            sentences.append(word())  # single-token tail without a terminator
-            break
-        sentences.append(" ".join(word() for _ in range(words)) + ".")
+        sentences.append(draws.words(words))
         remaining -= words + 1
-    return prefix, " ".join(sentences), suffix
+    draws.finish()
+    periods = np.cumsum([s.size for s in sentences]) - 1
+    return prefix, _word_text(np.concatenate(sentences), periods), suffix
 
 
 @dataclass(frozen=True)

@@ -62,15 +62,20 @@ def pack(mask: SelectionMask) -> CompressedMask:
 def unpack(compressed: CompressedMask) -> SelectionMask:
     """Inverse of :func:`pack`; bit-exact or an error, never a partial mask."""
     bit_length = compressed.bit_length
+    need = (bit_length + 7) // 8
+    inflater = zlib.decompressobj()
     try:
-        raw = zlib.decompress(compressed.payload[_HEADER.size :])
+        # inflate at most one byte past the declared length, so a stream that
+        # inflates far beyond it is rejected without being expanded
+        raw = inflater.decompress(compressed.payload[_HEADER.size :], need + 1)
     except zlib.error as exc:
         raise MaskCodecError(f"corrupt deflate stream: {exc}") from exc
-    need = (bit_length + 7) // 8
+    if len(raw) > need:
+        raise MaskCodecError(f"container holds more than the {need} bytes declared")
+    if not inflater.eof:
+        raise MaskCodecError("corrupt deflate stream: incomplete or truncated stream")
     if len(raw) < need:
         raise MaskLengthError(f"declared {bit_length} bits but stream holds {len(raw) * 8}")
-    if len(raw) > need:
-        raise MaskCodecError(f"container holds {len(raw)} bytes, expected {need}")
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
     if bits[bit_length:].any():
         raise MaskCodecError("nonzero padding bits past the declared length")

@@ -6,8 +6,7 @@ next to the first token; each following frame carries one decode token; a
 literal ``[DONE]`` frame closes the stream.
 
 Canonical bodies are compact JSON with pinned key order, so encoders are
-byte-deterministic. A legacy '#'-delimited body for the first frame is kept
-behind a flag; it cannot carry '#' inside the token text.
+byte-deterministic.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import binascii
 import json
 from dataclasses import dataclass
 
-from .maskcodec import CompressedMask
+from .maskcodec import CompressedMask, MaskCodecError
 
 FRAME_PREFIX = b"data: "
 FRAME_SUFFIX = b"\n\n"
@@ -133,18 +132,13 @@ def decode_request(data: bytes) -> AssistRequest:
         raise ProtocolError(str(exc)) from exc
 
 
-def encode_first_frame(frame: FirstTokenFrame, compact: bool = False) -> bytes:
+def encode_first_frame(frame: FirstTokenFrame) -> bytes:
     mask_b64 = base64.b64encode(frame.mask.payload).decode("ascii")
-    if compact:
-        if "#" in frame.token:
-            raise ProtocolError("compact framing cannot carry '#' inside token text")
-        return _frame(f"{frame.token}#{mask_b64}#{frame.max_tokens}".encode("utf-8"))
     return _frame(_json_body({"first_token": frame.token, "mask_b64": mask_b64, "L": frame.max_tokens}))
 
 
-def decode_first_frame(data: bytes, compact: bool = False) -> FirstTokenFrame:
-    body = _strip_frame(data)
-    return _parse_first_compact(body) if compact else _parse_first_json(body)
+def decode_first_frame(data: bytes) -> FirstTokenFrame:
+    return _parse_first_json(_strip_frame(data))
 
 
 def encode_stream_event(event: StreamEvent) -> bytes:
@@ -194,7 +188,10 @@ def _decode_mask_b64(text: str) -> CompressedMask:
         container = base64.b64decode(text.encode("ascii"), validate=True)
     except (binascii.Error, UnicodeEncodeError) as exc:
         raise ProtocolError(f"field 'mask_b64' is not valid base64: {exc}") from exc
-    return CompressedMask.from_container(container)
+    try:
+        return CompressedMask.from_container(container)
+    except MaskCodecError as exc:
+        raise ProtocolError(f"field 'mask_b64' is not a mask container: {exc}") from exc
 
 
 def _parse_first_json(body: bytes) -> FirstTokenFrame:
@@ -208,24 +205,6 @@ def _parse_first_json(body: bytes) -> FirstTokenFrame:
     budget = obj.get("L")
     if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
         raise ProtocolError("field 'L' missing or not a nonnegative integer")
-    return FirstTokenFrame(token=token, mask=_decode_mask_b64(mask_b64), max_tokens=budget)
-
-
-def _parse_first_compact(body: bytes) -> FirstTokenFrame:
-    try:
-        text = body.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ProtocolError(f"body is not valid UTF-8: {exc}") from exc
-    parts = text.split("#")
-    if len(parts) != 3:
-        raise ProtocolError("compact frame must be token#mask#budget")
-    token, mask_b64, budget_text = parts
-    try:
-        budget = int(budget_text)
-    except ValueError as exc:
-        raise ProtocolError("field 'L' is not an integer") from exc
-    if budget < 0:
-        raise ProtocolError("field 'L' must be nonnegative")
     return FirstTokenFrame(token=token, mask=_decode_mask_b64(mask_b64), max_tokens=budget)
 
 

@@ -10,7 +10,7 @@ to select and the device uses to check the mask and rebuild the prompt.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, repeat
 from math import ceil
 from typing import Sequence
@@ -40,13 +40,16 @@ class TokenizedPrompt:
     """Prompt split into fixed prefix, refinable content and fixed suffix.
 
     ``sentence_ids`` labels each content token with its sentence, contiguous
-    and nondecreasing from zero.
+    and nondecreasing from zero. The ids, as an array, and the token count of
+    each sentence are kept for selection.
     """
 
     prefix: tuple[str, ...]
     content: tuple[str, ...]
     sentence_ids: tuple[int, ...]
     suffix: tuple[str, ...]
+    _ids: np.ndarray = field(init=False, compare=False, repr=False)
+    _sizes: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.sentence_ids) != len(self.content):
@@ -55,6 +58,10 @@ class TokenizedPrompt:
         steps = np.diff(ids)
         if ids.size and (ids[0] != 0 or not ((steps == 0) | (steps == 1)).all()):
             raise ValueError("sentence ids must be contiguous and nondecreasing from zero")
+        sizes = np.bincount(ids)
+        ids.flags.writeable = sizes.flags.writeable = False
+        object.__setattr__(self, "_ids", ids)
+        object.__setattr__(self, "_sizes", sizes)
 
     @property
     def total_tokens(self) -> int:
@@ -88,7 +95,6 @@ class AttentionInputs:
     k_full: np.ndarray    # [n_keys, dim]
     hidden_size: int
     v_full: np.ndarray | None = None
-    heads: int = 1
 
     def __post_init__(self) -> None:
         q, k = np.asarray(self.q_window), np.asarray(self.k_full)
@@ -227,8 +233,7 @@ def sentence_order(prompt: TokenizedPrompt, scores: TokenScores) -> list[int]:
     """Sentences sorted by descending mean token score, earlier position first on ties."""
     if len(scores) != len(prompt.content):
         raise ValueError(f"expected {len(prompt.content)} scores, got {len(scores)}")
-    ids = np.asarray(prompt.sentence_ids, dtype=np.int64)
-    means = np.bincount(ids, weights=scores.scores) / np.bincount(ids)
+    means = np.bincount(prompt._ids, weights=scores.scores) / prompt._sizes
     return np.argsort(-means, kind="stable").tolist()
 
 
@@ -246,8 +251,8 @@ def select_sentences(prompt: TokenizedPrompt, scores: TokenScores, ratio: float)
     if n_content == 0 or ratio == 1.0:
         return SelectionMask(bits)
     order = np.asarray(sentence_order(prompt, scores), dtype=np.int64)
-    ids = np.asarray(prompt.sentence_ids, dtype=np.int64)
-    covered = np.cumsum(np.bincount(ids)[order])
+    ids = prompt._ids
+    covered = np.cumsum(prompt._sizes[order])
     taken = int(np.searchsorted(covered, ceil(ratio * n_content))) + 1
     chosen = np.zeros(order.size, dtype=np.uint8)
     chosen[order[:taken]] = 1

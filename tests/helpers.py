@@ -153,3 +153,42 @@ def reference_select_sentences(prompt: TokenizedPrompt, scores: TokenScores, rat
             break
     bits[prompt.content_span] = np.isin(ids, list(selected)).astype(np.uint8)
     return SelectionMask(bits)
+
+
+# --- reference draws: the per-draw loops the bulk Mersenne Twister replay must match ---
+
+
+def reference_synthesize_prompt(rng: random.Random, total_tokens: int, prefix_tokens: int,
+                                suffix_tokens: int) -> tuple[str, str, str]:
+    """One ``randrange(10000)`` per word and one ``randint(8, 32)`` per sentence length."""
+    content_target = total_tokens - prefix_tokens - suffix_tokens
+    if content_target < 2:
+        raise ValueError("prompt too short for the requested prefix/suffix")
+
+    def word() -> str:
+        return f"w{rng.randrange(10000)}"
+
+    prefix = " ".join(word() for _ in range(prefix_tokens))
+    if suffix_tokens > 0:
+        suffix = " ".join(word() for _ in range(suffix_tokens - 1)) + (" ?" if suffix_tokens > 1 else "?")
+    else:
+        suffix = ""
+
+    sentences = []
+    remaining = content_target
+    while remaining > 0:
+        words = rng.randint(8, 32)
+        if remaining - (words + 1) < 10:
+            words = remaining - 1
+        if words <= 0:
+            sentences.append(word())  # single-token tail without a terminator
+            break
+        sentences.append(" ".join(word() for _ in range(words)) + ".")
+        remaining -= words + 1
+    return prefix, " ".join(sentences), suffix
+
+
+def reference_uniform_scores(prompt: TokenizedPrompt, seed: int | str) -> TokenScores:
+    """One ``random()`` per content token."""
+    rng = random.Random(f"scores:{seed}")
+    return TokenScores(np.array([rng.random() for _ in prompt.content]))

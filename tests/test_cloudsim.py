@@ -1,8 +1,11 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import tokenized
+from helpers import reference_uniform_scores, tokenized
 
 from pdsim.cloudsim import (
     EOT_TOKEN,
@@ -10,9 +13,11 @@ from pdsim.cloudsim import (
     TokenSource,
     run_throughput,
     serve_request,
+    uniform_scores,
 )
 from pdsim.planner import PlanConstraints, build_plan_table
 from pdsim.protocol import DONE, AssistRequest, SseDecoder
+from pdsim.refiner import TokenizedPrompt
 
 
 def make_request(content_sentences: int = 40, words: int = 9, scene: str = "doc_qa") -> AssistRequest:
@@ -74,6 +79,19 @@ class TestTokenSource:
             source.token_at(4)
         with pytest.raises(ValueError):
             TokenSource(seed=1, total_tokens=0)
+
+
+class TestUniformScores:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 5000), st.one_of(st.integers(), st.text(max_size=12)))
+    @example(0, "req-0000")
+    @example(1, "req-0000")
+    def test_bit_equal_to_the_draw_loop(self, n, seed):
+        prompt = TokenizedPrompt(prefix=(), content=("w",) * n, sentence_ids=(0,) * n, suffix=("?",))
+        got = uniform_scores(prompt, seed).scores
+        want = reference_uniform_scores(prompt, seed).scores
+        assert got.shape == want.shape == (n,)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestServeRequest:

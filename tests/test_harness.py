@@ -5,7 +5,12 @@ import statistics
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from helpers import reference_synthesize_prompt
+
+from pdsim import harness
 from pdsim.harness import (
     ConfigError,
     ReportError,
@@ -103,6 +108,50 @@ class TestWorkloadSynthesis:
         prefix, content, suffix = synthesize_prompt(rng, 500, 0, 0)
         assert prefix == "" and suffix == ""
         assert len(tokenize(content)) == 500
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**64 - 1),
+        st.one_of(st.integers(2, 40), st.integers(2, 4000), st.sampled_from([8000, 16000, 32000])),
+        st.integers(0, 2),
+        st.integers(0, 2),
+    )
+    @example(0, 2, 0, 0)  # smallest content: one one-word sentence
+    @example(0, 3, 1, 1)
+    @example(1, 32000, 2, 2)
+    def test_matches_the_draw_loop(self, seed, content_tokens, prefix_tokens, suffix_tokens):
+        total = content_tokens + prefix_tokens + suffix_tokens
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert synthesize_prompt(rng, total, prefix_tokens, suffix_tokens) == reference_synthesize_prompt(
+            ref, total, prefix_tokens, suffix_tokens
+        )
+        assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_extended_blocks_match_the_draw_loop(self, monkeypatch, block):
+        monkeypatch.setattr(harness, "_DRAW_BLOCK_WORDS", block)
+        cases = random.Random(block)
+        for _ in range(40):
+            seed = cases.getrandbits(32)
+            prefix_tokens, suffix_tokens = cases.randint(0, 12), cases.randint(0, 12)
+            total = prefix_tokens + suffix_tokens + cases.choice([2, 3, cases.randint(2, 300), cases.randint(2, 3000)])
+            rng, ref = random.Random(seed), random.Random(seed)
+            assert synthesize_prompt(rng, total, prefix_tokens, suffix_tokens) == reference_synthesize_prompt(
+                ref, total, prefix_tokens, suffix_tokens
+            )
+            assert rng.getstate() == ref.getstate()
+
+    def test_words_are_drawn_in_bulk(self):
+        class CountingRandom(random.Random):
+            calls = 0
+
+            def getrandbits(self, k):
+                self.calls += 1
+                return super().getrandbits(k)
+
+        rng = CountingRandom(5)
+        synthesize_prompt(rng, 8192, 16, 24)
+        assert 1 <= rng.calls <= 8
 
     def test_workload_is_deterministic(self):
         config = config_from_dict(base_config_dict())

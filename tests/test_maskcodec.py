@@ -1,6 +1,7 @@
 import random
 import statistics
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -83,6 +84,20 @@ class TestErrors:
         container = struct.pack("<I", 4) + zlib.compress(b"\xf0\x00\x00", 9)
         with pytest.raises(MaskCodecError):
             unpack(CompressedMask.from_container(container))
+
+    def test_inflation_is_bounded_by_the_declared_length(self):
+        # 8 bits declared, 50 MB of zeros behind them
+        deflate = zlib.compressobj(9)
+        stream = b"".join(deflate.compress(bytes(1 << 20)) for _ in range(50)) + deflate.flush()
+        bomb = CompressedMask.from_container(struct.pack("<I", 8) + stream)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MaskCodecError):
+                unpack(bomb)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_nonzero_padding_bits(self):
         container = struct.pack("<I", 4) + zlib.compress(b"\xff", 9)

@@ -64,19 +64,6 @@ class TestFirstFrameCodec:
         frame = FirstTokenFrame(token="fin", mask=pack(SelectionMask([1, 1])), max_tokens=1)
         assert decode_first_frame(encode_first_frame(frame)) == frame
 
-    def test_compact_round_trip(self):
-        rng = random.Random(1)
-        for _ in range(200):
-            token = random_token(rng).replace("#", "")
-            frame = FirstTokenFrame(token=token, mask=random_mask(rng), max_tokens=rng.randint(0, 99))
-            data = encode_first_frame(frame, compact=True)
-            assert decode_first_frame(data, compact=True) == frame
-
-    def test_compact_rejects_hash_in_token(self):
-        frame = FirstTokenFrame(token="a#b", mask=random_mask(random.Random(2)), max_tokens=3)
-        with pytest.raises(ProtocolError):
-            encode_first_frame(frame, compact=True)
-
     @pytest.mark.parametrize(
         "body,field",
         [
@@ -86,6 +73,7 @@ class TestFirstFrameCodec:
             (b'data: {"first_token":"x","mask_b64":"AAAAAHjaAwAAAAAB","L":-1}\n\n', "L"),
             (b'data: {"first_token":"x","mask_b64":"AAAAAHjaAwAAAAAB","L":true}\n\n', "L"),
             (b'data: {"first_token":"x","mask_b64":"not base64!","L":5}\n\n', "mask_b64"),
+            (b'data: {"first_token":"x","mask_b64":"AAA=","L":5}\n\n', "mask_b64"),  # 2-byte container
         ],
     )
     def test_malformed_fields_name_the_field(self, body, field):
@@ -189,6 +177,14 @@ class TestSseDecoder:
         assert len(items) == 5
         assert decoder.feed(b"")== []
         assert decoder.feed(good)[0] == StreamEvent(index=9, token="after")
+
+    def test_short_mask_container_keeps_parsed_items(self):
+        event = encode_stream_event(StreamEvent(index=1, token="kept"))
+        short_mask = b'data: {"first_token":"x","mask_b64":"AAA=","L":5}\n\n'
+        decoder = SseDecoder()
+        with pytest.raises(ProtocolError, match="mask_b64"):
+            decoder.feed(event + short_mask)
+        assert decoder.feed(b"") == [StreamEvent(index=1, token="kept")]
 
     def test_oversized_garbage_is_bounded(self):
         decoder = SseDecoder()
