@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,13 +41,17 @@ class TokenSource:
 
     Two sources with the same seed agree everywhere except at positions in
     ``divergence``, which model a paired device generating a different token.
-    Each position is drawn once per source and then served from its cache.
+    A position's token is ``f"{salt}{position}_{draw:04x}"`` with salt ``tok``,
+    or ``alt`` inside the divergence set, so equality between sources is fixed
+    by the salt. Each salt's draws come from one generator seeded
+    ``f"{seed}:{salt}"``: one bulk draw of ``total_tokens`` outputs on the
+    salt's first use, and position p takes the top 16 bits of output p.
     """
 
     seed: int
     total_tokens: int
     divergence: frozenset[int] = frozenset()
-    _drawn: dict[int, str] = field(default_factory=dict, init=False, compare=False, repr=False)
+    _drawn: dict[str, list[int]] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.total_tokens < 1:
@@ -58,12 +62,12 @@ class TokenSource:
             raise ValueError(f"position {position} outside 1..{self.total_tokens}")
         if position == self.total_tokens:
             return EOT_TOKEN
-        token = self._drawn.get(position)
-        if token is None:
-            salt = "alt" if position in self.divergence else "tok"
-            draw = random.Random(f"{self.seed}:{salt}:{position}").randrange(1 << 16)
-            token = self._drawn[position] = f"{salt}{position}_{draw:04x}"
-        return token
+        salt = "alt" if position in self.divergence else "tok"
+        draws = self._drawn.get(salt)
+        if draws is None:
+            words = mt_words(random.Random(f"{self.seed}:{salt}"), self.total_tokens)
+            draws = self._drawn[salt] = (words >> 16).tolist()
+        return f"{salt}{position}_{draws[position - 1]:04x}"
 
 
 @dataclass(frozen=True)
@@ -129,17 +133,18 @@ def serve_request(
     *,
     start_ms: float = 0.0,
     rtt_ms: float | None = None,
-    scorer: Callable[[TokenizedPrompt], TokenScores] | None = None,
     ratio_override: float | None = None,
     max_tokens_override: int | None = None,
-    score_seed: int | str | None = None,
+    scores: TokenScores | None = None,
 ) -> CloudTrace:
     """Serve one request: refine, piggyback the first token, stream, terminate.
 
     ``prompt`` is the request's reference tokenization, shared with the
-    device; the mask is computed over it. A missing plan serves with ratio 1
-    and no budget (stream until EOT) and is flagged as a planning miss.
-    Overrides pin the sweep variant's ratio or budget regardless of the plan.
+    device; the mask is computed over it. ``scores`` are the content scores
+    to select by; when absent they are ``uniform_scores(prompt, request_id)``.
+    A missing plan serves with ratio 1 and no budget (stream until EOT) and is
+    flagged as a planning miss. Overrides pin the sweep variant's ratio or
+    budget regardless of the plan.
     """
     plan = plan_table.lookup(req.scene, req.device_class, prompt.total_tokens) if plan_table else None
     miss = plan is None
@@ -158,11 +163,8 @@ def serve_request(
 
     if ratio >= 1.0:
         scores = TokenScores(np.zeros(len(prompt.content)))
-    elif scorer is not None:
-        scores = scorer(prompt)
-    else:
-        seed = req.request_id if score_seed is None else f"{score_seed}:{req.request_id}"
-        scores = uniform_scores(prompt, seed)
+    elif scores is None:
+        scores = uniform_scores(prompt, req.request_id)
     mask = select_sentences(prompt, scores, ratio)
     compressed = pack(mask)
 

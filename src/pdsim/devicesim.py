@@ -7,6 +7,11 @@ the postponed prefill over the refined prompt and then decodes at device
 speed, with the token corrector comparing against received cloud tokens.
 Both branches are callbacks on one deterministic event loop; the only state
 they share is the arrival buffer.
+
+Once the display has passed the cloud window, caught up with decoding and
+nothing else is pending, every later step is fixed: no stream item can
+arrive and no correction applies. The decode callback then finishes the
+device tail in one pass instead of one loop event per token.
 """
 
 from __future__ import annotations
@@ -217,10 +222,10 @@ class _Session:
                 self.display_pending = True
                 self.loop.schedule_at(when, lambda pos=p: self._show_cloud(pos))
             elif self.cloud_done and p > self.cloud_last:
-                self._advance_device_display()
+                self._advance_device_display(self.loop.now)
             # else: the arrival callback resumes the chain
         else:
-            self._advance_device_display()
+            self._advance_device_display(self.loop.now)
 
     def _show_cloud(self, position: int) -> None:
         self.display_pending = False
@@ -242,7 +247,10 @@ class _Session:
         self.pos_next = position + 1
         self._advance_display()
 
-    def _advance_device_display(self) -> None:
+    def _past_cloud_window(self, position: int) -> bool:
+        return not self._in_cloud_window(position) or (self.cloud_done and position > self.cloud_last)
+
+    def _advance_device_display(self, now: float) -> None:
         while True:
             p = self.pos_next
             token = self.device_tokens.get(p)
@@ -251,7 +259,7 @@ class _Session:
             if token == EOT_TOKEN:
                 self._finish()
                 return
-            when = max(self.loop.now, self.displays[-1][0] if self.displays else self.loop.now)
+            when = max(now, self.displays[-1][0] if self.displays else now)
             self.displays.append((when, p, token))
             self.pos_next = p + 1
 
@@ -279,16 +287,19 @@ class _Session:
             return
         self.loop.schedule_after(self.model.tpot_device, lambda: self._on_decode(2))
 
-    def _on_decode(self, position: int) -> None:
-        if self.finished:
-            return
+    def _decode(self, position: int, now: float) -> str:
         if position <= self.source.total_tokens:
             raw = self.source.token_at(position)
         else:
             raw = EOT_TOKEN  # own stream exhausted past a corrected EOT
         self.device_tokens[position] = raw
-        self.decode_time[position] = self.loop.now
+        self.decode_time[position] = now
+        return raw
 
+    def _on_decode(self, position: int) -> None:
+        if self.finished:
+            return
+        raw = self._decode(position, self.loop.now)
         effective = raw
         cloud_token = self.cloud.get(position)
         in_scope = cloud_token is not None and (self.budget == 0 or position <= self.budget)
@@ -301,7 +312,29 @@ class _Session:
             self.device_eot_position = position
             self._advance_display()
             return
-        self.loop.schedule_after(self.model.tpot_device, lambda: self._on_decode(position + 1))
+        if len(self.loop) == 0 and self.pos_next == position + 1 and self._past_cloud_window(position + 1):
+            self._decode_tail(position + 1)
+        else:
+            self.loop.schedule_after(self.model.tpot_device, lambda: self._on_decode(position + 1))
+
+    def _decode_tail(self, position: int) -> None:
+        """Decode and display from ``position`` to the device EOT in one pass.
+
+        Called with the loop empty and the display caught up past the cloud
+        window, so nothing can interleave: each step is one ``tpot_device``
+        after the previous one, summed as ``schedule_after`` would, and shown
+        by the usual device display rule. Every position here is out of the
+        corrector's scope, so no correction can happen.
+        """
+        now = self.loop.now
+        while True:
+            now += self.model.tpot_device
+            raw = self._decode(position, now)
+            self._advance_device_display(now)
+            if raw == EOT_TOKEN:
+                self.device_eot_position = position
+                return
+            position += 1
 
     def _finish(self) -> None:
         self.finished = True

@@ -20,6 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import cloudsim
 from .cloudsim import BatchModel, TokenSource, mt_words, run_throughput, serve_request
 from .devicesim import DEFAULT_SCRUB_RULES, CorrectionPolicy, ScrubRule, run_session, scrub
 from .planner import PlanConstraints, build_plan_table, check_plan, solve_plan
@@ -558,9 +559,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path, seed: int | No
     metrics: list[VariantMetrics] = []
     trace_files: list[str] = []
 
-    # requests outer, variants inner: each prompt is tokenized and each token
-    # drawn once per request, and only one request's prompt is alive at a time;
-    # each variant keeps its own RTT stream, drawn in request order
+    # requests outer, variants inner: each prompt is tokenized and scored once
+    # per request, each token source is built once per request, and only one
+    # request's prompt is alive at a time; each variant keeps its own RTT
+    # stream, drawn in request order
     rtt_rngs = [random.Random(f"{seed}:{variant.name}:rtt") for variant in config.variants]
     variant_rows: list[list[dict]] = [[] for _ in config.variants]
     for gen in workload:
@@ -568,6 +570,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path, seed: int | No
         model = config.models[req.device_class]
         constraints = config.scenes[req.scene]
         prompt = TokenizedPrompt.from_text(req.prefix, req.content, req.suffix)
+        # every variant selects by the same scores; called through the module
+        # so that a wrapper installed on pdsim.cloudsim sees the call
+        scores = cloudsim.uniform_scores(prompt, f"{seed}:{req.request_id}")
         cloud_source = TokenSource(seed=gen.source_seed, total_tokens=gen.output_tokens)
         device_source = TokenSource(
             seed=gen.source_seed, total_tokens=gen.output_tokens, divergence=gen.divergence
@@ -586,7 +591,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path, seed: int | No
                 rtt_ms=rtt,
                 ratio_override=variant.ratio,
                 max_tokens_override=max_override,
-                score_seed=seed,
+                scores=scores,
             )
             trace_d = run_session(
                 req, prompt, trace_c.frame, trace_c.delivery(), model, device_source, config.policy,

@@ -74,6 +74,8 @@ def unpack(compressed: CompressedMask) -> SelectionMask:
         raise MaskCodecError(f"container holds more than the {need} bytes declared")
     if not inflater.eof:
         raise MaskCodecError("corrupt deflate stream: incomplete or truncated stream")
+    if inflater.unused_data:
+        raise MaskCodecError(f"{len(inflater.unused_data)} bytes after the deflate stream")
     if len(raw) < need:
         raise MaskLengthError(f"declared {bit_length} bits but stream holds {len(raw) * 8}")
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))

@@ -53,7 +53,7 @@ class TestTokenSource:
             else:
                 assert diverged.token_at(position) == base.token_at(position)
 
-    def test_each_position_is_drawn_once(self, monkeypatch):
+    def test_one_generator_per_salt(self, monkeypatch):
         seeded = []
 
         class CountingRandom(random.Random):
@@ -66,10 +66,24 @@ class TestTokenSource:
         first = [source.token_at(p) for p in range(1, 9)]
         for _ in range(3):
             assert [source.token_at(p) for p in range(8, 0, -1)] == first[::-1]
-        assert sorted(seeded) == sorted(f"9:{'alt' if p == 3 else 'tok'}:{p}" for p in range(1, 8))
+        assert sorted(seeded) == ["9:alt", "9:tok"]
         # the cache is invisible to equality and hashing
         fresh = TokenSource(seed=9, total_tokens=8, divergence=frozenset({3}))
         assert source == fresh and hash(source) == hash(fresh)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 2**32),
+        st.integers(1, 400),
+        st.data(),
+    )
+    def test_same_seed_sources_differ_exactly_on_the_divergence_set(self, seed, total, data):
+        divergence = data.draw(st.frozensets(st.integers(1, total + 5), max_size=12))
+        base = TokenSource(seed=seed, total_tokens=total)
+        diverged = TokenSource(seed=seed, total_tokens=total, divergence=divergence)
+        for position in range(1, total + 1):
+            same = diverged.token_at(position) == base.token_at(position)
+            assert same == (position not in divergence or position == total), position
 
     def test_position_bounds(self):
         source = TokenSource(seed=1, total_tokens=3)

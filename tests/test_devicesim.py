@@ -1,20 +1,27 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import tokenized
+from helpers import reference_run_session, tokenized
 
 from pdsim.cloudsim import EOT_TOKEN, TokenSource, serve_request
 from pdsim.devicesim import (
     CorrectionPolicy,
+    DeviceTrace,
     ScrubRule,
     StallError,
     estimate_device_prefill,
     run_session,
     scrub,
 )
+from pdsim.eventloop import EventLoop
 from pdsim.planner import PlanConstraints, build_plan_table
 from pdsim.protocol import DONE, AssistRequest, ProtocolError
 from pdsim.refiner import SelectionMask
+from pdsim.timing import RttClass, build_model
 
 
 def content_prompt_request(sentences: int = 800, words: int = 10, request_id: str = "req-1") -> AssistRequest:
@@ -171,6 +178,63 @@ class TestCorrector:
         assert shown[3] == device_source.token_at(3)
         # the display paused for the stalled stream instead of extrapolating
         assert trace_d.displays[2][0] >= 6000.0
+
+
+class TestMatchesEventReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        # whole milliseconds make ties; tenths make rounding show
+        tpots=st.tuples(*[st.integers(1, 60) | st.integers(10, 600).map(lambda t: t / 10)] * 2),
+        k=st.tuples(st.sampled_from([0.05, 0.1, 0.25]), st.sampled_from([0.5, 1.0, 1.25, 2.0])),
+        rtt=st.integers(0, 200),
+        start=st.integers(0, 50),
+        sentences=st.integers(3, 40),
+        ratio=st.sampled_from([0.1, 0.25, 0.5, 1.0]),
+        budget=st.one_of(st.sampled_from([None, 1, 2]), st.integers(3, 80)),
+        n=st.integers(1, 160),
+        divergence=st.frozensets(st.integers(1, 170), max_size=10),
+        delays=st.lists(st.integers(0, 400), max_size=30),
+        policy=st.sampled_from(list(CorrectionPolicy)),
+    )
+    def test_every_field_equals_the_event_by_event_session(
+        self, tpots, k, rtt, start, sentences, ratio, budget, n, divergence, delays, policy
+    ):
+        model = build_model(
+            k_cloud=k[0], k_device=k[1], tpot_cloud=float(tpots[0]), tpot_device=float(tpots[1]),
+            rtt=RttClass("fixed", mean_ms=float(rtt), jitter_ms=0.0),
+        )
+        req = content_prompt_request(sentences=sentences)
+        prompt = tokenized(req)
+        # budget None streams until EOT (frame budget 0); n below the budget
+        # ends the stream with a cloud EOT inside the window
+        trace_c = serve_request(
+            req, prompt, None, model, TokenSource(seed=5, total_tokens=n),
+            start_ms=float(start), ratio_override=ratio, max_tokens_override=budget,
+        )
+        # late arrivals interleave the stream with the device's own decoding
+        stream = [(t + (delays[i] if i < len(delays) else 0), e) for i, (t, e) in enumerate(trace_c.events)]
+        stream.append((max([trace_c.done_time_ms] + [t for t, _ in stream]), DONE))
+        args = (req, prompt, trace_c.frame, stream, model)
+        kwargs = dict(start_ms=float(start), frame_time_ms=trace_c.frame_time_ms)
+        got = run_session(*args, TokenSource(seed=5, total_tokens=n, divergence=divergence), policy, **kwargs)
+        want = reference_run_session(
+            *args, TokenSource(seed=5, total_tokens=n, divergence=divergence), policy, **kwargs
+        )
+        for f in dataclasses.fields(DeviceTrace):
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+    def test_device_tail_runs_outside_the_loop(self, calibrated_model, plan_table, monkeypatch):
+        scheduled = []
+        original = EventLoop.schedule_at
+
+        def counting(loop, when_ms, fn):
+            scheduled.append(when_ms)
+            original(loop, when_ms, fn)
+
+        monkeypatch.setattr(EventLoop, "schedule_at", counting)
+        _, trace_d = serve(calibrated_model, plan_table, n=1600, max_tokens_override=40)
+        assert len(trace_d.output_tokens) == 1599
+        assert len(scheduled) < 200
 
 
 class TestFailureModes:

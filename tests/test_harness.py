@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import reference_synthesize_prompt
 
-from pdsim import harness
+from pdsim import cloudsim, harness
 from pdsim.harness import (
     ConfigError,
     ReportError,
@@ -261,6 +261,21 @@ class TestRunExperiment:
         run_experiment(config_from_dict(data), tmp_path)
         assert len(calls) == 5
 
+    def test_each_request_is_scored_once(self, tmp_path, monkeypatch):
+        data = base_config_dict()
+        data["workload"]["requests"] = 5
+        data["variants"] = [{"name": "planned"}, {"name": "L8", "max_tokens": 8}, {"name": "r40", "ratio": 0.4}]
+        calls = []
+        original = cloudsim.uniform_scores
+
+        def counting(prompt, seed):
+            calls.append(seed)
+            return original(prompt, seed)
+
+        monkeypatch.setattr(cloudsim, "uniform_scores", counting)
+        run_experiment(config_from_dict(data), tmp_path)
+        assert len(calls) == 5 and len(set(calls)) == 5
+
     def test_seed_override_changes_outputs(self, tmp_path):
         config = config_from_dict(base_config_dict())
         run_experiment(config, tmp_path / "a", seed=1)
@@ -299,13 +314,21 @@ class TestGoldenReport:
         for name in ("summary.txt", "summary.csv", "trace_planned.csv"):
             assert (tmp_path / name).read_bytes() == (golden_dir / name).read_bytes(), name
 
+    @staticmethod
+    def assert_every_file_matches(golden: str, config_file: str, out: Path) -> None:
+        golden_dir = Path(__file__).parent / "golden" / golden
+        run_experiment(load_config(Path(__file__).parent / "data" / config_file), out)
+        written = sorted(p.name for p in out.iterdir())
+        assert written == sorted(p.name for p in golden_dir.iterdir())
+        for name in written:
+            assert (out / name).read_bytes() == (golden_dir / name).read_bytes(), name
+
     def test_sweep_outputs_match_frozen_files(self, tmp_path):
         # jittered and truncated RTT draws, pinned-ratio and budget variants,
         # device_display corrections and a Poisson batch: every written file
-        golden_dir = Path(__file__).parent / "golden" / "sweep"
-        config = load_config(Path(__file__).parent / "data" / "sweep_config.json")
-        run_experiment(config, tmp_path)
-        written = sorted(p.name for p in tmp_path.iterdir())
-        assert written == sorted(p.name for p in golden_dir.iterdir())
-        for name in written:
-            assert (tmp_path / name).read_bytes() == (golden_dir / name).read_bytes(), name
+        self.assert_every_file_matches("sweep", "sweep_config.json", tmp_path)
+
+    def test_long_decode_outputs_match_frozen_files(self, tmp_path):
+        # 400-1200 output tokens, so most of each session is the device tail
+        # after the cloud window; correction policy off
+        self.assert_every_file_matches("long_decode", "long_decode_config.json", tmp_path)

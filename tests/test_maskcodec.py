@@ -85,6 +85,12 @@ class TestErrors:
         with pytest.raises(MaskCodecError):
             unpack(CompressedMask.from_container(container))
 
+    @pytest.mark.parametrize("junk", [b"\x00", b"junk", zlib.compress(b"\x00", 9)])
+    def test_bytes_after_the_deflate_stream(self, junk):
+        compressed = pack(SelectionMask([1, 0, 1] * 100))
+        with pytest.raises(MaskCodecError, match="after the deflate stream"):
+            unpack(CompressedMask.from_container(compressed.payload + junk))
+
     def test_inflation_is_bounded_by_the_declared_length(self):
         # 8 bits declared, 50 MB of zeros behind them
         deflate = zlib.compressobj(9)
