@@ -1,7 +1,7 @@
 """Cloud-device split serving toolkit: planner, wire protocol and simulators."""
 
 from .cloudsim import EOT_TOKEN, BatchModel, CloudTrace, SessionRecord, TokenSource, run_throughput, serve_request
-from .devicesim import CorrectionPolicy, DeviceTrace, StallError, estimate_device_prefill, run_session, scrub
+from .devicesim import CorrectionPolicy, DeviceTrace, StallError, run_session, scrub
 from .harness import ExperimentConfig, MetricsReport, default_config, load_config, run_experiment
 from .maskcodec import CompressedMask, MaskCodecError, MaskLengthError, pack, unpack
 from .planner import Plan, PlanConstraints, PlanKey, PlanTable, build_plan_table, l_bounds, r_bounds, solve_plan
@@ -31,12 +31,9 @@ from .refiner import (
 )
 from .timing import (
     AmortizationUndefined,
-    LatencyBreakdown,
     RttClass,
     TimingModel,
-    amortization_residual,
     build_model,
-    latency_breakdown,
     prefill_device,
     request_occupancy,
     smoothed_tpot,

@@ -61,12 +61,27 @@ def write_weight_dump(path: str | Path, weights: list[np.ndarray], hidden: int) 
     Path(path).write_bytes(blob)
 
 
+def _read_prompt(path: str) -> TokenizedPrompt:
+    try:
+        prompt_obj = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"cannot read prompt {path}: {exc}") from exc
+    if not isinstance(prompt_obj, dict):
+        raise SystemExit(f"prompt {path}: expected a JSON object")
+    fields = [prompt_obj.get(key, "") for key in ("prefix", "content", "suffix")]
+    if not all(isinstance(field, str) for field in fields):
+        raise SystemExit(f"prompt {path}: prefix, content and suffix must be strings")
+    return TokenizedPrompt.from_text(*fields)
+
+
 def _cmd_refine(args: argparse.Namespace) -> int:
-    prompt_obj = json.loads(Path(args.prompt).read_text())
-    prompt = TokenizedPrompt.from_text(
-        prompt_obj.get("prefix", ""), prompt_obj.get("content", ""), prompt_obj.get("suffix", "")
-    )
-    weights = read_weight_dump(args.weights)
+    if not 0.0 < args.ratio <= 1.0:
+        raise SystemExit(f"--ratio must be in (0, 1], got {args.ratio}")
+    prompt = _read_prompt(args.prompt)
+    try:
+        weights = read_weight_dump(args.weights)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"cannot read weight dump {args.weights}: {exc}") from exc
     keys = weights[0].shape[1]
     if keys == prompt.total_tokens:
         span = prompt.content_span

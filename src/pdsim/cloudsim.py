@@ -226,9 +226,6 @@ class BatchModel:
 @dataclass(frozen=True)
 class ThroughputResult:
     tps: float
-    completed: int
-    mean_occupancy_ms: float
-    window_ms: float
     analytic_tps: float
 
 
@@ -241,9 +238,10 @@ def run_throughput(
 ) -> ThroughputResult:
     """Measure steady-state completions per second over the occupancy population.
 
-    Requests cycle through ``occupancies_ms``. The first ``slots``
-    completions are warmup and excluded from the measurement window. The
-    returned analytic rate is slots / mean occupancy for cross-checks.
+    Requests cycle through ``occupancies_ms``. All ``completions + slots``
+    admitted requests complete; the first ``slots`` completions are warmup,
+    so the measurement window holds exactly ``completions``. The returned
+    analytic rate is slots / mean occupancy for cross-checks.
     """
     if not occupancies_ms:
         raise ValueError("need at least one occupancy sample")
@@ -254,71 +252,57 @@ def run_throughput(
 
     loop = EventLoop()
     rng = random.Random(f"throughput:{seed}")
-    state = {"admitted": 0, "in_flight": 0, "done": 0, "next": 0, "window_start": None, "window_done": 0}
-    queue: list[int] = []
     target = completions + batch.slots  # warmup + measured
-    done_times: list[float] = []
+    admitted = in_flight = queued = done = started = 0
+    window_start = last_done = 0.0
 
-    def occupancy_of(index: int) -> float:
-        return occupancies_ms[index % len(occupancies_ms)]
-
-    def admit() -> None:
-        index = state["next"]
-        state["next"] += 1
-        state["admitted"] += 1
-        state["in_flight"] += 1
-        loop.schedule_after(occupancy_of(index), complete)
+    def start() -> None:
+        nonlocal in_flight, started
+        occupancy = occupancies_ms[started % len(occupancies_ms)]
+        started += 1
+        in_flight += 1
+        loop.schedule_after(occupancy, complete)
 
     def complete() -> None:
-        state["in_flight"] -= 1
-        state["done"] += 1
-        assert state["admitted"] == state["done"] + state["in_flight"] + len(queue)
-        done_times.append(loop.now)
-        if state["done"] == batch.slots:
-            state["window_start"] = loop.now
-        elif state["window_start"] is not None and state["done"] <= target:
-            state["window_done"] += 1
+        nonlocal in_flight, queued, done, admitted, window_start, last_done
+        in_flight -= 1
+        done += 1
+        assert admitted == done + in_flight + queued
+        last_done = loop.now
+        if done == batch.slots:
+            window_start = loop.now
         if batch.mode == "closed":
-            if state["done"] + state["in_flight"] < target:
-                admit()
-        elif queue and state["in_flight"] < batch.slots:
-            queue.pop(0)
-            state["in_flight"] += 1
-            index = state["next"]
-            state["next"] += 1
-            loop.schedule_after(occupancy_of(index), complete)
+            if done + in_flight < target:
+                admitted += 1
+                start()
+        elif queued:
+            queued -= 1
+            start()
 
     if batch.mode == "closed":
-        for _ in range(min(batch.slots, target)):
-            admit()
+        admitted = batch.slots
+        for _ in range(batch.slots):
+            start()
     else:
         rate_per_ms = batch.arrival_rate_per_s / 1000.0
 
         def arrive() -> None:
-            if state["admitted"] >= target:
+            nonlocal admitted, queued
+            if admitted >= target:
                 return
-            state["admitted"] += 1
-            if state["in_flight"] < batch.slots:
-                state["in_flight"] += 1
-                index = state["next"]
-                state["next"] += 1
-                loop.schedule_after(occupancy_of(index), complete)
+            admitted += 1
+            if in_flight < batch.slots:
+                start()
             else:
-                queue.append(1)
+                queued += 1
             loop.schedule_after(rng.expovariate(rate_per_ms), arrive)
 
         loop.schedule_after(rng.expovariate(rate_per_ms), arrive)
 
     loop.run()
-    window_start = state["window_start"] if state["window_start"] is not None else 0.0
-    window = done_times[-1] - window_start if done_times else 0.0
-    measured = state["window_done"]
-    tps = measured / (window / 1000.0) if window > 0 else 0.0
-    mean_occ = sum(occupancy_of(i) for i in range(len(occupancies_ms))) / len(occupancies_ms)
+    window = last_done - window_start
+    mean_occ = sum(occupancies_ms) / len(occupancies_ms)
     return ThroughputResult(
-        tps=tps,
-        completed=state["done"],
-        mean_occupancy_ms=mean_occ,
-        window_ms=window,
+        tps=completions / (window / 1000.0) if window > 0 else 0.0,
         analytic_tps=batch.slots / (mean_occ / 1000.0),
     )

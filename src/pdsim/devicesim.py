@@ -26,8 +26,8 @@ from .cloudsim import EOT_TOKEN, TokenSource
 from .eventloop import EventLoop
 from .maskcodec import unpack
 from .protocol import AssistRequest, DoneMarker, FirstTokenFrame, ProtocolError, StreamEvent
-from .refiner import SelectionMask, TokenizedPrompt
-from .timing import TimingModel, smoothed_tpot
+from .refiner import TokenizedPrompt
+from .timing import TimingModel, prefill_device, smoothed_tpot
 
 
 class StallError(Exception):
@@ -63,11 +63,6 @@ def scrub(text: str, rules: Sequence[ScrubRule] = DEFAULT_SCRUB_RULES) -> str:
     for rule in rules:
         text = re.sub(rule.pattern, rule.replacement, text)
     return text
-
-
-def estimate_device_prefill(mask: SelectionMask, k_device: float) -> float:
-    """Device-side prefill estimate: refined length read off the mask, times k_device."""
-    return k_device * mask.popcount()
 
 
 @dataclass(frozen=True)
@@ -128,7 +123,7 @@ class _Session:
                 f"mask carries {len(mask)} bits for a {prompt.total_tokens}-token prompt"
             )
         self.refined_tokens = mask.popcount()
-        self.prefill_est = estimate_device_prefill(mask, model.k_device)
+        self.prefill_est = prefill_device(model, self.refined_tokens)
 
         self.user_ttft = frame_time_ms - start_ms
         if self.budget >= 2:

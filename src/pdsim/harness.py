@@ -12,6 +12,7 @@ import csv
 import json
 import math
 import random
+import re
 import statistics
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -109,6 +110,8 @@ def default_config() -> ExperimentConfig:
 
 
 def _require(mapping: Mapping, key: str, kind, path: str):
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{path}: expected an object")
     if key not in mapping:
         raise ConfigError(f"{path}.{key}: missing")
     value = mapping[key]
@@ -119,6 +122,10 @@ def _require(mapping: Mapping, key: str, kind, path: str):
     return value
 
 
+def _optional(mapping: Mapping, key: str, kind, path: str, default):
+    return _require(mapping, key, kind, path) if key in mapping else default
+
+
 def _parse_rtt(obj, path: str) -> RttClass | str:
     if isinstance(obj, str):
         return obj
@@ -126,7 +133,7 @@ def _parse_rtt(obj, path: str) -> RttClass | str:
         return RttClass(
             name=_require(obj, "name", str, path),
             mean_ms=_require(obj, "mean_ms", float, path),
-            jitter_ms=float(obj.get("jitter_ms", 0.0)),
+            jitter_ms=_optional(obj, "jitter_ms", float, path, 0.0),
         )
     raise ConfigError(f"{path}: expected an RTT class name or object")
 
@@ -157,6 +164,15 @@ def _parse_model(obj: dict, path: str) -> TimingModel:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def _parse_scrub_rule(obj, path: str) -> ScrubRule:
+    rule = ScrubRule(pattern=_require(obj, "pattern", str, path), replacement=_require(obj, "replacement", str, path))
+    try:
+        re.sub(rule.pattern, rule.replacement, "")  # compiles the pattern and the replacement template
+    except re.error as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    return rule
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
@@ -185,6 +201,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     buckets = tuple(_require(data, "buckets", list, "config"))
     if not buckets or any(not isinstance(b, int) or b <= 0 for b in buckets):
         raise ConfigError("config.buckets: expected positive integers")
+    if list(buckets) != sorted(set(buckets)):
+        raise ConfigError("config.buckets: must be strictly increasing")
 
     w = _require(data, "workload", dict, "config")
     workload = WorkloadSpec(
@@ -194,40 +212,50 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         prompt_lengths={int(k): float(v) for k, v in _require(w, "prompt_lengths", dict, "config.workload").items()},
         output_min=_require(w, "output_min", int, "config.workload"),
         output_max=_require(w, "output_max", int, "config.workload"),
-        prefix_tokens=int(w.get("prefix_tokens", 12)),
-        suffix_tokens=int(w.get("suffix_tokens", 8)),
-        divergence_rate=float(w.get("divergence_rate", 0.04)),
-        arrival_rate_per_s=float(w.get("arrival_rate_per_s", 2.0)),
+        prefix_tokens=_optional(w, "prefix_tokens", int, "config.workload", 12),
+        suffix_tokens=_optional(w, "suffix_tokens", int, "config.workload", 8),
+        divergence_rate=_optional(w, "divergence_rate", float, "config.workload", 0.04),
+        arrival_rate_per_s=_optional(w, "arrival_rate_per_s", float, "config.workload", 2.0),
     )
 
     b = _require(data, "batch", dict, "config")
-    batch = BatchModel(
-        slots=_require(b, "slots", int, "config.batch"),
-        mode=str(b.get("mode", "closed")),
-        arrival_rate_per_s=b.get("arrival_rate_per_s"),
-    )
-    completions = int(b.get("completions", 1024))
+    try:
+        batch = BatchModel(
+            slots=_require(b, "slots", int, "config.batch"),
+            mode=_optional(b, "mode", str, "config.batch", "closed"),
+            arrival_rate_per_s=_optional(b, "arrival_rate_per_s", float, "config.batch", None),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"config.batch: {exc}") from exc
+    completions = _optional(b, "completions", int, "config.batch", 1024)
+    if completions < 1:
+        raise ConfigError("config.batch.completions: must be >= 1")
 
     variants = []
     for i, obj in enumerate(_require(data, "variants", list, "config")):
         path = f"config.variants[{i}]"
         if not isinstance(obj, dict):
             raise ConfigError(f"{path}: expected an object")
-        ratio = float(obj["ratio"]) if "ratio" in obj else None
+        ratio = _optional(obj, "ratio", float, path, None)
         if ratio is not None and not 0.0 < ratio <= 1.0:
             raise ConfigError(f"{path}.ratio: must be in (0, 1]")
-        max_tokens = int(obj["max_tokens"]) if "max_tokens" in obj else None
+        max_tokens = _optional(obj, "max_tokens", int, path, None)
         if max_tokens is not None and max_tokens < 1:
             raise ConfigError(f"{path}.max_tokens: must be >= 1")
-        variants.append(VariantSpec(name=_require(obj, "name", str, path), ratio=ratio, max_tokens=max_tokens))
+        name = _require(obj, "name", str, path)
+        if name in {v.name for v in variants}:
+            raise ConfigError(f"{path}.name: duplicate variant {name!r} would overwrite trace_{name}.csv")
+        variants.append(VariantSpec(name=name, ratio=ratio, max_tokens=max_tokens))
     if not variants:
         raise ConfigError("config.variants: must not be empty")
 
-    policy = CorrectionPolicy(str(data.get("policy", "cloud_wins")))
+    try:
+        policy = CorrectionPolicy(_optional(data, "policy", str, "config", "cloud_wins"))
+    except ValueError as exc:
+        raise ConfigError(f"config.policy: {exc}") from exc
     rules = tuple(
-        ScrubRule(pattern=_require(obj, "pattern", str, f"config.scrub_rules[{i}]"),
-                  replacement=_require(obj, "replacement", str, f"config.scrub_rules[{i}]"))
-        for i, obj in enumerate(data.get("scrub_rules", []))
+        _parse_scrub_rule(obj, f"config.scrub_rules[{i}]")
+        for i, obj in enumerate(_optional(data, "scrub_rules", list, "config", []))
     ) or DEFAULT_SCRUB_RULES
 
     config = ExperimentConfig(
@@ -258,6 +286,11 @@ def _validate_config(config: ExperimentConfig) -> None:
         raise ConfigError("config.workload.requests: must be nonnegative")
     if w.output_min < 2 or w.output_max < w.output_min:
         raise ConfigError("config.workload.output_min/max: need 2 <= min <= max")
+    for key in ("prefix_tokens", "suffix_tokens"):
+        if getattr(w, key) < 0:
+            raise ConfigError(f"config.workload.{key}: must be nonnegative")
+    if w.arrival_rate_per_s <= 0:
+        raise ConfigError("config.workload.arrival_rate_per_s: must be positive")
     floor = w.prefix_tokens + w.suffix_tokens + 16
     for length in w.prompt_lengths:
         if length < floor:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .timing import TimingModel, smoothed_tpot, ttft_cloud, ttft_device
+from .timing import TimingModel, prefill_device, smoothed_tpot, ttft_cloud, ttft_device
 
 # refinement is planned at one-percent granularity; a ratio of exactly zero
 # would leave the device nothing to prefill from
@@ -92,8 +92,8 @@ def l_bounds(
         raise ValueError(f"ratio must be in (0, 1], got {ratio}")
     if constraints.max_tpot_ms <= model.tpot_device:
         raise ValueError("max_tpot_ms must exceed the device TPOT")
-    refined_prefill = model.k_device * ratio * prompt_tokens
-    lo = 1 + math.ceil((refined_prefill - ttft_cloud_ms) / (constraints.max_tpot_ms - model.tpot_device))
+    surplus = prefill_device(model, prompt_tokens, ratio) - ttft_cloud_ms
+    lo = 1 + math.ceil(surplus / (constraints.max_tpot_ms - model.tpot_device))
     hi = 1 + math.floor((ttft_device_ms - ttft_cloud_ms) / model.tpot_cloud)
     return max(2, lo), hi
 
@@ -102,11 +102,10 @@ def solve_plan(
     model: TimingModel,
     constraints: PlanConstraints,
     prompt_tokens: int,
-    rtt_ms: float | None = None,
     *,
     ratio: float | None = None,
 ) -> Plan:
-    """Pick the operating point minimizing on-device TTFT.
+    """Pick the operating point minimizing on-device TTFT at the mean RTT.
 
     On-device TTFT grows with the ratio and does not depend on the budget,
     so the solution is the smallest feasible ratio followed by the smallest
@@ -119,7 +118,6 @@ def solve_plan(
     - empty budget interval -> clamp to the occupancy cap (the hard bound)
       and record the resulting over-target pace.
     """
-    rtt = model.rtt_class.mean_ms if rtt_ms is None else rtt_ms
     lo, hi = r_bounds(model, constraints, prompt_tokens)
     if ratio is None:
         ratio_ok = lo <= hi
@@ -129,14 +127,14 @@ def solve_plan(
             raise ValueError(f"pinned ratio must be in (0, 1], got {ratio}")
         ratio_ok = lo <= ratio <= hi
 
-    ttft_c = ttft_cloud(model, prompt_tokens, ratio, rtt)
+    ttft_c = ttft_cloud(model, prompt_tokens, ratio, model.rtt_class.mean_ms)
     ttft_d = ttft_device(model, prompt_tokens, ratio, ttft_c)
     b_lo, b_hi = l_bounds(model, constraints, prompt_tokens, ratio, ttft_c, ttft_d)
     budget_ok = b_lo <= b_hi
     budget = b_lo if budget_ok else max(b_hi, 1)
 
     if budget >= 2:
-        achieved = smoothed_tpot(model, model.k_device * ratio * prompt_tokens, ttft_c, budget)
+        achieved = smoothed_tpot(model, prefill_device(model, prompt_tokens, ratio), ttft_c, budget)
     else:
         achieved = math.inf
     return Plan(
@@ -166,8 +164,7 @@ def check_plan(
     steps = max_tokens - 1
     if steps < 1:
         return False
-    refined_prefill = model.k_device * ratio * prompt_tokens
-    if refined_prefill - ttft_c > steps * (constraints.max_tpot_ms - model.tpot_device):
+    if prefill_device(model, prompt_tokens, ratio) - ttft_c > steps * (constraints.max_tpot_ms - model.tpot_device):
         return False
     return ttft_c + steps * model.tpot_cloud <= ttft_d
 

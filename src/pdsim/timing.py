@@ -1,13 +1,19 @@
 """Latency and throughput models for cloud-assisted on-device inference.
 
 All durations are milliseconds (float); token counts are nonnegative
-integers. Everything here is a pure function over immutable inputs, shared
-by the planner, the simulators and the experiment harness.
+integers. Each formula is a pure function defined once here. Its callers:
+
+- ``ttft_cloud``: planner (``solve_plan``, ``check_plan``), ``cloudsim.serve_request``.
+- ``prefill_device``, the refined prefill: ``ttft_device``, planner (``l_bounds``,
+  ``solve_plan``, ``check_plan``), ``devicesim`` with the refined length of the mask.
+- ``ttft_device``: planner (``solve_plan``, ``check_plan``).
+- ``smoothed_tpot``: planner (achieved pace), ``devicesim`` (display schedule).
+- ``request_occupancy``: ``cloudsim.serve_request``, whose slot records feed
+  ``cloudsim.run_throughput``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -142,41 +148,6 @@ def build_model(
     )
 
 
-@dataclass(frozen=True)
-class LatencyBreakdown:
-    """Per-request latency components for one (prompt length, ratio, RTT) point."""
-
-    prefill_cloud_ms: float
-    compress_ms: float
-    rtt_ms: float
-    decompress_ms: float
-    prefill_device_ms: float
-
-    def __post_init__(self) -> None:
-        for name in ("prefill_cloud_ms", "compress_ms", "rtt_ms", "decompress_ms", "prefill_device_ms"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
-
-    @property
-    def ttft_cloud_ms(self) -> float:
-        return self.prefill_cloud_ms + self.compress_ms + self.rtt_ms
-
-    @property
-    def ttft_device_ms(self) -> float:
-        return self.ttft_cloud_ms + self.decompress_ms + self.prefill_device_ms
-
-
-def latency_breakdown(model: TimingModel, prompt_tokens: int, ratio: float, rtt_ms: float) -> LatencyBreakdown:
-    _check_domain(prompt_tokens, ratio, rtt_ms)
-    return LatencyBreakdown(
-        prefill_cloud_ms=model.k_cloud * prompt_tokens,
-        compress_ms=model.compress_cost(prompt_tokens, ratio),
-        rtt_ms=rtt_ms,
-        decompress_ms=model.decompress_cost(prompt_tokens),
-        prefill_device_ms=model.k_device * ratio * prompt_tokens,
-    )
-
-
 def _check_domain(prompt_tokens: int, ratio: float, rtt_ms: float) -> None:
     if prompt_tokens <= 0:
         raise ValueError(f"prompt_tokens must be positive, got {prompt_tokens}")
@@ -186,11 +157,15 @@ def _check_domain(prompt_tokens: int, ratio: float, rtt_ms: float) -> None:
         raise ValueError(f"rtt_ms must be nonnegative, got {rtt_ms}")
 
 
-def prefill_device(model: TimingModel, tokens: int) -> float:
-    """Device prefill latency over ``tokens`` prompt tokens."""
+def prefill_device(model: TimingModel, tokens: int, ratio: float = 1.0) -> float:
+    """Device prefill of ``ratio`` of ``tokens`` prompt tokens.
+
+    Evaluated as (coefficient times ratio) times tokens, so every caller gets
+    the same float; the device's default ratio 1 is exact.
+    """
     if tokens < 0:
         raise ValueError(f"tokens must be nonnegative, got {tokens}")
-    return model.k_device * tokens
+    return model.k_device * ratio * tokens
 
 
 def ttft_cloud(model: TimingModel, prompt_tokens: int, ratio: float, rtt_ms: float) -> float:
@@ -204,7 +179,7 @@ def ttft_device(model: TimingModel, prompt_tokens: int, ratio: float, ttft_cloud
     _check_domain(prompt_tokens, ratio, 0.0)
     if ttft_cloud_ms < 0.0:
         raise ValueError(f"ttft_cloud_ms must be nonnegative, got {ttft_cloud_ms}")
-    return ttft_cloud_ms + model.decompress_cost(prompt_tokens) + model.k_device * ratio * prompt_tokens
+    return ttft_cloud_ms + model.decompress_cost(prompt_tokens) + prefill_device(model, prompt_tokens, ratio)
 
 
 def smoothed_tpot(model: TimingModel, prefill_device_ms: float, ttft_cloud_ms: float, total_tokens: int) -> float:
@@ -219,23 +194,6 @@ def smoothed_tpot(model: TimingModel, prefill_device_ms: float, ttft_cloud_ms: f
     if prefill_device_ms < 0.0 or ttft_cloud_ms < 0.0:
         raise ValueError("latencies must be nonnegative")
     return model.tpot_device + (prefill_device_ms - ttft_cloud_ms) / (total_tokens - 1)
-
-
-def amortization_residual(
-    model: TimingModel,
-    prefill_device_ms: float,
-    ttft_cloud_ms: float,
-    total_tokens: int,
-    tpot_smooth_ms: float,
-) -> float:
-    """Gap between device-paced and smoothed-display completion of the assisted window.
-
-    Exactly zero when ``tpot_smooth_ms`` came from :func:`smoothed_tpot`.
-    """
-    if total_tokens < 2:
-        raise AmortizationUndefined(f"need at least 2 assisted tokens, got {total_tokens}")
-    steps = total_tokens - 1
-    return (prefill_device_ms + model.tpot_device * steps) - (ttft_cloud_ms + tpot_smooth_ms * steps)
 
 
 def request_occupancy(ttft_ms: float, tpot_ms: float, total_tokens: int) -> float:

@@ -8,7 +8,7 @@ import random
 import numpy as np
 
 from pdsim.cloudsim import EOT_TOKEN, TokenSource
-from pdsim.devicesim import CorrectionPolicy, DeviceTrace, DisplaySchedule, StallError, estimate_device_prefill
+from pdsim.devicesim import CorrectionPolicy, DeviceTrace, DisplaySchedule, StallError
 from pdsim.eventloop import EventLoop
 from pdsim.maskcodec import unpack
 from pdsim.planner import PlanConstraints
@@ -232,7 +232,7 @@ class ReferenceSession:
                 f"mask carries {len(mask)} bits for a {prompt.total_tokens}-token prompt"
             )
         self.refined_tokens = mask.popcount()
-        self.prefill_est = estimate_device_prefill(mask, model.k_device)
+        self.prefill_est = model.k_device * mask.popcount()
 
         self.user_ttft = frame_time_ms - start_ms
         if self.budget >= 2:
@@ -461,3 +461,78 @@ def reference_run_session(req, prompt, frame, stream, model, device_source, poli
     """run_session's contract, simulated by ReferenceSession."""
     return ReferenceSession(req, prompt, frame, list(stream), model, device_source, policy,
                             start_ms, frame_time_ms).run()
+
+
+# --- reference throughput simulator: a state dict, a queue list and every completion time ---
+
+
+def reference_run_throughput(batch, occupancies_ms, completions: int, *, seed: int = 0) -> tuple[float, float]:
+    """(tps, analytic_tps) of the slot-pool simulation, with each admit path written out.
+
+    Closed mode admits on completion; Poisson mode admits on arrival and
+    starts a queued request on completion. The first ``slots`` completions
+    are warmup; the window runs from the last of them to the final one.
+    """
+    loop = EventLoop()
+    rng = random.Random(f"throughput:{seed}")
+    state = {"admitted": 0, "in_flight": 0, "done": 0, "next": 0, "window_start": None, "window_done": 0}
+    queue: list[int] = []
+    target = completions + batch.slots
+    done_times: list[float] = []
+
+    def occupancy_of(index: int) -> float:
+        return occupancies_ms[index % len(occupancies_ms)]
+
+    def admit() -> None:
+        index = state["next"]
+        state["next"] += 1
+        state["admitted"] += 1
+        state["in_flight"] += 1
+        loop.schedule_after(occupancy_of(index), complete)
+
+    def complete() -> None:
+        state["in_flight"] -= 1
+        state["done"] += 1
+        assert state["admitted"] == state["done"] + state["in_flight"] + len(queue)
+        done_times.append(loop.now)
+        if state["done"] == batch.slots:
+            state["window_start"] = loop.now
+        elif state["window_start"] is not None and state["done"] <= target:
+            state["window_done"] += 1
+        if batch.mode == "closed":
+            if state["done"] + state["in_flight"] < target:
+                admit()
+        elif queue and state["in_flight"] < batch.slots:
+            queue.pop(0)
+            state["in_flight"] += 1
+            index = state["next"]
+            state["next"] += 1
+            loop.schedule_after(occupancy_of(index), complete)
+
+    if batch.mode == "closed":
+        for _ in range(min(batch.slots, target)):
+            admit()
+    else:
+        rate_per_ms = batch.arrival_rate_per_s / 1000.0
+
+        def arrive() -> None:
+            if state["admitted"] >= target:
+                return
+            state["admitted"] += 1
+            if state["in_flight"] < batch.slots:
+                state["in_flight"] += 1
+                index = state["next"]
+                state["next"] += 1
+                loop.schedule_after(occupancy_of(index), complete)
+            else:
+                queue.append(1)
+            loop.schedule_after(rng.expovariate(rate_per_ms), arrive)
+
+        loop.schedule_after(rng.expovariate(rate_per_ms), arrive)
+
+    loop.run()
+    window_start = state["window_start"] if state["window_start"] is not None else 0.0
+    window = done_times[-1] - window_start if done_times else 0.0
+    tps = state["window_done"] / (window / 1000.0) if window > 0 else 0.0
+    mean_occ = sum(occupancy_of(i) for i in range(len(occupancies_ms))) / len(occupancies_ms)
+    return tps, batch.slots / (mean_occ / 1000.0)

@@ -29,6 +29,55 @@ class TestPlanCommand:
         assert "error:" in capsys.readouterr().err
 
 
+def _set(*path_and_value):
+    """Mutation that sets the nested key ``path`` of a config dict to ``value``."""
+    *path, key, value = path_and_value
+
+    def mutate(data: dict) -> None:
+        for part in path:
+            data = data[part]
+        data[key] = value
+
+    return mutate
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize(
+        "mutate,key_path",
+        [
+            (_set("workload", "arrival_rate_per_s", 0.0), "config.workload.arrival_rate_per_s"),
+            (_set("workload", "arrival_rate_per_s", -2.0), "config.workload.arrival_rate_per_s"),
+            (_set("batch", "mode", "burst"), "config.batch"),
+            (_set("batch", "slots", 0), "config.batch"),
+            (_set("batch", "mode", "poisson"), "config.batch"),
+            (_set("buckets", [4000, 2000, 8000]), "config.buckets"),
+            (_set("buckets", [2000, 2000, 8000]), "config.buckets"),
+            (_set("policy", "majority"), "config.policy"),
+            (_set("scrub_rules", [{"pattern": "(", "replacement": "x"}]), "config.scrub_rules[0]"),
+            (_set("scrub_rules", [{"pattern": "a", "replacement": "\\9"}]), "config.scrub_rules[0]"),
+            (_set("workload", "prefix_tokens", -5), "config.workload.prefix_tokens"),
+            (_set("workload", "suffix_tokens", -1), "config.workload.suffix_tokens"),
+            (_set("variants", [{"name": "planned"}, {"name": "planned", "max_tokens": 12}]), "config.variants[1].name"),
+            (_set("scenes", "doc_qa", 5), "config.scenes.doc_qa"),
+            (_set("workload", "prefix_tokens", "x"), "config.workload.prefix_tokens"),
+            (_set("workload", "divergence_rate", None), "config.workload.divergence_rate"),
+            (_set("batch", "arrival_rate_per_s", "fast"), "config.batch.arrival_rate_per_s"),
+            (_set("batch", "completions", 0), "config.batch.completions"),
+            (_set("variants", [{"name": "r", "ratio": "half"}]), "config.variants[0].ratio"),
+            (_set("scrub_rules", 5), "config.scrub_rules"),
+        ],
+    )
+    def test_ends_in_one_error_line_with_exit_code_2(self, tmp_path, config_path, capsys, mutate, key_path):
+        data = json.loads(Path(config_path).read_text())
+        mutate(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key_path}: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "out").exists()
+
+
 class TestRefineCommand:
     def test_end_to_end(self, tmp_path, capsys):
         prompt_file = tmp_path / "prompt.json"
@@ -68,6 +117,43 @@ class TestRefineCommand:
         bad.write_bytes(b"\x01\x00\x00\x00")
         with pytest.raises(ValueError):
             read_weight_dump(bad)
+
+    @staticmethod
+    def refine_exit(tmp_path, prompt_text: str, weights: bytes, ratio: str = "0.5") -> str:
+        """Run ``pd refine`` on the given inputs; return the message it exits with."""
+        prompt_file = tmp_path / "prompt.json"
+        prompt_file.write_text(prompt_text)
+        dump = tmp_path / "weights.bin"
+        dump.write_bytes(weights)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["refine", "--prompt", str(prompt_file), "--weights", str(dump),
+                  "--ratio", ratio, "--out", str(tmp_path / "out")])
+        message = exit_info.value.code
+        assert isinstance(message, str) and "\n" not in message  # printed as one line, exit status 1
+        assert not (tmp_path / "out").exists()
+        return message
+
+    @pytest.mark.parametrize(
+        "prompt_text,needle",
+        [
+            ("{not json", "cannot read prompt"),
+            ('["sys", "content", "q"]', "expected a JSON object"),
+            ('{"prefix": "sys", "content": 42}', "must be strings"),
+            ('{"content": ["a", "b"]}', "must be strings"),
+        ],
+    )
+    def test_malformed_prompt_file(self, tmp_path, prompt_text, needle):
+        assert needle in self.refine_exit(tmp_path, prompt_text, b"")
+
+    @pytest.mark.parametrize("weights", [b"", b"\x01\x00\x00\x00", bytes(16), bytes(20)])
+    def test_malformed_weight_dump(self, tmp_path, weights):
+        prompt_text = json.dumps({"prefix": "sys", "content": "alpha beta. gamma.", "suffix": "q"})
+        assert "cannot read weight dump" in self.refine_exit(tmp_path, prompt_text, weights)
+
+    @pytest.mark.parametrize("ratio", ["0", "-0.5", "1.5", "nan"])
+    def test_ratio_outside_unit_interval(self, tmp_path, ratio):
+        prompt_text = json.dumps({"content": "alpha beta. gamma."})
+        assert "--ratio" in self.refine_exit(tmp_path, prompt_text, b"", ratio=ratio)
 
 
 class TestMaskCommand:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_uniform_scores, tokenized
+from helpers import reference_run_throughput, reference_uniform_scores, tokenized
 
 from pdsim.cloudsim import (
     EOT_TOKEN,
@@ -208,6 +208,23 @@ class TestThroughput:
         batch = BatchModel(slots=64, mode="poisson", arrival_rate_per_s=20.0)
         result = run_throughput(batch, [1000.0], completions=2000, seed=1)
         assert result.tps == pytest.approx(20.0, rel=0.1)
+
+    # whole-millisecond occupancies make completion ties, and so tie-breaks, common
+    occupancy = st.one_of(st.floats(0.5, 5000.0), st.sampled_from([1.0, 2.0, 3.0, 250.0, 1000.0]))
+
+    @given(
+        slots=st.integers(1, 12),
+        occupancies=st.lists(occupancy, min_size=1, max_size=24),
+        completions=st.integers(1, 300),
+        seed=st.integers(0, 2**32),
+        rate=st.one_of(st.none(), st.floats(0.05, 2000.0)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bit_equal_to_the_reference_simulator(self, slots, occupancies, completions, seed, rate):
+        batch = BatchModel(slots=slots) if rate is None else BatchModel(slots, "poisson", rate)
+        result = run_throughput(batch, occupancies, completions, seed=seed)
+        expected = reference_run_throughput(batch, occupancies, completions, seed=seed)
+        assert (result.tps, result.analytic_tps) == expected
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

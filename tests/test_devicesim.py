@@ -1,6 +1,5 @@
 import dataclasses
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,14 +12,12 @@ from pdsim.devicesim import (
     DeviceTrace,
     ScrubRule,
     StallError,
-    estimate_device_prefill,
     run_session,
     scrub,
 )
 from pdsim.eventloop import EventLoop
 from pdsim.planner import PlanConstraints, build_plan_table
 from pdsim.protocol import DONE, AssistRequest, ProtocolError
-from pdsim.refiner import SelectionMask
 from pdsim.timing import RttClass, build_model
 
 
@@ -256,19 +253,6 @@ class TestFailureModes:
         with pytest.raises(ProtocolError):
             run_session(req, tokenized(req), trace_c.frame, trace_c.delivery(), calibrated_model, source,
                         start_ms=0.0, frame_time_ms=trace_c.frame_time_ms)
-
-
-class TestEstimates:
-    def test_full_mask(self):
-        assert estimate_device_prefill(SelectionMask(np.ones(4096, dtype=np.uint8)), 1.25) == pytest.approx(5120.0)
-
-    def test_empty_mask(self):
-        assert estimate_device_prefill(SelectionMask(np.zeros(64, dtype=np.uint8)), 1.25) == 0.0
-
-    def test_quarter_of_eight_k(self):
-        bits = np.zeros(8192, dtype=np.uint8)
-        bits[:2048] = 1
-        assert estimate_device_prefill(SelectionMask(bits), 1.25) == pytest.approx(2560.0)
 
 
 class TestScrub:

@@ -307,28 +307,32 @@ class TestReport:
 
 
 class TestGoldenReport:
-    def test_fixed_seed_outputs_match_frozen_files(self, tmp_path):
-        golden_dir = Path(__file__).parent / "golden" / "report"
-        config = load_config(Path(__file__).parent / "data" / "report_config.json")
-        run_experiment(config, tmp_path)
-        for name in ("summary.txt", "summary.csv", "trace_planned.csv"):
-            assert (tmp_path / name).read_bytes() == (golden_dir / name).read_bytes(), name
-
     @staticmethod
-    def assert_every_file_matches(golden: str, config_file: str, out: Path) -> None:
+    def assert_every_file_matches(golden: str, config: harness.ExperimentConfig, out: Path) -> None:
         golden_dir = Path(__file__).parent / "golden" / golden
-        run_experiment(load_config(Path(__file__).parent / "data" / config_file), out)
+        run_experiment(config, out)
         written = sorted(p.name for p in out.iterdir())
         assert written == sorted(p.name for p in golden_dir.iterdir())
         for name in written:
             assert (out / name).read_bytes() == (golden_dir / name).read_bytes(), name
 
+    @staticmethod
+    def data_config(name: str) -> harness.ExperimentConfig:
+        return load_config(Path(__file__).parent / "data" / name)
+
+    def test_fixed_seed_outputs_match_frozen_files(self, tmp_path):
+        self.assert_every_file_matches("report", self.data_config("report_config.json"), tmp_path)
+
+    def test_default_config_outputs_match_frozen_files(self, tmp_path):
+        # what `pd simulate` writes without a config: closed batch, three variants
+        self.assert_every_file_matches("default", default_config(), tmp_path)
+
     def test_sweep_outputs_match_frozen_files(self, tmp_path):
         # jittered and truncated RTT draws, pinned-ratio and budget variants,
         # device_display corrections and a Poisson batch: every written file
-        self.assert_every_file_matches("sweep", "sweep_config.json", tmp_path)
+        self.assert_every_file_matches("sweep", self.data_config("sweep_config.json"), tmp_path)
 
     def test_long_decode_outputs_match_frozen_files(self, tmp_path):
         # 400-1200 output tokens, so most of each session is the device tail
         # after the cloud window; correction policy off
-        self.assert_every_file_matches("long_decode", "long_decode_config.json", tmp_path)
+        self.assert_every_file_matches("long_decode", self.data_config("long_decode_config.json"), tmp_path)

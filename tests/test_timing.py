@@ -6,9 +6,7 @@ import pytest
 from pdsim.timing import (
     AmortizationUndefined,
     RttClass,
-    amortization_residual,
     build_model,
-    latency_breakdown,
     prefill_device,
     request_occupancy,
     smoothed_tpot,
@@ -26,6 +24,15 @@ class TestPrefillDevice:
 
     def test_quarter_ratio_of_eight_k(self, calibrated_model):
         assert prefill_device(calibrated_model, 2000) == 2500.0
+        assert prefill_device(calibrated_model, 8000, 0.25) == 2500.0
+
+    def test_default_ratio_is_the_bare_coefficient(self, calibrated_model):
+        # the device passes its realised refined length with ratio 1
+        rng = random.Random(3)
+        model = build_model(k_device=rng.uniform(0.2, 3.0))
+        for _ in range(200):
+            tokens = rng.randint(0, 32000)
+            assert prefill_device(model, tokens) == model.k_device * tokens
 
     def test_negative_tokens_rejected(self, calibrated_model):
         with pytest.raises(ValueError):
@@ -92,18 +99,21 @@ class TestSmoothedTpot:
         assert smoothed_tpot(calibrated_model, 5000.0, 800.0, 100000) == pytest.approx(30.0, abs=0.1)
 
 
-class TestAmortizationResidual:
-    def test_identity_with_smoothed_pace(self, calibrated_model):
-        pace = smoothed_tpot(calibrated_model, 2000.0, 500.0, 21)
-        assert amortization_residual(calibrated_model, 2000.0, 500.0, 21, pace) == pytest.approx(0.0, abs=1e-9)
+class TestSmoothedPaceIdentity:
+    """Device-paced and smoothed-display completion of the window coincide:
+    prefill + tpot_d * (n - 1) == ttft_c + pace * (n - 1)."""
 
-    def test_perturbed_pace(self, calibrated_model):
-        pace = smoothed_tpot(calibrated_model, 2000.0, 500.0, 21)
-        assert amortization_residual(calibrated_model, 2000.0, 500.0, 21, pace + 1.0) == pytest.approx(-20.0)
+    @staticmethod
+    def gap(model, prefill, ttft_c, total):
+        pace = smoothed_tpot(model, prefill, ttft_c, total)
+        steps = total - 1
+        return (prefill + model.tpot_device * steps) - (ttft_c + pace * steps)
+
+    def test_identity_with_smoothed_pace(self, calibrated_model):
+        assert self.gap(calibrated_model, 2000.0, 500.0, 21) == pytest.approx(0.0, abs=1e-9)
 
     def test_smallest_valid_budget(self, calibrated_model):
-        pace = smoothed_tpot(calibrated_model, 700.0, 300.0, 2)
-        assert amortization_residual(calibrated_model, 700.0, 300.0, 2, pace) == pytest.approx(0.0, abs=1e-9)
+        assert self.gap(calibrated_model, 700.0, 300.0, 2) == pytest.approx(0.0, abs=1e-9)
 
     def test_randomized_identity(self, calibrated_model):
         rng = random.Random(1)
@@ -111,8 +121,7 @@ class TestAmortizationResidual:
             prefill = rng.uniform(0.0, 60000.0)
             ttft_c = rng.uniform(0.0, 5000.0)
             budget = rng.randint(2, 4096)
-            pace = smoothed_tpot(calibrated_model, prefill, ttft_c, budget)
-            assert abs(amortization_residual(calibrated_model, prefill, ttft_c, budget, pace)) <= 1e-9
+            assert abs(self.gap(calibrated_model, prefill, ttft_c, budget)) <= 1e-9
 
 
 class TestRequestOccupancy:
@@ -140,23 +149,7 @@ class TestComposition:
             ratio = rng.uniform(0.05, 1.0)
             tc = ttft_cloud(calibrated_model, tokens, ratio, rng.uniform(0.0, 200.0))
             td = ttft_device(calibrated_model, tokens, ratio, tc)
-            expected = calibrated_model.decompress_cost(tokens) + calibrated_model.k_device * ratio * tokens
-            assert td - tc == pytest.approx(expected, abs=1e-9)
-
-
-class TestLatencyBreakdown:
-    def test_components_compose(self, calibrated_model):
-        parts = latency_breakdown(calibrated_model, 8000, 0.25, 50.0)
-        assert parts.ttft_cloud_ms == pytest.approx(parts.prefill_cloud_ms + parts.compress_ms + parts.rtt_ms)
-        assert parts.ttft_device_ms == pytest.approx(
-            parts.ttft_cloud_ms + parts.decompress_ms + parts.prefill_device_ms
-        )
-        assert parts.ttft_cloud_ms == pytest.approx(950.0)
-        assert parts.ttft_device_ms == pytest.approx(3500.0)
-
-    def test_negative_component_rejected(self, calibrated_model):
-        with pytest.raises(ValueError):
-            latency_breakdown(calibrated_model, 8000, 0.25, -1.0)
+            assert td == tc + calibrated_model.decompress_cost(tokens) + prefill_device(calibrated_model, tokens, ratio)
 
 
 class TestModelValidation:
