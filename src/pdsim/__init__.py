@@ -12,8 +12,6 @@ from .protocol import (
     ProtocolError,
     SseDecoder,
     StreamEvent,
-    decode_first_frame,
-    decode_stream_event,
     encode_done,
     encode_first_frame,
     encode_stream_event,

@@ -53,14 +53,6 @@ def read_weight_dump(path: str | Path) -> list[np.ndarray]:
     return [m.astype(np.float64) for m in flat.reshape(heads, window, keys)]
 
 
-def write_weight_dump(path: str | Path, weights: list[np.ndarray], hidden: int) -> None:
-    heads = len(weights)
-    window, keys = weights[0].shape
-    blob = _WEIGHT_HEADER.pack(heads, window, keys, hidden)
-    blob += np.stack(weights).astype("<f4").tobytes()
-    Path(path).write_bytes(blob)
-
-
 def _read_prompt(path: str) -> TokenizedPrompt:
     try:
         prompt_obj = json.loads(Path(path).read_text())
@@ -77,6 +69,10 @@ def _read_prompt(path: str) -> TokenizedPrompt:
 def _cmd_refine(args: argparse.Namespace) -> int:
     if not 0.0 < args.ratio <= 1.0:
         raise SystemExit(f"--ratio must be in (0, 1], got {args.ratio}")
+    if args.window < 1:
+        raise SystemExit(f"--window must be >= 1, got {args.window}")
+    if args.kernel < 1 or args.kernel % 2 == 0:
+        raise SystemExit(f"--kernel must be odd and >= 1, got {args.kernel}")
     prompt = _read_prompt(args.prompt)
     try:
         weights = read_weight_dump(args.weights)

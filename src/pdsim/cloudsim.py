@@ -10,7 +10,7 @@ throughput simulator.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -37,21 +37,19 @@ def mt_words(rng: random.Random, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TokenSource:
-    """Seeded deterministic token stream; position ``total_tokens`` is the EOT label.
+    """Deterministic token stream; position ``total_tokens`` is the EOT label.
 
-    Two sources with the same seed agree everywhere except at positions in
-    ``divergence``, which model a paired device generating a different token.
-    A position's token is ``f"{salt}{position}_{draw:04x}"`` with salt ``tok``,
-    or ``alt`` inside the divergence set, so equality between sources is fixed
-    by the salt. Each salt's draws come from one generator seeded
-    ``f"{seed}:{salt}"``: one bulk draw of ``total_tokens`` outputs on the
-    salt's first use, and position p takes the top 16 bits of output p.
+    The token at position p is ``f"{salt}{p}"``, with salt ``tok``, or ``alt``
+    inside the ``divergence`` set, which models a paired device generating a
+    different token there. Tokens carry identity only: two sources of the same
+    length agree at p exactly when p is the EOT position or lies in both
+    divergence sets or in neither. ``seed`` names the stream; it takes part in
+    equality, hashing and the repr, but not in the tokens.
     """
 
     seed: int
     total_tokens: int
     divergence: frozenset[int] = frozenset()
-    _drawn: dict[str, list[int]] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.total_tokens < 1:
@@ -62,12 +60,7 @@ class TokenSource:
             raise ValueError(f"position {position} outside 1..{self.total_tokens}")
         if position == self.total_tokens:
             return EOT_TOKEN
-        salt = "alt" if position in self.divergence else "tok"
-        draws = self._drawn.get(salt)
-        if draws is None:
-            words = mt_words(random.Random(f"{self.seed}:{salt}"), self.total_tokens)
-            draws = self._drawn[salt] = (words >> 16).tolist()
-        return f"{salt}{position}_{draws[position - 1]:04x}"
+        return f"alt{position}" if position in self.divergence else f"tok{position}"
 
 
 @dataclass(frozen=True)
@@ -108,7 +101,7 @@ class CloudTrace:
         """Exact bytes of the whole response stream."""
         out = encode_first_frame(self.frame)
         for _, event in self.events:
-            out += encode_stream_event(StreamEvent(event.index, event.token))
+            out += encode_stream_event(event)
         return out + encode_done()
 
 
@@ -177,7 +170,7 @@ def serve_request(
     events = tuple(
         (
             first_token_at + i * model.tpot_cloud,
-            StreamEvent(index=i, token=source.token_at(i + 1), terminal=(i == emit_total - 1)),
+            StreamEvent(index=i, token=source.token_at(i + 1)),
         )
         for i in range(1, emit_total)
     )

@@ -31,7 +31,7 @@ from .timing import TimingModel, prefill_device, smoothed_tpot
 
 
 class StallError(Exception):
-    """The cloud stream ended short of its budget without a terminal marker."""
+    """The cloud stream ended short of its budget without the DONE marker."""
 
 
 class CorrectionPolicy(Enum):
@@ -393,7 +393,7 @@ def run_session(
     cloud selected over; the device validates the mask length against it.
     ``stream`` holds (arrival time, event-or-DONE) pairs as produced by the
     cloud simulator. Raises ProtocolError on a mask/prompt mismatch and
-    StallError when the stream is short without a terminal marker.
+    StallError when the stream is short without the DONE marker.
     """
     session = _Session(
         req=req,

@@ -173,6 +173,33 @@ def _parse_scrub_rule(obj, path: str) -> ScrubRule:
     return rule
 
 
+def _parse_mix(w: dict, key: str) -> dict:
+    """A workload mix: weights are finite numbers >= 0 with a positive sum."""
+    path = f"config.workload.{key}"
+    mix = dict(_require(w, key, dict, "config.workload"))
+    for name, weight in mix.items():
+        if isinstance(weight, bool) or not isinstance(weight, (int, float)) or not 0 <= weight < math.inf:
+            raise ConfigError(f"{path}.{name}: weight must be a finite number >= 0, got {weight!r}")
+    if sum(mix.values()) <= 0:
+        raise ConfigError(f"{path}: weights must sum to a positive value")
+    return mix
+
+
+def _parse_prompt_lengths(w: dict) -> dict[int, float]:
+    """Token count -> weight; ``_validate_config`` checks that each count is long enough."""
+    lengths: dict[int, float] = {}
+    for key, weight in _parse_mix(w, "prompt_lengths").items():
+        path = f"config.workload.prompt_lengths.{key}"
+        try:
+            length = int(key)
+        except ValueError:
+            raise ConfigError(f"{path}: expected an integer token count") from None
+        if length in lengths:
+            raise ConfigError(f"{path}: repeats the token count {length}")
+        lengths[length] = float(weight)
+    return lengths
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
@@ -207,9 +234,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     w = _require(data, "workload", dict, "config")
     workload = WorkloadSpec(
         requests=_require(w, "requests", int, "config.workload"),
-        scene_mix=dict(_require(w, "scene_mix", dict, "config.workload")),
-        device_mix=dict(_require(w, "device_mix", dict, "config.workload")),
-        prompt_lengths={int(k): float(v) for k, v in _require(w, "prompt_lengths", dict, "config.workload").items()},
+        scene_mix=_parse_mix(w, "scene_mix"),
+        device_mix=_parse_mix(w, "device_mix"),
+        prompt_lengths=_parse_prompt_lengths(w),
         output_min=_require(w, "output_min", int, "config.workload"),
         output_max=_require(w, "output_max", int, "config.workload"),
         prefix_tokens=_optional(w, "prefix_tokens", int, "config.workload", 12),

@@ -3,7 +3,9 @@
 Every payload rides in an SSE-style frame ``data: <body>\\n\\n``. The first
 response frame piggybacks the selection mask and the assisted-token budget
 next to the first token; each following frame carries one decode token; a
-literal ``[DONE]`` frame closes the stream.
+literal ``[DONE]`` frame closes the stream and is the only end-of-stream
+marker. ``SseDecoder`` is the one decoder for response frames: it parses each
+frame body once, whole or split across receive chunks.
 
 Canonical bodies are compact JSON with pinned key order, so encoders are
 byte-deterministic.
@@ -71,7 +73,6 @@ class StreamEvent:
 
     index: int
     token: str
-    terminal: bool = False
 
     def __post_init__(self) -> None:
         if self.index < 1:
@@ -137,40 +138,12 @@ def encode_first_frame(frame: FirstTokenFrame) -> bytes:
     return _frame(_json_body({"first_token": frame.token, "mask_b64": mask_b64, "L": frame.max_tokens}))
 
 
-def decode_first_frame(data: bytes) -> FirstTokenFrame:
-    return _parse_first_json(_strip_frame(data))
-
-
 def encode_stream_event(event: StreamEvent) -> bytes:
-    data = _frame(_json_body({"i": event.index, "token": event.token}))
-    if event.terminal:
-        data += encode_done()
-    return data
-
-
-def decode_stream_event(data: bytes) -> StreamEvent:
-    idx = data.find(FRAME_SUFFIX)
-    if idx < 0:
-        raise ProtocolError("missing frame terminator")
-    first, rest = data[: idx + len(FRAME_SUFFIX)], data[idx + len(FRAME_SUFFIX) :]
-    event = _parse_event_json(_strip_frame(first))
-    if not rest:
-        return event
-    if rest == _frame(DONE_BODY):
-        return StreamEvent(index=event.index, token=event.token, terminal=True)
-    raise ProtocolError("trailing bytes after stream event")
+    return _frame(_json_body({"i": event.index, "token": event.token}))
 
 
 def encode_done() -> bytes:
     return _frame(DONE_BODY)
-
-
-def _strip_frame(data: bytes) -> bytes:
-    if not data.startswith(FRAME_PREFIX):
-        raise ProtocolError("frame must start with 'data: '")
-    if not data.endswith(FRAME_SUFFIX):
-        raise ProtocolError("frame must end with a blank line")
-    return data[len(FRAME_PREFIX) : -len(FRAME_SUFFIX)]
 
 
 def _parse_json(data: bytes) -> dict:
@@ -194,8 +167,7 @@ def _decode_mask_b64(text: str) -> CompressedMask:
         raise ProtocolError(f"field 'mask_b64' is not a mask container: {exc}") from exc
 
 
-def _parse_first_json(body: bytes) -> FirstTokenFrame:
-    obj = _parse_json(body)
+def _parse_first_json(obj: dict) -> FirstTokenFrame:
     token = obj.get("first_token")
     if not isinstance(token, str):
         raise ProtocolError("field 'first_token' missing or not a string")
@@ -208,8 +180,7 @@ def _parse_first_json(body: bytes) -> FirstTokenFrame:
     return FirstTokenFrame(token=token, mask=_decode_mask_b64(mask_b64), max_tokens=budget)
 
 
-def _parse_event_json(body: bytes) -> StreamEvent:
-    obj = _parse_json(body)
+def _parse_event_json(obj: dict) -> StreamEvent:
     index = obj.get("i")
     if isinstance(index, bool) or not isinstance(index, int) or index < 1:
         raise ProtocolError("field 'i' missing or not a positive integer")
@@ -251,12 +222,15 @@ class SseDecoder:
 
     @staticmethod
     def _parse_frame(chunk: bytes) -> FirstTokenFrame | StreamEvent | DoneMarker:
-        body = _strip_frame(chunk)
+        """Parse one frame; ``chunk`` ends at its blank-line terminator."""
+        if not chunk.startswith(FRAME_PREFIX):
+            raise ProtocolError("frame must start with 'data: '")
+        body = chunk[len(FRAME_PREFIX) : -len(FRAME_SUFFIX)]
         if body == DONE_BODY:
             return DONE
         obj = _parse_json(body)
         if "first_token" in obj:
-            return _parse_first_json(body)
+            return _parse_first_json(obj)
         if "i" in obj:
-            return _parse_event_json(body)
+            return _parse_event_json(obj)
         raise ProtocolError("frame body is neither a first frame, an event, nor [DONE]")

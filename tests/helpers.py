@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 
+from pdsim.cli import _WEIGHT_HEADER
 from pdsim.cloudsim import EOT_TOKEN, TokenSource
 from pdsim.devicesim import CorrectionPolicy, DeviceTrace, DisplaySchedule, StallError
 from pdsim.eventloop import EventLoop
@@ -88,6 +90,15 @@ def clustered_mask(rng: random.Random, length: int, mean_run: float = 24.0) -> S
 def tokenized(req: AssistRequest) -> TokenizedPrompt:
     """The request's reference tokenization, as the harness builds it once per request."""
     return TokenizedPrompt.from_text(req.prefix, req.content, req.suffix)
+
+
+def write_weight_dump(path: str | Path, weights: list[np.ndarray], hidden: int) -> None:
+    """Write per-head (window, keys) weight matrices in the ``pd refine`` dump format."""
+    heads = len(weights)
+    window, keys = weights[0].shape
+    blob = _WEIGHT_HEADER.pack(heads, window, keys, hidden)
+    blob += np.stack(weights).astype("<f4").tobytes()
+    Path(path).write_bytes(blob)
 
 
 def synthetic_prompt(rng: random.Random, n_sentences: int, prefix_tokens: int = 3, suffix_tokens: int = 2,

@@ -4,7 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pdsim.cli import main, read_weight_dump, write_weight_dump
+from helpers import write_weight_dump
+
+from pdsim.cli import main, read_weight_dump
 from pdsim.maskcodec import CompressedMask, unpack
 from pdsim.refiner import AttentionInputs, TokenizedPrompt, attention_weights
 
@@ -65,6 +67,15 @@ class TestMalformedConfig:
             (_set("batch", "completions", 0), "config.batch.completions"),
             (_set("variants", [{"name": "r", "ratio": "half"}]), "config.variants[0].ratio"),
             (_set("scrub_rules", 5), "config.scrub_rules"),
+            (_set("workload", "prompt_lengths", {"2k": 1.0}), "config.workload.prompt_lengths.2k"),
+            (_set("workload", "prompt_lengths", {"0": 1.0}), "config.workload.prompt_lengths.0"),
+            (_set("workload", "prompt_lengths", {"2000": "a"}), "config.workload.prompt_lengths.2000"),
+            (_set("workload", "prompt_lengths", {"2000": 0.9, "02000": 0.1}), "config.workload.prompt_lengths.02000"),
+            (_set("workload", "scene_mix", {"doc_qa": "a", "summary": 0.5}), "config.workload.scene_mix.doc_qa"),
+            (_set("workload", "scene_mix", {"doc_qa": True}), "config.workload.scene_mix.doc_qa"),
+            (_set("workload", "scene_mix", {"doc_qa": -1.0, "summary": -0.5}), "config.workload.scene_mix.doc_qa"),
+            (_set("workload", "device_mix", {"phone": 0, "tablet": 0.0}), "config.workload.device_mix"),
+            (_set("workload", "device_mix", {"phone": float("nan")}), "config.workload.device_mix.phone"),
         ],
     )
     def test_ends_in_one_error_line_with_exit_code_2(self, tmp_path, config_path, capsys, mutate, key_path):
@@ -119,15 +130,15 @@ class TestRefineCommand:
             read_weight_dump(bad)
 
     @staticmethod
-    def refine_exit(tmp_path, prompt_text: str, weights: bytes, ratio: str = "0.5") -> str:
-        """Run ``pd refine`` on the given inputs; return the message it exits with."""
+    def refine_exit(tmp_path, prompt_text: str, weights: bytes, ratio: str = "0.5", flags: tuple = ()) -> str:
+        """Run ``pd refine`` on the given inputs and extra flags; return the message it exits with."""
         prompt_file = tmp_path / "prompt.json"
         prompt_file.write_text(prompt_text)
         dump = tmp_path / "weights.bin"
         dump.write_bytes(weights)
         with pytest.raises(SystemExit) as exit_info:
             main(["refine", "--prompt", str(prompt_file), "--weights", str(dump),
-                  "--ratio", ratio, "--out", str(tmp_path / "out")])
+                  "--ratio", ratio, *flags, "--out", str(tmp_path / "out")])
         message = exit_info.value.code
         assert isinstance(message, str) and "\n" not in message  # printed as one line, exit status 1
         assert not (tmp_path / "out").exists()
@@ -154,6 +165,24 @@ class TestRefineCommand:
     def test_ratio_outside_unit_interval(self, tmp_path, ratio):
         prompt_text = json.dumps({"content": "alpha beta. gamma."})
         assert "--ratio" in self.refine_exit(tmp_path, prompt_text, b"", ratio=ratio)
+
+    @pytest.mark.parametrize(
+        "flags,needle",
+        [
+            (("--kernel", "4"), "--kernel"),
+            (("--kernel", "-1"), "--kernel"),
+            (("--kernel", "0"), "--kernel"),
+            (("--window", "0"), "--window"),
+            (("--window", "-3"), "--window"),
+        ],
+    )
+    def test_kernel_and_window_out_of_range(self, tmp_path, flags, needle):
+        # a well-formed prompt and weight dump, so only the flag can be at fault
+        prompt_text = json.dumps({"prefix": "sys", "content": "alpha beta. gamma.", "suffix": "q"})
+        prompt = TokenizedPrompt.from_text("sys", "alpha beta. gamma.", "q")
+        dump = tmp_path / "dump.bin"
+        write_weight_dump(dump, [np.full((4, prompt.total_tokens), 0.25)], hidden=8)
+        assert needle in self.refine_exit(tmp_path, prompt_text, dump.read_bytes(), flags=flags)
 
 
 class TestMaskCommand:

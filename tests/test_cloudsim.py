@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_run_throughput, reference_uniform_scores, tokenized
@@ -53,23 +53,19 @@ class TestTokenSource:
             else:
                 assert diverged.token_at(position) == base.token_at(position)
 
-    def test_one_generator_per_salt(self, monkeypatch):
-        seeded = []
+    def test_identity_tokens_without_a_generator(self, monkeypatch):
+        def no_generator(*args, **kwargs):
+            raise AssertionError("token_at built a random.Random")
 
-        class CountingRandom(random.Random):
-            def __init__(self, seed):
-                seeded.append(seed)
-                super().__init__(seed)
-
-        monkeypatch.setattr(random, "Random", CountingRandom)
-        source = TokenSource(seed=9, total_tokens=8, divergence=frozenset({3}))
-        first = [source.token_at(p) for p in range(1, 9)]
-        for _ in range(3):
-            assert [source.token_at(p) for p in range(8, 0, -1)] == first[::-1]
-        assert sorted(seeded) == ["9:alt", "9:tok"]
-        # the cache is invisible to equality and hashing
-        fresh = TokenSource(seed=9, total_tokens=8, divergence=frozenset({3}))
+        monkeypatch.setattr(random, "Random", no_generator)
+        source = TokenSource(seed=9, total_tokens=8, divergence=frozenset({3, 8}))
+        assert [source.token_at(p) for p in range(1, 9)] == [
+            "tok1", "tok2", "alt3", "tok4", "tok5", "tok6", "tok7", EOT_TOKEN,
+        ]
+        # the seed names the stream: it is part of equality and hashing
+        fresh = TokenSource(seed=9, total_tokens=8, divergence=frozenset({3, 8}))
         assert source == fresh and hash(source) == hash(fresh)
+        assert source != TokenSource(seed=10, total_tokens=8, divergence=frozenset({3, 8}))
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -119,7 +115,6 @@ class TestServeRequest:
         record = trace.record
         assert len(trace.events) == 20
         assert record.tokens_emitted == 21
-        assert trace.events[-1][1].terminal
         assert record.occupancy_ms == pytest.approx(record.ttft_cloud_ms + 20 * calibrated_model.tpot_cloud)
         assert trace.done_time_ms == pytest.approx(record.slot_released_at_ms)
         # events tick at the cloud decode pace
@@ -158,14 +153,31 @@ class TestServeRequest:
         assert trace.record.tokens_emitted == plan.max_tokens
         assert trace.frame.mask.bit_length == prompt.total_tokens
 
-    def test_wire_bytes_decode_to_one_frame_then_events_then_done(self, calibrated_model):
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.floats(0.05, 1.0),
+        st.one_of(st.none(), st.integers(1, 60)),
+        st.integers(1, 80),
+        st.lists(st.integers(1, 300), min_size=1, max_size=6),
+    )
+    @example(0.5, 12, 100, [1 << 20])
+    def test_wire_bytes_decode_to_one_frame_then_events_then_done(self, calibrated_model, ratio, budget, total, chunks):
+        # the model fixture is immutable, so sharing it across examples is safe
         req = make_request()
-        source = TokenSource(seed=6, total_tokens=100)
-        trace = serve_request(req, tokenized(req), None, calibrated_model, source, ratio_override=0.5, max_tokens_override=12)
-        items = SseDecoder().feed(trace.wire_bytes())
-        assert items[0] == trace.frame
-        assert len(items) == 1 + 11 + 1
-        assert items[-1] is DONE
+        source = TokenSource(seed=6, total_tokens=total)
+        trace = serve_request(
+            req, tokenized(req), None, calibrated_model, source, ratio_override=ratio, max_tokens_override=budget,
+        )
+        data = trace.wire_bytes()
+        decoder = SseDecoder()
+        items = []
+        pos = k = 0
+        while pos < len(data):
+            size = chunks[k % len(chunks)]
+            items.extend(decoder.feed(data[pos : pos + size]))
+            pos, k = pos + size, k + 1
+        assert items == [trace.frame, *(event for _, event in trace.events), DONE]
+        assert len(trace.events) == trace.record.tokens_emitted - 1
 
     def test_determinism(self, calibrated_model):
         req = make_request()

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from pdsim import protocol
 from pdsim.maskcodec import MaskCodecError, pack
 from pdsim.protocol import (
     DONE,
@@ -12,9 +13,7 @@ from pdsim.protocol import (
     ProtocolError,
     SseDecoder,
     StreamEvent,
-    decode_first_frame,
     decode_request,
-    decode_stream_event,
     encode_done,
     encode_first_frame,
     encode_request,
@@ -40,7 +39,7 @@ class TestGoldenFrames:
         data = encode_first_frame(frame)
         assert data == (GOLDEN / "first_frame.bin").read_bytes()
         assert data == b'data: {"first_token":"The","mask_b64":"AwAAAHjaewAAAOEA4Q==","L":5}\n\n'
-        assert decode_first_frame(data) == frame
+        assert SseDecoder().feed(data) == [frame]
 
     def test_token_event_bytes(self):
         data = encode_stream_event(StreamEvent(index=1, token="quick"))
@@ -58,16 +57,17 @@ class TestFirstFrameCodec:
             frame = FirstTokenFrame(
                 token=random_token(rng), mask=random_mask(rng), max_tokens=rng.randint(0, 500)
             )
-            assert decode_first_frame(encode_first_frame(frame)) == frame
+            assert SseDecoder().feed(encode_first_frame(frame)) == [frame]
 
     def test_single_token_budget_with_empty_content_mask(self):
         frame = FirstTokenFrame(token="fin", mask=pack(SelectionMask([1, 1])), max_tokens=1)
-        assert decode_first_frame(encode_first_frame(frame)) == frame
+        assert SseDecoder().feed(encode_first_frame(frame)) == [frame]
 
     @pytest.mark.parametrize(
         "body,field",
         [
-            (b'data: {"mask_b64":"AAAAAHjaAwAAAAAB","L":5}\n\n', "first_token"),
+            # without "first_token" the body is not recognised as a first frame
+            (b'data: {"mask_b64":"AAAAAHjaAwAAAAAB","L":5}\n\n', "neither a first frame"),
             (b'data: {"first_token":"x","L":5}\n\n', "mask_b64"),
             (b'data: {"first_token":"x","mask_b64":"AAAAAHjaAwAAAAAB"}\n\n', "L"),
             (b'data: {"first_token":"x","mask_b64":"AAAAAHjaAwAAAAAB","L":-1}\n\n', "L"),
@@ -78,39 +78,34 @@ class TestFirstFrameCodec:
     )
     def test_malformed_fields_name_the_field(self, body, field):
         with pytest.raises(ProtocolError, match=field):
-            decode_first_frame(body)
+            SseDecoder().feed(body)
 
     def test_framing_errors(self):
-        with pytest.raises(ProtocolError):
-            decode_first_frame(b'{"first_token":"x"}\n\n')
-        with pytest.raises(ProtocolError):
-            decode_first_frame(b'data: {"first_token":"x"}')
-        with pytest.raises(ProtocolError):
-            decode_first_frame(b"data: not json\n\n")
+        with pytest.raises(ProtocolError, match="data: "):
+            SseDecoder().feed(b'{"first_token":"x"}\n\n')
+        with pytest.raises(ProtocolError, match="JSON"):
+            SseDecoder().feed(b"data: not json\n\n")
 
 
 class TestStreamEventCodec:
-    def test_round_trip_with_and_without_terminal(self):
+    def test_round_trip_random_events(self):
         rng = random.Random(3)
         for _ in range(1000):
-            event = StreamEvent(index=rng.randint(1, 4096), token=random_token(rng), terminal=rng.random() < 0.5)
-            assert decode_stream_event(encode_stream_event(event)) == event
-
-    def test_terminal_event_appends_done_frame(self):
-        data = encode_stream_event(StreamEvent(index=4, token="end", terminal=True))
-        assert data.endswith(b"data: [DONE]\n\n")
-        assert data.count(b"\n\n") == 2
+            event = StreamEvent(index=rng.randint(1, 4096), token=random_token(rng))
+            assert SseDecoder().feed(encode_stream_event(event)) == [event]
 
     def test_index_must_be_positive(self):
         with pytest.raises(ValueError):
             StreamEvent(index=0, token="x")
         with pytest.raises(ProtocolError, match="'i'"):
-            decode_stream_event(b'data: {"i":0,"token":"x"}\n\n')
+            SseDecoder().feed(b'data: {"i":0,"token":"x"}\n\n')
 
     def test_trailing_garbage_rejected(self):
-        data = encode_stream_event(StreamEvent(index=1, token="x")) + b"data: junk\n\n"
+        event = StreamEvent(index=1, token="x")
+        decoder = SseDecoder()
         with pytest.raises(ProtocolError):
-            decode_stream_event(data)
+            decoder.feed(encode_stream_event(event) + b"data: junk\n\n")
+        assert decoder.feed(b"") == [event]
 
 
 class TestRequestCodec:
@@ -191,6 +186,20 @@ class TestSseDecoder:
         with pytest.raises(ProtocolError):
             decoder.feed(b"x" * (2 << 20))
         assert decoder.feed(encode_done()) == [DONE]
+
+    def test_each_frame_body_is_parsed_once(self, monkeypatch):
+        calls = []
+        loads = protocol.json.loads
+
+        def counting_loads(*args, **kwargs):
+            calls.append(args)
+            return loads(*args, **kwargs)
+
+        monkeypatch.setattr(protocol.json, "loads", counting_loads)
+        frame, data = self.wire(random.Random(7), 6)
+        items = SseDecoder().feed(data)
+        assert items[0] == frame and items[-1] is DONE
+        assert len(calls) == len(items) - 1  # one per first frame or event; [DONE] is not JSON
 
     def test_done_singleton(self):
         assert DoneMarker() is DONE
