@@ -99,10 +99,8 @@ class CloudTrace:
 
     def wire_bytes(self) -> bytes:
         """Exact bytes of the whole response stream."""
-        out = encode_first_frame(self.frame)
-        for _, event in self.events:
-            out += encode_stream_event(event)
-        return out + encode_done()
+        events = (encode_stream_event(event) for _, event in self.events)
+        return b"".join([encode_first_frame(self.frame), *events, encode_done()])
 
 
 def uniform_scores(prompt: TokenizedPrompt, seed: int | str) -> TokenScores:

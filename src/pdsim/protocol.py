@@ -8,7 +8,14 @@ marker. ``SseDecoder`` is the one decoder for response frames: it parses each
 frame body once, whole or split across receive chunks.
 
 Canonical bodies are compact JSON with pinned key order, so encoders are
-byte-deterministic.
+byte-deterministic. The event and first-frame encoders format their frames
+directly, yet give the same bytes as compact ``json.dumps(...,
+ensure_ascii=False)`` of the same body (an oracle test checks this): strings
+go through ``json.encoder.encode_basestring``, the routine ``json.dumps``
+itself uses, and the constructors admit only plain ints (no bools), for
+which ``%d`` and ``json.dumps`` agree. Decoding costs time linear in the
+bytes fed, however they are chunked: ``SseDecoder`` resumes its boundary
+search where the last feed stopped and trims its buffer once per feed.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ import base64
 import binascii
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 
 from .maskcodec import CompressedMask, MaskCodecError
 
@@ -26,6 +34,10 @@ DONE_BODY = b"[DONE]"
 
 # a decoder buffer larger than this without a frame boundary is garbage
 _MAX_BUFFER = 1 << 20
+
+_FIRST_FRAME = FRAME_PREFIX + b'{"first_token":%b,"mask_b64":"%b","L":%d}' + FRAME_SUFFIX
+_EVENT_FRAME = FRAME_PREFIX + b'{"i":%d,"token":%b}' + FRAME_SUFFIX
+_DONE_FRAME = FRAME_PREFIX + DONE_BODY + FRAME_SUFFIX
 
 
 class ProtocolError(Exception):
@@ -63,8 +75,8 @@ class FirstTokenFrame:
     max_tokens: int
 
     def __post_init__(self) -> None:
-        if self.max_tokens < 0:
-            raise ValueError("max_tokens must be >= 0 (0 = until EOT)")
+        if type(self.max_tokens) is not int or self.max_tokens < 0:
+            raise ValueError("max_tokens must be an int >= 0 (0 = until EOT)")
 
 
 @dataclass(frozen=True)
@@ -75,8 +87,8 @@ class StreamEvent:
     token: str
 
     def __post_init__(self) -> None:
-        if self.index < 1:
-            raise ValueError("stream event indices start at 1")
+        if type(self.index) is not int or self.index < 1:
+            raise ValueError("stream event indices are ints starting at 1")
 
 
 class DoneMarker:
@@ -94,10 +106,6 @@ class DoneMarker:
 
 
 DONE = DoneMarker()
-
-
-def _frame(body: bytes) -> bytes:
-    return FRAME_PREFIX + body + FRAME_SUFFIX
 
 
 def _json_body(obj: dict) -> bytes:
@@ -134,16 +142,17 @@ def decode_request(data: bytes) -> AssistRequest:
 
 
 def encode_first_frame(frame: FirstTokenFrame) -> bytes:
-    mask_b64 = base64.b64encode(frame.mask.payload).decode("ascii")
-    return _frame(_json_body({"first_token": frame.token, "mask_b64": mask_b64, "L": frame.max_tokens}))
+    # base64 text needs no JSON escaping
+    token = encode_basestring(frame.token).encode("utf-8")
+    return _FIRST_FRAME % (token, base64.b64encode(frame.mask.payload), frame.max_tokens)
 
 
 def encode_stream_event(event: StreamEvent) -> bytes:
-    return _frame(_json_body({"i": event.index, "token": event.token}))
+    return _EVENT_FRAME % (event.index, encode_basestring(event.token).encode("utf-8"))
 
 
 def encode_done() -> bytes:
-    return _frame(DONE_BODY)
+    return _DONE_FRAME
 
 
 def _parse_json(data: bytes) -> dict:
@@ -175,14 +184,14 @@ def _parse_first_json(obj: dict) -> FirstTokenFrame:
     if not isinstance(mask_b64, str):
         raise ProtocolError("field 'mask_b64' missing or not a string")
     budget = obj.get("L")
-    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
+    if type(budget) is not int or budget < 0:
         raise ProtocolError("field 'L' missing or not a nonnegative integer")
     return FirstTokenFrame(token=token, mask=_decode_mask_b64(mask_b64), max_tokens=budget)
 
 
 def _parse_event_json(obj: dict) -> StreamEvent:
     index = obj.get("i")
-    if isinstance(index, bool) or not isinstance(index, int) or index < 1:
+    if type(index) is not int or index < 1:
         raise ProtocolError("field 'i' missing or not a positive integer")
     token = obj.get("token")
     if not isinstance(token, str):
@@ -196,36 +205,49 @@ class SseDecoder:
     ``feed`` returns the items completed so far. A malformed frame raises
     ProtocolError after the frame has been consumed, so feeding can simply
     continue; items parsed before the error are delivered by the next call.
+    The boundary search resumes where the last feed stopped and the buffer
+    is trimmed once per feed, so decoding costs time linear in the bytes fed.
     """
 
     def __init__(self) -> None:
-        self._buf = b""
+        self._buf = bytearray()
+        self._scanned = 0  # leading bytes of _buf known to hold no frame boundary
         self._pending: list[FirstTokenFrame | StreamEvent | DoneMarker] = []
 
     def feed(self, data: bytes) -> list[FirstTokenFrame | StreamEvent | DoneMarker]:
-        self._buf += data
+        buf = self._buf
+        buf += data
         items, self._pending = self._pending, []
-        while True:
-            idx = self._buf.find(FRAME_SUFFIX)
-            if idx < 0:
-                if len(self._buf) > _MAX_BUFFER:
-                    self._buf = b""
-                    self._pending = items
-                    raise ProtocolError("unbounded garbage without a frame boundary")
-                return items
-            chunk, self._buf = self._buf[: idx + len(FRAME_SUFFIX)], self._buf[idx + len(FRAME_SUFFIX) :]
+        start = 0  # first byte of the next unconsumed frame
+        idx = buf.find(FRAME_SUFFIX, self._scanned)
+        while idx >= 0:
+            frame_start, start = start, idx + len(FRAME_SUFFIX)
             try:
-                items.append(self._parse_frame(chunk))
+                items.append(self._parse_frame(buf, frame_start, idx))
             except ProtocolError:
+                self._consume(start, scanned=0)
                 self._pending = items
                 raise
+            idx = buf.find(FRAME_SUFFIX, start)
+        if len(buf) - start > _MAX_BUFFER:
+            self._consume(len(buf), scanned=0)
+            self._pending = items
+            raise ProtocolError("unbounded garbage without a frame boundary")
+        # a boundary may straddle the next feed, so its first byte is searched again
+        self._consume(start, scanned=max(len(buf) - start - len(FRAME_SUFFIX) + 1, 0))
+        return items
+
+    def _consume(self, end: int, *, scanned: int) -> None:
+        """Drop ``_buf[:end]``; the first ``scanned`` bytes left hold no boundary."""
+        del self._buf[:end]
+        self._scanned = scanned
 
     @staticmethod
-    def _parse_frame(chunk: bytes) -> FirstTokenFrame | StreamEvent | DoneMarker:
-        """Parse one frame; ``chunk`` ends at its blank-line terminator."""
-        if not chunk.startswith(FRAME_PREFIX):
+    def _parse_frame(buf: bytearray, start: int, end: int) -> FirstTokenFrame | StreamEvent | DoneMarker:
+        """Parse the frame in ``buf[start:end]``, which stops just before its blank-line terminator."""
+        if not buf.startswith(FRAME_PREFIX, start, end):
             raise ProtocolError("frame must start with 'data: '")
-        body = chunk[len(FRAME_PREFIX) : -len(FRAME_SUFFIX)]
+        body = buf[start + len(FRAME_PREFIX) : end]
         if body == DONE_BODY:
             return DONE
         obj = _parse_json(body)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import base64
+import json
 import math
 import random
 from pathlib import Path
@@ -111,6 +113,22 @@ def synthetic_prompt(rng: random.Random, n_sentences: int, prefix_tokens: int = 
         words = rng.randint(*sentence_len)
         sentences.append(" ".join(f"c{s}x{w}" for w in range(words)) + ".")
     return TokenizedPrompt.from_text(prefix, " ".join(sentences), suffix)
+
+
+# --- reference frame encoders: compact json.dumps, the bytes the direct formatting must match ---
+
+
+def _reference_frame(body: dict) -> bytes:
+    return b"data: " + json.dumps(body, separators=(",", ":"), ensure_ascii=False).encode("utf-8") + b"\n\n"
+
+
+def reference_encode_stream_event(event: StreamEvent) -> bytes:
+    return _reference_frame({"i": event.index, "token": event.token})
+
+
+def reference_encode_first_frame(frame: FirstTokenFrame) -> bytes:
+    mask_b64 = base64.b64encode(frame.mask.payload).decode("ascii")
+    return _reference_frame({"first_token": frame.token, "mask_b64": mask_b64, "L": frame.max_tokens})
 
 
 # --- reference refiner: the loop forms the vectorised refiner must match -------

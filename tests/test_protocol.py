@@ -1,8 +1,12 @@
 import random
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from helpers import reference_encode_first_frame, reference_encode_stream_event
 from pdsim import protocol
 from pdsim.maskcodec import MaskCodecError, pack
 from pdsim.protocol import (
@@ -48,6 +52,69 @@ class TestGoldenFrames:
 
     def test_done_bytes(self):
         assert encode_done() == (GOLDEN / "done_marker.bin").read_bytes() == b"data: [DONE]\n\n"
+
+
+# quotes, backslashes, control characters, line separators and a non-BMP character
+_HARD_TOKEN = '"\\\x00\x1f\x7f\u2028\u00e9\U0001f600'
+
+
+class TestReferenceEncoders:
+    """Direct frame formatting gives the bytes of compact ``json.dumps``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 2**63), st.text())
+    @example(2**63, _HARD_TOKEN)
+    def test_stream_event_matches_json_dumps(self, index, token):
+        event = StreamEvent(index=index, token=token)
+        data = encode_stream_event(event)
+        assert data == reference_encode_stream_event(event)
+        assert SseDecoder().feed(data) == [event]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(), st.lists(st.integers(0, 1), max_size=200), st.integers(0, 2**63))
+    @example(_HARD_TOKEN, [1, 0, 1], 2**63)
+    def test_first_frame_matches_json_dumps(self, token, bits, budget):
+        frame = FirstTokenFrame(token=token, mask=pack(SelectionMask(bits)), max_tokens=budget)
+        data = encode_first_frame(frame)
+        assert data == reference_encode_first_frame(frame)
+        assert SseDecoder().feed(data) == [frame]
+
+    @pytest.mark.parametrize("token", ["\ud800", "a\udfffb", "\U0001f600\ud83d"])
+    def test_lone_surrogate_raises_like_json_dumps(self, token):
+        cases = [
+            (encode_stream_event, reference_encode_stream_event, StreamEvent(index=1, token=token)),
+            (
+                encode_first_frame,
+                reference_encode_first_frame,
+                FirstTokenFrame(token=token, mask=pack(SelectionMask([1])), max_tokens=2),
+            ),
+        ]
+        for encode, reference, item in cases:
+            with pytest.raises(UnicodeEncodeError) as ours:
+                encode(item)
+            with pytest.raises(UnicodeEncodeError) as theirs:
+                reference(item)
+            for exc in (ours.value, theirs.value):
+                assert (exc.encoding, exc.reason) == ("utf-8", "surrogates not allowed")
+            assert ours.value.object[ours.value.start : ours.value.end] == theirs.value.object[
+                theirs.value.start : theirs.value.end
+            ]
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: StreamEvent(index=True, token="x"),
+            lambda: StreamEvent(index=2.0, token="x"),
+            lambda: FirstTokenFrame(token="x", mask=pack(SelectionMask([1])), max_tokens=True),
+            lambda: FirstTokenFrame(token="x", mask=pack(SelectionMask([1])), max_tokens=False),
+            lambda: FirstTokenFrame(token="x", mask=pack(SelectionMask([1])), max_tokens=3.0),
+        ],
+        ids=["index-true", "index-float", "budget-true", "budget-false", "budget-float"],
+    )
+    def test_non_int_counts_are_rejected_at_construction(self, build):
+        # the decoder rejects "i":true and "L":true, so no frame that builds may encode to them
+        with pytest.raises(ValueError):
+            build()
 
 
 class TestFirstFrameCodec:
@@ -201,5 +268,53 @@ class TestSseDecoder:
         assert items[0] == frame and items[-1] is DONE
         assert len(calls) == len(items) - 1  # one per first frame or event; [DONE] is not JSON
 
+    def test_bytes_after_a_bad_frame_mid_buffer_still_decode(self):
+        before = [StreamEvent(index=1, token="a"), StreamEvent(index=2, token="b")]
+        after = [StreamEvent(index=3, token="c"), StreamEvent(index=4, token="d")]
+        tail = encode_stream_event(StreamEvent(index=5, token="e"))
+        data = b"".join(map(encode_stream_event, before)) + b"data: {bad}\n\n" + b"".join(map(encode_stream_event, after))
+        decoder = SseDecoder()
+        with pytest.raises(ProtocolError, match="JSON"):
+            decoder.feed(data + tail[:-1])  # the last frame's boundary straddles the next feed
+        assert decoder.feed(b"") == before + after
+        assert decoder.feed(tail[-1:]) == [StreamEvent(index=5, token="e")]
+
     def test_done_singleton(self):
         assert DoneMarker() is DONE
+
+
+def _best_of_3(fn) -> float:
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def _feed_in_chunks(data: bytes, size: int) -> list:
+    decoder = SseDecoder()
+    items = []
+    for pos in range(0, len(data), size):
+        items.extend(decoder.feed(data[pos : pos + size]))
+    return items
+
+
+class TestLinearDecoding:
+    """Decoding costs time linear in the bytes fed, however they are chunked."""
+
+    def test_four_times_larger_frame_in_small_chunks_takes_under_eight_times_longer(self):
+        small = encode_stream_event(StreamEvent(index=1, token="x" * (128 << 10)))
+        large = encode_stream_event(StreamEvent(index=1, token="x" * (512 << 10)))
+        assert len(_feed_in_chunks(large, 64)) == 1
+        small_s = _best_of_3(lambda: _feed_in_chunks(small, 64))
+        large_s = _best_of_3(lambda: _feed_in_chunks(large, 64))
+        assert large_s < 8 * small_s
+
+    def test_one_feed_of_many_events_costs_what_chunked_feeds_cost(self):
+        events = [StreamEvent(index=i, token=f"token{i}_" + "y" * 300) for i in range(1, 4001)]
+        data = b"".join(map(encode_stream_event, events))
+        assert SseDecoder().feed(data) == events
+        whole_s = _best_of_3(lambda: SseDecoder().feed(data))
+        chunked_s = _best_of_3(lambda: _feed_in_chunks(data, 1460))
+        assert whole_s < 2 * chunked_s
