@@ -1,17 +1,39 @@
 """Device-side session: request, first-token response, then two parallel branches.
 
 Branch 2 displays the cloud-assisted tokens at the smoothed pace computed
-once at first-frame arrival (stream events that arrive early are buffered;
-a late token pauses the display rather than extrapolating). Branch 1 runs
-the postponed prefill over the refined prompt and then decodes at device
-speed, with the token corrector comparing against received cloud tokens.
-Both branches are callbacks on one deterministic event loop; the only state
-they share is the arrival buffer.
+once at first-frame arrival; branch 1 runs the postponed prefill over the
+refined prompt and then decodes at device speed, with the token corrector
+comparing against the cloud tokens received so far. A session is a pure
+function of its timed stream, computed as three timelines:
 
-Once the display has passed the cloud window, caught up with decoding and
-nothing else is pending, every later step is fixed: no stream item can
-arrive and no correction applies. The decode callback then finishes the
-device tail in one pass instead of one loop event per token.
+- Cloud shows. The frame shows position 1 at its arrival F; position p is
+  shown at ``w_p = max(F + (p - 1)·pace, a_p, w_{p-1})``, with ``a_p`` its
+  arrival: an early stream item waits for its slot, a late one pauses the
+  display. Shows cover the window, positions up to ``min(L, cloud_last)``
+  (every received position when L = 0), and stop at the cloud EOT, which
+  ends the session. Under DEVICE_DISPLAY a show displays the device's own
+  token instead when decode p ran first and differs.
+- Decodes. The prefill completes at ``F + recover + prefill``; decode k runs
+  at ``t_k``, one ``tpot_device`` after decode k - 1 (after the prefill for
+  k = 2). Under CLOUD_WINS, position k takes the cloud token when that token
+  arrived at or before ``t_k`` and k is within L (any position when L = 0).
+  Decoding stops at the effective EOT, or at a cloud-EOT show that runs first.
+- Device display. Once the window is shown in full, position q is shown at
+  ``max(t_q, begin)`` with its own token, up to the device EOT. ``begin``
+  is the last window show, or ``max(last show, DONE)`` when the stream is
+  shorter than L or L = 0, since then only DONE says no more tokens come.
+
+Tie rule. Two outputs depend on the order of a decode and a show that fall
+on the same instant: a DEVICE_DISPLAY substitution at show p, and whether a
+decode at the instant of the cloud-EOT show still runs. Events at one
+instant run in the order they were scheduled. The frame, the arrivals and
+DONE come before anything scheduled; the frame schedules the prefill before
+show 2, so the prefill runs before every show. Decode k is scheduled at
+``t_{k-1}`` (decode 2 at the prefill). Show p is scheduled at
+``max(a_p, w_{p-1})``: by show p - 1 (the frame for p = 2) when
+``a_p <= w_{p-1}``, otherwise by its arrival. When a decode's and a show's
+scheduling instants are equal, their schedulers are compared by the same
+rule, one step back.
 """
 
 from __future__ import annotations
@@ -23,7 +45,6 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from .cloudsim import EOT_TOKEN, TokenSource
-from .eventloop import EventLoop
 from .maskcodec import unpack
 from .protocol import AssistRequest, DoneMarker, FirstTokenFrame, ProtocolError, StreamEvent
 from .refiner import TokenizedPrompt
@@ -88,293 +109,6 @@ class DeviceTrace:
     refined_tokens: int
 
 
-class _Session:
-    """One device session wired onto an event loop; see run_session.
-
-    The mask is checked against the request's shared tokenization, and only
-    the prompt length and the refined length are kept from it.
-    """
-
-    def __init__(
-        self,
-        req: AssistRequest,
-        prompt: TokenizedPrompt,
-        frame: FirstTokenFrame,
-        timed_stream: list[tuple[float, StreamEvent | DoneMarker]],
-        model: TimingModel,
-        source: TokenSource,
-        policy: CorrectionPolicy,
-        start_ms: float,
-        frame_time_ms: float,
-    ) -> None:
-        self.request_id = req.request_id
-        self.model = model
-        self.source = source
-        self.policy = policy
-        self.start = start_ms
-        self.frame_time = frame_time_ms
-        self.frame = frame
-        self.budget = frame.max_tokens  # 0 = until EOT
-
-        self.prompt_tokens = prompt.total_tokens
-        mask = unpack(frame.mask)
-        if len(mask) != prompt.total_tokens:
-            raise ProtocolError(
-                f"mask carries {len(mask)} bits for a {prompt.total_tokens}-token prompt"
-            )
-        self.refined_tokens = mask.popcount()
-        self.prefill_est = prefill_device(model, self.refined_tokens)
-
-        self.user_ttft = frame_time_ms - start_ms
-        if self.budget >= 2:
-            self.tpot_smooth: float | None = smoothed_tpot(
-                model, self.prefill_est, self.user_ttft, self.budget
-            )
-            self.schedule: DisplaySchedule | None = DisplaySchedule(
-                start_ms=frame_time_ms, count=self.budget - 1, tpot_smooth_ms=self.tpot_smooth
-            )
-        else:
-            self.tpot_smooth = None
-            self.schedule = None
-
-        self.events = sorted(
-            ((t, item) for t, item in timed_stream if isinstance(item, StreamEvent)),
-            key=lambda pair: pair[0],
-        )
-        self.done_time = max(
-            (t for t, item in timed_stream if isinstance(item, DoneMarker)), default=None
-        )
-
-        # arrival buffer shared by the two branches
-        self.cloud: dict[int, str] = {1: frame.token}
-        self.arrivals: dict[int, float] = {1: frame_time_ms}
-        self.cloud_done = False
-        self.cloud_last = 1 + len(self.events)
-
-        self.device_tokens: dict[int, str] = {}
-        self.decode_time: dict[int, float] = {}
-        self.displays: list[tuple[float, int, str]] = []
-        self.corrections = 0
-        self.pos_next = 1
-        self.display_pending = False
-        self.finished = False
-        self.cloud_eot = False
-        self.device_eot_position: int | None = None
-        self.ttft_device: float | None = None
-
-        self.loop = EventLoop(start_ms=min(start_ms, frame_time_ms))
-
-    # --- wiring -----------------------------------------------------------
-
-    def run(self) -> DeviceTrace:
-        self._check_conformance()
-        self.loop.schedule_at(self.frame_time, self._on_frame)
-        for when, event in self.events:
-            self.loop.schedule_at(when, lambda e=event: self._on_arrival(e))
-        if self.done_time is not None:
-            self.loop.schedule_at(self.done_time, self._on_done)
-        self.loop.run()
-        return self._trace()
-
-    def _check_conformance(self) -> None:
-        if self.done_time is None:
-            short = self.budget >= 2 and len(self.events) < self.budget - 1
-            if short or self.budget == 0:
-                last = self.events[-1][0] if self.events else self.frame_time
-                wait = 5 * (self.tpot_smooth or self.model.tpot_device)
-                raise StallError(
-                    f"stream ended after {len(self.events)} events without [DONE]; "
-                    f"display branch gave up at {last + wait:.1f} ms"
-                )
-
-    # --- branch 2: display -------------------------------------------------
-
-    def _on_frame(self) -> None:
-        if self.frame.token == EOT_TOKEN:
-            self.cloud_eot = True
-            self._finish()
-            return
-        self.displays.append((self.loop.now, 1, self.frame.token))
-        self.pos_next = 2
-        self._start_decode_branch()
-        self._advance_display()
-
-    def _in_cloud_window(self, position: int) -> bool:
-        if self.budget == 0:
-            return not self.cloud_done or position <= self.cloud_last
-        return position <= self.budget
-
-    def _advance_display(self) -> None:
-        if self.finished or self.display_pending:
-            return
-        p = self.pos_next
-        if self._in_cloud_window(p):
-            if p in self.cloud:
-                due = self.frame_time + (p - 1) * (self.tpot_smooth or 0.0)
-                when = max(due, self.arrivals[p], self.loop.now)
-                if self.displays:
-                    when = max(when, self.displays[-1][0])
-                self.display_pending = True
-                self.loop.schedule_at(when, lambda pos=p: self._show_cloud(pos))
-            elif self.cloud_done and p > self.cloud_last:
-                self._advance_device_display(self.loop.now)
-            # else: the arrival callback resumes the chain
-        else:
-            self._advance_device_display(self.loop.now)
-
-    def _show_cloud(self, position: int) -> None:
-        self.display_pending = False
-        if self.finished:
-            return
-        token = self.cloud[position]
-        if token == EOT_TOKEN:
-            self.cloud_eot = True
-            self._finish()
-            return
-        shown = token
-        if self.policy is CorrectionPolicy.DEVICE_DISPLAY:
-            own = self.device_tokens.get(position)
-            ready = self.decode_time.get(position, math.inf) <= self.loop.now
-            if own is not None and ready and own != token and own != EOT_TOKEN:
-                shown = own  # no retroactive edits: only this position changes
-                self.corrections += 1
-        self.displays.append((self.loop.now, position, shown))
-        self.pos_next = position + 1
-        self._advance_display()
-
-    def _past_cloud_window(self, position: int) -> bool:
-        return not self._in_cloud_window(position) or (self.cloud_done and position > self.cloud_last)
-
-    def _advance_device_display(self, now: float) -> None:
-        while True:
-            p = self.pos_next
-            token = self.device_tokens.get(p)
-            if token is None:
-                return  # decode callback resumes the chain
-            if token == EOT_TOKEN:
-                self._finish()
-                return
-            when = max(now, self.displays[-1][0] if self.displays else now)
-            self.displays.append((when, p, token))
-            self.pos_next = p + 1
-
-    def _on_arrival(self, event: StreamEvent) -> None:
-        position = event.index + 1
-        self.cloud[position] = event.token
-        self.arrivals[position] = self.loop.now
-        if not self.finished:
-            self._advance_display()
-
-    def _on_done(self) -> None:
-        self.cloud_done = True
-        if not self.finished:
-            self._advance_display()
-
-    # --- branch 1: prefill + decode with correction -------------------------
-
-    def _start_decode_branch(self) -> None:
-        recover = self.model.decompress_cost(self.prompt_tokens)
-        self.loop.schedule_at(self.frame_time + recover + self.prefill_est, self._on_prefill_done)
-
-    def _on_prefill_done(self) -> None:
-        self.ttft_device = self.loop.now - self.start
-        if self.finished:
-            return
-        self.loop.schedule_after(self.model.tpot_device, lambda: self._on_decode(2))
-
-    def _decode(self, position: int, now: float) -> str:
-        if position <= self.source.total_tokens:
-            raw = self.source.token_at(position)
-        else:
-            raw = EOT_TOKEN  # own stream exhausted past a corrected EOT
-        self.device_tokens[position] = raw
-        self.decode_time[position] = now
-        return raw
-
-    def _on_decode(self, position: int) -> None:
-        if self.finished:
-            return
-        raw = self._decode(position, self.loop.now)
-        effective = raw
-        cloud_token = self.cloud.get(position)
-        in_scope = cloud_token is not None and (self.budget == 0 or position <= self.budget)
-        if in_scope and raw != cloud_token and self.policy is CorrectionPolicy.CLOUD_WINS:
-            self.corrections += 1
-            effective = cloud_token
-        if not self.display_pending:
-            self._advance_display()
-        if effective == EOT_TOKEN:
-            self.device_eot_position = position
-            self._advance_display()
-            return
-        if len(self.loop) == 0 and self.pos_next == position + 1 and self._past_cloud_window(position + 1):
-            self._decode_tail(position + 1)
-        else:
-            self.loop.schedule_after(self.model.tpot_device, lambda: self._on_decode(position + 1))
-
-    def _decode_tail(self, position: int) -> None:
-        """Decode and display from ``position`` to the device EOT in one pass.
-
-        Called with the loop empty and the display caught up past the cloud
-        window, so nothing can interleave: each step is one ``tpot_device``
-        after the previous one, summed as ``schedule_after`` would, and shown
-        by the usual device display rule. Every position here is out of the
-        corrector's scope, so no correction can happen.
-        """
-        now = self.loop.now
-        while True:
-            now += self.model.tpot_device
-            raw = self._decode(position, now)
-            self._advance_device_display(now)
-            if raw == EOT_TOKEN:
-                self.device_eot_position = position
-                return
-            position += 1
-
-    def _finish(self) -> None:
-        self.finished = True
-
-    # --- assembly -----------------------------------------------------------
-
-    def _trace(self) -> DeviceTrace:
-        window_end = self.cloud_last if self.budget == 0 else min(self.budget, self.cloud_last)
-        window_times = [t for t, p, _ in self.displays if p <= window_end]
-        gaps = [b - a for a, b in zip(window_times, window_times[1:])]
-        device_times = [t for t, p, _ in self.displays if p > window_end]
-        handover = device_times[0] - window_times[-1] if device_times and window_times else None
-
-        common = 0
-        for position in range(1, min(self.cloud_last, self.source.total_tokens) + 1):
-            if position not in self.cloud or self.cloud[position] != self.source.token_at(position):
-                break
-            common += 1
-
-        stream_complete = self.events[-1][0] if self.events else self.frame_time
-        if self.ttft_device is None:
-            # session ended before prefill completed (e.g. instant cloud EOT)
-            recover = self.model.decompress_cost(self.prompt_tokens)
-            self.ttft_device = self.user_ttft + recover + self.prefill_est
-        return DeviceTrace(
-            request_id=self.request_id,
-            user_ttft_ms=self.user_ttft,
-            ttft_device_ms=self.ttft_device,
-            tpot_smooth_ms=self.tpot_smooth,
-            schedule=self.schedule,
-            displays=tuple(self.displays),
-            output_tokens=tuple(token for _, _, token in self.displays),
-            corrections=self.corrections,
-            common_prefix_len=common,
-            max_smoothed_gap_ms=max(gaps) if gaps else None,
-            handover_gap_ms=handover,
-            cloud_tokens_received=self.cloud_last,
-            cloud_eot=self.cloud_eot,
-            device_eot_position=self.device_eot_position,
-            decode_caught_up_ms=self.decode_time.get(self.cloud_last),
-            stream_complete_ms=stream_complete,
-            refined_tokens=self.refined_tokens,
-        )
-
-
 def run_session(
     req: AssistRequest,
     prompt: TokenizedPrompt,
@@ -395,15 +129,138 @@ def run_session(
     cloud simulator. Raises ProtocolError on a mask/prompt mismatch and
     StallError when the stream is short without the DONE marker.
     """
-    session = _Session(
-        req=req,
-        prompt=prompt,
-        frame=frame,
-        timed_stream=list(stream),
-        model=model,
-        source=device_source,
-        policy=policy,
-        start_ms=start_ms,
-        frame_time_ms=frame_time_ms,
+    budget = frame.max_tokens  # 0 = until EOT
+    # checked before inflating, so a declared length never costs memory
+    if frame.mask.bit_length != prompt.total_tokens:
+        raise ProtocolError(
+            f"mask carries {frame.mask.bit_length} bits for a {prompt.total_tokens}-token prompt"
+        )
+    refined_tokens = unpack(frame.mask).popcount()
+    prefill = prefill_device(model, refined_tokens)
+    recover = model.decompress_cost(prompt.total_tokens)
+    user_ttft = frame_time_ms - start_ms
+    tpot_smooth = smoothed_tpot(model, prefill, user_ttft, budget) if budget >= 2 else None
+
+    timed = list(stream)
+    events = sorted(
+        ((t, item) for t, item in timed if isinstance(item, StreamEvent)), key=lambda pair: pair[0]
     )
-    return session.run()
+    done = max((t for t, item in timed if isinstance(item, DoneMarker)), default=None)
+    if done is None and (budget == 0 or budget >= 2 and len(events) < budget - 1):
+        last = events[-1][0] if events else frame_time_ms
+        wait = 5 * (tpot_smooth or model.tpot_device)
+        raise StallError(
+            f"stream ended after {len(events)} events without [DONE]; "
+            f"display branch gave up at {last + wait:.1f} ms"
+        )
+    cloud = {1: frame.token}
+    arrival = {1: frame_time_ms}
+    for when, event in events:
+        cloud[event.index + 1] = event.token
+        arrival[event.index + 1] = when
+    cloud_last = 1 + len(events)
+    window_end = cloud_last if budget == 0 else min(budget, cloud_last)
+
+    # cloud shows: shows[p - 1] is position p; a missing position stalls them
+    pace = tpot_smooth or 0.0
+    shows: list[tuple[float, int, str]] = []
+    eot_at: float | None = None  # instant of the show that met the cloud EOT
+    shown = frame_time_ms
+    for p in range(1, window_end + 1):
+        if p not in cloud:
+            break
+        shown = max(frame_time_ms + (p - 1) * pace, arrival[p], shown)
+        if cloud[p] == EOT_TOKEN:
+            eot_at = shown
+            break
+        shows.append((shown, p, cloud[p]))
+
+    prefill_done = frame_time_ms + recover + prefill
+    decode_at: dict[int, float] = {}
+    own: dict[int, str] = {}
+
+    def decode_first(k: int, p: int) -> bool:
+        """Whether decode k runs before show p on their common instant (the tie rule)."""
+        while True:
+            decode_by = prefill_done if k == 2 else decode_at[k - 1]
+            previous = shows[p - 2][0]
+            show_by = max(arrival[p], previous)
+            if decode_by != show_by:
+                return decode_by < show_by
+            if arrival[p] > previous or p == 2:
+                return False  # scheduled by its arrival or by the frame
+            if k == 2:
+                return True  # the prefill runs before every show
+            k, p = k - 1, p - 1
+
+    # decodes; a cloud EOT in the frame ends the session before the prefill starts
+    corrections = 0
+    device_eot_position = None
+    t = prefill_done
+    k = 2
+    while frame.token != EOT_TOKEN:
+        t += model.tpot_device
+        if eot_at is not None and (t > eot_at or t == eot_at and not decode_first(k, len(shows) + 1)):
+            break
+        raw = device_source.token_at(k) if k <= device_source.total_tokens else EOT_TOKEN
+        decode_at[k] = t
+        own[k] = raw
+        effective = raw
+        in_scope = arrival.get(k, math.inf) <= t and (budget == 0 or k <= budget)
+        if in_scope and raw != cloud[k] and policy is CorrectionPolicy.CLOUD_WINS:
+            corrections += 1
+            effective = cloud[k]
+        if effective == EOT_TOKEN:
+            device_eot_position = k
+            break
+        k += 1
+
+    if policy is CorrectionPolicy.DEVICE_DISPLAY:
+        for i, (when, p, token) in enumerate(shows):
+            mine = own.get(p)
+            if mine is None or mine == token or mine == EOT_TOKEN:
+                continue
+            if decode_at[p] < when or decode_at[p] == when and decode_first(p, p):
+                shows[i] = (when, p, mine)  # no retroactive edits: only this position changes
+                corrections += 1
+
+    device: list[tuple[float, int, str]] = []
+    if len(shows) == window_end:  # the window was shown in full
+        begin = shows[-1][0]
+        if budget == 0 or cloud_last < budget:
+            begin = max(begin, done)
+        q = window_end + 1
+        while own.get(q, EOT_TOKEN) != EOT_TOKEN:
+            device.append((max(decode_at[q], begin), q, own[q]))
+            q += 1
+
+    common = 0
+    for position in range(1, min(cloud_last, device_source.total_tokens) + 1):
+        if cloud.get(position) != device_source.token_at(position):
+            break
+        common += 1
+
+    displays = tuple(shows + device)
+    gaps = [b[0] - a[0] for a, b in zip(shows, shows[1:])]
+    return DeviceTrace(
+        request_id=req.request_id,
+        user_ttft_ms=user_ttft,
+        # with a cloud EOT in the frame the prefill never ran; report its estimate
+        ttft_device_ms=user_ttft + recover + prefill if frame.token == EOT_TOKEN else prefill_done - start_ms,
+        tpot_smooth_ms=tpot_smooth,
+        schedule=None if tpot_smooth is None else DisplaySchedule(
+            start_ms=frame_time_ms, count=budget - 1, tpot_smooth_ms=tpot_smooth
+        ),
+        displays=displays,
+        output_tokens=tuple(token for _, _, token in displays),
+        corrections=corrections,
+        common_prefix_len=common,
+        max_smoothed_gap_ms=max(gaps) if gaps else None,
+        handover_gap_ms=device[0][0] - shows[-1][0] if device else None,
+        cloud_tokens_received=cloud_last,
+        cloud_eot=eot_at is not None,
+        device_eot_position=device_eot_position,
+        decode_caught_up_ms=decode_at.get(cloud_last),
+        stream_complete_ms=events[-1][0] if events else frame_time_ms,
+        refined_tokens=refined_tokens,
+    )

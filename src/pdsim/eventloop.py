@@ -33,6 +33,3 @@ class EventLoop:
             self.now = when
             fn()
         return self.now
-
-    def __len__(self) -> int:
-        return len(self._heap)

@@ -1,4 +1,7 @@
 import dataclasses
+import struct
+import tracemalloc
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -16,9 +19,11 @@ from pdsim.devicesim import (
     scrub,
 )
 from pdsim.eventloop import EventLoop
+from pdsim.maskcodec import CompressedMask, pack
 from pdsim.planner import PlanConstraints, build_plan_table
-from pdsim.protocol import DONE, AssistRequest, ProtocolError
-from pdsim.timing import RttClass, build_model
+from pdsim.protocol import DONE, AssistRequest, FirstTokenFrame, ProtocolError, StreamEvent
+from pdsim.refiner import SelectionMask
+from pdsim.timing import RttClass, affine_cost, build_model
 
 
 def content_prompt_request(sentences: int = 800, words: int = 10, request_id: str = "req-1") -> AssistRequest:
@@ -106,6 +111,19 @@ class TestHappyPath:
             if position > 1:
                 assert when >= arrivals[position]
 
+    def test_item_timed_before_the_frame_waits_for_it(self, calibrated_model, plan_table):
+        req = content_prompt_request()
+        source = TokenSource(seed=77, total_tokens=12)
+        prompt = tokenized(req)
+        trace_c = serve_request(req, prompt, plan_table, calibrated_model, source)
+        stream = trace_c.delivery()
+        stream[0] = (trace_c.frame_time_ms - 10.0, stream[0][1])
+        trace_d = run_session(req, prompt, trace_c.frame, stream, calibrated_model, source,
+                              start_ms=0.0, frame_time_ms=trace_c.frame_time_ms)
+        positions = [position for _, position, _ in trace_d.displays]
+        assert positions == list(range(1, 12))
+        assert trace_d.displays[1][0] > trace_d.displays[0][0] == trace_c.frame_time_ms
+
 
 class TestSingleAssistedToken:
     def test_no_display_branch(self, calibrated_model, plan_table):
@@ -191,10 +209,14 @@ class TestMatchesEventReference:
         n=st.integers(1, 160),
         divergence=st.frozensets(st.integers(1, 170), max_size=10),
         delays=st.lists(st.integers(0, 400), max_size=30),
+        cut=st.none() | st.integers(0, 160),
+        done_after=st.none() | st.integers(0, 3000),
+        device_extra=st.integers(-20, 20),
         policy=st.sampled_from(list(CorrectionPolicy)),
     )
     def test_every_field_equals_the_event_by_event_session(
-        self, tpots, k, rtt, start, sentences, ratio, budget, n, divergence, delays, policy
+        self, tpots, k, rtt, start, sentences, ratio, budget, n, divergence, delays, cut, done_after,
+        device_extra, policy
     ):
         model = build_model(
             k_cloud=k[0], k_device=k[1], tpot_cloud=float(tpots[0]), tpot_device=float(tpots[1]),
@@ -208,30 +230,83 @@ class TestMatchesEventReference:
             req, prompt, None, model, TokenSource(seed=5, total_tokens=n),
             start_ms=float(start), ratio_override=ratio, max_tokens_override=budget,
         )
-        # late arrivals interleave the stream with the device's own decoding
-        stream = [(t + (delays[i] if i < len(delays) else 0), e) for i, (t, e) in enumerate(trace_c.events)]
-        stream.append((max([trace_c.done_time_ms] + [t for t, _ in stream]), DONE))
+        # late arrivals interleave the stream with the device's own decoding; a
+        # stream cut short still ends in DONE, which may come at any time from
+        # the frame on
+        events = trace_c.events[:cut]
+        stream = [(t + (delays[i] if i < len(delays) else 0), e) for i, (t, e) in enumerate(events)]
+        if done_after is None:
+            stream.append((max([trace_c.done_time_ms] + [t for t, _ in stream]), DONE))
+        else:
+            stream.append((trace_c.frame_time_ms + done_after, DONE))
         args = (req, prompt, trace_c.frame, stream, model)
         kwargs = dict(start_ms=float(start), frame_time_ms=trace_c.frame_time_ms)
-        got = run_session(*args, TokenSource(seed=5, total_tokens=n, divergence=divergence), policy, **kwargs)
+        device_tokens = max(1, n + device_extra)
+        got = run_session(
+            *args, TokenSource(seed=5, total_tokens=device_tokens, divergence=divergence), policy, **kwargs
+        )
         want = reference_run_session(
-            *args, TokenSource(seed=5, total_tokens=n, divergence=divergence), policy, **kwargs
+            *args, TokenSource(seed=5, total_tokens=device_tokens, divergence=divergence), policy, **kwargs
         )
         for f in dataclasses.fields(DeviceTrace):
             assert getattr(got, f.name) == getattr(want, f.name), f.name
 
-    def test_device_tail_runs_outside_the_loop(self, calibrated_model, plan_table, monkeypatch):
-        scheduled = []
-        original = EventLoop.schedule_at
+    # the frame arrives at 0 ms; 0 refined tokens with no recovery cost put the
+    # prefill on the frame's instant
+    @pytest.mark.parametrize(
+        "tpot, recover, refined, budget, arrivals, eot, done, divergence, device_len, policy, corrections",
+        [
+            # decode 2 meets the cloud-EOT show 3 at 6 ms; both were scheduled at
+            # 3 ms, show 3 by show 2 and decode 2 by the prefill, which runs before
+            # every show, so decode 2 still runs (and is corrected)
+            pytest.param(3, 3, 0, 3, [0, 0], 3, 35, (), 1, CorrectionPolicy.CLOUD_WINS, 1, id="prefill-first"),
+            # decode 2 meets show 2 at 1 ms; the frame scheduled show 2 before the
+            # prefill, at the same 0 ms, scheduled decode 2
+            pytest.param(1, 0, 0, 2, [0], None, 0, {2}, 3, CorrectionPolicy.DEVICE_DISPLAY, 0, id="frame-first"),
+            # decode 3 meets show 3 at 2 ms; the schedulers tie at 1 ms and again,
+            # one step back, at 0 ms, where the frame runs first
+            pytest.param(1, 0, 0, 3, [0, 0], None, 12, {3}, 4, CorrectionPolicy.DEVICE_DISPLAY, 0,
+                         id="frame-first-two-back"),
+            # decode 4 meets show 4 at 9 ms; the schedulers tie at 6 ms, where
+            # decode 3 (scheduled at 3 ms) runs before show 3 (by its arrival at 6 ms)
+            pytest.param(3, 0, 0, 4, [0, 6, 3], None, 42, {4}, 5, CorrectionPolicy.DEVICE_DISPLAY, 1,
+                         id="decode-first-one-back"),
+            # decode 9 meets show 9 at 38 ms; both were scheduled at 35 ms, show 9
+            # by its arrival, which runs before any decode step
+            pytest.param(3, 0, 14, 9, [0] * 6 + [33.25, 35], None, 55.75, {9}, 10,
+                         CorrectionPolicy.DEVICE_DISPLAY, 0, id="arrival-first"),
+        ],
+    )
+    def test_ties_follow_the_scheduling_order(
+        self, tpot, recover, refined, budget, arrivals, eot, done, divergence, device_len, policy, corrections
+    ):
+        model = build_model(k_device=1.0, tpot_device=float(tpot), decompress=affine_cost(float(recover), 0.0))
+        req = content_prompt_request(sentences=3)
+        prompt = tokenized(req)
+        mask = pack(SelectionMask([1] * refined + [0] * (prompt.total_tokens - refined)))
+        stream = [
+            (float(t), StreamEvent(p - 1, EOT_TOKEN if p == eot else f"tok{p}"))
+            for p, t in enumerate(arrivals, start=2)
+        ]
+        stream.append((float(done), DONE))
+        args = (req, prompt, FirstTokenFrame("tok1", mask, budget), stream, model)
+        source = TokenSource(seed=5, total_tokens=device_len, divergence=frozenset(divergence))
+        got = run_session(*args, source, policy, frame_time_ms=0.0)
+        assert got == reference_run_session(*args, source, policy, frame_time_ms=0.0)
+        assert got.corrections == corrections
 
-        def counting(loop, when_ms, fn):
-            scheduled.append(when_ms)
-            original(loop, when_ms, fn)
+    def test_a_session_builds_no_event_loop(self, calibrated_model, plan_table, monkeypatch):
+        built = []
+        original = EventLoop.__init__
 
-        monkeypatch.setattr(EventLoop, "schedule_at", counting)
+        def counting(loop, *args, **kwargs):
+            built.append(loop)
+            original(loop, *args, **kwargs)
+
+        monkeypatch.setattr(EventLoop, "__init__", counting)
         _, trace_d = serve(calibrated_model, plan_table, n=1600, max_tokens_override=40)
         assert len(trace_d.output_tokens) == 1599
-        assert len(scheduled) < 200
+        assert built == []
 
 
 class TestFailureModes:
@@ -253,6 +328,23 @@ class TestFailureModes:
         with pytest.raises(ProtocolError):
             run_session(req, tokenized(req), trace_c.frame, trace_c.delivery(), calibrated_model, source,
                         start_ms=0.0, frame_time_ms=trace_c.frame_time_ms)
+
+    def test_mask_length_checked_before_inflating(self, calibrated_model):
+        # 2^26 zero bits deflate to about 8 KB; decoding them would take 72 MB
+        deflate = zlib.compressobj(9)
+        body = b"".join(deflate.compress(bytes(1 << 20)) for _ in range(8)) + deflate.flush()
+        mask = CompressedMask.from_container(struct.pack("<I", 1 << 26) + body)
+        req = content_prompt_request(sentences=3)
+        frame = FirstTokenFrame("tok1", mask, 4)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ProtocolError, match="mask carries 67108864 bits for a 30-token prompt"):
+                run_session(req, tokenized(req), frame, [(1.0, DONE)], calibrated_model,
+                            TokenSource(seed=1, total_tokens=4), frame_time_ms=0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestScrub:
