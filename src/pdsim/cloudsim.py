@@ -9,13 +9,14 @@ throughput simulator.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .eventloop import EventLoop
 from .maskcodec import pack
 from .planner import Plan, PlanTable
 from .protocol import DONE, AssistRequest, DoneMarker, FirstTokenFrame, StreamEvent, encode_done, encode_first_frame, encode_stream_event
@@ -229,10 +230,15 @@ def run_throughput(
 ) -> ThroughputResult:
     """Measure steady-state completions per second over the occupancy population.
 
-    Requests cycle through ``occupancies_ms``. All ``completions + slots``
-    admitted requests complete; the first ``slots`` completions are warmup,
-    so the measurement window holds exactly ``completions``. The returned
-    analytic rate is slots / mean occupancy for cross-checks.
+    Requests cycle through ``occupancies_ms`` and are served first come,
+    first served: request i ends at ``max(a_i, earliest slot release) +
+    occupancy`` (the Kiefer-Wolfowitz recursion for the FIFO G/G/c queue).
+    Closed mode, where each completion admits the next request, has every
+    arrival ``a_i`` at 0; Poisson mode draws the gaps between arrivals
+    from ``random.Random(f"throughput:{seed}")``. All ``completions + slots``
+    requests complete; the first ``slots`` completions are warmup, so the
+    measurement window holds exactly ``completions``. The returned analytic
+    rate is slots / mean occupancy for cross-checks.
     """
     if not occupancies_ms:
         raise ValueError("need at least one occupancy sample")
@@ -241,57 +247,21 @@ def run_throughput(
     if completions < 1:
         raise ValueError("completions must be >= 1")
 
-    loop = EventLoop()
-    rng = random.Random(f"throughput:{seed}")
     target = completions + batch.slots  # warmup + measured
-    admitted = in_flight = queued = done = started = 0
-    window_start = last_done = 0.0
-
-    def start() -> None:
-        nonlocal in_flight, started
-        occupancy = occupancies_ms[started % len(occupancies_ms)]
-        started += 1
-        in_flight += 1
-        loop.schedule_after(occupancy, complete)
-
-    def complete() -> None:
-        nonlocal in_flight, queued, done, admitted, window_start, last_done
-        in_flight -= 1
-        done += 1
-        assert admitted == done + in_flight + queued
-        last_done = loop.now
-        if done == batch.slots:
-            window_start = loop.now
-        if batch.mode == "closed":
-            if done + in_flight < target:
-                admitted += 1
-                start()
-        elif queued:
-            queued -= 1
-            start()
-
     if batch.mode == "closed":
-        admitted = batch.slots
-        for _ in range(batch.slots):
-            start()
+        arrivals: Iterable[float] = itertools.repeat(0.0, target)
     else:
+        rng = random.Random(f"throughput:{seed}")
         rate_per_ms = batch.arrival_rate_per_s / 1000.0
-
-        def arrive() -> None:
-            nonlocal admitted, queued
-            if admitted >= target:
-                return
-            admitted += 1
-            if in_flight < batch.slots:
-                start()
-            else:
-                queued += 1
-            loop.schedule_after(rng.expovariate(rate_per_ms), arrive)
-
-        loop.schedule_after(rng.expovariate(rate_per_ms), arrive)
-
-    loop.run()
-    window = last_done - window_start
+        arrivals = itertools.accumulate(rng.expovariate(rate_per_ms) for _ in range(target))
+    released = [0.0] * batch.slots  # heap of slot release times
+    ends = []
+    for i, arrival in enumerate(arrivals):
+        end = max(arrival, released[0]) + occupancies_ms[i % len(occupancies_ms)]
+        heapq.heapreplace(released, end)
+        ends.append(end)
+    ends.sort()
+    window = ends[-1] - ends[batch.slots - 1]
     mean_occ = sum(occupancies_ms) / len(occupancies_ms)
     return ThroughputResult(
         tps=completions / (window / 1000.0) if window > 0 else 0.0,

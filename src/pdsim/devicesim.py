@@ -126,8 +126,9 @@ def run_session(
     ``prompt`` is the request's reference tokenization, the same one the
     cloud selected over; the device validates the mask length against it.
     ``stream`` holds (arrival time, event-or-DONE) pairs as produced by the
-    cloud simulator. Raises ProtocolError on a mask/prompt mismatch and
-    StallError when the stream is short without the DONE marker.
+    cloud simulator. Raises ProtocolError on a mask/prompt mismatch or on
+    event indices other than exactly 1..k, and StallError when the stream
+    is short without the DONE marker.
     """
     budget = frame.max_tokens  # 0 = until EOT
     # checked before inflating, so a declared length never costs memory
@@ -146,6 +147,18 @@ def run_session(
         ((t, item) for t, item in timed if isinstance(item, StreamEvent)), key=lambda pair: pair[0]
     )
     done = max((t for t, item in timed if isinstance(item, DoneMarker)), default=None)
+    cloud = {1: frame.token}
+    arrival = {1: frame_time_ms}
+    for when, event in events:
+        cloud[event.index + 1] = event.token
+        arrival[event.index + 1] = when
+    cloud_last = 1 + len(events)
+    if len(cloud) != cloud_last or max(cloud) != cloud_last:  # indices are not exactly 1..k
+        indices = sorted(event.index for _, event in events)
+        i, index = next((i, index) for i, index in enumerate(indices, 1) if index != i)
+        raise ProtocolError(
+            f"stream event index {index} repeated" if index < i else f"stream event index {i} missing"
+        )
     if done is None and (budget == 0 or budget >= 2 and len(events) < budget - 1):
         last = events[-1][0] if events else frame_time_ms
         wait = 5 * (tpot_smooth or model.tpot_device)
@@ -153,22 +166,14 @@ def run_session(
             f"stream ended after {len(events)} events without [DONE]; "
             f"display branch gave up at {last + wait:.1f} ms"
         )
-    cloud = {1: frame.token}
-    arrival = {1: frame_time_ms}
-    for when, event in events:
-        cloud[event.index + 1] = event.token
-        arrival[event.index + 1] = when
-    cloud_last = 1 + len(events)
     window_end = cloud_last if budget == 0 else min(budget, cloud_last)
 
-    # cloud shows: shows[p - 1] is position p; a missing position stalls them
+    # cloud shows: shows[p - 1] is position p
     pace = tpot_smooth or 0.0
     shows: list[tuple[float, int, str]] = []
     eot_at: float | None = None  # instant of the show that met the cloud EOT
     shown = frame_time_ms
     for p in range(1, window_end + 1):
-        if p not in cloud:
-            break
         shown = max(frame_time_ms + (p - 1) * pace, arrival[p], shown)
         if cloud[p] == EOT_TOKEN:
             eot_at = shown
@@ -236,7 +241,7 @@ def run_session(
 
     common = 0
     for position in range(1, min(cloud_last, device_source.total_tokens) + 1):
-        if cloud.get(position) != device_source.token_at(position):
+        if cloud[position] != device_source.token_at(position):
             break
         common += 1
 

@@ -1,8 +1,10 @@
 """Minimal deterministic discrete-event scheduler.
 
 Single-threaded: callbacks run in (time, insertion-order) sequence and may
-schedule further events. All simulators in this package share this loop so
-that identical inputs replay identical traces.
+schedule further events. No simulator in this package runs on it any more:
+it is the scheduler the event-by-event reference simulators in the tests
+run on, and it stays here because the benchmark tracer hooks
+``EventLoop.run`` and ``EventLoop.schedule_at``.
 """
 
 from __future__ import annotations

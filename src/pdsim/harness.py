@@ -152,8 +152,7 @@ def _parse_model(obj: dict, path: str) -> TimingModel:
     if "rtt" in obj:
         kwargs["rtt"] = _parse_rtt(obj["rtt"], f"{path}.rtt")
     if "compress" in obj:
-        cost = _parse_cost(obj["compress"], f"{path}.compress")
-        kwargs["compress"] = lambda tokens, ratio: cost(tokens)
+        kwargs["compress"] = _parse_cost(obj["compress"], f"{path}.compress")
     if "decompress" in obj:
         kwargs["decompress"] = _parse_cost(obj["decompress"], f"{path}.decompress")
     if "overhead_bound" in obj and obj["overhead_bound"] != "auto":

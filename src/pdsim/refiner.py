@@ -150,7 +150,6 @@ class TokenScores:
     """Nonnegative importance score per content token."""
 
     scores: np.ndarray
-    pooling_kernel: int = 1
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.scores, dtype=np.float64)
@@ -198,7 +197,7 @@ def score_tokens(
     assert combined is not None
     if content_span is not None:
         combined = combined[content_span]
-    return TokenScores(scores=combined, pooling_kernel=kernel)
+    return TokenScores(scores=combined)
 
 
 class SelectionMask:

@@ -15,11 +15,9 @@ integers. Each formula is a pure function defined once here. Its callers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
-# cost of building + compressing the selection mask, given (prompt tokens, ratio)
-CompressCost = Callable[[int, float], float]
-# cost keyed on prompt tokens only (decompression, overhead bound)
+# cost keyed on prompt tokens (compression, decompression, overhead bound)
 TokenCost = Callable[[int], float]
 
 
@@ -81,7 +79,7 @@ class TimingModel:
     tpot_cloud: float         # cloud time per output token, ms
     tpot_device: float        # device time per output token, ms
     rtt_class: RttClass
-    compress_cost: CompressCost
+    compress_cost: TokenCost
     decompress_cost: TokenCost
     overhead_bound: TokenCost
 
@@ -92,21 +90,16 @@ class TimingModel:
         if self.k_device <= self.k_cloud:
             raise ValueError("device prefill must be slower than cloud (k_device > k_cloud)")
 
-    def check_overhead_bound(
-        self,
-        lengths: Iterable[int],
-        ratios: Sequence[float] = (0.05, 0.25, 0.5, 0.75, 1.0),
-    ) -> None:
-        """Verify overhead_bound(l) >= compress(l, r) + decompress(l) + mean RTT."""
+    def check_overhead_bound(self, lengths: Iterable[int]) -> None:
+        """Verify overhead_bound(l) >= compress(l) + decompress(l) + mean RTT."""
         for l in lengths:
             bound = self.overhead_bound(l)
-            for r in ratios:
-                need = self.compress_cost(l, r) + self.decompress_cost(l) + self.rtt_class.mean_ms
-                if bound < need - 1e-9:
-                    raise ValueError(
-                        f"overhead_bound({l}) = {bound:.3f} ms does not cover "
-                        f"compress+decompress+RTT = {need:.3f} ms at ratio {r}"
-                    )
+            need = self.compress_cost(l) + self.decompress_cost(l) + self.rtt_class.mean_ms
+            if bound < need - 1e-9:
+                raise ValueError(
+                    f"overhead_bound({l}) = {bound:.3f} ms does not cover "
+                    f"compress+decompress+RTT = {need:.3f} ms"
+                )
 
 
 def build_model(
@@ -116,7 +109,7 @@ def build_model(
     tpot_cloud: float = 30.0,
     tpot_device: float = 30.0,
     rtt: RttClass | str = "wifi",
-    compress: CompressCost | None = None,
+    compress: TokenCost | None = None,
     decompress: TokenCost | None = None,
     overhead_bound: TokenCost | None = None,
 ) -> TimingModel:
@@ -129,13 +122,12 @@ def build_model(
     """
     rtt_class = RTT_CLASSES[rtt] if isinstance(rtt, str) else rtt
     if compress is None:
-        base = affine_cost(20.0, 0.01)
-        compress = lambda tokens, ratio: base(tokens)  # noqa: E731 - latency dominated by length
+        compress = affine_cost(20.0, 0.01)
     if decompress is None:
         decompress = affine_cost(10.0, 0.005)
     if overhead_bound is None:
         comp, deco, p95 = compress, decompress, rtt_class.p95_ms
-        overhead_bound = lambda tokens: comp(tokens, 1.0) + deco(tokens) + p95  # noqa: E731
+        overhead_bound = lambda tokens: comp(tokens) + deco(tokens) + p95  # noqa: E731
     return TimingModel(
         k_cloud=k_cloud,
         k_device=k_device,
@@ -171,7 +163,7 @@ def prefill_device(model: TimingModel, tokens: int, ratio: float = 1.0) -> float
 def ttft_cloud(model: TimingModel, prompt_tokens: int, ratio: float, rtt_ms: float) -> float:
     """Time until the device holds the first token: cloud prefill + mask compression + RTT."""
     _check_domain(prompt_tokens, ratio, rtt_ms)
-    return model.k_cloud * prompt_tokens + model.compress_cost(prompt_tokens, ratio) + rtt_ms
+    return model.k_cloud * prompt_tokens + model.compress_cost(prompt_tokens) + rtt_ms
 
 
 def ttft_device(model: TimingModel, prompt_tokens: int, ratio: float, ttft_cloud_ms: float) -> float:

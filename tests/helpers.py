@@ -67,7 +67,7 @@ def random_planner_instance(rng: random.Random):
         tpot_cloud=rng.uniform(15.0, 50.0),
         tpot_device=tpot_device,
         rtt=RttClass("rand", mean_ms=rng.uniform(10.0, 150.0), jitter_ms=0.0),
-        compress=(lambda c: (lambda tokens, ratio: c(tokens)))(affine_cost(rng.uniform(0.0, 30.0), rng.uniform(0.005, 0.03))),
+        compress=affine_cost(rng.uniform(0.0, 30.0), rng.uniform(0.005, 0.03)),
         decompress=affine_cost(rng.uniform(0.0, 15.0), rng.uniform(0.002, 0.015)),
     )
     constraints = PlanConstraints(

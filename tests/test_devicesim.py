@@ -320,6 +320,23 @@ class TestFailureModes:
             run_session(req, prompt, trace_c.frame, truncated, calibrated_model, source,
                         start_ms=0.0, frame_time_ms=trace_c.frame_time_ms)
 
+    @pytest.mark.parametrize(
+        "indices, message",
+        [
+            ([1, 2, *range(4, 30)], "stream event index 3 missing"),
+            ([1, 2, 3, 3, *range(4, 30)], "stream event index 3 repeated"),
+        ],
+    )
+    def test_event_indices_must_run_one_to_k(self, calibrated_model, indices, message):
+        req = content_prompt_request(sentences=3)
+        prompt = tokenized(req)
+        frame = FirstTokenFrame("tok1", pack(SelectionMask([1] * prompt.total_tokens)), 10)
+        stream = [(30.0 * index, StreamEvent(index, f"tok{index + 1}")) for index in indices]
+        stream.append((900.0, DONE))
+        with pytest.raises(ProtocolError, match=message):
+            run_session(req, prompt, frame, stream, calibrated_model, TokenSource(seed=1, total_tokens=30),
+                        frame_time_ms=0.0)
+
     def test_mask_prompt_mismatch_raises(self, calibrated_model, plan_table):
         req = content_prompt_request()
         other = content_prompt_request(sentences=400, request_id="req-2")

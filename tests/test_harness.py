@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import reference_synthesize_prompt
 
 from pdsim import cloudsim, harness
+from pdsim.eventloop import EventLoop
 from pdsim.harness import (
     ConfigError,
     ReportError,
@@ -275,6 +276,19 @@ class TestRunExperiment:
         monkeypatch.setattr(cloudsim, "uniform_scores", counting)
         run_experiment(config_from_dict(data), tmp_path)
         assert len(calls) == 5 and len(set(calls)) == 5
+
+    def test_an_experiment_builds_no_event_loop(self, tmp_path, monkeypatch):
+        built = []
+        original = EventLoop.__init__
+
+        def counting(loop, *args, **kwargs):
+            built.append(loop)
+            original(loop, *args, **kwargs)
+
+        monkeypatch.setattr(EventLoop, "__init__", counting)
+        result = run_experiment(default_config(), tmp_path)
+        assert all(variant.tps > 0 for variant in result.variants)
+        assert built == []
 
     def test_seed_override_changes_outputs(self, tmp_path):
         config = config_from_dict(base_config_dict())

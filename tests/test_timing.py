@@ -44,7 +44,7 @@ class TestTtftCloud:
         assert ttft_cloud(calibrated_model, 8000, 0.25, 50.0) == pytest.approx(950.0)
 
     def test_unit_length(self):
-        model = build_model(compress=lambda tokens, ratio: 0.0)
+        model = build_model(compress=lambda tokens: 0.0)
         assert ttft_cloud(model, 1, 1.0, 0.0) == pytest.approx(0.1)
 
     def test_thirty_two_k(self, calibrated_model):
