@@ -16,6 +16,15 @@ itself uses, and the constructors admit only plain ints (no bools), for
 which ``%d`` and ``json.dumps`` agree. Decoding costs time linear in the
 bytes fed, however they are chunked: ``SseDecoder`` resumes its boundary
 search where the last feed stopped and trims its buffer once per feed.
+
+A complete frame in the event form the encoder writes (``"i"`` of at
+most 18 digits, so below 2**63, then ``"token"``, no whitespace) is decoded
+by one precompiled bytes match; a token with escapes goes through
+``json.decoder.scanstring``, the routine ``json.loads`` itself uses. First
+frames, ``[DONE]``, every other body and every error take the general path,
+so each error message comes from one place. The match runs only once a
+frame's blank-line terminator has been found: matching a partial frame on
+every feed would rescan it and make decoding quadratic.
 """
 
 from __future__ import annotations
@@ -23,7 +32,9 @@ from __future__ import annotations
 import base64
 import binascii
 import json
+import re
 from dataclasses import dataclass
+from json.decoder import scanstring
 from json.encoder import encode_basestring
 
 from .maskcodec import CompressedMask, MaskCodecError
@@ -38,6 +49,13 @@ _MAX_BUFFER = 1 << 20
 _FIRST_FRAME = FRAME_PREFIX + b'{"first_token":%b,"mask_b64":"%b","L":%d}' + FRAME_SUFFIX
 _EVENT_FRAME = FRAME_PREFIX + b'{"i":%d,"token":%b}' + FRAME_SUFFIX
 _DONE_FRAME = FRAME_PREFIX + DONE_BODY + FRAME_SUFFIX
+
+# an event frame as _EVENT_FRAME writes it, without its terminator; the index
+# has at most 18 digits (below 2**63) and the token is one JSON string body
+_EVENT_RE = re.compile(
+    rb'data: \{"i":([1-9][0-9]{0,17}),"token":"'
+    rb'([^"\\\x00-\x1f]*(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})[^"\\\x00-\x1f]*)*)"\}'
+)
 
 
 class ProtocolError(Exception):
@@ -79,7 +97,7 @@ class FirstTokenFrame:
             raise ValueError("max_tokens must be an int >= 0 (0 = until EOT)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StreamEvent:
     """One decode token; index 1 is the first token after the piggyback frame."""
 
@@ -156,9 +174,11 @@ def encode_done() -> bytes:
 
 
 def _parse_json(data: bytes) -> dict:
+    # ValueError covers JSONDecodeError, UnicodeDecodeError and the int-digit
+    # limit; deep nesting ends in RecursionError
     try:
         obj = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ProtocolError(f"body is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ProtocolError("body must be a JSON object")
@@ -202,9 +222,11 @@ def _parse_event_json(obj: dict) -> StreamEvent:
 class SseDecoder:
     """Incremental frame decoder over a byte stream. Single-owner, stateful.
 
-    ``feed`` returns the items completed so far. A malformed frame raises
-    ProtocolError after the frame has been consumed, so feeding can simply
-    continue; items parsed before the error are delivered by the next call.
+    ``feed`` returns the items completed so far. A complete frame in the
+    encoder's event form is decoded by one match, any other frame
+    through ``json.loads``. A malformed frame raises ProtocolError after the
+    frame has been consumed, so feeding can simply continue; items parsed
+    before the error are delivered by the next call.
     The boundary search resumes where the last feed stopped and the buffer
     is trimmed once per feed, so decoding costs time linear in the bytes fed.
     """
@@ -245,6 +267,17 @@ class SseDecoder:
     @staticmethod
     def _parse_frame(buf: bytearray, start: int, end: int) -> FirstTokenFrame | StreamEvent | DoneMarker:
         """Parse the frame in ``buf[start:end]``, which stops just before its blank-line terminator."""
+        event = _EVENT_RE.fullmatch(buf, start, end)
+        if event is not None:
+            raw = event[2]
+            try:
+                token = raw.decode("utf-8")
+                if b"\\" in raw:
+                    token = scanstring(f'"{token}"', 1)[0]
+            except ValueError:
+                pass  # the JSON path below raises the error for this body
+            else:
+                return StreamEvent(int(event[1]), token)
         if not buf.startswith(FRAME_PREFIX, start, end):
             raise ProtocolError("frame must start with 'data: '")
         body = buf[start + len(FRAME_PREFIX) : end]

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
+from pdsim import protocol
 from pdsim.cli import _WEIGHT_HEADER
 from pdsim.cloudsim import EOT_TOKEN, TokenSource
 from pdsim.devicesim import CorrectionPolicy, DeviceTrace, DisplaySchedule, StallError
@@ -129,6 +130,59 @@ def reference_encode_stream_event(event: StreamEvent) -> bytes:
 def reference_encode_first_frame(frame: FirstTokenFrame) -> bytes:
     mask_b64 = base64.b64encode(frame.mask.payload).decode("ascii")
     return _reference_frame({"first_token": frame.token, "mask_b64": mask_b64, "L": frame.max_tokens})
+
+
+# --- reference frame decoder: every frame body through json.loads ---------------
+
+
+class ReferenceSseDecoder:
+    """SseDecoder with no event match: each non-[DONE] body goes through ``protocol._parse_json``."""
+
+    def __init__(self) -> None:
+        self._buf = bytearray()
+        self._scanned = 0  # leading bytes of _buf known to hold no frame boundary
+        self._pending: list[FirstTokenFrame | StreamEvent | DoneMarker] = []
+
+    def feed(self, data: bytes) -> list[FirstTokenFrame | StreamEvent | DoneMarker]:
+        buf = self._buf
+        buf += data
+        items, self._pending = self._pending, []
+        start = 0  # first byte of the next unconsumed frame
+        idx = buf.find(protocol.FRAME_SUFFIX, self._scanned)
+        while idx >= 0:
+            frame_start, start = start, idx + len(protocol.FRAME_SUFFIX)
+            try:
+                items.append(self._parse_frame(buf, frame_start, idx))
+            except ProtocolError:
+                self._consume(start, scanned=0)
+                self._pending = items
+                raise
+            idx = buf.find(protocol.FRAME_SUFFIX, start)
+        if len(buf) - start > protocol._MAX_BUFFER:
+            self._consume(len(buf), scanned=0)
+            self._pending = items
+            raise ProtocolError("unbounded garbage without a frame boundary")
+        # a boundary may straddle the next feed, so its first byte is searched again
+        self._consume(start, scanned=max(len(buf) - start - len(protocol.FRAME_SUFFIX) + 1, 0))
+        return items
+
+    def _consume(self, end: int, *, scanned: int) -> None:
+        del self._buf[:end]
+        self._scanned = scanned
+
+    @staticmethod
+    def _parse_frame(buf: bytearray, start: int, end: int) -> FirstTokenFrame | StreamEvent | DoneMarker:
+        if not buf.startswith(protocol.FRAME_PREFIX, start, end):
+            raise ProtocolError("frame must start with 'data: '")
+        body = buf[start + len(protocol.FRAME_PREFIX) : end]
+        if body == protocol.DONE_BODY:
+            return protocol.DONE
+        obj = protocol._parse_json(body)
+        if "first_token" in obj:
+            return protocol._parse_first_json(obj)
+        if "i" in obj:
+            return protocol._parse_event_json(obj)
+        raise ProtocolError("frame body is neither a first frame, an event, nor [DONE]")
 
 
 # --- reference refiner: the loop forms the vectorised refiner must match -------

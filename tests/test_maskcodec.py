@@ -118,3 +118,38 @@ class TestErrors:
     def test_container_shorter_than_header(self):
         with pytest.raises(MaskCodecError):
             CompressedMask.from_container(b"\x01")
+
+
+class TestMutationFuzz:
+    def test_mutated_containers_unpack_exactly_or_raise(self):
+        """Flipped, cut, grown or re-declared containers end in MaskCodecError or the exact bits, in bounded memory."""
+        rng = random.Random(2025)
+        tracemalloc.start()
+        try:
+            for case in range(2000):
+                mask = clustered_mask(rng, rng.randint(0, 4096))
+                container = bytearray(pack(mask).payload)
+                for _ in range(rng.randint(1, 3) if case % 4 else 0):
+                    kind = rng.randrange(4)
+                    pos = rng.randrange(len(container) + 1)
+                    if kind == 0 and pos < len(container):
+                        container[pos] ^= 1 << rng.randrange(8)
+                    elif kind == 1:
+                        del container[pos:]
+                    elif kind == 2:
+                        container[pos:pos] = rng.randbytes(rng.randint(1, 4))
+                    else:
+                        declared = rng.choice([0, len(mask) + 1, len(mask) + 8, rng.getrandbits(32), 0xFFFFFFFF])
+                        container[:4] = struct.pack("<I", declared)
+                try:
+                    got = unpack(CompressedMask.from_container(bytes(container)))
+                except MaskCodecError:
+                    assert case % 4, "an unmutated container must unpack"
+                    continue
+                assert got.bits.tolist() == reference_unpack(bytes(container))
+                if case % 4 == 0:
+                    assert got == mask
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

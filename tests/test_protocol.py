@@ -1,16 +1,21 @@
+import json
 import random
+import re
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_encode_first_frame, reference_encode_stream_event
+from helpers import ReferenceSseDecoder, reference_encode_first_frame, reference_encode_stream_event
 from pdsim import protocol
 from pdsim.maskcodec import MaskCodecError, pack
 from pdsim.protocol import (
     DONE,
+    FRAME_PREFIX,
+    FRAME_SUFFIX,
     AssistRequest,
     DoneMarker,
     FirstTokenFrame,
@@ -35,6 +40,10 @@ def random_mask(rng: random.Random):
 def random_token(rng: random.Random) -> str:
     alphabet = "abcXYZ0189 #\"\\{}:,\u00e9\u4e16"
     return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+
+
+def sse_frame(body: bytes) -> bytes:
+    return FRAME_PREFIX + body + FRAME_SUFFIX
 
 
 class TestGoldenFrames:
@@ -175,6 +184,11 @@ class TestStreamEventCodec:
         assert decoder.feed(b"") == [event]
 
 
+# json.loads raises ValueError past the int-digit limit and RecursionError on deep nesting
+_HOSTILE_BODIES = [b'{"i":' + b"7" * 5000 + b',"token":"x"}', b"[" * 200_000]
+_HOSTILE_IDS = ["5000-digit-index", "200000-deep-nesting"]
+
+
 class TestRequestCodec:
     def test_round_trip(self):
         req = AssistRequest(
@@ -199,6 +213,11 @@ class TestRequestCodec:
         with pytest.raises(ProtocolError, match="request_id"):
             decode_request(b'{"scene":"s","model_version_label":"m","device_class":"d",'
                            b'"prefix":"p","content":"c","suffix":"q"}')
+
+    @pytest.mark.parametrize("body", _HOSTILE_BODIES, ids=_HOSTILE_IDS)
+    def test_hostile_body_raises_protocol_error(self, body):
+        with pytest.raises(ProtocolError, match="JSON"):
+            decode_request(body)
 
 
 class TestSseDecoder:
@@ -266,7 +285,32 @@ class TestSseDecoder:
         frame, data = self.wire(random.Random(7), 6)
         items = SseDecoder().feed(data)
         assert items[0] == frame and items[-1] is DONE
-        assert len(calls) == len(items) - 1  # one per first frame or event; [DONE] is not JSON
+        # the first frame is parsed as JSON; canonical events are matched and [DONE] is not JSON
+        assert len(calls) == 1
+        non_canonical = [
+            (b'{"i": 1, "token": "x"}', StreamEvent(index=1, token="x")),
+            (b'{"token":"x","i":1}', StreamEvent(index=1, token="x")),
+            (b'{"i":%d,"token":"x"}' % 10**18, StreamEvent(index=10**18, token="x")),  # 19 digits
+            (b'{"i":01,"token":"x"}', None),  # leading zero: not JSON
+        ]
+        for body, event in non_canonical:
+            calls.clear()
+            decoder = SseDecoder()
+            if event is None:
+                with pytest.raises(ProtocolError, match="JSON"):
+                    decoder.feed(sse_frame(body))
+            else:
+                assert decoder.feed(sse_frame(body)) == [event]
+            assert len(calls) == 1, body
+
+    @pytest.mark.parametrize("body", _HOSTILE_BODIES, ids=_HOSTILE_IDS)
+    def test_hostile_frame_is_consumed(self, body):
+        good, after = StreamEvent(index=1, token="good"), StreamEvent(index=2, token="after")
+        decoder = SseDecoder()
+        with pytest.raises(ProtocolError, match="JSON"):
+            decoder.feed(encode_stream_event(good) + sse_frame(body))
+        assert decoder.feed(b"") == [good]
+        assert decoder.feed(encode_stream_event(after)) == [after]
 
     def test_bytes_after_a_bad_frame_mid_buffer_still_decode(self):
         before = [StreamEvent(index=1, token="a"), StreamEvent(index=2, token="b")]
@@ -281,6 +325,182 @@ class TestSseDecoder:
 
     def test_done_singleton(self):
         assert DoneMarker() is DONE
+
+
+def decode_outcomes(decoder, data: bytes, cuts: list[int]) -> list:
+    """What each feed of ``data``, cut at ``cuts``, returns or raises, then what empty feeds return or raise."""
+    bounds = [0, *sorted(cuts), len(data)]
+    chunks = [data[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    outcomes = []
+    # after an error, the frames left in the buffer are parsed by the next feeds
+    for chunk in chunks + [b""] * (data.count(FRAME_SUFFIX) + 1):
+        try:
+            outcomes.append(decoder.feed(chunk))
+        except Exception as exc:  # any type: the two decoders must raise the same one
+            outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+def raised(outcomes: list) -> set:
+    return {o[0] for o in outcomes if isinstance(o, tuple)}
+
+
+def decoded(outcomes: list) -> list:
+    return [item for o in outcomes if isinstance(o, list) for item in o]
+
+
+_SURROGATES = st.integers(0xD800, 0xDFFF).map(chr)
+# lone surrogates can only reach the wire as \u escapes, which json.dumps writes
+_TOKENS = st.lists(st.one_of(st.text(max_size=8), _SURROGATES), max_size=4).map("".join)
+_INDICES = st.one_of(st.integers(1, 2**63), st.integers(2**63, 10**40), st.integers(-2, 0))
+_EVENT_TEMPLATES = (
+    b'{"i":%(i)d,"token":%(t)b}',  # the canonical form
+    b'{"i": %(i)d, "token": %(t)b}',
+    b'{"token":%(t)b,"i":%(i)d}',
+    b'{"i":0%(i)d,"token":%(t)b}',
+    b'{"i":%(i)d,"token":%(t)b,"x":0}',
+    b'{"i":%(i)d.0,"token":%(t)b}',
+    b'{"i":"%(i)d","token":%(t)b}',
+    b'{"i":%(i)d,"token":[%(t)b]}',
+    b'{"i":%(i)d,"token":%(t)b} ',
+)
+
+
+def _token_json(token: str, ascii_escapes: bool) -> bytes:
+    try:
+        return json.dumps(token, ensure_ascii=ascii_escapes).encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate
+        return json.dumps(token).encode("ascii")
+
+
+@st.composite
+def _event_frames(draw) -> bytes:
+    index, token_json = draw(_INDICES), _token_json(draw(_TOKENS), draw(st.booleans()))
+    template = _EVENT_TEMPLATES[0] if draw(st.booleans()) else draw(st.sampled_from(_EVENT_TEMPLATES))
+    return sse_frame(template % {b"i": index, b"t": token_json})
+
+
+_FIRST_FRAMES = st.builds(
+    lambda token, bits, budget: encode_first_frame(
+        FirstTokenFrame(token=token, mask=pack(SelectionMask(bits)), max_tokens=budget)
+    ),
+    st.text(max_size=8),
+    st.lists(st.integers(0, 1), max_size=40),
+    st.integers(0, 2**63),
+)
+_FRAMES = st.one_of(
+    _event_frames(), _FIRST_FRAMES, st.just(encode_done()), st.binary(max_size=24).map(sse_frame), st.binary(max_size=24)
+)
+
+
+class TestReferenceDecoder:
+    """SseDecoder returns what ReferenceSseDecoder returns and raises what it raises, however fed."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_same_items_and_errors_as_the_reference(self, data):
+        stream = bytearray(b"".join(data.draw(st.lists(_FRAMES, max_size=8))))
+        if stream:
+            for pos, flip in data.draw(st.lists(st.tuples(st.integers(0, len(stream) - 1), st.integers(1, 255)), max_size=2)):
+                stream[pos] ^= flip
+        stream = bytes(stream)
+        cuts = data.draw(st.lists(st.integers(0, len(stream)), max_size=6))
+        ours = decode_outcomes(SseDecoder(), stream, cuts)
+        assert ours == decode_outcomes(ReferenceSseDecoder(), stream, cuts)
+        assert raised(ours) <= {ProtocolError}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 2**63), _TOKENS, st.booleans())
+    @example(2**63, "\ud83d\ude00\ud800", False)
+    @example(10**18 - 1, _HARD_TOKEN, True)
+    def test_event_in_canonical_key_order_decodes_exactly(self, index, token, ascii_escapes):
+        token_json = _token_json(token, ascii_escapes)
+        data = sse_frame(b'{"i":%d,"token":%b}' % (index, token_json))
+        # json.loads reads an escaped high surrogate followed by an escaped low one back as one character
+        expected = StreamEvent(index=index, token=json.loads(token_json))
+        assert SseDecoder().feed(data) == ReferenceSseDecoder().feed(data) == [expected]
+
+
+# tokens needing JSON escapes or multi-byte UTF-8
+_FUZZ_TOKENS = ("plain", 'say "hi"', "back\\slash", "tab\tnl\n\x00\x1f", "na\u00efve", "\u65e5\u672c", "\U0001f600", "\u2028\x7f")
+# escaped token bodies the encoder never writes: a surrogate pair, lone surrogates, \/ and \u0041
+_SURROGATE_ESCAPES = (b"\\ud83d\\ude00", b"\\ud800", b"x\\udfffy", b"\\/\\u0041")
+_SPLICED_BODIES = (
+    b'{"i": 1, "token": "x"}',
+    b'{"token":"x","i":1}',
+    b'{"i":1,"token":"x","extra":0}',
+    b'{"i":1.0,"token":"x"}',
+    b'{"i":1,"token":"\\q"}',
+    b'{"i":1,"token":"a\tb"}',
+    b'{"first_token":"x","mask_b64":"AAA=","L":5}',
+    b"[DONE] ",
+    b"null",
+)
+_BAD_INDICES = (b"0", b"00", b"01", b"1" + b"0" * 18, b"9" * 25, b"7" * 5000, b"-1")
+
+
+def _fuzz_session(rng: random.Random) -> tuple[list[bytes], list]:
+    """The frames of one session, and the items they decode to."""
+    mask = pack(SelectionMask([rng.randint(0, 1) for _ in range(rng.randint(0, 300))]))
+    first = FirstTokenFrame(token=rng.choice(_FUZZ_TOKENS), mask=mask, max_tokens=rng.randint(0, 60))
+    parts, items = [encode_first_frame(first)], [first]
+    for i in range(1, rng.randint(1, 40)):
+        if rng.random() < 0.2:
+            escaped = rng.choice(_SURROGATE_ESCAPES)
+            parts.append(sse_frame(b'{"i":%d,"token":"%b"}' % (i, escaped)))
+            items.append(StreamEvent(index=i, token=json.loads(b'"%b"' % escaped)))
+        else:
+            event = StreamEvent(index=i, token=rng.choice(_FUZZ_TOKENS) + str(i))
+            parts.append(encode_stream_event(event))
+            items.append(event)
+    parts.append(encode_done())
+    return parts, items + [DONE]
+
+
+def _mutate(rng: random.Random, parts: list[bytes]) -> bytes:
+    """Splice non-canonical frames or bad indices into the frames, then flip, cut or insert bytes."""
+    parts = list(parts)
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.5 or len(parts) < 3:
+            parts.insert(rng.randrange(len(parts) + 1), sse_frame(rng.choice(_SPLICED_BODIES)))
+        else:
+            k = rng.randrange(1, len(parts) - 1)  # the first frame and [DONE] hold no "i"
+            bad = b'"i":' + rng.choice(_BAD_INDICES)
+            parts[k] = re.sub(rb'"i":[0-9]+', lambda _: bad, parts[k], count=1)
+    data = bytearray(b"".join(parts))
+    for _ in range(rng.randint(0, 3)):
+        kind = rng.randrange(3)
+        pos = rng.randrange(len(data) + 1)
+        if kind == 0 and pos < len(data):
+            data[pos] ^= rng.randrange(1, 256)
+        elif kind == 1:
+            del data[pos:]
+        else:
+            data[pos:pos] = rng.randbytes(rng.randint(1, 6))
+    return bytes(data)
+
+
+class TestMutationFuzz:
+    """Seeded mutations of encoded sessions end in ProtocolError or the exact items, in bounded memory."""
+
+    def test_mutated_sessions_decode_like_the_reference(self):
+        rng = random.Random(2025)
+        tracemalloc.start()
+        try:
+            for case in range(1500):
+                parts, items = _fuzz_session(rng)
+                mutated = case % 4 != 0
+                data = _mutate(rng, parts) if mutated else b"".join(parts)
+                cuts = [rng.randrange(len(data) + 1) for _ in range(rng.randint(0, 12))]
+                ours = decode_outcomes(SseDecoder(), data, cuts)
+                assert ours == decode_outcomes(ReferenceSseDecoder(), data, cuts), (case, data)
+                assert raised(ours) <= {ProtocolError}, (case, data)
+                if not mutated:
+                    assert decoded(ours) == items and not raised(ours)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def _best_of_3(fn) -> float:
