@@ -68,7 +68,6 @@ class TokenSource:
 class SessionRecord:
     """Slot accounting for one served request."""
 
-    request_id: str
     plan: Plan | None
     prompt_tokens: int
     ratio: float
@@ -76,7 +75,6 @@ class SessionRecord:
     tokens_emitted: int
     ttft_cloud_ms: float
     occupancy_ms: float
-    slot_released_at_ms: float
     mask_payload_bytes: int
     planning_miss: bool
 
@@ -90,7 +88,6 @@ class CloudTrace:
     events: tuple[tuple[float, StreamEvent], ...]
     done_time_ms: float
     record: SessionRecord
-    rtt_ms: float
 
     def delivery(self) -> list[tuple[float, StreamEvent | DoneMarker]]:
         """Timed stream as the device sees it (events then the DONE marker)."""
@@ -176,7 +173,6 @@ def serve_request(
     done_time = events[-1][0] if events else first_token_at
     occupancy = request_occupancy(first_token_at - start_ms, model.tpot_cloud, emit_total)
     record = SessionRecord(
-        request_id=req.request_id,
         plan=plan,
         prompt_tokens=prompt.total_tokens,
         ratio=ratio,
@@ -184,7 +180,6 @@ def serve_request(
         tokens_emitted=emit_total,
         ttft_cloud_ms=first_token_at - start_ms,
         occupancy_ms=occupancy,
-        slot_released_at_ms=start_ms + occupancy,
         mask_payload_bytes=len(compressed.payload),
         planning_miss=miss,
     )
@@ -194,7 +189,6 @@ def serve_request(
         events=events,
         done_time_ms=done_time,
         record=record,
-        rtt_ms=rtt,
     )
 
 

@@ -62,15 +62,6 @@ class CorrectionPolicy(Enum):
 
 
 @dataclass(frozen=True)
-class DisplaySchedule:
-    """Pacing of the assisted window; anchored at first-token arrival."""
-
-    start_ms: float
-    count: int  # decode tokens paced by the schedule
-    tpot_smooth_ms: float
-
-
-@dataclass(frozen=True)
 class ScrubRule:
     pattern: str
     replacement: str
@@ -90,22 +81,16 @@ def scrub(text: str, rules: Sequence[ScrubRule] = DEFAULT_SCRUB_RULES) -> str:
 class DeviceTrace:
     """Everything observed on the device for one session."""
 
-    request_id: str
     user_ttft_ms: float          # first-frame arrival; what the user perceives
     ttft_device_ms: float        # mask recovery + refined prefill completed
     tpot_smooth_ms: float | None
-    schedule: DisplaySchedule | None
     displays: tuple[tuple[float, int, str], ...]  # (time, position, token shown)
-    output_tokens: tuple[str, ...]
     corrections: int
     common_prefix_len: int
     max_smoothed_gap_ms: float | None
     handover_gap_ms: float | None
-    cloud_tokens_received: int
-    cloud_eot: bool
     device_eot_position: int | None
     decode_caught_up_ms: float | None
-    stream_complete_ms: float
     refined_tokens: int
 
 
@@ -123,7 +108,8 @@ def run_session(
 ) -> DeviceTrace:
     """Simulate one device session and return its trace.
 
-    ``prompt`` is the request's reference tokenization, the same one the
+    ``req`` is not read; it names the session for callers and for wrappers
+    that attribute time per request. ``prompt`` is the request's reference tokenization, the same one the
     cloud selected over; the device validates the mask length against it.
     ``stream`` holds (arrival time, event-or-DONE) pairs as produced by the
     cloud simulator. Raises ProtocolError on a mask/prompt mismatch or on
@@ -248,24 +234,16 @@ def run_session(
     displays = tuple(shows + device)
     gaps = [b[0] - a[0] for a, b in zip(shows, shows[1:])]
     return DeviceTrace(
-        request_id=req.request_id,
         user_ttft_ms=user_ttft,
         # with a cloud EOT in the frame the prefill never ran; report its estimate
         ttft_device_ms=user_ttft + recover + prefill if frame.token == EOT_TOKEN else prefill_done - start_ms,
         tpot_smooth_ms=tpot_smooth,
-        schedule=None if tpot_smooth is None else DisplaySchedule(
-            start_ms=frame_time_ms, count=budget - 1, tpot_smooth_ms=tpot_smooth
-        ),
         displays=displays,
-        output_tokens=tuple(token for _, _, token in displays),
         corrections=corrections,
         common_prefix_len=common,
         max_smoothed_gap_ms=max(gaps) if gaps else None,
         handover_gap_ms=device[0][0] - shows[-1][0] if device else None,
-        cloud_tokens_received=cloud_last,
-        cloud_eot=eot_at is not None,
         device_eot_position=device_eot_position,
         decode_caught_up_ms=decode_at.get(cloud_last),
-        stream_complete_ms=events[-1][0] if events else frame_time_ms,
         refined_tokens=refined_tokens,
     )

@@ -4,6 +4,11 @@ One experiment is fully determined by its config and seed: reruns produce
 byte-identical CSV outputs. Each sweep variant replays the same workload
 with a ratio and/or token-budget override, producing one trace CSV per
 variant plus a cross-variant summary.
+
+``TraceRow`` is the one schema of a trace row: ``run_experiment`` writes
+its fields as the columns, ``read_trace`` parses them back, and both
+``summary.csv`` and ``report.csv`` aggregate ``TraceRow``s through
+``_variant_metrics``.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import random
 import re
 import statistics
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -27,7 +32,7 @@ from .devicesim import DEFAULT_SCRUB_RULES, CorrectionPolicy, ScrubRule, run_ses
 from .planner import PlanConstraints, build_plan_table, check_plan, solve_plan
 from .protocol import AssistRequest
 from .refiner import TokenizedPrompt
-from .timing import RttClass, TimingModel, affine_cost, build_model
+from .timing import RTT_CLASSES, RttClass, TimingModel, affine_cost, build_model
 
 
 class ConfigError(Exception):
@@ -35,7 +40,7 @@ class ConfigError(Exception):
 
 
 class ReportError(Exception):
-    """Trace files are missing columns the report needs."""
+    """Trace files are missing columns or hold values the report cannot parse."""
 
 
 @dataclass(frozen=True)
@@ -126,38 +131,39 @@ def _optional(mapping: Mapping, key: str, kind, path: str, default):
     return _require(mapping, key, kind, path) if key in mapping else default
 
 
-def _parse_rtt(obj, path: str) -> RttClass | str:
-    if isinstance(obj, str):
-        return obj
+def _parse_rtt(obj, path: str) -> RttClass:
+    if isinstance(obj, str) and obj in RTT_CLASSES:
+        return RTT_CLASSES[obj]
     if isinstance(obj, dict):
         return RttClass(
             name=_require(obj, "name", str, path),
             mean_ms=_require(obj, "mean_ms", float, path),
             jitter_ms=_optional(obj, "jitter_ms", float, path, 0.0),
         )
-    raise ConfigError(f"{path}: expected an RTT class name or object")
+    raise ConfigError(f"{path}: expected an RTT class name ({', '.join(RTT_CLASSES)}) or object, got {obj!r}")
 
 
 def _parse_cost(obj, path: str):
-    base = _require(obj, "base_ms", float, path)
-    per = _require(obj, "per_token_ms", float, path)
-    return affine_cost(base, per)
+    terms = []
+    for key in ("base_ms", "per_token_ms"):
+        value = _require(obj, key, float, path)
+        if not 0 <= value < math.inf:
+            raise ConfigError(f"{path}.{key}: must be a finite number >= 0, got {value!r}")
+        terms.append(value)
+    return affine_cost(*terms)
 
 
-def _parse_model(obj: dict, path: str) -> TimingModel:
-    kwargs = {}
-    for key, name in (("k_cloud", "k_cloud"), ("k_device", "k_device"), ("tpot_cloud", "tpot_cloud"), ("tpot_device", "tpot_device")):
-        if key in obj:
-            kwargs[name] = _require(obj, key, float, path)
-    if "rtt" in obj:
-        kwargs["rtt"] = _parse_rtt(obj["rtt"], f"{path}.rtt")
-    if "compress" in obj:
-        kwargs["compress"] = _parse_cost(obj["compress"], f"{path}.compress")
-    if "decompress" in obj:
-        kwargs["decompress"] = _parse_cost(obj["decompress"], f"{path}.decompress")
-    if "overhead_bound" in obj and obj["overhead_bound"] != "auto":
-        kwargs["overhead_bound"] = _parse_cost(obj["overhead_bound"], f"{path}.overhead_bound")
-    try:
+def _parse_model(obj, path: str) -> TimingModel:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: expected an object")
+    coefficients = ("k_cloud", "k_device", "tpot_cloud", "tpot_device")
+    kwargs = {key: _require(obj, key, float, path) for key in coefficients if key in obj}
+    for key in ("compress", "decompress", "overhead_bound"):
+        if key in obj and (key, obj[key]) != ("overhead_bound", "auto"):
+            kwargs[key] = _parse_cost(obj[key], f"{path}.{key}")
+    try:  # RttClass and build_model raise ValueError on out-of-range values
+        if "rtt" in obj:
+            kwargs["rtt"] = _parse_rtt(obj["rtt"], f"{path}.rtt")
         return build_model(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
@@ -315,6 +321,8 @@ def _validate_config(config: ExperimentConfig) -> None:
     for key in ("prefix_tokens", "suffix_tokens"):
         if getattr(w, key) < 0:
             raise ConfigError(f"config.workload.{key}: must be nonnegative")
+    if not 0 <= w.divergence_rate <= 1:
+        raise ConfigError(f"config.workload.divergence_rate: must be in [0, 1], got {w.divergence_rate!r}")
     if w.arrival_rate_per_s <= 0:
         raise ConfigError("config.workload.arrival_rate_per_s: must be positive")
     floor = w.prefix_tokens + w.suffix_tokens + 16
@@ -515,19 +523,38 @@ def generate_workload(config: ExperimentConfig, seed: int) -> list[GeneratedRequ
 # --- experiment ---------------------------------------------------------------
 
 
-_TRACE_COLUMNS = [
-    "variant", "request_id", "scene", "device_class", "l", "r", "L", "n", "rtt_ms",
-    "ttft_c", "user_ttft", "ttft_d", "tpot_smooth", "max_smoothed_gap", "handover_gap",
-    "occupancy", "tokens_emitted", "corrections", "common_prefix_len", "output_len",
-    "mask_bytes", "refined_tokens", "planning_miss", "feasible",
-]
+@dataclass(frozen=True, slots=True)
+class TraceRow:
+    """One request of one variant: a line of ``trace_<variant>.csv``.
 
-_SUMMARY_COLUMNS = [
-    "variant", "requests", "mean_user_ttft", "p50_user_ttft", "p95_user_ttft",
-    "mean_ttft_d", "p95_ttft_d", "max_display_tpot", "mean_display_tpot",
-    "tps", "analytic_tps", "mean_occupancy_ms", "corrections", "mean_mask_bytes",
-    "median_mask_bytes", "planning_misses", "above_tau_requests",
-]
+    The field order is the column order: ``write_trace`` formats the fields
+    and ``read_trace`` parses them back by their types.
+    """
+
+    variant: str
+    request_id: str
+    scene: str
+    device_class: str
+    l: int  # prompt tokens
+    r: float
+    L: int  # assisted-token budget; 0 = until EOT
+    n: int
+    rtt_ms: float
+    ttft_c: float
+    user_ttft: float
+    ttft_d: float
+    tpot_smooth: float | None
+    max_smoothed_gap: float | None
+    handover_gap: float | None
+    occupancy: float
+    tokens_emitted: int
+    corrections: int
+    common_prefix_len: int
+    output_len: int
+    mask_bytes: int
+    refined_tokens: int
+    planning_miss: bool
+    feasible: bool
 
 
 def _fmt(value) -> str:
@@ -540,6 +567,30 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _parse_bool(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text == "true"
+
+
+# the inverse of ``_fmt``, by annotation (annotations are strings here)
+_PARSERS = {"str": str, "int": int, "float": float, "bool": _parse_bool,
+            "float | None": lambda text: float(text) if text else None}
+_TRACE_FIELDS = tuple(f.name for f in fields(TraceRow))
+_TRACE_PARSERS = tuple(_PARSERS[f.type] for f in fields(TraceRow))
+
+
+def _write_csv(path: str | Path, header: Sequence[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_trace(path: str | Path, rows: Sequence[TraceRow]) -> None:
+    _write_csv(path, _TRACE_FIELDS, ([_fmt(getattr(row, name)) for name in _TRACE_FIELDS] for row in rows))
+
+
 def nearest_rank_percentile(values: Sequence[float], pct: float) -> float:
     if not values:
         return 0.0
@@ -550,6 +601,8 @@ def nearest_rank_percentile(values: Sequence[float], pct: float) -> float:
 
 @dataclass(frozen=True)
 class VariantMetrics:
+    """One line of ``summary.csv`` or ``report.csv``; None is a value the traces cannot give."""
+
     name: str
     requests: int
     mean_user_ttft: float
@@ -559,31 +612,39 @@ class VariantMetrics:
     p95_ttft_d: float
     max_display_tpot: float
     mean_display_tpot: float
-    tps: float
-    analytic_tps: float
+    tps: float | None
+    analytic_tps: float | None
     mean_occupancy_ms: float
     corrections: int
     mean_mask_bytes: float
     median_mask_bytes: float
     planning_misses: int
-    above_tau_requests: int
+    above_tau_requests: int | None
 
     def row(self) -> list[str]:
-        return [_fmt(getattr(self, col if col != "variant" else "name")) for col in _SUMMARY_COLUMNS]
+        return [_fmt(getattr(self, f.name)) for f in fields(self)]
+
+
+# the summary columns, with the variant's name under "variant"
+_SUMMARY_HEADER = ["variant", *(f.name for f in fields(VariantMetrics)[1:])]
 
 
 @dataclass(frozen=True)
 class MetricsReport:
     variants: tuple[VariantMetrics, ...]
     summary_text: str
-    trace_files: tuple[str, ...]
 
 
-def _variant_metrics(name: str, rows: list[dict], tps: float, analytic_tps: float) -> VariantMetrics:
-    user = [r["user_ttft"] for r in rows]
-    ttft_d = [r["ttft_d"] for r in rows]
-    gaps = [r["max_smoothed_gap"] for r in rows if r["max_smoothed_gap"] is not None]
-    masks = [r["mask_bytes"] for r in rows]
+def _variant_metrics(name: str, rows: Sequence[TraceRow], tps: float | None = None, analytic_tps: float | None = None,
+                     tau_ms: Mapping[str, float] | None = None) -> VariantMetrics:
+    """Aggregate one variant's rows; ``tau_ms`` (scene -> tolerable pace) or a throughput left None stays blank."""
+    user = [r.user_ttft for r in rows]
+    ttft_d = [r.ttft_d for r in rows]
+    gaps = [r.max_smoothed_gap for r in rows if r.max_smoothed_gap is not None]
+    masks = [r.mask_bytes for r in rows]
+    above_tau = None if tau_ms is None else sum(
+        1 for r in rows if r.max_smoothed_gap is not None and r.max_smoothed_gap > tau_ms[r.scene]
+    )
     return VariantMetrics(
         name=name,
         requests=len(rows),
@@ -596,12 +657,12 @@ def _variant_metrics(name: str, rows: list[dict], tps: float, analytic_tps: floa
         mean_display_tpot=statistics.fmean(gaps) if gaps else 0.0,
         tps=tps,
         analytic_tps=analytic_tps,
-        mean_occupancy_ms=statistics.fmean([r["occupancy"] for r in rows]) if rows else 0.0,
-        corrections=sum(r["corrections"] for r in rows),
+        mean_occupancy_ms=statistics.fmean([r.occupancy for r in rows]) if rows else 0.0,
+        corrections=sum(r.corrections for r in rows),
         mean_mask_bytes=statistics.fmean(masks) if masks else 0.0,
         median_mask_bytes=statistics.median(masks) if masks else 0.0,
-        planning_misses=sum(1 for r in rows if r["planning_miss"]),
-        above_tau_requests=sum(1 for r in rows if r["above_tau"]),
+        planning_misses=sum(1 for r in rows if r.planning_miss),
+        above_tau_requests=above_tau,
     )
 
 
@@ -616,14 +677,13 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path, seed: int | No
 
     workload = generate_workload(config, seed)
     metrics: list[VariantMetrics] = []
-    trace_files: list[str] = []
 
     # requests outer, variants inner: each prompt is tokenized and scored once
     # per request, each token source is built once per request, and only one
     # request's prompt is alive at a time; each variant keeps its own RTT
     # stream, drawn in request order
     rtt_rngs = [random.Random(f"{seed}:{variant.name}:rtt") for variant in config.variants]
-    variant_rows: list[list[dict]] = [[] for _ in config.variants]
+    variant_rows: list[list[TraceRow]] = [[] for _ in config.variants]
     for gen in workload:
         req = gen.request
         model = config.models[req.device_class]
@@ -665,75 +725,46 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path, seed: int | No
                 feasible = check_plan(
                     model, constraints, record.prompt_tokens, record.ratio, record.max_tokens, rtt_ms=None
                 )
-            above_tau = (
-                trace_d.max_smoothed_gap_ms is not None
-                and trace_d.max_smoothed_gap_ms > constraints.max_tpot_ms
-            )
             rows.append(
-                {
-                    "variant": variant.name,
-                    "request_id": req.request_id,
-                    "scene": req.scene,
-                    "device_class": req.device_class,
-                    "l": record.prompt_tokens,
-                    "r": record.ratio,
-                    "L": 0 if record.max_tokens is None else record.max_tokens,
-                    "n": gen.output_tokens,
-                    "rtt_ms": rtt,
-                    "ttft_c": record.ttft_cloud_ms,
-                    "user_ttft": trace_d.user_ttft_ms,
-                    "ttft_d": trace_d.ttft_device_ms,
-                    "tpot_smooth": trace_d.tpot_smooth_ms,
-                    "max_smoothed_gap": trace_d.max_smoothed_gap_ms,
-                    "handover_gap": trace_d.handover_gap_ms,
-                    "occupancy": record.occupancy_ms,
-                    "tokens_emitted": record.tokens_emitted,
-                    "corrections": trace_d.corrections,
-                    "common_prefix_len": trace_d.common_prefix_len,
-                    "output_len": len(trace_d.output_tokens),
-                    "mask_bytes": record.mask_payload_bytes,
-                    "refined_tokens": trace_d.refined_tokens,
-                    "planning_miss": record.planning_miss,
-                    "above_tau": above_tau,
-                    "feasible": feasible,
-                }
+                TraceRow(
+                    variant=variant.name, request_id=req.request_id, scene=req.scene, device_class=req.device_class,
+                    l=record.prompt_tokens, r=record.ratio, L=0 if record.max_tokens is None else record.max_tokens,
+                    n=gen.output_tokens, rtt_ms=rtt, ttft_c=record.ttft_cloud_ms,
+                    user_ttft=trace_d.user_ttft_ms, ttft_d=trace_d.ttft_device_ms, tpot_smooth=trace_d.tpot_smooth_ms,
+                    max_smoothed_gap=trace_d.max_smoothed_gap_ms, handover_gap=trace_d.handover_gap_ms,
+                    occupancy=record.occupancy_ms, tokens_emitted=record.tokens_emitted,
+                    corrections=trace_d.corrections, common_prefix_len=trace_d.common_prefix_len,
+                    output_len=len(trace_d.displays), mask_bytes=record.mask_payload_bytes,
+                    refined_tokens=trace_d.refined_tokens, planning_miss=record.planning_miss, feasible=feasible,
+                )
             )
 
+    tau_ms = {name: constraints.max_tpot_ms for name, constraints in config.scenes.items()}
     for variant, rows in zip(config.variants, variant_rows):
         if rows:
-            occupancies = [row["occupancy"] for row in rows]
+            occupancies = [row.occupancy for row in rows]
             result = run_throughput(config.batch, occupancies, config.batch_completions, seed=seed)
             tps, analytic = result.tps, result.analytic_tps
         else:
             tps, analytic = 0.0, 0.0
 
-        path = out / f"trace_{variant.name}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(_TRACE_COLUMNS)
-            for row in rows:
-                writer.writerow([_fmt(row[col]) for col in _TRACE_COLUMNS])
-        trace_files.append(str(path))
-        metrics.append(_variant_metrics(variant.name, rows, tps, analytic))
+        write_trace(out / f"trace_{variant.name}.csv", rows)
+        metrics.append(_variant_metrics(variant.name, rows, tps, analytic, tau_ms))
 
-    with open(out / "summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_SUMMARY_COLUMNS)
-        for m in metrics:
-            writer.writerow(m.row())
-
+    _write_csv(out / "summary.csv", _SUMMARY_HEADER, (m.row() for m in metrics))
     text = render_summary(metrics)
     (out / "summary.txt").write_text(text)
-    return MetricsReport(variants=tuple(metrics), summary_text=text, trace_files=tuple(trace_files))
+    return MetricsReport(variants=tuple(metrics), summary_text=text)
 
 
 def render_summary(metrics: Sequence[VariantMetrics]) -> str:
     lines = ["experiment summary", "=================="]
     for m in metrics:
+        tps = "n/a" if m.tps is None else f"{m.tps:.2f}"
         lines.append(
             f"{m.name}: requests={m.requests} user_ttft(mean/p95)={m.mean_user_ttft:.1f}/{m.p95_user_ttft:.1f} ms "
             f"ttft_d(mean)={m.mean_ttft_d:.1f} ms display_tpot(max)={m.max_display_tpot:.1f} ms "
-            f"tps={m.tps:.2f} occupancy(mean)={m.mean_occupancy_ms:.1f} ms mask_bytes(median)={m.median_mask_bytes:.0f}"
+            f"tps={tps} occupancy(mean)={m.mean_occupancy_ms:.1f} ms mask_bytes(median)={m.median_mask_bytes:.0f}"
         )
         if m.planning_misses:
             lines.append(f"  note: {m.planning_misses} planning misses served with ratio 1 until EOT")
@@ -742,62 +773,55 @@ def render_summary(metrics: Sequence[VariantMetrics]) -> str:
                 f"  flag: smoothed TPOT slightly above the tolerable target for "
                 f"{m.above_tau_requests} requests"
             )
+        blank = [f.name for f in fields(m) if getattr(m, f.name) is None]
+        if blank:
+            lines.append(f"  n/a: {', '.join(blank)} (the traces carry no batch config and no tau)")
     return "\n".join(lines) + "\n"
 
 
 # --- report over existing traces -----------------------------------------------
 
 
-def read_trace(path: str | Path) -> list[dict]:
+def read_trace(path: str | Path) -> list[TraceRow]:
+    """Parse a trace CSV; raises ReportError naming the file, line and column of a bad value."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in _TRACE_COLUMNS if c not in (reader.fieldnames or [])]
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [name for name in _TRACE_FIELDS if name not in header]
         if missing:
             raise ReportError(f"{path}: missing columns {missing}")
+        at = [header.index(name) for name in _TRACE_FIELDS]
         rows = []
         for raw in reader:
-            rows.append(
-                {
-                    "variant": raw["variant"],
-                    "user_ttft": float(raw["user_ttft"]),
-                    "ttft_d": float(raw["ttft_d"]),
-                    "max_smoothed_gap": float(raw["max_smoothed_gap"]) if raw["max_smoothed_gap"] else None,
-                    "occupancy": float(raw["occupancy"]),
-                    "corrections": int(raw["corrections"]),
-                    "mask_bytes": int(raw["mask_bytes"]),
-                    "planning_miss": raw["planning_miss"] == "true",
-                    "above_tau": False,
-                    "feasible": raw["feasible"] == "true",
-                }
-            )
+            if len(raw) != len(header):
+                raise ReportError(f"{path}: line {reader.line_num}: {len(raw)} values for {len(header)} columns")
+            values = []
+            for name, parse, i in zip(_TRACE_FIELDS, _TRACE_PARSERS, at):
+                try:
+                    values.append(parse(raw[i]))
+                except ValueError as exc:
+                    raise ReportError(f"{path}: line {reader.line_num}: column {name}: {exc}") from None
+            rows.append(TraceRow(*values))
         return rows
 
 
 def report(trace_paths: Sequence[str | Path], out_dir: str | Path) -> MetricsReport:
-    """Aggregate existing trace CSVs into a summary table and text.
+    """Aggregate existing trace CSVs into ``report.csv`` and ``report.txt``.
 
-    Throughput is reported analytically (per decode slot) since the traces
-    carry occupancy but not the batch configuration.
+    The metrics are those of ``summary.csv``, computed by the same function
+    over the 6-decimal values the traces hold. ``tps``, ``analytic_tps`` and
+    ``above_tau_requests`` are left blank (``n/a`` in the text): the traces
+    carry neither the batch config nor the scenes' tolerable pace tau.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    by_variant: dict[str, list[dict]] = {}
+    by_variant: dict[str, list[TraceRow]] = {}
     for path in trace_paths:
         for row in read_trace(path):
-            by_variant.setdefault(row["variant"], []).append(row)
+            by_variant.setdefault(row.variant, []).append(row)
 
-    metrics = []
-    for name in sorted(by_variant):
-        rows = by_variant[name]
-        mean_occ = statistics.fmean([r["occupancy"] for r in rows]) if rows else 0.0
-        per_slot = 1000.0 / mean_occ if mean_occ else 0.0
-        metrics.append(_variant_metrics(name, rows, tps=0.0, analytic_tps=per_slot))
-
-    with open(out / "report.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_SUMMARY_COLUMNS)
-        for m in metrics:
-            writer.writerow(m.row())
+    metrics = [_variant_metrics(name, rows) for name, rows in sorted(by_variant.items())]
+    _write_csv(out / "report.csv", _SUMMARY_HEADER, (m.row() for m in metrics))
     text = render_summary(metrics)
     (out / "report.txt").write_text(text)
-    return MetricsReport(variants=tuple(metrics), summary_text=text, trace_files=tuple(str(p) for p in trace_paths))
+    return MetricsReport(variants=tuple(metrics), summary_text=text)

@@ -13,7 +13,7 @@ import numpy as np
 from pdsim import protocol
 from pdsim.cli import _WEIGHT_HEADER
 from pdsim.cloudsim import EOT_TOKEN, TokenSource
-from pdsim.devicesim import CorrectionPolicy, DeviceTrace, DisplaySchedule, StallError
+from pdsim.devicesim import CorrectionPolicy, DeviceTrace, StallError
 from pdsim.eventloop import EventLoop
 from pdsim.maskcodec import unpack
 from pdsim.planner import PlanConstraints
@@ -299,7 +299,6 @@ class ReferenceSession:
         start_ms: float,
         frame_time_ms: float,
     ) -> None:
-        self.request_id = req.request_id
         self.model = model
         self.source = source
         self.policy = policy
@@ -318,16 +317,9 @@ class ReferenceSession:
         self.prefill_est = model.k_device * mask.popcount()
 
         self.user_ttft = frame_time_ms - start_ms
+        self.tpot_smooth: float | None = None
         if self.budget >= 2:
-            self.tpot_smooth: float | None = smoothed_tpot(
-                model, self.prefill_est, self.user_ttft, self.budget
-            )
-            self.schedule: DisplaySchedule | None = DisplaySchedule(
-                start_ms=frame_time_ms, count=self.budget - 1, tpot_smooth_ms=self.tpot_smooth
-            )
-        else:
-            self.tpot_smooth = None
-            self.schedule = None
+            self.tpot_smooth = smoothed_tpot(model, self.prefill_est, self.user_ttft, self.budget)
 
         self.events = sorted(
             ((t, item) for t, item in timed_stream if isinstance(item, StreamEvent)),
@@ -350,7 +342,6 @@ class ReferenceSession:
         self.pos_next = 1
         self.display_pending = False
         self.finished = False
-        self.cloud_eot = False
         self.device_eot_position: int | None = None
         self.ttft_device: float | None = None
 
@@ -383,7 +374,6 @@ class ReferenceSession:
 
     def _on_frame(self) -> None:
         if self.frame.token == EOT_TOKEN:
-            self.cloud_eot = True
             self._finish()
             return
         self.displays.append((self.loop.now, 1, self.frame.token))
@@ -420,7 +410,6 @@ class ReferenceSession:
             return
         token = self.cloud[position]
         if token == EOT_TOKEN:
-            self.cloud_eot = True
             self._finish()
             return
         shown = token
@@ -513,28 +502,21 @@ class ReferenceSession:
                 break
             common += 1
 
-        stream_complete = self.events[-1][0] if self.events else self.frame_time
         if self.ttft_device is None:
             # session ended before prefill completed (e.g. instant cloud EOT)
             recover = self.model.decompress_cost(self.prompt_tokens)
             self.ttft_device = self.user_ttft + recover + self.prefill_est
         return DeviceTrace(
-            request_id=self.request_id,
             user_ttft_ms=self.user_ttft,
             ttft_device_ms=self.ttft_device,
             tpot_smooth_ms=self.tpot_smooth,
-            schedule=self.schedule,
             displays=tuple(self.displays),
-            output_tokens=tuple(token for _, _, token in self.displays),
             corrections=self.corrections,
             common_prefix_len=common,
             max_smoothed_gap_ms=max(gaps) if gaps else None,
             handover_gap_ms=handover,
-            cloud_tokens_received=self.cloud_last,
-            cloud_eot=self.cloud_eot,
             device_eot_position=self.device_eot_position,
             decode_caught_up_ms=self.decode_time.get(self.cloud_last),
-            stream_complete_ms=stream_complete,
             refined_tokens=self.refined_tokens,
         )
 

@@ -76,6 +76,20 @@ class TestMalformedConfig:
             (_set("workload", "scene_mix", {"doc_qa": -1.0, "summary": -0.5}), "config.workload.scene_mix.doc_qa"),
             (_set("workload", "device_mix", {"phone": 0, "tablet": 0.0}), "config.workload.device_mix"),
             (_set("workload", "device_mix", {"phone": float("nan")}), "config.workload.device_mix.phone"),
+            (_set("workload", "divergence_rate", 2.0), "config.workload.divergence_rate"),
+            (_set("workload", "divergence_rate", -0.5), "config.workload.divergence_rate"),
+            (_set("timing", "device_classes", "phone", "compress", {"base_ms": -50.0, "per_token_ms": 0.01}),
+             "config.timing.device_classes.phone.compress.base_ms"),
+            (_set("timing", "device_classes", "phone", "compress", {"base_ms": 50.0, "per_token_ms": -0.01}),
+             "config.timing.device_classes.phone.compress.per_token_ms"),
+            (_set("timing", "device_classes", "tablet", "decompress", {"base_ms": -50.0, "per_token_ms": -0.01}),
+             "config.timing.device_classes.tablet.decompress.base_ms"),
+            (_set("timing", "device_classes", "phone", "overhead_bound", {"base_ms": 500.0, "per_token_ms": -0.01}),
+             "config.timing.device_classes.phone.overhead_bound.per_token_ms"),
+            (_set("timing", "device_classes", "tablet", 5), "config.timing.device_classes.tablet"),
+            (_set("timing", "device_classes", "phone", "rtt", "5g"), "config.timing.device_classes.phone.rtt"),
+            (_set("timing", "device_classes", "phone", "rtt", {"name": "x", "mean_ms": -5.0}),
+             "config.timing.device_classes.phone"),
         ],
     )
     def test_ends_in_one_error_line_with_exit_code_2(self, tmp_path, config_path, capsys, mutate, key_path):

@@ -116,7 +116,8 @@ class TestServeRequest:
         assert len(trace.events) == 20
         assert record.tokens_emitted == 21
         assert record.occupancy_ms == pytest.approx(record.ttft_cloud_ms + 20 * calibrated_model.tpot_cloud)
-        assert trace.done_time_ms == pytest.approx(record.slot_released_at_ms)
+        # served from 0 ms, the slot frees at start + occupancy, the DONE marker
+        assert trace.done_time_ms == pytest.approx(record.occupancy_ms)
         # events tick at the cloud decode pace
         for j, (when, event) in enumerate(trace.events, start=1):
             assert event.index == j

@@ -83,14 +83,15 @@ class TestHappyPath:
     def test_output_is_cloud_prefix_plus_device_continuation(self, calibrated_model, plan_table):
         trace_c, trace_d = serve(calibrated_model, plan_table, n=60)
         cloud_tokens = [trace_c.frame.token] + [e.token for _, e in trace_c.events]
-        assert list(trace_d.output_tokens[:24]) == cloud_tokens
-        assert len(trace_d.output_tokens) == 59  # device EOT at 60 is not displayed
+        shown = [token for _, _, token in trace_d.displays]
+        assert shown[:24] == cloud_tokens
+        assert len(shown) == 59  # device EOT at 60 is not displayed
         assert trace_d.common_prefix_len == 24
         assert trace_d.corrections == 0
 
     def test_stream_confined_to_device_prefill_phase(self, calibrated_model, plan_table):
         trace_c, trace_d = serve(calibrated_model, plan_table)
-        assert trace_d.stream_complete_ms <= trace_d.ttft_device_ms
+        assert trace_c.events[-1][0] <= trace_d.ttft_device_ms
 
     def test_decode_catches_display_within_feedback_and_recovery_lag(self, calibrated_model, plan_table):
         trace_c, trace_d = serve(calibrated_model, plan_table)
@@ -129,7 +130,6 @@ class TestSingleAssistedToken:
     def test_no_display_branch(self, calibrated_model, plan_table):
         _, trace_d = serve(calibrated_model, plan_table, max_tokens_override=1, ratio_override=0.25)
         assert trace_d.tpot_smooth_ms is None
-        assert trace_d.schedule is None
         assert trace_d.displays[0][0] == pytest.approx(950.0)
         # next token comes from the device itself, one decode step after prefill
         assert trace_d.displays[1][0] == pytest.approx(trace_d.ttft_device_ms + 30.0)
@@ -140,8 +140,9 @@ class TestUnboundedStream:
     def test_planning_miss_displays_at_arrival_pace(self, calibrated_model):
         trace_c, trace_d = serve(calibrated_model, None, n=40)
         assert trace_c.frame.max_tokens == 0
-        assert len(trace_d.output_tokens) == 39
-        assert trace_d.cloud_eot
+        # the cloud EOT at 40 ends the session: every position before it is shown
+        assert trace_c.events[-1][1].token == EOT_TOKEN
+        assert [position for _, position, _ in trace_d.displays] == list(range(1, 40))
         arrivals = {e.index + 1: t for t, e in trace_c.events}
         for when, position, _ in trace_d.displays:
             if position > 1:
@@ -152,16 +153,16 @@ class TestEarlyNaturalFinish:
     def test_cloud_eot_ends_the_session(self, calibrated_model, plan_table):
         trace_c, trace_d = serve(calibrated_model, plan_table, n=10)
         assert trace_c.record.tokens_emitted == 10
-        assert trace_d.cloud_eot
-        assert len(trace_d.output_tokens) == 9
-        assert trace_d.output_tokens[-1] != EOT_TOKEN
+        assert trace_c.events[-1][1].token == EOT_TOKEN
+        assert [position for _, position, _ in trace_d.displays] == list(range(1, 10))
+        assert EOT_TOKEN not in [token for _, _, token in trace_d.displays]
 
 
 class TestCorrector:
     def test_cloud_wins_displays_cloud_stream_and_counts(self, calibrated_model, plan_table):
         trace_c, trace_d = serve(calibrated_model, plan_table, divergence=frozenset({7}))
         cloud_tokens = [trace_c.frame.token] + [e.token for _, e in trace_c.events]
-        assert list(trace_d.output_tokens[:24]) == cloud_tokens
+        assert [token for _, _, token in trace_d.displays[:24]] == cloud_tokens
         assert trace_d.corrections >= 1
         assert trace_d.common_prefix_len == 6
 
@@ -305,7 +306,7 @@ class TestMatchesEventReference:
 
         monkeypatch.setattr(EventLoop, "__init__", counting)
         _, trace_d = serve(calibrated_model, plan_table, n=1600, max_tokens_override=40)
-        assert len(trace_d.output_tokens) == 1599
+        assert len(trace_d.displays) == 1599
         assert built == []
 
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import random
+import re
 import statistics
 from pathlib import Path
 
@@ -20,12 +21,17 @@ from pdsim.harness import (
     generate_workload,
     load_config,
     nearest_rank_percentile,
+    read_trace,
     report,
     run_experiment,
     synthesize_prompt,
+    write_trace,
 )
 from pdsim.refiner import TokenizedPrompt, tokenize
 from pdsim.timing import ttft_cloud
+
+DATA = Path(__file__).parent / "data"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def base_config_dict(**overrides) -> dict:
@@ -312,6 +318,56 @@ class TestReport:
         with pytest.raises(ReportError, match="missing columns"):
             report([bad], tmp_path / "rep")
 
+    @pytest.mark.parametrize(
+        "column,value,needle",
+        [
+            ("user_ttft", "abc", "column user_ttft: could not convert"),
+            ("corrections", "1.5", "column corrections: invalid literal"),
+            ("occupancy", "", "column occupancy: could not convert"),
+            ("planning_miss", "yes", "column planning_miss: expected true or false, got 'yes'"),
+            ("feasible", "True", "column feasible: expected true or false"),
+        ],
+    )
+    def test_bad_values_name_file_line_and_column(self, tmp_path, column, value, needle):
+        lines = (GOLDEN / "report" / "trace_planned.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        cells = lines[3].split(",")
+        cells[header.index(column)] = value
+        lines[3] = ",".join(cells)
+        bad = tmp_path / "trace_bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ReportError, match=f"^{re.escape(str(bad))}: line 4: {re.escape(needle)}"):
+            report([bad], tmp_path / "rep")
+
+    def test_short_row_raises(self, tmp_path):
+        lines = (GOLDEN / "report" / "trace_planned.csv").read_text().splitlines()
+        bad = tmp_path / "trace_bad.csv"
+        bad.write_text("\n".join(lines[:2] + [lines[2].rsplit(",", 1)[0]]) + "\n")
+        with pytest.raises(ReportError, match=f"^{re.escape(str(bad))}: line 3: 23 values for 24 columns"):
+            report([bad], tmp_path / "rep")
+
+    @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*/trace_*.csv")), ids=lambda p: f"{p.parent.name}/{p.name}")
+    def test_golden_traces_round_trip(self, tmp_path, path):
+        write_trace(tmp_path / "again.csv", read_trace(path))
+        assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("config_file", [None, "sweep_config.json", "long_decode_config.json"])
+    def test_report_reproduces_simulate(self, tmp_path, config_file):
+        config = default_config() if config_file is None else load_config(DATA / config_file)
+        run_experiment(config, tmp_path / "run")
+        report(sorted((tmp_path / "run").glob("trace_*.csv")), tmp_path / "rep")
+        summary = {row["variant"]: row for row in read_rows(tmp_path / "run" / "summary.csv")}
+        reported = {row["variant"]: row for row in read_rows(tmp_path / "rep" / "report.csv")}
+        assert reported.keys() == summary.keys()
+        blank = {"tps", "analytic_tps", "above_tau_requests"}
+        for name, row in reported.items():
+            assert row.keys() == summary[name].keys()
+            assert {column for column, value in row.items() if value == ""} == blank
+            for column in row.keys() - blank - {"variant"}:
+                assert float(row[column]) == pytest.approx(float(summary[name][column]), abs=1e-6), (name, column)
+        text = (tmp_path / "rep" / "report.txt").read_text()
+        assert "tps=n/a" in text and "n/a: tps, analytic_tps, above_tau_requests" in text
+
     def test_percentile_is_nearest_rank(self):
         values = [10.0, 20.0, 30.0, 40.0]
         assert nearest_rank_percentile(values, 50) == 20.0
@@ -323,7 +379,7 @@ class TestReport:
 class TestGoldenReport:
     @staticmethod
     def assert_every_file_matches(golden: str, config: harness.ExperimentConfig, out: Path) -> None:
-        golden_dir = Path(__file__).parent / "golden" / golden
+        golden_dir = GOLDEN / golden
         run_experiment(config, out)
         written = sorted(p.name for p in out.iterdir())
         assert written == sorted(p.name for p in golden_dir.iterdir())
@@ -332,7 +388,7 @@ class TestGoldenReport:
 
     @staticmethod
     def data_config(name: str) -> harness.ExperimentConfig:
-        return load_config(Path(__file__).parent / "data" / name)
+        return load_config(DATA / name)
 
     def test_fixed_seed_outputs_match_frozen_files(self, tmp_path):
         self.assert_every_file_matches("report", self.data_config("report_config.json"), tmp_path)
