@@ -1,10 +1,21 @@
 """Cloud-device split serving toolkit: planner, wire protocol and simulators."""
 
-from .cloudsim import EOT_TOKEN, BatchModel, CloudTrace, SessionRecord, TokenSource, run_throughput, serve_request
+from .cloudsim import EOT_TOKEN, BatchModel, CloudTrace, TokenSource, run_throughput, serve_request
 from .devicesim import CorrectionPolicy, DeviceTrace, StallError, run_session, scrub
 from .harness import ExperimentConfig, MetricsReport, default_config, load_config, run_experiment
 from .maskcodec import CompressedMask, MaskCodecError, MaskLengthError, pack, unpack
-from .planner import Plan, PlanConstraints, PlanKey, PlanTable, build_plan_table, l_bounds, r_bounds, solve_plan
+from .planner import (
+    OperatingPoint,
+    Plan,
+    PlanConstraints,
+    PlanKey,
+    PlanTable,
+    build_plan_table,
+    l_bounds,
+    operating_point,
+    r_bounds,
+    solve_plan,
+)
 from .protocol import (
     DONE,
     AssistRequest,

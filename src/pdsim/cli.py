@@ -34,7 +34,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     table = build_plan_table(config.models, config.scenes, config.buckets)
-    table.write_csv(out / "plans.csv")
+    harness.write_plans(out / "plans.csv", table)
     print(f"wrote {out / 'plans.csv'} ({len(table.plans)} plans)")
     return 0
 

@@ -1,10 +1,10 @@
 """Cloud-side request serving in simulated time.
 
 Prefill and refinement are timed delays from the calibrated model rather
-than modeled compute. Each request yields the piggyback first frame, a
-periodic decode stream cut off at the assisted-token budget (or at EOT,
-whichever comes first), and a slot-occupancy record that feeds the batch
-throughput simulator.
+than modeled compute. Each request is served at the (ratio, budget) the
+planner decided: it yields the piggyback first frame, a periodic decode
+stream cut off at the budget (or at EOT, whichever comes first) and the time
+it holds a decode slot, which the batch throughput simulator consumes.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .maskcodec import pack
-from .planner import Plan, PlanTable
 from .protocol import DONE, AssistRequest, DoneMarker, FirstTokenFrame, StreamEvent, encode_done, encode_first_frame, encode_stream_event
 from .refiner import TokenScores, TokenizedPrompt, select_sentences
 from .timing import TimingModel, request_occupancy, ttft_cloud
@@ -65,29 +64,14 @@ class TokenSource:
 
 
 @dataclass(frozen=True)
-class SessionRecord:
-    """Slot accounting for one served request."""
-
-    plan: Plan | None
-    prompt_tokens: int
-    ratio: float
-    max_tokens: int | None  # None = stream until EOT
-    tokens_emitted: int
-    ttft_cloud_ms: float
-    occupancy_ms: float
-    mask_payload_bytes: int
-    planning_miss: bool
-
-
-@dataclass(frozen=True)
 class CloudTrace:
-    """Timed emissions of one session plus its slot record."""
+    """Timed emissions of one session plus the time it holds a decode slot."""
 
     frame_time_ms: float
     frame: FirstTokenFrame
     events: tuple[tuple[float, StreamEvent], ...]
     done_time_ms: float
-    record: SessionRecord
+    occupancy_ms: float
 
     def delivery(self) -> list[tuple[float, StreamEvent | DoneMarker]]:
         """Timed stream as the device sees it (events then the DONE marker)."""
@@ -116,52 +100,33 @@ def uniform_scores(prompt: TokenizedPrompt, seed: int | str) -> TokenScores:
 def serve_request(
     req: AssistRequest,
     prompt: TokenizedPrompt,
-    plan_table: PlanTable | None,
     model: TimingModel,
     source: TokenSource,
+    scores: TokenScores,
     *,
-    start_ms: float = 0.0,
-    rtt_ms: float | None = None,
-    ratio_override: float | None = None,
-    max_tokens_override: int | None = None,
-    scores: TokenScores | None = None,
+    ratio: float,
+    max_tokens: int | None,
+    start_ms: float,
+    rtt_ms: float,
 ) -> CloudTrace:
-    """Serve one request: refine, piggyback the first token, stream, terminate.
+    """Serve one request at a given point: refine, piggyback the first token, stream.
 
-    ``prompt`` is the request's reference tokenization, shared with the
-    device; the mask is computed over it. ``scores`` are the content scores
-    to select by; when absent they are ``uniform_scores(prompt, request_id)``.
-    A missing plan serves with ratio 1 and no budget (stream until EOT) and is
-    flagged as a planning miss. Overrides pin the sweep variant's ratio or
-    budget regardless of the plan.
+    ``planner.operating_point`` decides the point: the refinement ``ratio``
+    and the budget ``max_tokens``, where None streams until EOT (frame
+    budget 0). ``prompt`` is the request's reference tokenization, shared
+    with the device; the mask selects over it by ``scores``. The first token
+    leaves ``ttft_cloud`` after ``start_ms`` at round trip ``rtt_ms``.
+    ``req`` is not read; it names the session for callers and for wrappers
+    that attribute time per request, as in ``devicesim.run_session``.
     """
-    plan = plan_table.lookup(req.scene, req.device_class, prompt.total_tokens) if plan_table else None
-    miss = plan is None
-    if ratio_override is not None:
-        ratio = ratio_override
-    else:
-        ratio = 1.0 if miss else plan.ratio
-    budget: int | None
-    if max_tokens_override is not None:
-        budget = max_tokens_override
-    else:
-        budget = None if miss else plan.max_tokens
+    first_token_at = start_ms + ttft_cloud(model, prompt.total_tokens, ratio, rtt_ms)
+    compressed = pack(select_sentences(prompt, scores, ratio))
 
-    rtt = model.rtt_class.mean_ms if rtt_ms is None else rtt_ms
-    first_token_at = start_ms + ttft_cloud(model, prompt.total_tokens, ratio, rtt)
-
-    if ratio >= 1.0:
-        scores = TokenScores(np.zeros(len(prompt.content)))
-    elif scores is None:
-        scores = uniform_scores(prompt, req.request_id)
-    mask = select_sentences(prompt, scores, ratio)
-    compressed = pack(mask)
-
-    emit_total = source.total_tokens if budget is None else min(budget, source.total_tokens)
+    emit_total = source.total_tokens if max_tokens is None else min(max_tokens, source.total_tokens)
     frame = FirstTokenFrame(
         token=source.token_at(1),
         mask=compressed,
-        max_tokens=0 if budget is None else budget,
+        max_tokens=0 if max_tokens is None else max_tokens,
     )
     events = tuple(
         (
@@ -170,25 +135,12 @@ def serve_request(
         )
         for i in range(1, emit_total)
     )
-    done_time = events[-1][0] if events else first_token_at
-    occupancy = request_occupancy(first_token_at - start_ms, model.tpot_cloud, emit_total)
-    record = SessionRecord(
-        plan=plan,
-        prompt_tokens=prompt.total_tokens,
-        ratio=ratio,
-        max_tokens=budget,
-        tokens_emitted=emit_total,
-        ttft_cloud_ms=first_token_at - start_ms,
-        occupancy_ms=occupancy,
-        mask_payload_bytes=len(compressed.payload),
-        planning_miss=miss,
-    )
     return CloudTrace(
         frame_time_ms=first_token_at,
         frame=frame,
         events=events,
-        done_time_ms=done_time,
-        record=record,
+        done_time_ms=events[-1][0] if events else first_token_at,
+        occupancy_ms=request_occupancy(first_token_at - start_ms, model.tpot_cloud, emit_total),
     )
 
 

@@ -1,9 +1,10 @@
 """End-to-end experiment runner: config, synthetic workload, metrics, reports.
 
 One experiment is fully determined by its config and seed: reruns produce
-byte-identical CSV outputs. Each sweep variant replays the same workload
-with a ratio and/or token-budget override, producing one trace CSV per
-variant plus a cross-variant summary.
+byte-identical CSV outputs. Each sweep variant replays the same workload,
+pinning the ratio and/or the token budget or leaving both to the plan
+table (``planner.operating_point`` decides), and writes one trace CSV; a
+cross-variant summary follows.
 
 ``TraceRow`` is the one schema of a trace row: ``run_experiment`` writes
 its fields as the columns, ``read_trace`` parses them back, and both
@@ -19,6 +20,7 @@ import math
 import random
 import re
 import statistics
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -29,7 +31,8 @@ import numpy as np
 from . import cloudsim
 from .cloudsim import BatchModel, TokenSource, mt_words, run_throughput, serve_request
 from .devicesim import DEFAULT_SCRUB_RULES, CorrectionPolicy, ScrubRule, run_session, scrub
-from .planner import PlanConstraints, build_plan_table, check_plan, solve_plan
+from .planner import PlanConstraints, PlanTable, build_plan_table, operating_point
+from .planner import solve_plan  # noqa: F401  (benchmarks/tracer.py hooks pdsim.harness.solve_plan)
 from .protocol import AssistRequest
 from .refiner import TokenizedPrompt
 from .timing import RTT_CLASSES, RttClass, TimingModel, affine_cost, build_model
@@ -121,9 +124,11 @@ def _require(mapping: Mapping, key: str, kind, path: str):
         raise ConfigError(f"{path}.{key}: missing")
     value = mapping[key]
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+        value = float(value) if abs(value) <= sys.float_info.max else math.inf
     if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
         raise ConfigError(f"{path}.{key}: expected {kind.__name__}, got {type(value).__name__}")
+    if kind is float and not math.isfinite(value):  # json.loads reads NaN and Infinity
+        raise ConfigError(f"{path}.{key}: must be a finite number, got {value!r}")
     return value
 
 
@@ -147,8 +152,8 @@ def _parse_cost(obj, path: str):
     terms = []
     for key in ("base_ms", "per_token_ms"):
         value = _require(obj, key, float, path)
-        if not 0 <= value < math.inf:
-            raise ConfigError(f"{path}.{key}: must be a finite number >= 0, got {value!r}")
+        if value < 0:
+            raise ConfigError(f"{path}.{key}: must be >= 0, got {value!r}")
         terms.append(value)
     return affine_cost(*terms)
 
@@ -478,7 +483,6 @@ def synthesize_prompt(rng: random.Random, total_tokens: int, prefix_tokens: int,
 @dataclass(frozen=True)
 class GeneratedRequest:
     request: AssistRequest
-    prompt_tokens: int
     output_tokens: int
     arrival_ms: float
     source_seed: int
@@ -510,7 +514,6 @@ def generate_workload(config: ExperimentConfig, seed: int) -> list[GeneratedRequ
         out.append(
             GeneratedRequest(
                 request=req,
-                prompt_tokens=length,
                 output_tokens=n,
                 arrival_ms=arrival,
                 source_seed=rng.randrange(1 << 32),
@@ -589,6 +592,14 @@ def _write_csv(path: str | Path, header: Sequence[str], rows) -> None:
 
 def write_trace(path: str | Path, rows: Sequence[TraceRow]) -> None:
     _write_csv(path, _TRACE_FIELDS, ([_fmt(getattr(row, name)) for name in _TRACE_FIELDS] for row in rows))
+
+
+def write_plans(path: str | Path, table: PlanTable) -> None:
+    """``plans.csv``: one line per <scene, device class, bucket>, in key order."""
+    header = ("scene", "device_class", "bucket", "r", "L", "feasible", "achieved_tpot_smooth")
+    rows = ((key.scene, key.device_class, key.prompt_length_bucket, plan.ratio, plan.max_tokens, plan.feasible,
+             plan.achieved_tpot_smooth) for key, plan in sorted(table.plans.items()))
+    _write_csv(path, header, ([_fmt(value) for value in row] for row in rows))
 
 
 def nearest_rank_percentile(values: Sequence[float], pct: float) -> float:
@@ -673,7 +684,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path, seed: int | No
     out.mkdir(parents=True, exist_ok=True)
 
     table = build_plan_table(config.models, config.scenes, config.buckets)
-    table.write_csv(out / "plans.csv")
+    write_plans(out / "plans.csv", table)
 
     workload = generate_workload(config, seed)
     metrics: list[VariantMetrics] = []
@@ -698,44 +709,29 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path, seed: int | No
         )
         for variant, rng_rtt, rows in zip(config.variants, rtt_rngs, variant_rows):
             rtt = model.rtt_class.sample(rng_rtt)
-            max_override = variant.max_tokens
-            if variant.ratio is not None and variant.max_tokens is None:
-                # pinning the ratio re-solves the budget; inheriting a budget
-                # sized for a different ratio would skew the display pace
-                pinned = solve_plan(model, constraints, gen.prompt_tokens, ratio=variant.ratio)
-                max_override = pinned.max_tokens
+            point = operating_point(
+                table, model, constraints, req.scene, req.device_class, prompt.total_tokens,
+                ratio=variant.ratio, max_tokens=variant.max_tokens,
+            )
             trace_c = serve_request(
-                req, prompt, table, model, cloud_source,
-                start_ms=gen.arrival_ms,
-                rtt_ms=rtt,
-                ratio_override=variant.ratio,
-                max_tokens_override=max_override,
-                scores=scores,
+                req, prompt, model, cloud_source, scores,
+                ratio=point.ratio, max_tokens=point.max_tokens, start_ms=gen.arrival_ms, rtt_ms=rtt,
             )
             trace_d = run_session(
                 req, prompt, trace_c.frame, trace_c.delivery(), model, device_source, config.policy,
                 start_ms=gen.arrival_ms, frame_time_ms=trace_c.frame_time_ms,
             )
-            record = trace_c.record
-            if record.max_tokens is None:
-                feasible = False
-            elif variant.ratio is None and variant.max_tokens is None and record.plan is not None:
-                feasible = record.plan.feasible
-            else:
-                feasible = check_plan(
-                    model, constraints, record.prompt_tokens, record.ratio, record.max_tokens, rtt_ms=None
-                )
             rows.append(
                 TraceRow(
                     variant=variant.name, request_id=req.request_id, scene=req.scene, device_class=req.device_class,
-                    l=record.prompt_tokens, r=record.ratio, L=0 if record.max_tokens is None else record.max_tokens,
-                    n=gen.output_tokens, rtt_ms=rtt, ttft_c=record.ttft_cloud_ms,
+                    l=prompt.total_tokens, r=point.ratio, L=trace_c.frame.max_tokens,
+                    n=gen.output_tokens, rtt_ms=rtt, ttft_c=trace_c.frame_time_ms - gen.arrival_ms,
                     user_ttft=trace_d.user_ttft_ms, ttft_d=trace_d.ttft_device_ms, tpot_smooth=trace_d.tpot_smooth_ms,
                     max_smoothed_gap=trace_d.max_smoothed_gap_ms, handover_gap=trace_d.handover_gap_ms,
-                    occupancy=record.occupancy_ms, tokens_emitted=record.tokens_emitted,
+                    occupancy=trace_c.occupancy_ms, tokens_emitted=len(trace_c.events) + 1,
                     corrections=trace_d.corrections, common_prefix_len=trace_d.common_prefix_len,
-                    output_len=len(trace_d.displays), mask_bytes=record.mask_payload_bytes,
-                    refined_tokens=trace_d.refined_tokens, planning_miss=record.planning_miss, feasible=feasible,
+                    output_len=len(trace_d.displays), mask_bytes=len(trace_c.frame.mask.payload),
+                    refined_tokens=trace_d.refined_tokens, planning_miss=point.planning_miss, feasible=point.feasible,
                 )
             )
 

@@ -5,16 +5,16 @@ floor on the ratio and two budget constraints: the display pace of assisted
 tokens must stay under the tolerable TPOT, and the cloud must finish its
 stream before the device finishes prefill. The structure admits a closed
 form (smallest feasible ratio, then smallest feasible budget), so no MILP
-library is involved.
+library is involved. ``operating_point`` is the one place a session's
+(ratio, budget) is decided: from the plan table, or from the values a sweep
+variant pins.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping, Sequence
 
 from .timing import TimingModel, prefill_device, smoothed_tpot, ttft_cloud, ttft_device
@@ -184,24 +184,6 @@ class PlanTable:
         bucket = self.buckets[min(idx, len(self.buckets) - 1)]
         return self.plans.get(PlanKey(scene, device_class, bucket))
 
-    def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["scene", "device_class", "bucket", "r", "L", "feasible", "achieved_tpot_smooth"])
-            for key in sorted(self.plans):
-                plan = self.plans[key]
-                writer.writerow(
-                    [
-                        key.scene,
-                        key.device_class,
-                        key.prompt_length_bucket,
-                        f"{plan.ratio:.6f}",
-                        plan.max_tokens,
-                        str(plan.feasible).lower(),
-                        f"{plan.achieved_tpot_smooth:.6f}",
-                    ]
-                )
-
 
 def build_plan_table(
     models: Mapping[str, TimingModel],
@@ -220,3 +202,54 @@ def build_plan_table(
             for bucket in ordered:
                 plans[PlanKey(scene, device_class, bucket)] = solve_plan(model, constraints, bucket)
     return PlanTable(plans=plans, buckets=ordered)
+
+
+@dataclass(frozen=True)
+class OperatingPoint:
+    """The (ratio, budget) a session is served at. ``max_tokens`` None streams until EOT."""
+
+    ratio: float
+    max_tokens: int | None
+    feasible: bool
+    planning_miss: bool
+
+
+def operating_point(
+    table: PlanTable,
+    model: TimingModel,
+    constraints: PlanConstraints,
+    scene: str,
+    device_class: str,
+    prompt_tokens: int,
+    *,
+    ratio: float | None = None,
+    max_tokens: int | None = None,
+) -> OperatingPoint:
+    """Decide one session's operating point for a prompt of ``prompt_tokens``.
+
+    ``ratio`` and ``max_tokens`` pin a sweep variant's point. Four cases:
+
+    - nothing pinned, the table has a plan: the plan's ratio, budget and
+      ``feasible``;
+    - nothing pinned, a planning miss (unknown scene or device class):
+      ratio 1 streamed until EOT, not feasible;
+    - a pinned ratio without a pinned budget: ``solve_plan`` at that ratio
+      gives the budget (a budget sized for another ratio would skew the
+      display pace);
+    - any pinned point: ``check_plan`` at the mean RTT gives ``feasible``.
+      An unpinned ratio is the plan's, or 1 on a miss.
+
+    ``planning_miss`` reports the table lookup whatever is pinned.
+    """
+    plan = table.lookup(scene, device_class, prompt_tokens)
+    miss = plan is None
+    if ratio is None and max_tokens is None:
+        if miss:
+            return OperatingPoint(ratio=1.0, max_tokens=None, feasible=False, planning_miss=True)
+        return OperatingPoint(plan.ratio, plan.max_tokens, plan.feasible, planning_miss=False)
+    if ratio is None:
+        ratio = 1.0 if miss else plan.ratio
+    if max_tokens is None:
+        max_tokens = solve_plan(model, constraints, prompt_tokens, ratio=ratio).max_tokens
+    feasible = check_plan(model, constraints, prompt_tokens, ratio, max_tokens)
+    return OperatingPoint(ratio, max_tokens, feasible, planning_miss=miss)

@@ -8,8 +8,12 @@ integers. Each formula is a pure function defined once here. Its callers:
   ``solve_plan``, ``check_plan``), ``devicesim`` with the refined length of the mask.
 - ``ttft_device``: planner (``solve_plan``, ``check_plan``).
 - ``smoothed_tpot``: planner (achieved pace), ``devicesim`` (display schedule).
-- ``request_occupancy``: ``cloudsim.serve_request``, whose slot records feed
-  ``cloudsim.run_throughput``.
+- ``request_occupancy``: ``cloudsim.serve_request``, whose ``CloudTrace.occupancy_ms``
+  becomes the trace's ``occupancy`` column and feeds ``cloudsim.run_throughput``.
+
+``planner.operating_point`` reaches ``solve_plan`` and ``check_plan`` for the
+points that sweep variants pin; ``build_plan_table`` reaches ``solve_plan`` once
+per bucket.
 """
 
 from __future__ import annotations

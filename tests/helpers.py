@@ -12,7 +12,7 @@ import numpy as np
 
 from pdsim import protocol
 from pdsim.cli import _WEIGHT_HEADER
-from pdsim.cloudsim import EOT_TOKEN, TokenSource
+from pdsim.cloudsim import EOT_TOKEN, CloudTrace, TokenSource, serve_request, uniform_scores
 from pdsim.devicesim import CorrectionPolicy, DeviceTrace, StallError
 from pdsim.eventloop import EventLoop
 from pdsim.maskcodec import unpack
@@ -93,6 +93,19 @@ def clustered_mask(rng: random.Random, length: int, mean_run: float = 24.0) -> S
 def tokenized(req: AssistRequest) -> TokenizedPrompt:
     """The request's reference tokenization, as the harness builds it once per request."""
     return TokenizedPrompt.from_text(req.prefix, req.content, req.suffix)
+
+
+def serve_at(req: AssistRequest, model: TimingModel, source: TokenSource, ratio: float, max_tokens: int | None, *,
+             prompt: TokenizedPrompt | None = None, start_ms: float = 0.0, rtt_ms: float | None = None) -> CloudTrace:
+    """``serve_request`` at (ratio, max_tokens), selecting by ``uniform_scores(prompt, request_id)``.
+
+    ``prompt`` defaults to the request's own tokenization, ``rtt_ms`` to the model's mean RTT.
+    """
+    prompt = tokenized(req) if prompt is None else prompt
+    return serve_request(
+        req, prompt, model, source, uniform_scores(prompt, req.request_id), ratio=ratio, max_tokens=max_tokens,
+        start_ms=start_ms, rtt_ms=model.rtt_class.mean_ms if rtt_ms is None else rtt_ms,
+    )
 
 
 def write_weight_dump(path: str | Path, weights: list[np.ndarray], hidden: int) -> None:

@@ -90,6 +90,22 @@ class TestMalformedConfig:
             (_set("timing", "device_classes", "phone", "rtt", "5g"), "config.timing.device_classes.phone.rtt"),
             (_set("timing", "device_classes", "phone", "rtt", {"name": "x", "mean_ms": -5.0}),
              "config.timing.device_classes.phone"),
+            # json.loads reads NaN and Infinity as floats
+            (_set("timing", "device_classes", "tablet", "k_device", float("nan")),
+             "config.timing.device_classes.tablet.k_device"),
+            (_set("timing", "device_classes", "tablet", "k_device", float("inf")),
+             "config.timing.device_classes.tablet.k_device"),
+            (_set("timing", "device_classes", "tablet", "k_device", 10**400),
+             "config.timing.device_classes.tablet.k_device"),
+            (_set("timing", "device_classes", "phone", "rtt", "mean_ms", float("nan")),
+             "config.timing.device_classes.phone.rtt.mean_ms"),
+            (_set("timing", "device_classes", "phone", "rtt", "jitter_ms", float("inf")),
+             "config.timing.device_classes.phone.rtt.jitter_ms"),
+            (_set("scenes", "doc_qa", "max_tpot_ms", float("nan")), "config.scenes.doc_qa.max_tpot_ms"),
+            (_set("scenes", "summary", "min_ratio", float("-inf")), "config.scenes.summary.min_ratio"),
+            (_set("workload", "arrival_rate_per_s", float("nan")), "config.workload.arrival_rate_per_s"),
+            (_set("workload", "divergence_rate", float("nan")), "config.workload.divergence_rate"),
+            (_set("variants", [{"name": "r", "ratio": float("nan")}]), "config.variants[0].ratio"),
         ],
     )
     def test_ends_in_one_error_line_with_exit_code_2(self, tmp_path, config_path, capsys, mutate, key_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_run_throughput, reference_uniform_scores, tokenized
+from helpers import reference_run_throughput, reference_uniform_scores, serve_at, tokenized
 
 from pdsim.cloudsim import (
     EOT_TOKEN,
@@ -15,9 +15,10 @@ from pdsim.cloudsim import (
     serve_request,
     uniform_scores,
 )
-from pdsim.planner import PlanConstraints, build_plan_table
+from pdsim.maskcodec import pack, unpack
 from pdsim.protocol import DONE, AssistRequest, SseDecoder
-from pdsim.refiner import TokenizedPrompt
+from pdsim.refiner import TokenizedPrompt, select_sentences
+from pdsim.timing import ttft_cloud
 
 
 def make_request(content_sentences: int = 40, words: int = 9, scene: str = "doc_qa") -> AssistRequest:
@@ -106,53 +107,44 @@ class TestUniformScores:
 
 class TestServeRequest:
     def test_budget_cuts_stream_and_slot(self, calibrated_model):
-        req = make_request()
         source = TokenSource(seed=3, total_tokens=500)
-        trace = serve_request(
-            req, tokenized(req), None, calibrated_model, source,
-            ratio_override=0.5, max_tokens_override=21,
-        )
-        record = trace.record
+        trace = serve_at(make_request(), calibrated_model, source, 0.5, 21)
         assert len(trace.events) == 20
-        assert record.tokens_emitted == 21
-        assert record.occupancy_ms == pytest.approx(record.ttft_cloud_ms + 20 * calibrated_model.tpot_cloud)
-        # served from 0 ms, the slot frees at start + occupancy, the DONE marker
-        assert trace.done_time_ms == pytest.approx(record.occupancy_ms)
+        assert trace.frame.max_tokens == 21
+        # served from 0 ms, the first token leaves at the cloud TTFT
+        assert trace.occupancy_ms == pytest.approx(trace.frame_time_ms + 20 * calibrated_model.tpot_cloud)
+        # the slot frees at start + occupancy, the DONE marker
+        assert trace.done_time_ms == pytest.approx(trace.occupancy_ms)
         # events tick at the cloud decode pace
         for j, (when, event) in enumerate(trace.events, start=1):
             assert event.index == j
             assert when == pytest.approx(trace.frame_time_ms + j * calibrated_model.tpot_cloud)
 
     def test_natural_finish_before_budget(self, calibrated_model):
-        req = make_request()
-        source = TokenSource(seed=3, total_tokens=3)
-        trace = serve_request(req, tokenized(req), None, calibrated_model, source, ratio_override=0.5, max_tokens_override=21)
+        trace = serve_at(make_request(), calibrated_model, TokenSource(seed=3, total_tokens=3), 0.5, 21)
         assert len(trace.events) == 2
-        assert trace.record.tokens_emitted == 3
         assert trace.events[-1][1].token == EOT_TOKEN
 
-    def test_planning_miss_streams_until_eot(self, calibrated_model):
-        req = make_request(scene="unplanned")
-        table = build_plan_table({"phone": calibrated_model}, {"doc_qa": PlanConstraints(0.25, 100.0)}, (8000,))
-        source = TokenSource(seed=4, total_tokens=40)
-        trace = serve_request(req, tokenized(req), table, calibrated_model, source)
-        assert trace.record.planning_miss
-        assert trace.record.ratio == 1.0
+    def test_no_budget_streams_until_eot_at_full_ratio(self, calibrated_model):
+        req = make_request()
+        trace = serve_at(req, calibrated_model, TokenSource(seed=4, total_tokens=40), 1.0, None)
         assert trace.frame.max_tokens == 0
         assert len(trace.events) == 39
+        assert trace.events[-1][1].token == EOT_TOKEN
+        # ratio 1 keeps the whole prompt, whatever the scores
+        mask = unpack(trace.frame.mask)
+        assert len(mask) == tokenized(req).total_tokens and mask.popcount() == len(mask)
 
-    def test_planned_request_uses_table(self, calibrated_model):
+    def test_served_at_the_given_point(self, calibrated_model):
         req = make_request()
-        table = build_plan_table({"phone": calibrated_model}, {"doc_qa": PlanConstraints(0.25, 100.0)}, (8000,))
         prompt = tokenized(req)
-        plan = table.lookup("doc_qa", "phone", prompt.total_tokens)
-        source = TokenSource(seed=5, total_tokens=500)
-        trace = serve_request(req, prompt, table, calibrated_model, source)
-        assert not trace.record.planning_miss
-        assert trace.record.ratio == plan.ratio
-        assert trace.frame.max_tokens == plan.max_tokens
-        assert trace.record.tokens_emitted == plan.max_tokens
-        assert trace.frame.mask.bit_length == prompt.total_tokens
+        scores = uniform_scores(prompt, "other")
+        trace = serve_request(req, prompt, calibrated_model, TokenSource(seed=5, total_tokens=500), scores,
+                              ratio=0.25, max_tokens=7, start_ms=100.0, rtt_ms=80.0)
+        assert trace.frame.max_tokens == 7 and len(trace.events) == 6
+        assert trace.frame.mask == pack(select_sentences(prompt, scores, 0.25))
+        ttft = ttft_cloud(calibrated_model, prompt.total_tokens, 0.25, 80.0)
+        assert trace.frame_time_ms == pytest.approx(100.0 + ttft)
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
@@ -164,11 +156,7 @@ class TestServeRequest:
     @example(0.5, 12, 100, [1 << 20])
     def test_wire_bytes_decode_to_one_frame_then_events_then_done(self, calibrated_model, ratio, budget, total, chunks):
         # the model fixture is immutable, so sharing it across examples is safe
-        req = make_request()
-        source = TokenSource(seed=6, total_tokens=total)
-        trace = serve_request(
-            req, tokenized(req), None, calibrated_model, source, ratio_override=ratio, max_tokens_override=budget,
-        )
+        trace = serve_at(make_request(), calibrated_model, TokenSource(seed=6, total_tokens=total), ratio, budget)
         data = trace.wire_bytes()
         decoder = SseDecoder()
         items = []
@@ -178,21 +166,19 @@ class TestServeRequest:
             items.extend(decoder.feed(data[pos : pos + size]))
             pos, k = pos + size, k + 1
         assert items == [trace.frame, *(event for _, event in trace.events), DONE]
-        assert len(trace.events) == trace.record.tokens_emitted - 1
+        assert len(trace.events) == (total if budget is None else min(budget, total)) - 1
 
     def test_determinism(self, calibrated_model):
-        req = make_request()
         source = TokenSource(seed=7, total_tokens=64)
-        a = serve_request(req, tokenized(req), None, calibrated_model, source, ratio_override=0.5, max_tokens_override=9)
-        b = serve_request(req, tokenized(req), None, calibrated_model, source, ratio_override=0.5, max_tokens_override=9)
+        a = serve_at(make_request(), calibrated_model, source, 0.5, 9)
+        b = serve_at(make_request(), calibrated_model, source, 0.5, 9)
         assert a.wire_bytes() == b.wire_bytes()
         assert a.events == b.events
 
     def test_rtt_sample_shifts_first_frame(self, calibrated_model):
-        req = make_request()
         source = TokenSource(seed=8, total_tokens=30)
-        base = serve_request(req, tokenized(req), None, calibrated_model, source, rtt_ms=50.0, ratio_override=1.0, max_tokens_override=5)
-        slow = serve_request(req, tokenized(req), None, calibrated_model, source, rtt_ms=150.0, ratio_override=1.0, max_tokens_override=5)
+        base = serve_at(make_request(), calibrated_model, source, 1.0, 5, rtt_ms=50.0)
+        slow = serve_at(make_request(), calibrated_model, source, 1.0, 5, rtt_ms=150.0)
         assert slow.frame_time_ms - base.frame_time_ms == pytest.approx(100.0)
 
 

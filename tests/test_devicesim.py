@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_run_session, tokenized
+from helpers import reference_run_session, serve_at, tokenized
 
-from pdsim.cloudsim import EOT_TOKEN, TokenSource, serve_request
+from pdsim.cloudsim import EOT_TOKEN, TokenSource
 from pdsim.devicesim import (
     CorrectionPolicy,
     DeviceTrace,
@@ -20,7 +20,7 @@ from pdsim.devicesim import (
 )
 from pdsim.eventloop import EventLoop
 from pdsim.maskcodec import CompressedMask, pack
-from pdsim.planner import PlanConstraints, build_plan_table
+from pdsim.planner import PlanConstraints, solve_plan
 from pdsim.protocol import DONE, AssistRequest, FirstTokenFrame, ProtocolError, StreamEvent
 from pdsim.refiner import SelectionMask
 from pdsim.timing import RttClass, affine_cost, build_model
@@ -43,17 +43,18 @@ def content_prompt_request(sentences: int = 800, words: int = 10, request_id: st
 
 
 @pytest.fixture
-def plan_table(calibrated_model):
-    return build_plan_table({"phone": calibrated_model}, {"doc_qa": PlanConstraints(0.25, 100.0)}, (8000,))
+def plan(calibrated_model):
+    """The doc_qa plan for the 8000 tokens of ``content_prompt_request()``."""
+    return solve_plan(calibrated_model, PlanConstraints(0.25, 100.0), 8000)
 
 
-def serve(calibrated_model, plan_table, *, n=60, divergence=frozenset(), policy=CorrectionPolicy.CLOUD_WINS,
-          request=None, **kwargs):
+def serve(calibrated_model, ratio, max_tokens, *, n=60, divergence=frozenset(), policy=CorrectionPolicy.CLOUD_WINS,
+          request=None):
     req = request or content_prompt_request()
     cloud_source = TokenSource(seed=77, total_tokens=n)
     device_source = TokenSource(seed=77, total_tokens=n, divergence=divergence)
     prompt = tokenized(req)
-    trace_c = serve_request(req, prompt, plan_table, calibrated_model, cloud_source, **kwargs)
+    trace_c = serve_at(req, calibrated_model, cloud_source, ratio, max_tokens, prompt=prompt)
     trace_d = run_session(
         req, prompt, trace_c.frame, trace_c.delivery(), calibrated_model, device_source, policy,
         start_ms=0.0, frame_time_ms=trace_c.frame_time_ms,
@@ -62,8 +63,8 @@ def serve(calibrated_model, plan_table, *, n=60, divergence=frozenset(), policy=
 
 
 class TestHappyPath:
-    def test_timeline_and_pacing(self, calibrated_model, plan_table):
-        trace_c, trace_d = serve(calibrated_model, plan_table)
+    def test_timeline_and_pacing(self, calibrated_model, plan):
+        trace_c, trace_d = serve(calibrated_model, plan.ratio, plan.max_tokens)
         # plan for doc_qa/phone/8000: quarter ratio, 24 assisted tokens
         assert trace_c.frame.max_tokens == 24
         assert trace_d.user_ttft_ms == pytest.approx(950.0)
@@ -80,8 +81,8 @@ class TestHappyPath:
         # user-perceived TTFT is the first display
         assert trace_d.displays[0][0] == pytest.approx(950.0)
 
-    def test_output_is_cloud_prefix_plus_device_continuation(self, calibrated_model, plan_table):
-        trace_c, trace_d = serve(calibrated_model, plan_table, n=60)
+    def test_output_is_cloud_prefix_plus_device_continuation(self, calibrated_model, plan):
+        trace_c, trace_d = serve(calibrated_model, plan.ratio, plan.max_tokens, n=60)
         cloud_tokens = [trace_c.frame.token] + [e.token for _, e in trace_c.events]
         shown = [token for _, _, token in trace_d.displays]
         assert shown[:24] == cloud_tokens
@@ -89,34 +90,34 @@ class TestHappyPath:
         assert trace_d.common_prefix_len == 24
         assert trace_d.corrections == 0
 
-    def test_stream_confined_to_device_prefill_phase(self, calibrated_model, plan_table):
-        trace_c, trace_d = serve(calibrated_model, plan_table)
+    def test_stream_confined_to_device_prefill_phase(self, calibrated_model, plan):
+        trace_c, trace_d = serve(calibrated_model, plan.ratio, plan.max_tokens)
         assert trace_c.events[-1][0] <= trace_d.ttft_device_ms
 
-    def test_decode_catches_display_within_feedback_and_recovery_lag(self, calibrated_model, plan_table):
-        trace_c, trace_d = serve(calibrated_model, plan_table)
+    def test_decode_catches_display_within_feedback_and_recovery_lag(self, calibrated_model, plan):
+        trace_c, trace_d = serve(calibrated_model, plan.ratio, plan.max_tokens)
         window_last = trace_d.displays[23][0]
         lag_budget = trace_d.user_ttft_ms + calibrated_model.decompress_cost(8000) + 1.0
         assert trace_d.decode_caught_up_ms is not None
         assert trace_d.decode_caught_up_ms <= window_last + lag_budget
 
-    def test_handover_gap_is_the_prefill_phase_residue(self, calibrated_model, plan_table):
-        _, trace_d = serve(calibrated_model, plan_table)
+    def test_handover_gap_is_the_prefill_phase_residue(self, calibrated_model, plan):
+        _, trace_d = serve(calibrated_model, plan.ratio, plan.max_tokens)
         expected = trace_d.user_ttft_ms + calibrated_model.decompress_cost(8000) + calibrated_model.tpot_device
         assert trace_d.handover_gap_ms == pytest.approx(expected)
 
-    def test_events_buffered_until_their_display_slot(self, calibrated_model, plan_table):
-        trace_c, trace_d = serve(calibrated_model, plan_table)
+    def test_events_buffered_until_their_display_slot(self, calibrated_model, plan):
+        trace_c, trace_d = serve(calibrated_model, plan.ratio, plan.max_tokens)
         arrivals = {e.index + 1: t for t, e in trace_c.events}
         for when, position, _ in trace_d.displays[:24]:
             if position > 1:
                 assert when >= arrivals[position]
 
-    def test_item_timed_before_the_frame_waits_for_it(self, calibrated_model, plan_table):
+    def test_item_timed_before_the_frame_waits_for_it(self, calibrated_model, plan):
         req = content_prompt_request()
         source = TokenSource(seed=77, total_tokens=12)
         prompt = tokenized(req)
-        trace_c = serve_request(req, prompt, plan_table, calibrated_model, source)
+        trace_c = serve_at(req, calibrated_model, source, plan.ratio, plan.max_tokens, prompt=prompt)
         stream = trace_c.delivery()
         stream[0] = (trace_c.frame_time_ms - 10.0, stream[0][1])
         trace_d = run_session(req, prompt, trace_c.frame, stream, calibrated_model, source,
@@ -127,8 +128,8 @@ class TestHappyPath:
 
 
 class TestSingleAssistedToken:
-    def test_no_display_branch(self, calibrated_model, plan_table):
-        _, trace_d = serve(calibrated_model, plan_table, max_tokens_override=1, ratio_override=0.25)
+    def test_no_display_branch(self, calibrated_model, plan):
+        _, trace_d = serve(calibrated_model, 0.25, 1)
         assert trace_d.tpot_smooth_ms is None
         assert trace_d.displays[0][0] == pytest.approx(950.0)
         # next token comes from the device itself, one decode step after prefill
@@ -138,7 +139,7 @@ class TestSingleAssistedToken:
 
 class TestUnboundedStream:
     def test_planning_miss_displays_at_arrival_pace(self, calibrated_model):
-        trace_c, trace_d = serve(calibrated_model, None, n=40)
+        trace_c, trace_d = serve(calibrated_model, 1.0, None, n=40)
         assert trace_c.frame.max_tokens == 0
         # the cloud EOT at 40 ends the session: every position before it is shown
         assert trace_c.events[-1][1].token == EOT_TOKEN
@@ -150,38 +151,40 @@ class TestUnboundedStream:
 
 
 class TestEarlyNaturalFinish:
-    def test_cloud_eot_ends_the_session(self, calibrated_model, plan_table):
-        trace_c, trace_d = serve(calibrated_model, plan_table, n=10)
-        assert trace_c.record.tokens_emitted == 10
+    def test_cloud_eot_ends_the_session(self, calibrated_model, plan):
+        trace_c, trace_d = serve(calibrated_model, plan.ratio, plan.max_tokens, n=10)
+        assert len(trace_c.events) == 9
         assert trace_c.events[-1][1].token == EOT_TOKEN
         assert [position for _, position, _ in trace_d.displays] == list(range(1, 10))
         assert EOT_TOKEN not in [token for _, _, token in trace_d.displays]
 
 
 class TestCorrector:
-    def test_cloud_wins_displays_cloud_stream_and_counts(self, calibrated_model, plan_table):
-        trace_c, trace_d = serve(calibrated_model, plan_table, divergence=frozenset({7}))
+    def test_cloud_wins_displays_cloud_stream_and_counts(self, calibrated_model, plan):
+        trace_c, trace_d = serve(calibrated_model, plan.ratio, plan.max_tokens, divergence=frozenset({7}))
         cloud_tokens = [trace_c.frame.token] + [e.token for _, e in trace_c.events]
         assert [token for _, _, token in trace_d.displays[:24]] == cloud_tokens
         assert trace_d.corrections >= 1
         assert trace_d.common_prefix_len == 6
 
-    def test_off_leaves_common_prefix_statistic(self, calibrated_model, plan_table):
-        _, trace_d = serve(calibrated_model, plan_table, divergence=frozenset({8}), policy=CorrectionPolicy.OFF)
+    def test_off_leaves_common_prefix_statistic(self, calibrated_model, plan):
+        _, trace_d = serve(
+            calibrated_model, plan.ratio, plan.max_tokens, divergence=frozenset({8}), policy=CorrectionPolicy.OFF
+        )
         assert trace_d.corrections == 0
         assert trace_d.common_prefix_len == 7
 
-    def test_divergence_beyond_window_is_out_of_scope(self, calibrated_model, plan_table):
-        _, trace_d = serve(calibrated_model, plan_table, divergence=frozenset({40}))
+    def test_divergence_beyond_window_is_out_of_scope(self, calibrated_model, plan):
+        _, trace_d = serve(calibrated_model, plan.ratio, plan.max_tokens, divergence=frozenset({40}))
         assert trace_d.corrections == 0
         assert trace_d.common_prefix_len == 24
 
-    def test_device_display_substitutes_when_ready(self, calibrated_model, plan_table):
+    def test_device_display_substitutes_when_ready(self, calibrated_model, plan):
         req = content_prompt_request()
         cloud_source = TokenSource(seed=77, total_tokens=60)
         device_source = TokenSource(seed=77, total_tokens=60, divergence=frozenset({3}))
         prompt = tokenized(req)
-        trace_c = serve_request(req, prompt, plan_table, calibrated_model, cloud_source)
+        trace_c = serve_at(req, calibrated_model, cloud_source, plan.ratio, plan.max_tokens, prompt=prompt)
         # hold every event back until long after the device finished decoding
         late = [(6000.0 + 10.0 * i, event) for i, (_, event) in enumerate(trace_c.events, start=1)]
         late.append((late[-1][0], DONE))
@@ -227,10 +230,8 @@ class TestMatchesEventReference:
         prompt = tokenized(req)
         # budget None streams until EOT (frame budget 0); n below the budget
         # ends the stream with a cloud EOT inside the window
-        trace_c = serve_request(
-            req, prompt, None, model, TokenSource(seed=5, total_tokens=n),
-            start_ms=float(start), ratio_override=ratio, max_tokens_override=budget,
-        )
+        trace_c = serve_at(req, model, TokenSource(seed=5, total_tokens=n), ratio, budget,
+                           prompt=prompt, start_ms=float(start))
         # late arrivals interleave the stream with the device's own decoding; a
         # stream cut short still ends in DONE, which may come at any time from
         # the frame on
@@ -296,7 +297,7 @@ class TestMatchesEventReference:
         assert got == reference_run_session(*args, source, policy, frame_time_ms=0.0)
         assert got.corrections == corrections
 
-    def test_a_session_builds_no_event_loop(self, calibrated_model, plan_table, monkeypatch):
+    def test_a_session_builds_no_event_loop(self, calibrated_model, plan, monkeypatch):
         built = []
         original = EventLoop.__init__
 
@@ -305,17 +306,17 @@ class TestMatchesEventReference:
             original(loop, *args, **kwargs)
 
         monkeypatch.setattr(EventLoop, "__init__", counting)
-        _, trace_d = serve(calibrated_model, plan_table, n=1600, max_tokens_override=40)
+        _, trace_d = serve(calibrated_model, plan.ratio, 40, n=1600)
         assert len(trace_d.displays) == 1599
         assert built == []
 
 
 class TestFailureModes:
-    def test_stalled_stream_raises(self, calibrated_model, plan_table):
+    def test_stalled_stream_raises(self, calibrated_model, plan):
         req = content_prompt_request()
         source = TokenSource(seed=77, total_tokens=60)
         prompt = tokenized(req)
-        trace_c = serve_request(req, prompt, plan_table, calibrated_model, source)
+        trace_c = serve_at(req, calibrated_model, source, plan.ratio, plan.max_tokens, prompt=prompt)
         truncated = [(t, e) for t, e in trace_c.events[:5]]  # no DONE, fewer than budget
         with pytest.raises(StallError):
             run_session(req, prompt, trace_c.frame, truncated, calibrated_model, source,
@@ -338,11 +339,11 @@ class TestFailureModes:
             run_session(req, prompt, frame, stream, calibrated_model, TokenSource(seed=1, total_tokens=30),
                         frame_time_ms=0.0)
 
-    def test_mask_prompt_mismatch_raises(self, calibrated_model, plan_table):
+    def test_mask_prompt_mismatch_raises(self, calibrated_model, plan):
         req = content_prompt_request()
         other = content_prompt_request(sentences=400, request_id="req-2")
         source = TokenSource(seed=77, total_tokens=60)
-        trace_c = serve_request(other, tokenized(other), plan_table, calibrated_model, source)
+        trace_c = serve_at(other, calibrated_model, source, plan.ratio, plan.max_tokens)
         with pytest.raises(ProtocolError):
             run_session(req, tokenized(req), trace_c.frame, trace_c.delivery(), calibrated_model, source,
                         start_ms=0.0, frame_time_ms=trace_c.frame_time_ms)

@@ -27,6 +27,7 @@ from pdsim.harness import (
     synthesize_prompt,
     write_trace,
 )
+from pdsim.planner import check_plan, solve_plan
 from pdsim.refiner import TokenizedPrompt, tokenize
 from pdsim.timing import ttft_cloud
 
@@ -301,6 +302,21 @@ class TestRunExperiment:
         run_experiment(config, tmp_path / "a", seed=1)
         run_experiment(config, tmp_path / "b", seed=2)
         assert (tmp_path / "a" / "trace_planned.csv").read_text() != (tmp_path / "b" / "trace_planned.csv").read_text()
+
+    def test_pinned_ratio_budget_is_solved_for_the_served_prompt(self, tmp_path):
+        # the rule splits w1000..w1999 into two tokens, so every served prompt
+        # is longer than the length the workload asked for
+        data = json.loads((DATA / "report_config.json").read_text())
+        data["scrub_rules"] = [{"pattern": r"\bw1(\d\d\d)\b", "replacement": r"x \1"}]
+        data["variants"] = [{"name": "r40", "ratio": 0.4}]
+        config = config_from_dict(data)
+        run_experiment(config, tmp_path)
+        rows = read_trace(tmp_path / "trace_r40.csv")
+        assert len(rows) == 10 and all(row.l not in (2000, 4000) for row in rows)
+        for row in rows:
+            model, constraints = config.models[row.device_class], config.scenes[row.scene]
+            assert row.L == solve_plan(model, constraints, row.l, ratio=0.4).max_tokens, row.request_id
+            assert row.feasible == check_plan(model, constraints, row.l, 0.4, row.L)
 
 
 class TestReport:

@@ -5,13 +5,14 @@ import pytest
 
 from helpers import brute_force_plan, random_planner_instance
 
-from pdsim.harness import default_config
+from pdsim.harness import default_config, write_plans
 from pdsim.planner import (
     PlanConstraints,
     PlanKey,
     build_plan_table,
     check_plan,
     l_bounds,
+    operating_point,
     r_bounds,
     solve_plan,
 )
@@ -174,7 +175,64 @@ class TestPlanTable:
     def test_csv_round_trip_columns(self, calibrated_model, tmp_path):
         table = build_plan_table({"phone": calibrated_model}, {"qa": PlanConstraints(0.25, 100.0)}, (2000, 8000))
         path = tmp_path / "plans.csv"
-        table.write_csv(path)
+        write_plans(path, table)
         lines = path.read_text().splitlines()
         assert lines[0] == "scene,device_class,bucket,r,L,feasible,achieved_tpot_smooth"
         assert len(lines) == 3
+
+
+class TestOperatingPoint:
+    """``operating_point`` over an 8000-token doc_qa/phone table, for prompts of 8000 tokens."""
+
+    CONSTRAINTS = PlanConstraints(0.25, 100.0)
+
+    @pytest.fixture
+    def table(self, calibrated_model):
+        return build_plan_table({"phone": calibrated_model}, {"doc_qa": self.CONSTRAINTS}, (8000,))
+
+    def point(self, table, model, scene="doc_qa", device_class="phone", **pinned):
+        return operating_point(table, model, self.CONSTRAINTS, scene, device_class, 8000, **pinned)
+
+    def test_planned_request_uses_table(self, calibrated_model, table):
+        plan = table.lookup("doc_qa", "phone", 8000)
+        point = self.point(table, calibrated_model)
+        assert (point.ratio, point.max_tokens, point.feasible, point.planning_miss) == (
+            plan.ratio, plan.max_tokens, plan.feasible, False
+        )
+        assert plan.feasible and plan.ratio == 0.25
+
+    @pytest.mark.parametrize("scene, device_class", [("unplanned", "phone"), ("doc_qa", "watch")])
+    def test_planning_miss_streams_until_eot(self, calibrated_model, table, scene, device_class):
+        point = self.point(table, calibrated_model, scene, device_class)
+        assert (point.ratio, point.max_tokens, point.feasible, point.planning_miss) == (1.0, None, False, True)
+
+    def test_pinned_ratio_solves_the_budget_at_that_ratio(self, calibrated_model, table):
+        point = self.point(table, calibrated_model, ratio=0.5)
+        pinned = solve_plan(calibrated_model, self.CONSTRAINTS, 8000, ratio=0.5)
+        assert (point.ratio, point.max_tokens, point.planning_miss) == (0.5, pinned.max_tokens, False)
+        assert pinned.max_tokens != table.lookup("doc_qa", "phone", 8000).max_tokens
+        assert point.feasible == check_plan(calibrated_model, self.CONSTRAINTS, 8000, 0.5, pinned.max_tokens) is True
+
+    def test_pinned_budget_keeps_the_planned_ratio(self, calibrated_model, table):
+        plan = table.lookup("doc_qa", "phone", 8000)
+        short = self.point(table, calibrated_model, max_tokens=3)
+        assert (short.ratio, short.max_tokens, short.planning_miss) == (plan.ratio, 3, False)
+        # 3 tokens cannot amortize the device prefill under 100 ms
+        assert not short.feasible
+        assert self.point(table, calibrated_model, max_tokens=plan.max_tokens).feasible
+
+    def test_both_pinned_is_checked_as_given(self, calibrated_model, table):
+        for ratio, budget in ((0.5, 20), (0.5, 1), (0.95, 20)):
+            point = self.point(table, calibrated_model, ratio=ratio, max_tokens=budget)
+            assert (point.ratio, point.max_tokens, point.planning_miss) == (ratio, budget, False)
+            assert point.feasible == check_plan(calibrated_model, self.CONSTRAINTS, 8000, ratio, budget)
+        # one token leaves nothing to pace; 0.95 is above the ratio interval
+        assert not self.point(table, calibrated_model, ratio=0.5, max_tokens=1).feasible
+        assert not self.point(table, calibrated_model, ratio=0.95, max_tokens=20).feasible
+
+    def test_pinned_point_on_a_miss_serves_ratio_one(self, calibrated_model, table):
+        budget_only = self.point(table, calibrated_model, "unplanned", max_tokens=12)
+        assert (budget_only.ratio, budget_only.max_tokens, budget_only.planning_miss) == (1.0, 12, True)
+        ratio_only = self.point(table, calibrated_model, "unplanned", ratio=0.5)
+        assert ratio_only.max_tokens == solve_plan(calibrated_model, self.CONSTRAINTS, 8000, ratio=0.5).max_tokens
+        assert ratio_only.planning_miss
