@@ -39,10 +39,10 @@ from .refiner import (
     tokenize,
 )
 from .timing import (
+    AffineCost,
     AmortizationUndefined,
     RttClass,
     TimingModel,
-    build_model,
     prefill_device,
     request_occupancy,
     smoothed_tpot,

@@ -163,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("report", help="aggregate existing trace CSVs", description=(
         "Aggregate trace_*.csv files into report.csv and report.txt: the metrics of summary.csv over the 6-decimal "
         "values the traces hold. tps, analytic_tps and above_tau_requests stay blank (n/a): the traces carry no "
-        "batch config and no tau."))
+        "batch config and no tau. Variants are listed by name: the traces carry no config order."))
     p_rep.add_argument("--traces", required=True, help="directory holding trace_*.csv files")
     p_rep.add_argument("--out", required=True, help="output directory")
     p_rep.set_defaults(fn=_cmd_report)

@@ -124,7 +124,7 @@ def run_session(
         )
     refined_tokens = unpack(frame.mask).popcount()
     prefill = prefill_device(model, refined_tokens)
-    recover = model.decompress_cost(prompt.total_tokens)
+    recover = model.decompress(prompt.total_tokens)
     user_ttft = frame_time_ms - start_ms
     tpot_smooth = smoothed_tpot(model, prefill, user_ttft, budget) if budget >= 2 else None
 

@@ -10,6 +10,13 @@ cross-variant summary follows.
 its fields as the columns, ``read_trace`` parses them back, and both
 ``summary.csv`` and ``report.csv`` aggregate ``TraceRow``s through
 ``_variant_metrics``.
+
+A config object is read into the dataclass it configures (``TimingModel``,
+``RttClass``, ``AffineCost``, ``PlanConstraints``, ``WorkloadSpec``,
+``BatchModel``, ``VariantSpec``, ``ScrubRule``): its keys are the field
+names, an absent key takes the field's default, and an unknown key is an
+error. ``batch.completions`` sits beside ``BatchModel``'s keys and fills
+``ExperimentConfig.batch_completions``.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import re
 import statistics
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -35,7 +42,7 @@ from .planner import PlanConstraints, PlanTable, build_plan_table, operating_poi
 from .planner import solve_plan  # noqa: F401  (benchmarks/tracer.py hooks pdsim.harness.solve_plan)
 from .protocol import AssistRequest
 from .refiner import TokenizedPrompt
-from .timing import RTT_CLASSES, RttClass, TimingModel, affine_cost, build_model
+from .timing import RTT_CLASSES, AffineCost, RttClass, TimingModel
 
 
 class ConfigError(Exception):
@@ -77,8 +84,8 @@ class ExperimentConfig:
     buckets: tuple[int, ...]
     workload: WorkloadSpec
     batch: BatchModel
-    batch_completions: int
     variants: tuple[VariantSpec, ...]
+    batch_completions: int = 1024  # the config key is batch.completions
     policy: CorrectionPolicy = CorrectionPolicy.CLOUD_WINS
     scrub_rules: tuple[ScrubRule, ...] = DEFAULT_SCRUB_RULES
 
@@ -88,8 +95,8 @@ def default_config() -> ExperimentConfig:
     return ExperimentConfig(
         seed=1307,
         models={
-            "phone": build_model(),
-            "tablet": build_model(k_device=0.8, tpot_device=25.0),
+            "phone": TimingModel(),
+            "tablet": TimingModel(k_device=0.8, tpot_device=25.0),
         },
         scenes={
             "doc_qa": PlanConstraints(min_ratio=0.25, max_tpot_ms=100.0),
@@ -104,8 +111,7 @@ def default_config() -> ExperimentConfig:
             output_min=60,
             output_max=320,
         ),
-        batch=BatchModel(slots=64, mode="closed"),
-        batch_completions=1024,
+        batch=BatchModel(slots=64),
         variants=(
             VariantSpec("planned"),
             VariantSpec("L20", max_tokens=20),
@@ -117,9 +123,14 @@ def default_config() -> ExperimentConfig:
 # --- config parsing ---------------------------------------------------------
 
 
-def _require(mapping: Mapping, key: str, kind, path: str):
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"{path}: expected an object")
+# the JSON type of a dataclass field, by its annotation (annotations are
+# strings here); a field of any other type is read by its own parser
+_KINDS = {"int": int, "float": float, "str": str, "int | None": int, "float | None": float,
+          "dict[str, float]": dict, "dict[int, float]": dict}
+_TOP_LEVEL_KEYS = ("seed", "timing", "scenes", "buckets", "workload", "batch", "variants", "policy", "scrub_rules")
+
+
+def _require(mapping: dict, key: str, kind, path: str):
     if key not in mapping:
         raise ConfigError(f"{path}.{key}: missing")
     value = mapping[key]
@@ -132,50 +143,60 @@ def _require(mapping: Mapping, key: str, kind, path: str):
     return value
 
 
-def _optional(mapping: Mapping, key: str, kind, path: str, default):
-    return _require(mapping, key, kind, path) if key in mapping else default
+def _only(obj, keys: Sequence[str], path: str) -> None:
+    """``obj`` is an object and each of its keys is one of ``keys``."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: expected an object")
+    for key in obj:
+        if key not in keys:
+            raise ConfigError(f"{path}.{key}: unknown key")
+
+
+def _fields(cls, obj, path: str, parsers: Mapping) -> dict:
+    """The keyword arguments of dataclass ``cls`` that the config object ``obj`` gives.
+
+    Each key fills the field of the same name, an absent key leaves the field
+    to its default, and a key that names no field is an error. A field's
+    parser, ``parsers[name](value, path)``, checks or converts its value.
+    """
+    _only(obj, [f.name for f in fields(cls)], path)
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in obj or f.default is MISSING:
+            kind = _KINDS.get(f.type)
+            value = obj[f.name] if kind is None else _require(obj, f.name, kind, path)
+            kwargs[f.name] = parsers[f.name](value, f"{path}.{f.name}") if f.name in parsers else value
+    return kwargs
+
+
+def _read(cls, obj, path: str, **parsers):
+    """Read the config object ``obj`` into ``cls``; a ``ValueError`` building it is reported at ``path``."""
+    try:
+        return cls(**_fields(cls, obj, path, parsers))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _parse_rtt(obj, path: str) -> RttClass:
     if isinstance(obj, str) and obj in RTT_CLASSES:
         return RTT_CLASSES[obj]
-    if isinstance(obj, dict):
-        return RttClass(
-            name=_require(obj, "name", str, path),
-            mean_ms=_require(obj, "mean_ms", float, path),
-            jitter_ms=_optional(obj, "jitter_ms", float, path, 0.0),
-        )
+    if isinstance(obj, dict):  # an out-of-range value is reported at the device class
+        return RttClass(**_fields(RttClass, obj, path, {}))
     raise ConfigError(f"{path}: expected an RTT class name ({', '.join(RTT_CLASSES)}) or object, got {obj!r}")
 
 
-def _parse_cost(obj, path: str):
-    terms = []
-    for key in ("base_ms", "per_token_ms"):
-        value = _require(obj, key, float, path)
-        if value < 0:
-            raise ConfigError(f"{path}.{key}: must be >= 0, got {value!r}")
-        terms.append(value)
-    return affine_cost(*terms)
+def _nonnegative(value: float, path: str) -> float:
+    if value < 0:
+        raise ConfigError(f"{path}: must be >= 0, got {value!r}")
+    return value
 
 
-def _parse_model(obj, path: str) -> TimingModel:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected an object")
-    coefficients = ("k_cloud", "k_device", "tpot_cloud", "tpot_device")
-    kwargs = {key: _require(obj, key, float, path) for key in coefficients if key in obj}
-    for key in ("compress", "decompress", "overhead_bound"):
-        if key in obj and (key, obj[key]) != ("overhead_bound", "auto"):
-            kwargs[key] = _parse_cost(obj[key], f"{path}.{key}")
-    try:  # RttClass and build_model raise ValueError on out-of-range values
-        if "rtt" in obj:
-            kwargs["rtt"] = _parse_rtt(obj["rtt"], f"{path}.rtt")
-        return build_model(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+def _parse_cost(obj, path: str) -> AffineCost:
+    return _read(AffineCost, obj, path, base_ms=_nonnegative, per_token_ms=_nonnegative)
 
 
 def _parse_scrub_rule(obj, path: str) -> ScrubRule:
-    rule = ScrubRule(pattern=_require(obj, "pattern", str, path), replacement=_require(obj, "replacement", str, path))
+    rule = _read(ScrubRule, obj, path)
     try:
         re.sub(rule.pattern, rule.replacement, "")  # compiles the pattern and the replacement template
     except re.error as exc:
@@ -183,117 +204,99 @@ def _parse_scrub_rule(obj, path: str) -> ScrubRule:
     return rule
 
 
-def _parse_mix(w: dict, key: str) -> dict:
+def _parse_mix(mix: dict, path: str) -> dict:
     """A workload mix: weights are finite numbers >= 0 with a positive sum."""
-    path = f"config.workload.{key}"
-    mix = dict(_require(w, key, dict, "config.workload"))
     for name, weight in mix.items():
         if isinstance(weight, bool) or not isinstance(weight, (int, float)) or not 0 <= weight < math.inf:
             raise ConfigError(f"{path}.{name}: weight must be a finite number >= 0, got {weight!r}")
     if sum(mix.values()) <= 0:
         raise ConfigError(f"{path}: weights must sum to a positive value")
-    return mix
+    return dict(mix)
 
 
-def _parse_prompt_lengths(w: dict) -> dict[int, float]:
+def _parse_prompt_lengths(mix: dict, path: str) -> dict[int, float]:
     """Token count -> weight; ``_validate_config`` checks that each count is long enough."""
     lengths: dict[int, float] = {}
-    for key, weight in _parse_mix(w, "prompt_lengths").items():
-        path = f"config.workload.prompt_lengths.{key}"
+    for key, weight in _parse_mix(mix, path).items():
         try:
             length = int(key)
         except ValueError:
-            raise ConfigError(f"{path}: expected an integer token count") from None
+            raise ConfigError(f"{path}.{key}: expected an integer token count") from None
         if length in lengths:
-            raise ConfigError(f"{path}: repeats the token count {length}")
+            raise ConfigError(f"{path}.{key}: repeats the token count {length}")
         lengths[length] = float(weight)
     return lengths
 
 
+def _parse_variant(obj, path: str, earlier: Sequence[VariantSpec]) -> VariantSpec:
+    variant = _read(VariantSpec, obj, path)
+    if variant.ratio is not None and not 0.0 < variant.ratio <= 1.0:
+        raise ConfigError(f"{path}.ratio: must be in (0, 1]")
+    if variant.max_tokens is not None and variant.max_tokens < 1:
+        raise ConfigError(f"{path}.max_tokens: must be >= 1")
+    name = variant.name
+    if not name or any(c in name for c in "/\\\0"):
+        raise ConfigError(f"{path}.name: must be nonempty and hold no '/', '\\' or NUL (it names a file), got {name!r}")
+    if name in {v.name for v in earlier}:
+        raise ConfigError(f"{path}.name: duplicate variant {name!r} would overwrite trace_{name}.csv")
+    return variant
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be an object")
+    """Read a config object: its keys are the field names of the dataclasses it fills; an unknown key is an error."""
+    _only(data, _TOP_LEVEL_KEYS, "config")
+    options = {}  # the optional ExperimentConfig fields the config sets; the others keep their defaults
     seed = _require(data, "seed", int, "config")
 
-    models_obj = _require(data, "timing", dict, "config")
-    device_classes = _require(models_obj, "device_classes", dict, "config.timing")
+    timing = _require(data, "timing", dict, "config")
+    _only(timing, ("device_classes",), "config.timing")
+    device_classes = _require(timing, "device_classes", dict, "config.timing")
     if not device_classes:
         raise ConfigError("config.timing.device_classes: must not be empty")
-    models = {name: _parse_model(obj, f"config.timing.device_classes.{name}") for name, obj in device_classes.items()}
+    models = {
+        name: _read(TimingModel, obj, f"config.timing.device_classes.{name}",
+                    rtt=_parse_rtt, compress=_parse_cost, decompress=_parse_cost, overhead_bound=_parse_cost)
+        for name, obj in device_classes.items()
+    }
 
-    scenes_obj = _require(data, "scenes", dict, "config")
-    scenes = {}
-    for name, obj in scenes_obj.items():
-        path = f"config.scenes.{name}"
-        try:
-            scenes[name] = PlanConstraints(
-                min_ratio=_require(obj, "min_ratio", float, path),
-                max_tpot_ms=_require(obj, "max_tpot_ms", float, path),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+    scenes = {name: _read(PlanConstraints, obj, f"config.scenes.{name}")
+              for name, obj in _require(data, "scenes", dict, "config").items()}
     if not scenes:
         raise ConfigError("config.scenes: must not be empty")
 
     buckets = tuple(_require(data, "buckets", list, "config"))
-    if not buckets or any(not isinstance(b, int) or b <= 0 for b in buckets):
+    if not buckets or any(not isinstance(b, int) or isinstance(b, bool) or b <= 0 for b in buckets):
         raise ConfigError("config.buckets: expected positive integers")
     if list(buckets) != sorted(set(buckets)):
         raise ConfigError("config.buckets: must be strictly increasing")
 
-    w = _require(data, "workload", dict, "config")
-    workload = WorkloadSpec(
-        requests=_require(w, "requests", int, "config.workload"),
-        scene_mix=_parse_mix(w, "scene_mix"),
-        device_mix=_parse_mix(w, "device_mix"),
-        prompt_lengths=_parse_prompt_lengths(w),
-        output_min=_require(w, "output_min", int, "config.workload"),
-        output_max=_require(w, "output_max", int, "config.workload"),
-        prefix_tokens=_optional(w, "prefix_tokens", int, "config.workload", 12),
-        suffix_tokens=_optional(w, "suffix_tokens", int, "config.workload", 8),
-        divergence_rate=_optional(w, "divergence_rate", float, "config.workload", 0.04),
-        arrival_rate_per_s=_optional(w, "arrival_rate_per_s", float, "config.workload", 2.0),
-    )
+    workload = _read(WorkloadSpec, _require(data, "workload", dict, "config"), "config.workload",
+                     scene_mix=_parse_mix, device_mix=_parse_mix, prompt_lengths=_parse_prompt_lengths)
 
-    b = _require(data, "batch", dict, "config")
-    try:
-        batch = BatchModel(
-            slots=_require(b, "slots", int, "config.batch"),
-            mode=_optional(b, "mode", str, "config.batch", "closed"),
-            arrival_rate_per_s=_optional(b, "arrival_rate_per_s", float, "config.batch", None),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"config.batch: {exc}") from exc
-    completions = _optional(b, "completions", int, "config.batch", 1024)
-    if completions < 1:
-        raise ConfigError("config.batch.completions: must be >= 1")
+    batch_obj = dict(_require(data, "batch", dict, "config"))
+    if "completions" in batch_obj:  # read beside BatchModel's keys
+        options["batch_completions"] = _require(batch_obj, "completions", int, "config.batch")
+        if options["batch_completions"] < 1:
+            raise ConfigError("config.batch.completions: must be >= 1")
+        del batch_obj["completions"]
+    batch = _read(BatchModel, batch_obj, "config.batch")
 
-    variants = []
+    variants: list[VariantSpec] = []
     for i, obj in enumerate(_require(data, "variants", list, "config")):
-        path = f"config.variants[{i}]"
-        if not isinstance(obj, dict):
-            raise ConfigError(f"{path}: expected an object")
-        ratio = _optional(obj, "ratio", float, path, None)
-        if ratio is not None and not 0.0 < ratio <= 1.0:
-            raise ConfigError(f"{path}.ratio: must be in (0, 1]")
-        max_tokens = _optional(obj, "max_tokens", int, path, None)
-        if max_tokens is not None and max_tokens < 1:
-            raise ConfigError(f"{path}.max_tokens: must be >= 1")
-        name = _require(obj, "name", str, path)
-        if name in {v.name for v in variants}:
-            raise ConfigError(f"{path}.name: duplicate variant {name!r} would overwrite trace_{name}.csv")
-        variants.append(VariantSpec(name=name, ratio=ratio, max_tokens=max_tokens))
+        variants.append(_parse_variant(obj, f"config.variants[{i}]", variants))
     if not variants:
         raise ConfigError("config.variants: must not be empty")
 
-    try:
-        policy = CorrectionPolicy(_optional(data, "policy", str, "config", "cloud_wins"))
-    except ValueError as exc:
-        raise ConfigError(f"config.policy: {exc}") from exc
-    rules = tuple(
-        _parse_scrub_rule(obj, f"config.scrub_rules[{i}]")
-        for i, obj in enumerate(_optional(data, "scrub_rules", list, "config", []))
-    ) or DEFAULT_SCRUB_RULES
+    if "policy" in data:
+        try:
+            options["policy"] = CorrectionPolicy(_require(data, "policy", str, "config"))
+        except ValueError as exc:
+            raise ConfigError(f"config.policy: {exc}") from exc
+    if "scrub_rules" in data:
+        rules = tuple(_parse_scrub_rule(obj, f"config.scrub_rules[{i}]")
+                      for i, obj in enumerate(_require(data, "scrub_rules", list, "config")))
+        if rules:  # an empty list keeps the default rules
+            options["scrub_rules"] = rules
 
     config = ExperimentConfig(
         seed=seed,
@@ -302,10 +305,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         buckets=buckets,
         workload=workload,
         batch=batch,
-        batch_completions=completions,
         variants=tuple(variants),
-        policy=policy,
-        scrub_rules=rules,
+        **options,
     )
     _validate_config(config)
     return config
@@ -708,7 +709,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path, seed: int | No
             seed=gen.source_seed, total_tokens=gen.output_tokens, divergence=gen.divergence
         )
         for variant, rng_rtt, rows in zip(config.variants, rtt_rngs, variant_rows):
-            rtt = model.rtt_class.sample(rng_rtt)
+            rtt = model.rtt.sample(rng_rtt)
             point = operating_point(
                 table, model, constraints, req.scene, req.device_class, prompt.total_tokens,
                 ratio=variant.ratio, max_tokens=variant.max_tokens,
@@ -808,6 +809,8 @@ def report(trace_paths: Sequence[str | Path], out_dir: str | Path) -> MetricsRep
     over the 6-decimal values the traces hold. ``tps``, ``analytic_tps`` and
     ``above_tau_requests`` are left blank (``n/a`` in the text): the traces
     carry neither the batch config nor the scenes' tolerable pace tau.
+    Variants are listed by name, not in the config's order, since the traces
+    carry no config order.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -71,7 +71,7 @@ def r_bounds(model: TimingModel, constraints: PlanConstraints, prompt_tokens: in
     """
     if prompt_tokens <= 0:
         raise ValueError(f"prompt_tokens must be positive, got {prompt_tokens}")
-    hi = 1.0 - (model.k_cloud + model.overhead_bound(prompt_tokens) / prompt_tokens) / model.k_device
+    hi = 1.0 - (model.k_cloud + model.overhead_ms(prompt_tokens) / prompt_tokens) / model.k_device
     return constraints.min_ratio, hi
 
 
@@ -127,7 +127,7 @@ def solve_plan(
             raise ValueError(f"pinned ratio must be in (0, 1], got {ratio}")
         ratio_ok = lo <= ratio <= hi
 
-    ttft_c = ttft_cloud(model, prompt_tokens, ratio, model.rtt_class.mean_ms)
+    ttft_c = ttft_cloud(model, prompt_tokens, ratio, model.rtt.mean_ms)
     ttft_d = ttft_device(model, prompt_tokens, ratio, ttft_c)
     b_lo, b_hi = l_bounds(model, constraints, prompt_tokens, ratio, ttft_c, ttft_d)
     budget_ok = b_lo <= b_hi
@@ -155,7 +155,7 @@ def check_plan(
     rtt_ms: float | None = None,
 ) -> bool:
     """Re-check an operating point by direct substitution into both constraints."""
-    rtt = model.rtt_class.mean_ms if rtt_ms is None else rtt_ms
+    rtt = model.rtt.mean_ms if rtt_ms is None else rtt_ms
     lo, hi = r_bounds(model, constraints, prompt_tokens)
     if not lo <= ratio <= hi:
         return False

@@ -1,13 +1,18 @@
 """Latency and throughput models for cloud-assisted on-device inference.
 
 All durations are milliseconds (float); token counts are nonnegative
-integers. Each formula is a pure function defined once here. Its callers:
+integers. ``TimingModel`` is a plain value: it declares the calibrated
+defaults once, as its field defaults, and holds its codec costs as
+``AffineCost`` coefficients, so two models with the same numbers compare
+equal and print as numbers. Each formula is a pure function defined once
+here. Its callers:
 
 - ``ttft_cloud``: planner (``solve_plan``, ``check_plan``), ``cloudsim.serve_request``.
 - ``prefill_device``, the refined prefill: ``ttft_device``, planner (``l_bounds``,
   ``solve_plan``, ``check_plan``), ``devicesim`` with the refined length of the mask.
 - ``ttft_device``: planner (``solve_plan``, ``check_plan``).
 - ``smoothed_tpot``: planner (achieved pace), ``devicesim`` (display schedule).
+- ``TimingModel.overhead_ms``, the overhead bound: planner (``r_bounds``).
 - ``request_occupancy``: ``cloudsim.serve_request``, whose ``CloudTrace.occupancy_ms``
   becomes the trace's ``occupancy`` column and feeds ``cloudsim.run_throughput``.
 
@@ -19,10 +24,7 @@ per bucket.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
-
-# cost keyed on prompt tokens (compression, decompression, overhead bound)
-TokenCost = Callable[[int], float]
+from typing import Iterable
 
 
 class AmortizationUndefined(ValueError):
@@ -59,33 +61,39 @@ RTT_CLASSES: dict[str, RttClass] = {
 }
 
 
-def affine_cost(base_ms: float, per_token_ms: float) -> TokenCost:
-    """Linear cost in the token count; the default shape for codec latencies."""
+@dataclass(frozen=True)
+class AffineCost:
+    """A cost linear in the prompt token count (compression, decompression, overhead bound)."""
 
-    def cost(tokens: int) -> float:
-        return base_ms + per_token_ms * tokens
+    base_ms: float
+    per_token_ms: float
 
-    return cost
+    def __call__(self, tokens: int) -> float:
+        return self.base_ms + self.per_token_ms * tokens
 
 
 @dataclass(frozen=True)
 class TimingModel:
     """Calibrated per-token coefficients for one device class + network class.
 
-    ``compress_cost`` covers mask build + compression on the cloud side,
-    ``decompress_cost`` the device-side recovery, and ``overhead_bound`` must
-    dominate compress + decompress + mean RTT for every supported prompt
-    length (checked by :meth:`check_overhead_bound`).
+    The defaults put an 8k-token prompt at 800 ms cloud prefill, 10 s device
+    prefill, ~100 ms mask compression and ~50 ms recovery. ``compress``
+    covers mask build + compression on the cloud side, ``decompress`` the
+    device-side recovery, and the overhead bound must dominate compress +
+    decompress + mean RTT for every supported prompt length (checked by
+    :meth:`check_overhead_bound`). ``overhead_bound=None`` bounds it by
+    compress + decompress + the 95th-percentile RTT of the class,
+    deliberately conservative.
     """
 
-    k_cloud: float            # cloud prefill, ms per prompt token
-    k_device: float           # device prefill, ms per prompt token
-    tpot_cloud: float         # cloud time per output token, ms
-    tpot_device: float        # device time per output token, ms
-    rtt_class: RttClass
-    compress_cost: TokenCost
-    decompress_cost: TokenCost
-    overhead_bound: TokenCost
+    k_cloud: float = 0.1        # cloud prefill, ms per prompt token
+    k_device: float = 1.25      # device prefill, ms per prompt token
+    tpot_cloud: float = 30.0    # cloud time per output token, ms
+    tpot_device: float = 30.0   # device time per output token, ms
+    rtt: RttClass = RTT_CLASSES["wifi"]
+    compress: AffineCost = AffineCost(20.0, 0.01)
+    decompress: AffineCost = AffineCost(10.0, 0.005)
+    overhead_bound: AffineCost | None = None
 
     def __post_init__(self) -> None:
         for name in ("k_cloud", "k_device", "tpot_cloud", "tpot_device"):
@@ -94,54 +102,22 @@ class TimingModel:
         if self.k_device <= self.k_cloud:
             raise ValueError("device prefill must be slower than cloud (k_device > k_cloud)")
 
+    def overhead_ms(self, tokens: int) -> float:
+        """The overhead bound at ``tokens`` prompt tokens."""
+        if self.overhead_bound is None:
+            return self.compress(tokens) + self.decompress(tokens) + self.rtt.p95_ms
+        return self.overhead_bound(tokens)
+
     def check_overhead_bound(self, lengths: Iterable[int]) -> None:
-        """Verify overhead_bound(l) >= compress(l) + decompress(l) + mean RTT."""
+        """Verify overhead_ms(l) >= compress(l) + decompress(l) + mean RTT."""
         for l in lengths:
-            bound = self.overhead_bound(l)
-            need = self.compress_cost(l) + self.decompress_cost(l) + self.rtt_class.mean_ms
+            bound = self.overhead_ms(l)
+            need = self.compress(l) + self.decompress(l) + self.rtt.mean_ms
             if bound < need - 1e-9:
                 raise ValueError(
                     f"overhead_bound({l}) = {bound:.3f} ms does not cover "
                     f"compress+decompress+RTT = {need:.3f} ms"
                 )
-
-
-def build_model(
-    *,
-    k_cloud: float = 0.1,
-    k_device: float = 1.25,
-    tpot_cloud: float = 30.0,
-    tpot_device: float = 30.0,
-    rtt: RttClass | str = "wifi",
-    compress: TokenCost | None = None,
-    decompress: TokenCost | None = None,
-    overhead_bound: TokenCost | None = None,
-) -> TimingModel:
-    """Assemble a TimingModel with calibrated defaults.
-
-    Defaults put an 8k-token prompt at 800 ms cloud prefill, 10 s device
-    prefill, ~100 ms mask compression and ~50 ms recovery. The default
-    overhead bound is compress + decompress + the 95th-percentile RTT of the
-    class, deliberately conservative.
-    """
-    rtt_class = RTT_CLASSES[rtt] if isinstance(rtt, str) else rtt
-    if compress is None:
-        compress = affine_cost(20.0, 0.01)
-    if decompress is None:
-        decompress = affine_cost(10.0, 0.005)
-    if overhead_bound is None:
-        comp, deco, p95 = compress, decompress, rtt_class.p95_ms
-        overhead_bound = lambda tokens: comp(tokens) + deco(tokens) + p95  # noqa: E731
-    return TimingModel(
-        k_cloud=k_cloud,
-        k_device=k_device,
-        tpot_cloud=tpot_cloud,
-        tpot_device=tpot_device,
-        rtt_class=rtt_class,
-        compress_cost=compress,
-        decompress_cost=decompress,
-        overhead_bound=overhead_bound,
-    )
 
 
 def _check_domain(prompt_tokens: int, ratio: float, rtt_ms: float) -> None:
@@ -167,7 +143,7 @@ def prefill_device(model: TimingModel, tokens: int, ratio: float = 1.0) -> float
 def ttft_cloud(model: TimingModel, prompt_tokens: int, ratio: float, rtt_ms: float) -> float:
     """Time until the device holds the first token: cloud prefill + mask compression + RTT."""
     _check_domain(prompt_tokens, ratio, rtt_ms)
-    return model.k_cloud * prompt_tokens + model.compress_cost(prompt_tokens) + rtt_ms
+    return model.k_cloud * prompt_tokens + model.compress(prompt_tokens) + rtt_ms
 
 
 def ttft_device(model: TimingModel, prompt_tokens: int, ratio: float, ttft_cloud_ms: float) -> float:
@@ -175,7 +151,7 @@ def ttft_device(model: TimingModel, prompt_tokens: int, ratio: float, ttft_cloud
     _check_domain(prompt_tokens, ratio, 0.0)
     if ttft_cloud_ms < 0.0:
         raise ValueError(f"ttft_cloud_ms must be nonnegative, got {ttft_cloud_ms}")
-    return ttft_cloud_ms + model.decompress_cost(prompt_tokens) + prefill_device(model, prompt_tokens, ratio)
+    return ttft_cloud_ms + model.decompress(prompt_tokens) + prefill_device(model, prompt_tokens, ratio)
 
 
 def smoothed_tpot(model: TimingModel, prefill_device_ms: float, ttft_cloud_ms: float, total_tokens: int) -> float:

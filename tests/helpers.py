@@ -19,7 +19,7 @@ from pdsim.maskcodec import unpack
 from pdsim.planner import PlanConstraints
 from pdsim.protocol import AssistRequest, DoneMarker, FirstTokenFrame, ProtocolError, StreamEvent
 from pdsim.refiner import SelectionMask, TokenScores, TokenizedPrompt, tokenize
-from pdsim.timing import RttClass, TimingModel, affine_cost, build_model, smoothed_tpot, ttft_cloud, ttft_device
+from pdsim.timing import AffineCost, RttClass, TimingModel, smoothed_tpot, ttft_cloud, ttft_device
 
 
 def brute_force_plan(model: TimingModel, constraints: PlanConstraints, prompt_tokens: int,
@@ -30,14 +30,14 @@ def brute_force_plan(model: TimingModel, constraints: PlanConstraints, prompt_to
     Deliberately independent of the closed form: the quality/efficiency
     check uses the un-reorganized inequality k_c*l + bound(l) + k_d*r*l <= k_d*l.
     """
-    rtt = model.rtt_class.mean_ms if rtt_ms is None else rtt_ms
+    rtt = model.rtt.mean_ms if rtt_ms is None else rtt_ms
     budgets = np.arange(2, max_budget + 1)
     best = None
     for step in range(0, 101):
         ratio = step / 100.0
         if ratio == 0.0 or ratio < constraints.min_ratio:
             continue
-        lhs = model.k_cloud * prompt_tokens + model.overhead_bound(prompt_tokens) + model.k_device * ratio * prompt_tokens
+        lhs = model.k_cloud * prompt_tokens + model.overhead_ms(prompt_tokens) + model.k_device * ratio * prompt_tokens
         if lhs > model.k_device * prompt_tokens:
             continue
         tc = ttft_cloud(model, prompt_tokens, ratio, rtt)
@@ -62,14 +62,14 @@ def random_planner_instance(rng: random.Random):
     k_cloud = rng.uniform(0.05, 0.3)
     k_device = rng.uniform(k_cloud + 0.3, 2.0)
     tpot_device = rng.uniform(15.0, 50.0)
-    model = build_model(
+    model = TimingModel(
         k_cloud=k_cloud,
         k_device=k_device,
         tpot_cloud=rng.uniform(15.0, 50.0),
         tpot_device=tpot_device,
         rtt=RttClass("rand", mean_ms=rng.uniform(10.0, 150.0), jitter_ms=0.0),
-        compress=affine_cost(rng.uniform(0.0, 30.0), rng.uniform(0.005, 0.03)),
-        decompress=affine_cost(rng.uniform(0.0, 15.0), rng.uniform(0.002, 0.015)),
+        compress=AffineCost(rng.uniform(0.0, 30.0), rng.uniform(0.005, 0.03)),
+        decompress=AffineCost(rng.uniform(0.0, 15.0), rng.uniform(0.002, 0.015)),
     )
     constraints = PlanConstraints(
         min_ratio=rng.randint(1, 95) / 100.0,
@@ -104,7 +104,7 @@ def serve_at(req: AssistRequest, model: TimingModel, source: TokenSource, ratio:
     prompt = tokenized(req) if prompt is None else prompt
     return serve_request(
         req, prompt, model, source, uniform_scores(prompt, req.request_id), ratio=ratio, max_tokens=max_tokens,
-        start_ms=start_ms, rtt_ms=model.rtt_class.mean_ms if rtt_ms is None else rtt_ms,
+        start_ms=start_ms, rtt_ms=model.rtt.mean_ms if rtt_ms is None else rtt_ms,
     )
 
 
@@ -464,7 +464,7 @@ class ReferenceSession:
     # --- branch 1: prefill + decode with correction -------------------------
 
     def _start_decode_branch(self) -> None:
-        recover = self.model.decompress_cost(self.prompt_tokens)
+        recover = self.model.decompress(self.prompt_tokens)
         self.loop.schedule_at(self.frame_time + recover + self.prefill_est, self._on_prefill_done)
 
     def _on_prefill_done(self) -> None:
@@ -517,7 +517,7 @@ class ReferenceSession:
 
         if self.ttft_device is None:
             # session ended before prefill completed (e.g. instant cloud EOT)
-            recover = self.model.decompress_cost(self.prompt_tokens)
+            recover = self.model.decompress(self.prompt_tokens)
             self.ttft_device = self.user_ttft + recover + self.prefill_est
         return DeviceTrace(
             user_ttft_ms=self.user_ttft,

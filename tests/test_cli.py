@@ -106,6 +106,30 @@ class TestMalformedConfig:
             (_set("workload", "arrival_rate_per_s", float("nan")), "config.workload.arrival_rate_per_s"),
             (_set("workload", "divergence_rate", float("nan")), "config.workload.divergence_rate"),
             (_set("variants", [{"name": "r", "ratio": float("nan")}]), "config.variants[0].ratio"),
+            # a bool is an int to isinstance, and plans.csv would write the bucket `true`
+            (_set("buckets", [True, 2000, 4000]), "config.buckets"),
+            # a variant name is part of the file name trace_<name>.csv
+            (_set("variants", [{"name": "planned"}, {"name": "a/b"}]), "config.variants[1].name"),
+            (_set("variants", [{"name": "a\\b"}]), "config.variants[0].name"),
+            (_set("variants", [{"name": "a\0b"}]), "config.variants[0].name"),
+            (_set("variants", [{"name": ""}]), "config.variants[0].name"),
+            # a misspelt key at any level names itself
+            (_set("polcy", "off"), "config.polcy"),
+            (_set("timing", "device_class", {}), "config.timing.device_class"),
+            (_set("timing", "device_classes", "tablet", "k_devise", 0.9),
+             "config.timing.device_classes.tablet.k_devise"),
+            (_set("timing", "device_classes", "phone", "rtt", "jiter_ms", 5.0),
+             "config.timing.device_classes.phone.rtt.jiter_ms"),
+            (_set("timing", "device_classes", "phone", "compress", {"base_ms": 20.0, "per_tokens_ms": 0.01}),
+             "config.timing.device_classes.phone.compress.per_tokens_ms"),
+            (_set("scenes", "summary", "max_tpot", 100.0), "config.scenes.summary.max_tpot"),
+            (_set("workload", "divergence", 0.1), "config.workload.divergence"),
+            (_set("batch", "complet", 64), "config.batch.complet"),
+            (_set("variants", [{"name": "r50", "ratoi": 0.5}]), "config.variants[0].ratoi"),
+            (_set("scrub_rules", [{"pattern": "a", "replacement": "b", "flags": "i"}]), "config.scrub_rules[0].flags"),
+            # omitting the key gives the default bound
+            (_set("timing", "device_classes", "phone", "overhead_bound", "auto"),
+             "config.timing.device_classes.phone.overhead_bound"),
         ],
     )
     def test_ends_in_one_error_line_with_exit_code_2(self, tmp_path, config_path, capsys, mutate, key_path):

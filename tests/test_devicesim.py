@@ -23,7 +23,7 @@ from pdsim.maskcodec import CompressedMask, pack
 from pdsim.planner import PlanConstraints, solve_plan
 from pdsim.protocol import DONE, AssistRequest, FirstTokenFrame, ProtocolError, StreamEvent
 from pdsim.refiner import SelectionMask
-from pdsim.timing import RttClass, affine_cost, build_model
+from pdsim.timing import AffineCost, RttClass, TimingModel
 
 
 def content_prompt_request(sentences: int = 800, words: int = 10, request_id: str = "req-1") -> AssistRequest:
@@ -97,13 +97,13 @@ class TestHappyPath:
     def test_decode_catches_display_within_feedback_and_recovery_lag(self, calibrated_model, plan):
         trace_c, trace_d = serve(calibrated_model, plan.ratio, plan.max_tokens)
         window_last = trace_d.displays[23][0]
-        lag_budget = trace_d.user_ttft_ms + calibrated_model.decompress_cost(8000) + 1.0
+        lag_budget = trace_d.user_ttft_ms + calibrated_model.decompress(8000) + 1.0
         assert trace_d.decode_caught_up_ms is not None
         assert trace_d.decode_caught_up_ms <= window_last + lag_budget
 
     def test_handover_gap_is_the_prefill_phase_residue(self, calibrated_model, plan):
         _, trace_d = serve(calibrated_model, plan.ratio, plan.max_tokens)
-        expected = trace_d.user_ttft_ms + calibrated_model.decompress_cost(8000) + calibrated_model.tpot_device
+        expected = trace_d.user_ttft_ms + calibrated_model.decompress(8000) + calibrated_model.tpot_device
         assert trace_d.handover_gap_ms == pytest.approx(expected)
 
     def test_events_buffered_until_their_display_slot(self, calibrated_model, plan):
@@ -222,7 +222,7 @@ class TestMatchesEventReference:
         self, tpots, k, rtt, start, sentences, ratio, budget, n, divergence, delays, cut, done_after,
         device_extra, policy
     ):
-        model = build_model(
+        model = TimingModel(
             k_cloud=k[0], k_device=k[1], tpot_cloud=float(tpots[0]), tpot_device=float(tpots[1]),
             rtt=RttClass("fixed", mean_ms=float(rtt), jitter_ms=0.0),
         )
@@ -282,7 +282,7 @@ class TestMatchesEventReference:
     def test_ties_follow_the_scheduling_order(
         self, tpot, recover, refined, budget, arrivals, eot, done, divergence, device_len, policy, corrections
     ):
-        model = build_model(k_device=1.0, tpot_device=float(tpot), decompress=affine_cost(float(recover), 0.0))
+        model = TimingModel(k_device=1.0, tpot_device=float(tpot), decompress=AffineCost(float(recover), 0.0))
         req = content_prompt_request(sentences=3)
         prompt = tokenized(req)
         mask = pack(SelectionMask([1] * refined + [0] * (prompt.total_tokens - refined)))

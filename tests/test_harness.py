@@ -101,6 +101,19 @@ class TestConfig:
         assert config.workload.requests > 0
         assert {"planned"} <= {v.name for v in config.variants}
 
+    def test_defaults_are_declared_once_on_the_dataclasses(self):
+        # absent keys take the dataclass defaults, which are those of default_config()
+        data = base_config_dict(batch={"slots": 64})
+        data["timing"]["device_classes"] = {"phone": {}, "tablet": {"k_device": 0.8, "tpot_device": 25.0}}
+        data["workload"] = {key: data["workload"][key] for key in
+                            ("requests", "scene_mix", "device_mix", "prompt_lengths", "output_min", "output_max")}
+        config, default = config_from_dict(data), default_config()
+        assert config.models == default.models
+        assert config.batch == default.batch and config.batch_completions == default.batch_completions
+        assert (config.policy, config.scrub_rules) == (default.policy, default.scrub_rules)
+        assert config.workload.prefix_tokens == default.workload.prefix_tokens
+        assert config.workload.divergence_rate == default.workload.divergence_rate
+
 
 class TestWorkloadSynthesis:
     def test_prompt_token_counts_are_exact(self):

@@ -16,7 +16,7 @@ from pdsim.planner import (
     r_bounds,
     solve_plan,
 )
-from pdsim.timing import RttClass, build_model, smoothed_tpot, ttft_cloud, ttft_device
+from pdsim.timing import AffineCost, RttClass, TimingModel, smoothed_tpot, ttft_cloud, ttft_device
 
 
 class TestRatioBounds:
@@ -26,7 +26,7 @@ class TestRatioBounds:
         assert hi == pytest.approx(0.88)
 
     def test_interval_empty_when_collaboration_cannot_pay_off(self):
-        model = build_model(k_cloud=1.2, k_device=1.25, overhead_bound=lambda tokens: 0.1 * tokens)
+        model = TimingModel(k_cloud=1.2, k_device=1.25, overhead_bound=AffineCost(0.0, 0.1))
         lo, hi = r_bounds(model, PlanConstraints(0.25, 100.0), 8000)
         assert hi <= 0.0
         assert lo > hi
@@ -106,10 +106,10 @@ class TestSolvePlan:
                 continue
             checked += 1
             ratio, budget = plan.ratio, plan.max_tokens
-            bound = model.overhead_bound(tokens)
+            bound = model.overhead_ms(tokens)
             assert constraints.min_ratio <= ratio
             assert model.k_cloud * tokens + bound + model.k_device * ratio * tokens <= model.k_device * tokens + 1e-9
-            tc = ttft_cloud(model, tokens, ratio, model.rtt_class.mean_ms)
+            tc = ttft_cloud(model, tokens, ratio, model.rtt.mean_ms)
             td = ttft_device(model, tokens, ratio, tc)
             surplus = model.k_device * ratio * tokens - tc
             assert surplus <= (budget - 1) * (constraints.max_tpot_ms - model.tpot_device) + 1e-9
@@ -143,7 +143,7 @@ class TestSolvePlan:
 
 class TestPlanTable:
     def test_cardinality(self, calibrated_model):
-        models = {"phone": calibrated_model, "tablet": build_model(k_device=0.8)}
+        models = {"phone": calibrated_model, "tablet": TimingModel(k_device=0.8)}
         scenes = {name: PlanConstraints(0.25, 100.0) for name in ("a", "b", "c")}
         table = build_plan_table(models, scenes, (2000, 4000, 8000, 16000))
         assert len(table.plans) == 24

@@ -4,9 +4,11 @@ import random
 import pytest
 
 from pdsim.timing import (
+    RTT_CLASSES,
+    AffineCost,
     AmortizationUndefined,
     RttClass,
-    build_model,
+    TimingModel,
     prefill_device,
     request_occupancy,
     smoothed_tpot,
@@ -29,7 +31,7 @@ class TestPrefillDevice:
     def test_default_ratio_is_the_bare_coefficient(self, calibrated_model):
         # the device passes its realised refined length with ratio 1
         rng = random.Random(3)
-        model = build_model(k_device=rng.uniform(0.2, 3.0))
+        model = TimingModel(k_device=rng.uniform(0.2, 3.0))
         for _ in range(200):
             tokens = rng.randint(0, 32000)
             assert prefill_device(model, tokens) == model.k_device * tokens
@@ -44,7 +46,7 @@ class TestTtftCloud:
         assert ttft_cloud(calibrated_model, 8000, 0.25, 50.0) == pytest.approx(950.0)
 
     def test_unit_length(self):
-        model = build_model(compress=lambda tokens: 0.0)
+        model = TimingModel(compress=AffineCost(0.0, 0.0))
         assert ttft_cloud(model, 1, 1.0, 0.0) == pytest.approx(0.1)
 
     def test_thirty_two_k(self, calibrated_model):
@@ -66,7 +68,7 @@ class TestTtftDevice:
         assert ttft_device(calibrated_model, 8000, 0.6, 950.0) == pytest.approx(7000.0)
 
     def test_degenerate_no_cloud_case(self):
-        model = build_model(decompress=lambda tokens: 0.0)
+        model = TimingModel(decompress=AffineCost(0.0, 0.0))
         assert ttft_device(model, 4096, 1.0, 0.0) == pytest.approx(prefill_device(model, 4096))
 
     def test_sixty_percent_reduction_at_quarter_ratio(self, calibrated_model):
@@ -149,17 +151,17 @@ class TestComposition:
             ratio = rng.uniform(0.05, 1.0)
             tc = ttft_cloud(calibrated_model, tokens, ratio, rng.uniform(0.0, 200.0))
             td = ttft_device(calibrated_model, tokens, ratio, tc)
-            assert td == tc + calibrated_model.decompress_cost(tokens) + prefill_device(calibrated_model, tokens, ratio)
+            assert td == tc + calibrated_model.decompress(tokens) + prefill_device(calibrated_model, tokens, ratio)
 
 
 class TestModelValidation:
     def test_device_must_be_slower_than_cloud(self):
         with pytest.raises(ValueError):
-            build_model(k_cloud=1.25, k_device=1.0)
+            TimingModel(k_cloud=1.25, k_device=1.0)
 
     def test_coefficients_strictly_positive(self):
         with pytest.raises(ValueError):
-            build_model(tpot_cloud=0.0)
+            TimingModel(tpot_cloud=0.0)
 
     def test_overhead_bound_dominance(self, calibrated_model):
         calibrated_model.check_overhead_bound([2000, 4000, 8000, 16000, 32000])
@@ -175,3 +177,28 @@ class TestModelValidation:
         assert len(set(samples)) > 1
         with pytest.raises(ValueError):
             RttClass("bad", -1.0)
+
+
+class TestModelIsAValue:
+    # every bucket of the golden configs, then random prompt lengths
+    LENGTHS = [1000, 2000, 4000, 8000, 16000, 32000] + [random.Random(13).randint(1, 64000) for _ in range(500)]
+
+    def test_equal_numbers_make_equal_models(self):
+        assert TimingModel() == TimingModel()
+        assert hash(TimingModel()) == hash(TimingModel())
+        assert TimingModel(compress=AffineCost(20.0, 0.01)) == TimingModel()
+        assert TimingModel(k_device=0.8) != TimingModel()
+        assert "AffineCost(base_ms=20.0, per_token_ms=0.01)" in repr(TimingModel())
+
+    def test_cost_is_base_plus_slope_times_tokens(self):
+        cost = AffineCost(20.0, 0.01)
+        for l in self.LENGTHS:
+            assert cost(l) == 20.0 + 0.01 * l
+
+    @pytest.mark.parametrize("rtt", [*RTT_CLASSES.values(), RttClass("jittery", mean_ms=60.0, jitter_ms=25.0)])
+    def test_default_overhead_bound_is_compress_plus_decompress_plus_p95(self, rtt):
+        model = TimingModel(rtt=rtt)
+        for l in self.LENGTHS:
+            bound = model.overhead_ms(l)
+            assert bound == model.compress(l) + model.decompress(l) + model.rtt.p95_ms
+            assert bound == (20.0 + 0.01 * l) + (10.0 + 0.005 * l) + (rtt.mean_ms + 1.645 * rtt.jitter_ms)
