@@ -35,6 +35,17 @@ def mt_words(rng: random.Random, k: int) -> np.ndarray:
     return np.frombuffer(rng.getrandbits(32 * k).to_bytes(4 * k, "little"), dtype="<u4")
 
 
+def mt_uniform(rng: random.Random, k: int) -> np.ndarray:
+    """The next ``k`` values of ``rng.random()``, bit-equal, from one bulk draw.
+
+    Each ``random()`` takes two 32-bit outputs ``w0, w1`` and returns
+    ``((w0 >> 5) * 2**26 + (w1 >> 6)) * 2**-53``, which is exact in float64;
+    the generator ends where ``k`` calls would leave it.
+    """
+    words = mt_words(rng, 2 * k).reshape(-1, 2)
+    return ((words[:, 0] >> 5) * 67108864.0 + (words[:, 1] >> 6)) * (1.0 / 9007199254740992.0)
+
+
 @dataclass(frozen=True)
 class TokenSource:
     """Deterministic token stream; position ``total_tokens`` is the EOT label.
@@ -88,13 +99,9 @@ class CloudTrace:
 def uniform_scores(prompt: TokenizedPrompt, seed: int | str) -> TokenScores:
     """Synthetic stand-in for attention-derived scores, deterministic per seed.
 
-    Score i is bit-equal to the i-th ``random()`` of ``random.Random(f"scores:{seed}")``:
-    each ``random()`` takes two 32-bit outputs ``w0, w1`` and returns
-    ``((w0 >> 5) * 2**26 + (w1 >> 6)) * 2**-53``, which is exact in float64,
-    so all scores come from one bulk draw.
+    Score i is bit-equal to the i-th ``random()`` of ``random.Random(f"scores:{seed}")``.
     """
-    words = mt_words(random.Random(f"scores:{seed}"), 2 * len(prompt.content)).reshape(-1, 2)
-    return TokenScores(((words[:, 0] >> 5) * 67108864.0 + (words[:, 1] >> 6)) * (1.0 / 9007199254740992.0))
+    return TokenScores(mt_uniform(random.Random(f"scores:{seed}"), len(prompt.content)))
 
 
 def serve_request(

@@ -23,6 +23,17 @@ function of its timed stream, computed as three timelines:
   is the last window show, or ``max(last show, DONE)`` when the stream is
   shorter than L or L = 0, since then only DONE says no more tokens come.
 
+A session costs its cloud window, not its output length. The decode
+instants are one array, accumulated in order (``np.add.accumulate``, bit-equal
+to adding ``tpot_device`` once per decode). Only positions 2..cloud_last + 1
+are stepped one at a time, for corrections, the effective EOT and the tie
+rule; past them no cloud token is in scope, so the device EOT is its own. A
+cloud-EOT show cuts the timeline at the first decode at or after its instant,
+with one tie check on an equal instant. The device display is described, not
+listed: the trace keeps its first position, its slice of the timeline,
+``begin`` and the device source, and ``DeviceTrace.displays`` expands it on
+demand.
+
 Tie rule. Two outputs depend on the order of a decode and a show that fall
 on the same instant: a DEVICE_DISPLAY substitution at show p, and whether a
 decode at the instant of the cloud-EOT show still runs. Events at one
@@ -40,9 +51,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .cloudsim import EOT_TOKEN, TokenSource
 from .maskcodec import unpack
@@ -77,21 +90,70 @@ def scrub(text: str, rules: Sequence[ScrubRule] = DEFAULT_SCRUB_RULES) -> str:
     return text
 
 
-@dataclass(frozen=True)
+# the fields that together make DeviceTrace.displays
+_DISPLAY_FIELDS = ("window", "continuation_from", "continuation_decode_ms", "continuation_begin_ms", "device_source")
+
+
+@dataclass(frozen=True, eq=False)
 class DeviceTrace:
-    """Everything observed on the device for one session."""
+    """Everything observed on the device for one session.
+
+    The cloud-window displays are listed in ``window``. The device's own
+    continuation is described, not listed: positions from
+    ``continuation_from`` on, decoded at the instants in
+    ``continuation_decode_ms``, each shown at ``max(decode,
+    continuation_begin_ms)`` with ``device_source``'s token. The instants
+    are a slice of the session's one accumulated decode timeline, of which
+    ``run_session`` steps only the window positions one at a time.
+    ``displays`` expands the continuation on demand; ``output_len`` and
+    ``handover_gap_ms`` read the description. Two traces are equal when
+    their displays and every other observed field are.
+    """
 
     user_ttft_ms: float          # first-frame arrival; what the user perceives
     ttft_device_ms: float        # mask recovery + refined prefill completed
     tpot_smooth_ms: float | None
-    displays: tuple[tuple[float, int, str], ...]  # (time, position, token shown)
+    window: tuple[tuple[float, int, str], ...]  # cloud-window shows: (time, position, token shown)
+    continuation_from: int
+    continuation_decode_ms: np.ndarray
+    continuation_begin_ms: float | None  # None when the window was not shown in full
+    device_source: TokenSource
     corrections: int
     common_prefix_len: int
     max_smoothed_gap_ms: float | None
-    handover_gap_ms: float | None
     device_eot_position: int | None
     decode_caught_up_ms: float | None
     refined_tokens: int
+
+    @property
+    def output_len(self) -> int:
+        return len(self.window) + len(self.continuation_decode_ms)
+
+    @property
+    def handover_gap_ms(self) -> float | None:
+        if not len(self.continuation_decode_ms):
+            return None
+        return max(float(self.continuation_decode_ms[0]), self.continuation_begin_ms) - self.window[-1][0]
+
+    @property
+    def displays(self) -> tuple[tuple[float, int, str], ...]:
+        """Every shown token as (time, position, token), window then continuation."""
+        if not len(self.continuation_decode_ms):
+            return self.window
+        times = np.maximum(self.continuation_decode_ms, self.continuation_begin_ms).tolist()
+        positions = range(self.continuation_from, self.continuation_from + len(times))
+        return self.window + tuple(zip(times, positions, map(self.device_source.token_at, positions)))
+
+    def _observed(self) -> tuple:
+        return (self.displays, *(getattr(self, f.name) for f in fields(self) if f.name not in _DISPLAY_FIELDS))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DeviceTrace):
+            return NotImplemented
+        return self._observed() == other._observed()
+
+    def __hash__(self) -> int:
+        return hash(self._observed())
 
 
 def run_session(
@@ -166,14 +228,20 @@ def run_session(
             break
         shows.append((shown, p, cloud[p]))
 
+    # decode k runs at timeline[k - 1]; timeline[0] is the prefill. Past
+    # cloud_last + 1 no position is in scope and the raw EOT ends decoding,
+    # so no decode runs past max(total_tokens, cloud_last + 1).
     prefill_done = frame_time_ms + recover + prefill
-    decode_at: dict[int, float] = {}
-    own: dict[int, str] = {}
+    decodes = max(device_source.total_tokens, cloud_last + 1)
+    steps = np.full(decodes, model.tpot_device, dtype=float)
+    steps[0] = prefill_done
+    timeline = np.add.accumulate(steps)  # sequential: bit-equal to adding one step at a time
+    timeline.setflags(write=False)  # the trace keeps a view of it
 
     def decode_first(k: int, p: int) -> bool:
         """Whether decode k runs before show p on their common instant (the tie rule)."""
         while True:
-            decode_by = prefill_done if k == 2 else decode_at[k - 1]
+            decode_by = timeline[k - 2]  # decode k - 1, or the prefill for k = 2
             previous = shows[p - 2][0]
             show_by = max(arrival[p], previous)
             if decode_by != show_by:
@@ -184,46 +252,56 @@ def run_session(
                 return True  # the prefill runs before every show
             k, p = k - 1, p - 1
 
-    # decodes; a cloud EOT in the frame ends the session before the prefill starts
+    # the first decode that does not run: a cloud EOT in the frame ends the
+    # session before the prefill starts, and a later cloud-EOT show stops
+    # the first decode at or after its instant (unless it wins the tie)
+    cut = decodes + 1
+    if frame.token == EOT_TOKEN:
+        cut = 2
+    elif eot_at is not None:
+        k = max(int(np.searchsorted(timeline, eot_at)), 1) + 1
+        if k <= decodes:
+            cut = k + 1 if timeline[k - 1] == eot_at and decode_first(k, len(shows) + 1) else k
+
+    # decodes within the window, one position at a time
     corrections = 0
     device_eot_position = None
-    t = prefill_done
-    k = 2
-    while frame.token != EOT_TOKEN:
-        t += model.tpot_device
-        if eot_at is not None and (t > eot_at or t == eot_at and not decode_first(k, len(shows) + 1)):
-            break
+    own: dict[int, str] = {}
+    stepped = min(cloud_last + 1, cut - 1)
+    at = timeline[:stepped].tolist()
+    for k in range(2, stepped + 1):
         raw = device_source.token_at(k) if k <= device_source.total_tokens else EOT_TOKEN
-        decode_at[k] = t
         own[k] = raw
         effective = raw
-        in_scope = arrival.get(k, math.inf) <= t and (budget == 0 or k <= budget)
+        in_scope = arrival.get(k, math.inf) <= at[k - 1] and (budget == 0 or k <= budget)
         if in_scope and raw != cloud[k] and policy is CorrectionPolicy.CLOUD_WINS:
             corrections += 1
             effective = cloud[k]
         if effective == EOT_TOKEN:
             device_eot_position = k
             break
-        k += 1
+    else:
+        if stepped == cloud_last + 1 and device_source.total_tokens < cut:
+            device_eot_position = device_source.total_tokens  # the device's own EOT, past the window
+    decoded = device_eot_position or cut - 1  # the last position decoded
 
     if policy is CorrectionPolicy.DEVICE_DISPLAY:
         for i, (when, p, token) in enumerate(shows):
             mine = own.get(p)
             if mine is None or mine == token or mine == EOT_TOKEN:
                 continue
-            if decode_at[p] < when or decode_at[p] == when and decode_first(p, p):
+            if at[p - 1] < when or at[p - 1] == when and decode_first(p, p):
                 shows[i] = (when, p, mine)  # no retroactive edits: only this position changes
                 corrections += 1
 
-    device: list[tuple[float, int, str]] = []
-    if len(shows) == window_end:  # the window was shown in full
+    # once the window is shown in full, the device shows its own tokens up to its EOT
+    begin = None
+    continuation = timeline[:0]
+    if eot_at is None:
         begin = shows[-1][0]
         if budget == 0 or cloud_last < budget:
             begin = max(begin, done)
-        q = window_end + 1
-        while own.get(q, EOT_TOKEN) != EOT_TOKEN:
-            device.append((max(decode_at[q], begin), q, own[q]))
-            q += 1
+        continuation = timeline[window_end : device_eot_position - 1]
 
     common = 0
     for position in range(1, min(cloud_last, device_source.total_tokens) + 1):
@@ -231,19 +309,21 @@ def run_session(
             break
         common += 1
 
-    displays = tuple(shows + device)
     gaps = [b[0] - a[0] for a, b in zip(shows, shows[1:])]
     return DeviceTrace(
         user_ttft_ms=user_ttft,
         # with a cloud EOT in the frame the prefill never ran; report its estimate
         ttft_device_ms=user_ttft + recover + prefill if frame.token == EOT_TOKEN else prefill_done - start_ms,
         tpot_smooth_ms=tpot_smooth,
-        displays=displays,
+        window=tuple(shows),
+        continuation_from=window_end + 1,
+        continuation_decode_ms=continuation,
+        continuation_begin_ms=begin,
+        device_source=device_source,
         corrections=corrections,
         common_prefix_len=common,
         max_smoothed_gap_ms=max(gaps) if gaps else None,
-        handover_gap_ms=device[0][0] - shows[-1][0] if device else None,
         device_eot_position=device_eot_position,
-        decode_caught_up_ms=decode_at.get(cloud_last),
+        decode_caught_up_ms=float(timeline[cloud_last - 1]) if 2 <= cloud_last <= decoded else None,
         refined_tokens=refined_tokens,
     )

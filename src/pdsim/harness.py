@@ -36,7 +36,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import cloudsim
-from .cloudsim import BatchModel, TokenSource, mt_words, run_throughput, serve_request
+from .cloudsim import BatchModel, TokenSource, mt_uniform, mt_words, run_throughput, serve_request
 from .devicesim import DEFAULT_SCRUB_RULES, CorrectionPolicy, ScrubRule, run_session, scrub
 from .planner import PlanConstraints, PlanTable, build_plan_table, operating_point
 from .planner import solve_plan  # noqa: F401  (benchmarks/tracer.py hooks pdsim.harness.solve_plan)
@@ -292,11 +292,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             options["policy"] = CorrectionPolicy(_require(data, "policy", str, "config"))
         except ValueError as exc:
             raise ConfigError(f"config.policy: {exc}") from exc
-    if "scrub_rules" in data:
-        rules = tuple(_parse_scrub_rule(obj, f"config.scrub_rules[{i}]")
-                      for i, obj in enumerate(_require(data, "scrub_rules", list, "config")))
-        if rules:  # an empty list keeps the default rules
-            options["scrub_rules"] = rules
+    if "scrub_rules" in data:  # an empty list means no rules
+        options["scrub_rules"] = tuple(_parse_scrub_rule(obj, f"config.scrub_rules[{i}]")
+                                       for i, obj in enumerate(_require(data, "scrub_rules", list, "config")))
 
     config = ExperimentConfig(
         seed=seed,
@@ -511,7 +509,9 @@ def generate_workload(config: ExperimentConfig, seed: int) -> list[GeneratedRequ
             suffix=scrub(suffix, config.scrub_rules),
             request_id=f"req-{i:04d}",
         )
-        divergence = frozenset(p for p in range(2, n) if rng.random() < w.divergence_rate)
+        # position p in 2..n-1 diverges when the next random() falls below the rate
+        flips = mt_uniform(rng, max(n - 2, 0))
+        divergence = frozenset((np.flatnonzero(flips < w.divergence_rate) + 2).tolist())
         out.append(
             GeneratedRequest(
                 request=req,
@@ -731,7 +731,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path, seed: int | No
                     max_smoothed_gap=trace_d.max_smoothed_gap_ms, handover_gap=trace_d.handover_gap_ms,
                     occupancy=trace_c.occupancy_ms, tokens_emitted=len(trace_c.events) + 1,
                     corrections=trace_d.corrections, common_prefix_len=trace_d.common_prefix_len,
-                    output_len=len(trace_d.displays), mask_bytes=len(trace_c.frame.mask.payload),
+                    output_len=trace_d.output_len, mask_bytes=len(trace_c.frame.mask.payload),
                     refined_tokens=trace_d.refined_tokens, planning_miss=point.planning_miss, feasible=point.feasible,
                 )
             )

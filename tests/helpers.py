@@ -6,6 +6,7 @@ import base64
 import json
 import math
 import random
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import numpy as np
 from pdsim import protocol
 from pdsim.cli import _WEIGHT_HEADER
 from pdsim.cloudsim import EOT_TOKEN, CloudTrace, TokenSource, serve_request, uniform_scores
-from pdsim.devicesim import CorrectionPolicy, DeviceTrace, StallError
+from pdsim.devicesim import CorrectionPolicy, StallError
 from pdsim.eventloop import EventLoop
 from pdsim.maskcodec import unpack
 from pdsim.planner import PlanConstraints
@@ -297,6 +298,35 @@ def reference_uniform_scores(prompt: TokenizedPrompt, seed: int | str) -> TokenS
 # --- reference device session: every decode step is its own loop event ---------
 
 
+@dataclass(frozen=True)
+class ReferenceTrace:
+    """What a device session shows and counts, every display listed."""
+
+    user_ttft_ms: float
+    ttft_device_ms: float
+    tpot_smooth_ms: float | None
+    displays: tuple[tuple[float, int, str], ...]  # (time, position, token shown)
+    corrections: int
+    common_prefix_len: int
+    max_smoothed_gap_ms: float | None
+    handover_gap_ms: float | None
+    device_eot_position: int | None
+    decode_caught_up_ms: float | None
+    refined_tokens: int
+
+    @property
+    def output_len(self) -> int:
+        return len(self.displays)
+
+
+OBSERVED = (*(f.name for f in fields(ReferenceTrace)), "output_len")
+
+
+def observed(trace) -> dict:
+    """A device trace or a ``ReferenceTrace`` as its observed values, by name."""
+    return {name: getattr(trace, name) for name in OBSERVED}
+
+
 class ReferenceSession:
     """The device session one event per decode step, the form run_session must match."""
 
@@ -362,7 +392,7 @@ class ReferenceSession:
 
     # --- wiring -----------------------------------------------------------
 
-    def run(self) -> DeviceTrace:
+    def run(self) -> ReferenceTrace:
         self._check_conformance()
         self.loop.schedule_at(self.frame_time, self._on_frame)
         for when, event in self.events:
@@ -502,7 +532,7 @@ class ReferenceSession:
 
     # --- assembly -----------------------------------------------------------
 
-    def _trace(self) -> DeviceTrace:
+    def _trace(self) -> ReferenceTrace:
         window_end = self.cloud_last if self.budget == 0 else min(self.budget, self.cloud_last)
         window_times = [t for t, p, _ in self.displays if p <= window_end]
         gaps = [b - a for a, b in zip(window_times, window_times[1:])]
@@ -519,7 +549,7 @@ class ReferenceSession:
             # session ended before prefill completed (e.g. instant cloud EOT)
             recover = self.model.decompress(self.prompt_tokens)
             self.ttft_device = self.user_ttft + recover + self.prefill_est
-        return DeviceTrace(
+        return ReferenceTrace(
             user_ttft_ms=self.user_ttft,
             ttft_device_ms=self.ttft_device,
             tpot_smooth_ms=self.tpot_smooth,
@@ -535,7 +565,7 @@ class ReferenceSession:
 
 
 def reference_run_session(req, prompt, frame, stream, model, device_source, policy=CorrectionPolicy.CLOUD_WINS,
-                          *, start_ms: float = 0.0, frame_time_ms: float) -> DeviceTrace:
+                          *, start_ms: float = 0.0, frame_time_ms: float) -> ReferenceTrace:
     """run_session's contract, simulated by ReferenceSession."""
     return ReferenceSession(req, prompt, frame, list(stream), model, device_source, policy,
                             start_ms, frame_time_ms).run()

@@ -11,6 +11,7 @@ from pdsim.cloudsim import (
     EOT_TOKEN,
     BatchModel,
     TokenSource,
+    mt_uniform,
     run_throughput,
     serve_request,
     uniform_scores,
@@ -103,6 +104,20 @@ class TestUniformScores:
         want = reference_uniform_scores(prompt, seed).scores
         assert got.shape == want.shape == (n,)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestMtUniform:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 3000) | st.integers(0, 3), st.floats(0.0, 1.0))
+    @example(0, 2, 0.5)  # positions 2..n-1: nothing to draw
+    def test_bit_equal_to_random_calls(self, seed, n, rate):
+        rng, ref = random.Random(seed), random.Random(seed)
+        got = mt_uniform(rng, max(n - 2, 0))
+        want = [ref.random() for _ in range(2, n)]
+        assert got.tolist() == want
+        # the divergence set generate_workload draws from it
+        assert set((np.flatnonzero(got < rate) + 2).tolist()) == {p for p, u in enumerate(want, 2) if u < rate}
+        assert rng.randrange(1 << 32) == ref.randrange(1 << 32)
 
 
 class TestServeRequest:

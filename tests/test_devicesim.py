@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_run_session, serve_at, tokenized
+from helpers import OBSERVED, observed, reference_run_session, serve_at, tokenized
 
 from pdsim.cloudsim import EOT_TOKEN, TokenSource
 from pdsim.devicesim import (
     CorrectionPolicy,
-    DeviceTrace,
     ScrubRule,
     StallError,
     run_session,
@@ -209,19 +208,26 @@ class TestMatchesEventReference:
         start=st.integers(0, 50),
         sentences=st.integers(3, 40),
         ratio=st.sampled_from([0.1, 0.25, 0.5, 1.0]),
-        budget=st.one_of(st.sampled_from([None, 1, 2]), st.integers(3, 80)),
-        n=st.integers(1, 160),
-        divergence=st.frozensets(st.integers(1, 170), max_size=10),
+        # (n, budget, device_extra): a short output; a long output past a small
+        # window; a device source longer than the cloud's, whose EOT show falls
+        # inside the window, so that decodes meet that show
+        shape=st.one_of(
+            st.tuples(st.integers(1, 160), st.sampled_from([None, 1, 2]) | st.integers(3, 80), st.integers(-20, 20)),
+            st.tuples(st.integers(160, 2000), st.integers(1, 8), st.integers(-20, 20)),
+            st.integers(2, 80).flatmap(
+                lambda n: st.tuples(st.just(n), st.none() | st.integers(n, 80), st.integers(1, 2000))
+            ),
+        ),
+        divergence=st.frozensets(st.integers(1, 170) | st.integers(1, 2100), max_size=10),
         delays=st.lists(st.integers(0, 400), max_size=30),
         cut=st.none() | st.integers(0, 160),
         done_after=st.none() | st.integers(0, 3000),
-        device_extra=st.integers(-20, 20),
         policy=st.sampled_from(list(CorrectionPolicy)),
     )
     def test_every_field_equals_the_event_by_event_session(
-        self, tpots, k, rtt, start, sentences, ratio, budget, n, divergence, delays, cut, done_after,
-        device_extra, policy
+        self, tpots, k, rtt, start, sentences, ratio, shape, divergence, delays, cut, done_after, policy
     ):
+        n, budget, device_extra = shape
         model = TimingModel(
             k_cloud=k[0], k_device=k[1], tpot_cloud=float(tpots[0]), tpot_device=float(tpots[1]),
             rtt=RttClass("fixed", mean_ms=float(rtt), jitter_ms=0.0),
@@ -250,8 +256,39 @@ class TestMatchesEventReference:
         want = reference_run_session(
             *args, TokenSource(seed=5, total_tokens=device_tokens, divergence=divergence), policy, **kwargs
         )
-        for f in dataclasses.fields(DeviceTrace):
-            assert getattr(got, f.name) == getattr(want, f.name), f.name
+        for name in OBSERVED:  # displays among them
+            assert getattr(got, name) == getattr(want, name), name
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        tpot=st.integers(1, 4),
+        recover=st.integers(0, 4),
+        refined=st.integers(0, 6),
+        budget=st.integers(3, 8),
+        device_extra=st.integers(1, 40),
+        policy=st.sampled_from(list(CorrectionPolicy)),
+        data=st.data(),
+    )
+    def test_decodes_meet_the_cloud_eot_show(self, tpot, recover, refined, budget, device_extra, policy, data):
+        # whole milliseconds from a frame at 0 ms put decodes on the instant of
+        # the cloud-EOT show; the device source runs on past the cloud's EOT
+        eot = data.draw(st.integers(2, budget), label="eot")
+        arrivals = data.draw(st.lists(st.integers(0, 24), min_size=eot - 1, max_size=eot - 1), label="arrivals")
+        done = max(arrivals) + data.draw(st.integers(0, 4), label="done_after")
+        divergence = data.draw(st.frozensets(st.integers(2, eot + device_extra), max_size=3), label="divergence")
+        model = TimingModel(k_device=1.0, tpot_device=float(tpot), decompress=AffineCost(float(recover), 0.0))
+        req = content_prompt_request(sentences=3)
+        prompt = tokenized(req)
+        mask = pack(SelectionMask([1] * refined + [0] * (prompt.total_tokens - refined)))
+        stream = [
+            (float(t), StreamEvent(p - 1, EOT_TOKEN if p == eot else f"tok{p}"))
+            for p, t in enumerate(arrivals, start=2)
+        ]
+        stream.append((float(done), DONE))
+        args = (req, prompt, FirstTokenFrame("tok1", mask, budget), stream, model)
+        source = TokenSource(seed=5, total_tokens=eot + device_extra, divergence=divergence)
+        got = run_session(*args, source, policy, frame_time_ms=0.0)
+        assert observed(got) == observed(reference_run_session(*args, source, policy, frame_time_ms=0.0))
 
     # the frame arrives at 0 ms; 0 refined tokens with no recovery cost put the
     # prefill on the frame's instant
@@ -277,6 +314,16 @@ class TestMatchesEventReference:
             # by its arrival, which runs before any decode step
             pytest.param(3, 0, 14, 9, [0] * 6 + [33.25, 35], None, 55.75, {9}, 10,
                          CorrectionPolicy.DEVICE_DISPLAY, 0, id="arrival-first"),
+            # a device source longer than the cloud's. Decode 3 meets the cloud-EOT
+            # show 3 at 4 ms; the schedulers tie at 2 ms, where show 3 waits on
+            # show 2, and again at 0 ms, where the frame runs first: decode 3 never runs
+            pytest.param(2, 0, 0, 4, [0, 0], 3, 1, (), 9, CorrectionPolicy.CLOUD_WINS, 0, id="eot-show-first"),
+            # show 3 is scheduled by its arrival at 3 ms, after decode 3 (at 2 ms),
+            # which runs and takes the cloud EOT
+            pytest.param(2, 0, 0, 4, [0, 3], 3, 4, (), 9, CorrectionPolicy.CLOUD_WINS, 1, id="eot-decode-first"),
+            # the EOT arrives at 6 ms: decode 4, past the cloud's last position,
+            # meets its show and runs first
+            pytest.param(2, 0, 0, 4, [0, 6], 3, 7, (), 9, CorrectionPolicy.CLOUD_WINS, 0, id="eot-past-the-stream"),
         ],
     )
     def test_ties_follow_the_scheduling_order(
@@ -294,7 +341,7 @@ class TestMatchesEventReference:
         args = (req, prompt, FirstTokenFrame("tok1", mask, budget), stream, model)
         source = TokenSource(seed=5, total_tokens=device_len, divergence=frozenset(divergence))
         got = run_session(*args, source, policy, frame_time_ms=0.0)
-        assert got == reference_run_session(*args, source, policy, frame_time_ms=0.0)
+        assert observed(got) == observed(reference_run_session(*args, source, policy, frame_time_ms=0.0))
         assert got.corrections == corrections
 
     def test_a_session_builds_no_event_loop(self, calibrated_model, plan, monkeypatch):
@@ -309,6 +356,29 @@ class TestMatchesEventReference:
         _, trace_d = serve(calibrated_model, plan.ratio, 40, n=1600)
         assert len(trace_d.displays) == 1599
         assert built == []
+
+    def test_traces_are_equal_when_their_displays_are(self, calibrated_model, plan):
+        _, trace_d = serve(calibrated_model, plan.ratio, plan.max_tokens)
+        copy = dataclasses.replace(trace_d, continuation_decode_ms=trace_d.continuation_decode_ms.copy())
+        assert copy == trace_d and hash(copy) == hash(trace_d)
+        assert dataclasses.replace(trace_d, continuation_begin_ms=trace_d.displays[-1][0]) != trace_d
+
+    def test_a_session_steps_only_its_cloud_window(self, calibrated_model, plan, monkeypatch):
+        calls = []
+        original = TokenSource.token_at
+
+        def counting(source, position):
+            calls.append(position)
+            return original(source, position)
+
+        monkeypatch.setattr(TokenSource, "token_at", counting)
+        _, trace_d = serve(calibrated_model, plan.ratio, 40, n=1600)
+        # the cloud's 40 tokens, the decodes stepped within the window and the common prefix
+        assert trace_d.output_len == 1599
+        assert len(calls) <= 3 * 41
+        calls.clear()
+        assert len(trace_d.displays) == 1599
+        assert calls == list(range(41, 1600))  # the continuation, expanded on demand
 
 
 class TestFailureModes:

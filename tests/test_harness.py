@@ -189,6 +189,10 @@ class TestWorkloadSynthesis:
         with pytest.raises(ConfigError, match="pattern"):
             config_from_dict({**base_config_dict(), "scrub_rules": [{"replacement": "x"}]})
 
+    def test_empty_scrub_rules_turn_scrubbing_off(self):
+        config = config_from_dict({**base_config_dict(), "scrub_rules": []})
+        assert config.scrub_rules == ()
+
 
 def read_rows(path: Path) -> list[dict]:
     with open(path, newline="") as fh:
