@@ -305,7 +305,8 @@ def run_session(
 
     common = 0
     for position in range(1, min(cloud_last, device_source.total_tokens) + 1):
-        if cloud[position] != device_source.token_at(position):
+        mine = own[position] if position in own else device_source.token_at(position)
+        if cloud[position] != mine:
             break
         common += 1
 

@@ -1,18 +1,26 @@
-"""Prompt refinement: attention-window token scoring and sentence selection.
+r"""Prompt refinement: attention-window token scoring and sentence selection.
 
 Both ends of the protocol share one deterministic reference tokenizer
 (whitespace word split, punctuation as separate tokens), so a selection mask
 computed on one side reconstructs the identical refined prompt on the other.
 A request is tokenized once into a ``TokenizedPrompt``, which the cloud uses
 to select and the device uses to check the mask and rebuild the prompt.
+
+``tokenize`` and ``split_sentences`` are the public tokenization and
+segmentation. ``TokenizedPrompt.from_text`` agrees with them token for token
+and sentence for sentence, but builds the content in one whitespace pass that
+runs the regex only on chunks holding punctuation or ``_``. That is exact
+because ``\s`` matches exactly what ``str.split()`` splits on and ``\w``
+exactly the characters with ``c.isalnum() or c == "_"``.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from math import ceil
+from operator import sub
 from typing import Sequence
 
 import numpy as np
@@ -20,6 +28,7 @@ import numpy as np
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 # a run up to and including a terminator; failing that, the terminator-free tail
 _SENTENCE_RE = re.compile(r"[^.!?\n]*[.!?\n]|[^.!?\n]+")
+_TERMINATORS = frozenset(".!?")  # with the newline, what ends a sentence
 
 
 def tokenize(text: str) -> list[str]:
@@ -73,11 +82,38 @@ class TokenizedPrompt:
 
     @classmethod
     def from_text(cls, prefix: str, content: str, suffix: str) -> "TokenizedPrompt":
-        sentences = [_TOKEN_RE.findall(s) for s in split_sentences(content)]
-        ids = chain.from_iterable(repeat(sid, len(toks)) for sid, toks in enumerate(sentences))
+        r"""Tokenize the three parts, labelling the content by ``split_sentences``.
+
+        One pass over the content: split it on newlines, split each line with
+        ``str.split()``, take a chunk for which ``chunk.isalnum()`` holds as one
+        ``\w+`` token, and run ``_TOKEN_RE`` only on the other chunks (those
+        holding punctuation or ``_``). This equals ``tokenize`` because tokens
+        never span whitespace, ``\s`` matches exactly the separators
+        ``str.split()`` uses, and ``\w`` matches exactly the characters with
+        ``c.isalnum() or c == "_"`` (the tests check both over every code
+        point). A sentence ends at a '.', '!' or '?' token and at the last
+        token of each line, so a segment without tokens yields no sentence,
+        as in ``split_sentences``.
+        """
+        tokens: list[str] = []
+        ends = [0]  # 0, then one past each sentence's last token
+        append = tokens.append
+        for line in content.split("\n"):
+            for chunk in line.split():
+                if chunk.isalnum():
+                    append(chunk)
+                    continue
+                for token in _TOKEN_RE.findall(chunk):
+                    append(token)
+                    if token in _TERMINATORS:
+                        ends.append(len(tokens))
+            if ends[-1] != len(tokens):
+                ends.append(len(tokens))
+        # repeat shares one int object per sentence, not one per token
+        ids = chain.from_iterable(map(repeat, count(), map(sub, ends[1:], ends)))
         return cls(
             prefix=tuple(tokenize(prefix)),
-            content=tuple(chain.from_iterable(sentences)),
+            content=tuple(tokens),
             sentence_ids=tuple(ids),
             suffix=tuple(tokenize(suffix)),
         )

@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -66,6 +68,13 @@ class TestTokenizer:
         assert prompt.content == ("Aa", "bb", ".", "Cc", "dd", "!")
         assert prompt.sentence_ids == (0, 0, 0, 1, 1, 1)
         assert prompt.total_tokens == 9
+
+    def test_regex_classes_match_str_methods_on_every_code_point(self):
+        # from_text takes an isalnum() chunk between str.split() separators as one
+        # \w+ token; that is exact only while re and str share their Unicode tables
+        text = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert set(re.findall(r"\w", text)) == {c for c in text if c.isalnum() or c == "_"}
+        assert set(re.findall(r"\s", text)) == set(text) - set("".join(text.split()))
 
     @pytest.mark.parametrize("ids", [(0, 2), (1, 1), (0, 1, 0), (-1, 0, 1), (-1, -1)])
     def test_sentence_ids_must_be_contiguous_from_zero(self, ids):
@@ -315,9 +324,13 @@ class TestRefinedText:
 # --- equivalence with the loop references in helpers ---------------------------
 
 _PIECES = ["alpha", "b2", "w1234", "Ünï", "_x", " ", "   ", "\t", ",", ";", ":", ".", "!", "?", "\n", "\n\n\n", "..."]
+# characters on either side of from_text's isalnum() test: digits, numerics and
+# combining marks that \w takes, '_', and whitespace beyond ASCII that \s takes
+_PIECES += ["²", "½", "٣", "e\u0301", "_", "a_b.", "\xa0", "\x85", "\x1c", "\u2028", "\u3000"]
 prompt_text = st.one_of(
     st.lists(st.sampled_from(_PIECES), max_size=60).map("".join),
     st.text(alphabet="ab1 \t,;:.!?\n", max_size=80),
+    st.text(max_size=80),
 )
 
 
@@ -340,13 +353,21 @@ class TestMatchesLoopReference:
     def test_split_sentences(self, text):
         assert split_sentences(text) == reference_split_sentences(text)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=1000, deadline=None)
     @given(prompt_text, prompt_text, prompt_text)
     def test_from_text(self, prefix, content, suffix):
         prompt = TokenizedPrompt.from_text(prefix, content, suffix)
         assert (prompt.prefix, prompt.content, prompt.sentence_ids, prompt.suffix) == reference_from_text(
             prefix, content, suffix
         )
+
+    @settings(max_examples=500, deadline=None)
+    @given(prompt_text)
+    def test_from_text_agrees_with_tokenize_and_split_sentences(self, content):
+        prompt = TokenizedPrompt.from_text("", content, "")
+        assert prompt.content == tuple(tokenize(content))
+        n_sentences = prompt.sentence_ids[-1] + 1 if prompt.sentence_ids else 0
+        assert n_sentences == len(split_sentences(content))
 
     @settings(max_examples=200, deadline=None)
     @given(scored_prompts(), st.floats(0.0, 1.0, exclude_min=True))
