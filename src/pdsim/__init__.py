@@ -8,8 +8,6 @@ from .planner import (
     OperatingPoint,
     Plan,
     PlanConstraints,
-    PlanKey,
-    PlanTable,
     build_plan_table,
     l_bounds,
     operating_point,

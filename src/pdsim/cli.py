@@ -33,9 +33,9 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    table = build_plan_table(config.models, config.scenes, config.buckets)
-    harness.write_plans(out / "plans.csv", table)
-    print(f"wrote {out / 'plans.csv'} ({len(table.plans)} plans)")
+    plans = build_plan_table(config.models, config.scenes, config.buckets)
+    harness.write_plans(out / "plans.csv", plans)
+    print(f"wrote {out / 'plans.csv'} ({len(plans)} plans)")
     return 0
 
 

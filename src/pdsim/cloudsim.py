@@ -112,15 +112,15 @@ def serve_request(
     scores: TokenScores,
     *,
     ratio: float,
-    max_tokens: int | None,
+    max_tokens: int,
     start_ms: float,
     rtt_ms: float,
 ) -> CloudTrace:
     """Serve one request at a given point: refine, piggyback the first token, stream.
 
     ``planner.operating_point`` decides the point: the refinement ``ratio``
-    and the budget ``max_tokens``, where None streams until EOT (frame
-    budget 0). ``prompt`` is the request's reference tokenization, shared
+    and the budget ``max_tokens``, the tokens the cloud produces counting the
+    first one. ``prompt`` is the request's reference tokenization, shared
     with the device; the mask selects over it by ``scores``. The first token
     leaves ``ttft_cloud`` after ``start_ms`` at round trip ``rtt_ms``.
     ``req`` is not read; it names the session for callers and for wrappers
@@ -129,12 +129,8 @@ def serve_request(
     first_token_at = start_ms + ttft_cloud(model, prompt.total_tokens, ratio, rtt_ms)
     compressed = pack(select_sentences(prompt, scores, ratio))
 
-    emit_total = source.total_tokens if max_tokens is None else min(max_tokens, source.total_tokens)
-    frame = FirstTokenFrame(
-        token=source.token_at(1),
-        mask=compressed,
-        max_tokens=0 if max_tokens is None else max_tokens,
-    )
+    emit_total = min(max_tokens, source.total_tokens)
+    frame = FirstTokenFrame(token=source.token_at(1), mask=compressed, max_tokens=max_tokens)
     events = tuple(
         (
             first_token_at + i * model.tpot_cloud,

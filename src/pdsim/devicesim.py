@@ -9,19 +9,19 @@ function of its timed stream, computed as three timelines:
 - Cloud shows. The frame shows position 1 at its arrival F; position p is
   shown at ``w_p = max(F + (p - 1)·pace, a_p, w_{p-1})``, with ``a_p`` its
   arrival: an early stream item waits for its slot, a late one pauses the
-  display. Shows cover the window, positions up to ``min(L, cloud_last)``
-  (every received position when L = 0), and stop at the cloud EOT, which
-  ends the session. Under DEVICE_DISPLAY a show displays the device's own
-  token instead when decode p ran first and differs.
+  display. Shows cover the window, positions up to ``min(L, cloud_last)``,
+  and stop at the cloud EOT, which ends the session. Under DEVICE_DISPLAY a
+  show displays the device's own token instead when decode p ran first and
+  differs.
 - Decodes. The prefill completes at ``F + recover + prefill``; decode k runs
   at ``t_k``, one ``tpot_device`` after decode k - 1 (after the prefill for
   k = 2). Under CLOUD_WINS, position k takes the cloud token when that token
-  arrived at or before ``t_k`` and k is within L (any position when L = 0).
-  Decoding stops at the effective EOT, or at a cloud-EOT show that runs first.
+  arrived at or before ``t_k`` and k is within L. Decoding stops at the
+  effective EOT, or at a cloud-EOT show that runs first.
 - Device display. Once the window is shown in full, position q is shown at
   ``max(t_q, begin)`` with its own token, up to the device EOT. ``begin``
   is the last window show, or ``max(last show, DONE)`` when the stream is
-  shorter than L or L = 0, since then only DONE says no more tokens come.
+  shorter than L, since then only DONE says no more tokens come.
 
 A session costs its cloud window, not its output length. The decode
 instants are one array, accumulated in order (``np.add.accumulate``, bit-equal
@@ -178,7 +178,7 @@ def run_session(
     event indices other than exactly 1..k, and StallError when the stream
     is short without the DONE marker.
     """
-    budget = frame.max_tokens  # 0 = until EOT
+    budget = frame.max_tokens
     # checked before inflating, so a declared length never costs memory
     if frame.mask.bit_length != prompt.total_tokens:
         raise ProtocolError(
@@ -207,14 +207,14 @@ def run_session(
         raise ProtocolError(
             f"stream event index {index} repeated" if index < i else f"stream event index {i} missing"
         )
-    if done is None and (budget == 0 or budget >= 2 and len(events) < budget - 1):
+    if done is None and len(events) < budget - 1:
         last = events[-1][0] if events else frame_time_ms
         wait = 5 * (tpot_smooth or model.tpot_device)
         raise StallError(
             f"stream ended after {len(events)} events without [DONE]; "
             f"display branch gave up at {last + wait:.1f} ms"
         )
-    window_end = cloud_last if budget == 0 else min(budget, cloud_last)
+    window_end = min(budget, cloud_last)
 
     # cloud shows: shows[p - 1] is position p
     pace = tpot_smooth or 0.0
@@ -273,7 +273,7 @@ def run_session(
         raw = device_source.token_at(k) if k <= device_source.total_tokens else EOT_TOKEN
         own[k] = raw
         effective = raw
-        in_scope = arrival.get(k, math.inf) <= at[k - 1] and (budget == 0 or k <= budget)
+        in_scope = arrival.get(k, math.inf) <= at[k - 1] and k <= budget
         if in_scope and raw != cloud[k] and policy is CorrectionPolicy.CLOUD_WINS:
             corrections += 1
             effective = cloud[k]
@@ -299,7 +299,7 @@ def run_session(
     continuation = timeline[:0]
     if eot_at is None:
         begin = shows[-1][0]
-        if budget == 0 or cloud_last < budget:
+        if cloud_last < budget:
             begin = max(begin, done)
         continuation = timeline[window_end : device_eot_position - 1]
 

@@ -2,9 +2,10 @@
 
 One experiment is fully determined by its config and seed: reruns produce
 byte-identical CSV outputs. Each sweep variant replays the same workload,
-pinning the ratio and/or the token budget or leaving both to the plan
-table (``planner.operating_point`` decides), and writes one trace CSV; a
-cross-variant summary follows.
+pinning the ratio and/or the token budget or leaving both to the planner,
+which solves them at each prompt's own length (``planner.operating_point``
+decides), and writes one trace CSV; a cross-variant summary follows.
+``plans.csv`` tabulates the planner over the config's prompt-length buckets.
 
 ``TraceRow`` is the one schema of a trace row: ``run_experiment`` writes
 its fields as the columns, ``read_trace`` parses them back, and both
@@ -38,7 +39,7 @@ import numpy as np
 from . import cloudsim
 from .cloudsim import BatchModel, TokenSource, mt_uniform, mt_words, run_throughput, serve_request
 from .devicesim import DEFAULT_SCRUB_RULES, CorrectionPolicy, ScrubRule, run_session, scrub
-from .planner import PlanConstraints, PlanTable, build_plan_table, operating_point
+from .planner import Plan, PlanConstraints, build_plan_table, operating_point
 from .planner import solve_plan  # noqa: F401  (benchmarks/tracer.py hooks pdsim.harness.solve_plan)
 from .protocol import AssistRequest
 from .refiner import TokenizedPrompt
@@ -334,8 +335,8 @@ def _validate_config(config: ExperimentConfig) -> None:
         if length < floor:
             raise ConfigError(f"config.workload.prompt_lengths.{length}: shorter than prefix+suffix+16")
     for name, model in config.models.items():
-        try:
-            model.check_overhead_bound(config.buckets)
+        try:  # planning reads the bound at every bucket and at every prompt length served
+            model.check_overhead_bound((*config.buckets, *w.prompt_lengths))
         except ValueError as exc:
             raise ConfigError(f"config.timing.device_classes.{name}: {exc}") from exc
         for scene, constraints in config.scenes.items():
@@ -541,7 +542,7 @@ class TraceRow:
     device_class: str
     l: int  # prompt tokens
     r: float
-    L: int  # assisted-token budget; 0 = until EOT
+    L: int  # assisted-token budget, the first token included
     n: int
     rtt_ms: float
     ttft_c: float
@@ -557,7 +558,7 @@ class TraceRow:
     output_len: int
     mask_bytes: int
     refined_tokens: int
-    planning_miss: bool
+    planning_miss: bool  # always false; the column stays until the benchmark digests are re-recorded
     feasible: bool
 
 
@@ -595,11 +596,11 @@ def write_trace(path: str | Path, rows: Sequence[TraceRow]) -> None:
     _write_csv(path, _TRACE_FIELDS, ([_fmt(getattr(row, name)) for name in _TRACE_FIELDS] for row in rows))
 
 
-def write_plans(path: str | Path, table: PlanTable) -> None:
+def write_plans(path: str | Path, plans: Mapping[tuple[str, str, int], Plan]) -> None:
     """``plans.csv``: one line per <scene, device class, bucket>, in key order."""
     header = ("scene", "device_class", "bucket", "r", "L", "feasible", "achieved_tpot_smooth")
-    rows = ((key.scene, key.device_class, key.prompt_length_bucket, plan.ratio, plan.max_tokens, plan.feasible,
-             plan.achieved_tpot_smooth) for key, plan in sorted(table.plans.items()))
+    rows = ((*key, plan.ratio, plan.max_tokens, plan.feasible, plan.achieved_tpot_smooth)
+            for key, plan in sorted(plans.items()))
     _write_csv(path, header, ([_fmt(value) for value in row] for row in rows))
 
 
@@ -630,7 +631,7 @@ class VariantMetrics:
     corrections: int
     mean_mask_bytes: float
     median_mask_bytes: float
-    planning_misses: int
+    planning_misses: int  # always 0; the column stays until the benchmark digests are re-recorded
     above_tau_requests: int | None
 
     def row(self) -> list[str]:
@@ -684,8 +685,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path, seed: int | No
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    table = build_plan_table(config.models, config.scenes, config.buckets)
-    write_plans(out / "plans.csv", table)
+    write_plans(out / "plans.csv", build_plan_table(config.models, config.scenes, config.buckets))
 
     workload = generate_workload(config, seed)
     metrics: list[VariantMetrics] = []
@@ -711,8 +711,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path, seed: int | No
         for variant, rng_rtt, rows in zip(config.variants, rtt_rngs, variant_rows):
             rtt = model.rtt.sample(rng_rtt)
             point = operating_point(
-                table, model, constraints, req.scene, req.device_class, prompt.total_tokens,
-                ratio=variant.ratio, max_tokens=variant.max_tokens,
+                model, constraints, prompt.total_tokens, ratio=variant.ratio, max_tokens=variant.max_tokens
             )
             trace_c = serve_request(
                 req, prompt, model, cloud_source, scores,
@@ -732,7 +731,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path, seed: int | No
                     occupancy=trace_c.occupancy_ms, tokens_emitted=len(trace_c.events) + 1,
                     corrections=trace_d.corrections, common_prefix_len=trace_d.common_prefix_len,
                     output_len=trace_d.output_len, mask_bytes=len(trace_c.frame.mask.payload),
-                    refined_tokens=trace_d.refined_tokens, planning_miss=point.planning_miss, feasible=point.feasible,
+                    refined_tokens=trace_d.refined_tokens, planning_miss=False, feasible=point.feasible,
                 )
             )
 
@@ -763,8 +762,6 @@ def render_summary(metrics: Sequence[VariantMetrics]) -> str:
             f"ttft_d(mean)={m.mean_ttft_d:.1f} ms display_tpot(max)={m.max_display_tpot:.1f} ms "
             f"tps={tps} occupancy(mean)={m.mean_occupancy_ms:.1f} ms mask_bytes(median)={m.median_mask_bytes:.0f}"
         )
-        if m.planning_misses:
-            lines.append(f"  note: {m.planning_misses} planning misses served with ratio 1 until EOT")
         if m.above_tau_requests:
             lines.append(
                 f"  flag: smoothed TPOT slightly above the tolerable target for "

@@ -6,14 +6,14 @@ tokens must stay under the tolerable TPOT, and the cloud must finish its
 stream before the device finishes prefill. The structure admits a closed
 form (smallest feasible ratio, then smallest feasible budget), so no MILP
 library is involved. ``operating_point`` is the one place a session's
-(ratio, budget) is decided: from the plan table, or from the values a sweep
-variant pins.
+(ratio, budget) is decided: solved at the prompt's own length, or from the
+values a sweep variant pins. ``build_plan_table`` tabulates the same solve
+over a grid of prompt lengths for ``plans.csv``; no session reads it.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -53,13 +53,6 @@ class Plan:
             raise ValueError(f"ratio must be in [0, 1], got {self.ratio}")
         if self.max_tokens < 1:
             raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
-
-
-@dataclass(frozen=True, order=True)
-class PlanKey:
-    scene: str
-    device_class: str
-    prompt_length_bucket: int
 
 
 def r_bounds(model: TimingModel, constraints: PlanConstraints, prompt_tokens: int) -> tuple[float, float]:
@@ -113,15 +106,17 @@ def solve_plan(
     pins it (sweep variants do this) and only the budget is solved.
     Infeasibility is encoded in the plan, never raised:
 
-    - empty ratio interval -> refinement disabled (ratio 1), token-level
-      assist still planned;
+    - empty ratio interval (above the 0.01 floor) -> refinement disabled
+      (ratio 1), token-level assist still planned;
     - empty budget interval -> clamp to the occupancy cap (the hard bound)
       and record the resulting over-target pace.
     """
     lo, hi = r_bounds(model, constraints, prompt_tokens)
     if ratio is None:
-        ratio_ok = lo <= hi
-        ratio = max(lo, _RATIO_FLOOR) if ratio_ok else 1.0
+        ratio = max(lo, _RATIO_FLOOR)
+        ratio_ok = ratio <= hi
+        if not ratio_ok:
+            ratio = 1.0
     else:
         if not 0.0 < ratio <= 1.0:
             raise ValueError(f"pinned ratio must be in (0, 1], got {ratio}")
@@ -169,57 +164,36 @@ def check_plan(
     return ttft_c + steps * model.tpot_cloud <= ttft_d
 
 
-@dataclass(frozen=True)
-class PlanTable:
-    plans: dict[PlanKey, Plan]
-    buckets: tuple[int, ...]
-
-    def lookup(self, scene: str, device_class: str, prompt_tokens: int) -> Plan | None:
-        """Plan for the nearest bucket at or above the prompt length.
-
-        Lengths past the largest bucket fall back to it; unknown scene or
-        device class yields None (a planning miss).
-        """
-        idx = bisect_left(self.buckets, prompt_tokens)
-        bucket = self.buckets[min(idx, len(self.buckets) - 1)]
-        return self.plans.get(PlanKey(scene, device_class, bucket))
-
-
 def build_plan_table(
     models: Mapping[str, TimingModel],
     constraints_by_scene: Mapping[str, PlanConstraints],
     buckets: Sequence[int],
-) -> PlanTable:
+) -> dict[tuple[str, str, int], Plan]:
     """Solve every <scene, device class, prompt-length bucket> combination."""
     if not buckets:
         raise ValueError("bucket list must be nonempty")
-    ordered = tuple(buckets)
-    if list(ordered) != sorted(set(ordered)):
+    if list(buckets) != sorted(set(buckets)):
         raise ValueError("buckets must be strictly increasing")
-    plans: dict[PlanKey, Plan] = {}
-    for scene, constraints in constraints_by_scene.items():
-        for device_class, model in models.items():
-            for bucket in ordered:
-                plans[PlanKey(scene, device_class, bucket)] = solve_plan(model, constraints, bucket)
-    return PlanTable(plans=plans, buckets=ordered)
+    return {
+        (scene, device_class, bucket): solve_plan(model, constraints, bucket)
+        for scene, constraints in constraints_by_scene.items()
+        for device_class, model in models.items()
+        for bucket in buckets
+    }
 
 
 @dataclass(frozen=True)
 class OperatingPoint:
-    """The (ratio, budget) a session is served at. ``max_tokens`` None streams until EOT."""
+    """The (ratio, budget) a session is served at."""
 
     ratio: float
-    max_tokens: int | None
+    max_tokens: int
     feasible: bool
-    planning_miss: bool
 
 
 def operating_point(
-    table: PlanTable,
     model: TimingModel,
     constraints: PlanConstraints,
-    scene: str,
-    device_class: str,
     prompt_tokens: int,
     *,
     ratio: float | None = None,
@@ -227,29 +201,17 @@ def operating_point(
 ) -> OperatingPoint:
     """Decide one session's operating point for a prompt of ``prompt_tokens``.
 
-    ``ratio`` and ``max_tokens`` pin a sweep variant's point. Four cases:
-
-    - nothing pinned, the table has a plan: the plan's ratio, budget and
-      ``feasible``;
-    - nothing pinned, a planning miss (unknown scene or device class):
-      ratio 1 streamed until EOT, not feasible;
-    - a pinned ratio without a pinned budget: ``solve_plan`` at that ratio
-      gives the budget (a budget sized for another ratio would skew the
-      display pace);
-    - any pinned point: ``check_plan`` at the mean RTT gives ``feasible``.
-      An unpinned ratio is the plan's, or 1 on a miss.
-
-    ``planning_miss`` reports the table lookup whatever is pinned.
+    With nothing pinned it is ``solve_plan`` at ``prompt_tokens``. ``ratio``
+    and ``max_tokens`` pin a sweep variant's point: an unpinned ratio is the
+    plan's, and an unpinned budget is solved at the ratio served (a budget
+    sized for another ratio would skew the display pace). A pinned point is
+    ``feasible`` when ``check_plan`` holds at the mean RTT.
     """
-    plan = table.lookup(scene, device_class, prompt_tokens)
-    miss = plan is None
-    if ratio is None and max_tokens is None:
-        if miss:
-            return OperatingPoint(ratio=1.0, max_tokens=None, feasible=False, planning_miss=True)
-        return OperatingPoint(plan.ratio, plan.max_tokens, plan.feasible, planning_miss=False)
     if ratio is None:
-        ratio = 1.0 if miss else plan.ratio
+        plan = solve_plan(model, constraints, prompt_tokens)
+        if max_tokens is None:
+            return OperatingPoint(plan.ratio, plan.max_tokens, plan.feasible)
+        ratio = plan.ratio
     if max_tokens is None:
         max_tokens = solve_plan(model, constraints, prompt_tokens, ratio=ratio).max_tokens
-    feasible = check_plan(model, constraints, prompt_tokens, ratio, max_tokens)
-    return OperatingPoint(ratio, max_tokens, feasible, planning_miss=miss)
+    return OperatingPoint(ratio, max_tokens, check_plan(model, constraints, prompt_tokens, ratio, max_tokens))

@@ -84,8 +84,7 @@ class FirstTokenFrame:
     """First token plus piggybacked mask and budget.
 
     ``max_tokens`` mirrors the wire field ``L``: total tokens the cloud will
-    produce, counting this one. Zero is the stream-until-EOT sentinel used
-    when no plan applies.
+    produce at most, counting this one, so at least 1.
     """
 
     token: str
@@ -93,8 +92,8 @@ class FirstTokenFrame:
     max_tokens: int
 
     def __post_init__(self) -> None:
-        if type(self.max_tokens) is not int or self.max_tokens < 0:
-            raise ValueError("max_tokens must be an int >= 0 (0 = until EOT)")
+        if type(self.max_tokens) is not int or self.max_tokens < 1:
+            raise ValueError("max_tokens must be an int >= 1")
 
 
 @dataclass(frozen=True, slots=True)
@@ -204,8 +203,8 @@ def _parse_first_json(obj: dict) -> FirstTokenFrame:
     if not isinstance(mask_b64, str):
         raise ProtocolError("field 'mask_b64' missing or not a string")
     budget = obj.get("L")
-    if type(budget) is not int or budget < 0:
-        raise ProtocolError("field 'L' missing or not a nonnegative integer")
+    if type(budget) is not int or budget < 1:
+        raise ProtocolError("field 'L' missing or not a positive integer")
     return FirstTokenFrame(token=token, mask=_decode_mask_b64(mask_b64), max_tokens=budget)
 
 

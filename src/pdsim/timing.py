@@ -16,9 +16,9 @@ here. Its callers:
 - ``request_occupancy``: ``cloudsim.serve_request``, whose ``CloudTrace.occupancy_ms``
   becomes the trace's ``occupancy`` column and feeds ``cloudsim.run_throughput``.
 
-``planner.operating_point`` reaches ``solve_plan`` and ``check_plan`` for the
-points that sweep variants pin; ``build_plan_table`` reaches ``solve_plan`` once
-per bucket.
+``planner.operating_point`` reaches ``solve_plan`` at each session's prompt
+length and ``check_plan`` for the points that sweep variants pin;
+``build_plan_table`` reaches ``solve_plan`` once per bucket for ``plans.csv``.
 """
 
 from __future__ import annotations

@@ -96,7 +96,7 @@ def tokenized(req: AssistRequest) -> TokenizedPrompt:
     return TokenizedPrompt.from_text(req.prefix, req.content, req.suffix)
 
 
-def serve_at(req: AssistRequest, model: TimingModel, source: TokenSource, ratio: float, max_tokens: int | None, *,
+def serve_at(req: AssistRequest, model: TimingModel, source: TokenSource, ratio: float, max_tokens: int, *,
              prompt: TokenizedPrompt | None = None, start_ms: float = 0.0, rtt_ms: float | None = None) -> CloudTrace:
     """``serve_request`` at (ratio, max_tokens), selecting by ``uniform_scores(prompt, request_id)``.
 
@@ -348,7 +348,7 @@ class ReferenceSession:
         self.start = start_ms
         self.frame_time = frame_time_ms
         self.frame = frame
-        self.budget = frame.max_tokens  # 0 = until EOT
+        self.budget = frame.max_tokens
 
         self.prompt_tokens = prompt.total_tokens
         mask = unpack(frame.mask)
@@ -403,15 +403,13 @@ class ReferenceSession:
         return self._trace()
 
     def _check_conformance(self) -> None:
-        if self.done_time is None:
-            short = self.budget >= 2 and len(self.events) < self.budget - 1
-            if short or self.budget == 0:
-                last = self.events[-1][0] if self.events else self.frame_time
-                wait = 5 * (self.tpot_smooth or self.model.tpot_device)
-                raise StallError(
-                    f"stream ended after {len(self.events)} events without [DONE]; "
-                    f"display branch gave up at {last + wait:.1f} ms"
-                )
+        if self.done_time is None and len(self.events) < self.budget - 1:
+            last = self.events[-1][0] if self.events else self.frame_time
+            wait = 5 * (self.tpot_smooth or self.model.tpot_device)
+            raise StallError(
+                f"stream ended after {len(self.events)} events without [DONE]; "
+                f"display branch gave up at {last + wait:.1f} ms"
+            )
 
     # --- branch 2: display -------------------------------------------------
 
@@ -424,16 +422,11 @@ class ReferenceSession:
         self._start_decode_branch()
         self._advance_display()
 
-    def _in_cloud_window(self, position: int) -> bool:
-        if self.budget == 0:
-            return not self.cloud_done or position <= self.cloud_last
-        return position <= self.budget
-
     def _advance_display(self) -> None:
         if self.finished or self.display_pending:
             return
         p = self.pos_next
-        if self._in_cloud_window(p):
+        if p <= self.budget:
             if p in self.cloud:
                 due = self.frame_time + (p - 1) * (self.tpot_smooth or 0.0)
                 when = max(due, self.arrivals[p], self.loop.now)
@@ -515,7 +508,7 @@ class ReferenceSession:
 
         effective = raw
         cloud_token = self.cloud.get(position)
-        in_scope = cloud_token is not None and (self.budget == 0 or position <= self.budget)
+        in_scope = cloud_token is not None and position <= self.budget
         if in_scope and raw != cloud_token and self.policy is CorrectionPolicy.CLOUD_WINS:
             self.corrections += 1
             effective = cloud_token
@@ -533,7 +526,7 @@ class ReferenceSession:
     # --- assembly -----------------------------------------------------------
 
     def _trace(self) -> ReferenceTrace:
-        window_end = self.cloud_last if self.budget == 0 else min(self.budget, self.cloud_last)
+        window_end = min(self.budget, self.cloud_last)
         window_times = [t for t, p, _ in self.displays if p <= window_end]
         gaps = [b - a for a, b in zip(window_times, window_times[1:])]
         device_times = [t for t, p, _ in self.displays if p > window_end]

@@ -43,6 +43,16 @@ def _set(*path_and_value):
     return mutate
 
 
+def _all(*mutations):
+    """Mutation that applies each of ``mutations`` in turn."""
+
+    def mutate(data: dict) -> None:
+        for each in mutations:
+            each(data)
+
+    return mutate
+
+
 class TestMalformedConfig:
     @pytest.mark.parametrize(
         "mutate,key_path",
@@ -130,6 +140,12 @@ class TestMalformedConfig:
             # omitting the key gives the default bound
             (_set("timing", "device_classes", "phone", "overhead_bound", "auto"),
              "config.timing.device_classes.phone.overhead_bound"),
+            # the bound covers every bucket, but a 60k prompt is planned at its own
+            # length: 200 + 0.012 * 60000 = 920 ms against 980 ms of compress +
+            # decompress + mean RTT
+            (_all(_set("timing", "device_classes", "phone", "overhead_bound", {"base_ms": 200, "per_token_ms": 0.012}),
+                  _set("workload", "prompt_lengths", {"2000": 0.5, "60000": 0.5})),
+             "config.timing.device_classes.phone"),
         ],
     )
     def test_ends_in_one_error_line_with_exit_code_2(self, tmp_path, config_path, capsys, mutate, key_path):

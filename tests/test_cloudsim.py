@@ -16,7 +16,7 @@ from pdsim.cloudsim import (
     serve_request,
     uniform_scores,
 )
-from pdsim.maskcodec import pack, unpack
+from pdsim.maskcodec import pack
 from pdsim.protocol import DONE, AssistRequest, SseDecoder
 from pdsim.refiner import TokenizedPrompt, select_sentences
 from pdsim.timing import ttft_cloud
@@ -140,15 +140,10 @@ class TestServeRequest:
         assert len(trace.events) == 2
         assert trace.events[-1][1].token == EOT_TOKEN
 
-    def test_no_budget_streams_until_eot_at_full_ratio(self, calibrated_model):
-        req = make_request()
-        trace = serve_at(req, calibrated_model, TokenSource(seed=4, total_tokens=40), 1.0, None)
-        assert trace.frame.max_tokens == 0
-        assert len(trace.events) == 39
-        assert trace.events[-1][1].token == EOT_TOKEN
-        # ratio 1 keeps the whole prompt, whatever the scores
-        mask = unpack(trace.frame.mask)
-        assert len(mask) == tokenized(req).total_tokens and mask.popcount() == len(mask)
+    def test_budget_below_one_is_rejected(self, calibrated_model):
+        # the wire contract is L >= 1: no budget streams until EOT
+        with pytest.raises(ValueError, match="max_tokens"):
+            serve_at(make_request(), calibrated_model, TokenSource(seed=4, total_tokens=40), 1.0, 0)
 
     def test_served_at_the_given_point(self, calibrated_model):
         req = make_request()
@@ -164,7 +159,7 @@ class TestServeRequest:
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         st.floats(0.05, 1.0),
-        st.one_of(st.none(), st.integers(1, 60)),
+        st.integers(1, 60),
         st.integers(1, 80),
         st.lists(st.integers(1, 300), min_size=1, max_size=6),
     )
@@ -181,7 +176,7 @@ class TestServeRequest:
             items.extend(decoder.feed(data[pos : pos + size]))
             pos, k = pos + size, k + 1
         assert items == [trace.frame, *(event for _, event in trace.events), DONE]
-        assert len(trace.events) == (total if budget is None else min(budget, total)) - 1
+        assert len(trace.events) == min(budget, total) - 1
 
     def test_determinism(self, calibrated_model):
         source = TokenSource(seed=7, total_tokens=64)

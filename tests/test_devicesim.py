@@ -136,19 +136,6 @@ class TestSingleAssistedToken:
         assert trace_d.max_smoothed_gap_ms is None
 
 
-class TestUnboundedStream:
-    def test_planning_miss_displays_at_arrival_pace(self, calibrated_model):
-        trace_c, trace_d = serve(calibrated_model, 1.0, None, n=40)
-        assert trace_c.frame.max_tokens == 0
-        # the cloud EOT at 40 ends the session: every position before it is shown
-        assert trace_c.events[-1][1].token == EOT_TOKEN
-        assert [position for _, position, _ in trace_d.displays] == list(range(1, 40))
-        arrivals = {e.index + 1: t for t, e in trace_c.events}
-        for when, position, _ in trace_d.displays:
-            if position > 1:
-                assert when == pytest.approx(arrivals[position])
-
-
 class TestEarlyNaturalFinish:
     def test_cloud_eot_ends_the_session(self, calibrated_model, plan):
         trace_c, trace_d = serve(calibrated_model, plan.ratio, plan.max_tokens, n=10)
@@ -212,10 +199,10 @@ class TestMatchesEventReference:
         # window; a device source longer than the cloud's, whose EOT show falls
         # inside the window, so that decodes meet that show
         shape=st.one_of(
-            st.tuples(st.integers(1, 160), st.sampled_from([None, 1, 2]) | st.integers(3, 80), st.integers(-20, 20)),
+            st.tuples(st.integers(1, 160), st.sampled_from([1, 2]) | st.integers(3, 80), st.integers(-20, 20)),
             st.tuples(st.integers(160, 2000), st.integers(1, 8), st.integers(-20, 20)),
             st.integers(2, 80).flatmap(
-                lambda n: st.tuples(st.just(n), st.none() | st.integers(n, 80), st.integers(1, 2000))
+                lambda n: st.tuples(st.just(n), st.integers(n, 80), st.integers(1, 2000))
             ),
         ),
         divergence=st.frozensets(st.integers(1, 170) | st.integers(1, 2100), max_size=10),
@@ -234,8 +221,7 @@ class TestMatchesEventReference:
         )
         req = content_prompt_request(sentences=sentences)
         prompt = tokenized(req)
-        # budget None streams until EOT (frame budget 0); n below the budget
-        # ends the stream with a cloud EOT inside the window
+        # n below the budget ends the stream with a cloud EOT inside the window
         trace_c = serve_at(req, model, TokenSource(seed=5, total_tokens=n), ratio, budget,
                            prompt=prompt, start_ms=float(start))
         # late arrivals interleave the stream with the device's own decoding; a
@@ -391,6 +377,20 @@ class TestFailureModes:
         with pytest.raises(StallError):
             run_session(req, prompt, trace_c.frame, truncated, calibrated_model, source,
                         start_ms=0.0, frame_time_ms=trace_c.frame_time_ms)
+
+    def test_full_window_without_done_is_not_a_stall(self, calibrated_model, plan):
+        # budget - 1 events complete the window, so the missing DONE loses nothing
+        req = content_prompt_request()
+        source = TokenSource(seed=77, total_tokens=60)
+        prompt = tokenized(req)
+        trace_c = serve_at(req, calibrated_model, source, plan.ratio, plan.max_tokens, prompt=prompt)
+        assert len(trace_c.events) == plan.max_tokens - 1
+        with_done, without_done = (
+            run_session(req, prompt, trace_c.frame, stream, calibrated_model, source,
+                        start_ms=0.0, frame_time_ms=trace_c.frame_time_ms)
+            for stream in (trace_c.delivery(), list(trace_c.events))
+        )
+        assert without_done == with_done
 
     @pytest.mark.parametrize(
         "indices, message",

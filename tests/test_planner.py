@@ -2,13 +2,14 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import brute_force_plan, random_planner_instance
 
 from pdsim.harness import default_config, write_plans
 from pdsim.planner import (
     PlanConstraints,
-    PlanKey,
     build_plan_table,
     check_plan,
     l_bounds,
@@ -145,24 +146,15 @@ class TestPlanTable:
     def test_cardinality(self, calibrated_model):
         models = {"phone": calibrated_model, "tablet": TimingModel(k_device=0.8)}
         scenes = {name: PlanConstraints(0.25, 100.0) for name in ("a", "b", "c")}
-        table = build_plan_table(models, scenes, (2000, 4000, 8000, 16000))
-        assert len(table.plans) == 24
-
-    def test_lookup_uses_nearest_bucket_at_or_above(self, calibrated_model):
-        constraints = PlanConstraints(0.25, 100.0)
-        table = build_plan_table({"phone": calibrated_model}, {"qa": constraints}, (2000, 4000, 8000))
-        direct = solve_plan(calibrated_model, constraints, 4000)
-        assert table.lookup("qa", "phone", 4000) == direct
-        assert table.lookup("qa", "phone", 2001) == direct
-        assert table.lookup("qa", "phone", 123456) == table.plans[PlanKey("qa", "phone", 8000)]
-        assert table.lookup("unknown", "phone", 4000) is None
-        assert table.lookup("qa", "watch", 4000) is None
+        plans = build_plan_table(models, scenes, (2000, 4000, 8000, 16000))
+        assert len(plans) == 24
+        assert plans["b", "tablet", 4000] == solve_plan(models["tablet"], scenes["b"], 4000)
 
     def test_default_collaboration_scene_plans_quarter_ratio(self):
         config = default_config()
-        table = build_plan_table(config.models, config.scenes, config.buckets)
-        plan = table.lookup("doc_qa", "phone", 8000)
-        assert plan is not None and plan.feasible
+        plans = build_plan_table(config.models, config.scenes, config.buckets)
+        plan = plans["doc_qa", "phone", 8000]
+        assert plan.feasible
         assert plan.ratio == 0.25
 
     def test_rejects_bad_buckets(self, calibrated_model):
@@ -173,66 +165,98 @@ class TestPlanTable:
             build_plan_table({"phone": calibrated_model}, scenes, (4000, 2000))
 
     def test_csv_round_trip_columns(self, calibrated_model, tmp_path):
-        table = build_plan_table({"phone": calibrated_model}, {"qa": PlanConstraints(0.25, 100.0)}, (2000, 8000))
+        plans = build_plan_table({"phone": calibrated_model}, {"qa": PlanConstraints(0.25, 100.0)}, (2000, 8000))
         path = tmp_path / "plans.csv"
-        write_plans(path, table)
+        write_plans(path, plans)
         lines = path.read_text().splitlines()
         assert lines[0] == "scene,device_class,bucket,r,L,feasible,achieved_tpot_smooth"
         assert len(lines) == 3
 
 
 class TestOperatingPoint:
-    """``operating_point`` over an 8000-token doc_qa/phone table, for prompts of 8000 tokens."""
+    """``operating_point`` for doc_qa prompts of 8000 tokens, or off the default config's bucket grid."""
 
     CONSTRAINTS = PlanConstraints(0.25, 100.0)
 
-    @pytest.fixture
-    def table(self, calibrated_model):
-        return build_plan_table({"phone": calibrated_model}, {"doc_qa": self.CONSTRAINTS}, (8000,))
+    def point(self, model, **pinned):
+        return operating_point(model, self.CONSTRAINTS, 8000, **pinned)
 
-    def point(self, table, model, scene="doc_qa", device_class="phone", **pinned):
-        return operating_point(table, model, self.CONSTRAINTS, scene, device_class, 8000, **pinned)
-
-    def test_planned_request_uses_table(self, calibrated_model, table):
-        plan = table.lookup("doc_qa", "phone", 8000)
-        point = self.point(table, calibrated_model)
-        assert (point.ratio, point.max_tokens, point.feasible, point.planning_miss) == (
-            plan.ratio, plan.max_tokens, plan.feasible, False
-        )
+    def test_unpinned_point_is_the_plan_at_the_prompt_length(self, calibrated_model):
+        plan = solve_plan(calibrated_model, self.CONSTRAINTS, 8000)
+        point = self.point(calibrated_model)
+        assert (point.ratio, point.max_tokens, point.feasible) == (plan.ratio, plan.max_tokens, plan.feasible)
         assert plan.feasible and plan.ratio == 0.25
 
-    @pytest.mark.parametrize("scene, device_class", [("unplanned", "phone"), ("doc_qa", "watch")])
-    def test_planning_miss_streams_until_eot(self, calibrated_model, table, scene, device_class):
-        point = self.point(table, calibrated_model, scene, device_class)
-        assert (point.ratio, point.max_tokens, point.feasible, point.planning_miss) == (1.0, None, False, True)
+    def test_off_grid_lengths_are_planned_at_their_own_length(self):
+        # the default buckets are 1k..32k; neither length is one of them
+        config = default_config()
+        model, constraints = config.models["phone"], config.scenes["doc_qa"]
+        short = operating_point(model, constraints, 4100)
+        assert short.max_tokens == solve_plan(model, constraints, 4100).max_tokens == 12
+        assert short.max_tokens < solve_plan(model, constraints, 8000).max_tokens
+        # past the largest bucket its point no longer meets the pace target
+        assert not check_plan(model, constraints, 40000, 0.25, solve_plan(model, constraints, 32000).max_tokens)
+        long = operating_point(model, constraints, 40000)
+        assert (long.ratio, long.max_tokens, long.feasible) == (0.25, 116, True)
+        assert check_plan(model, constraints, 40000, long.ratio, long.max_tokens)
 
-    def test_pinned_ratio_solves_the_budget_at_that_ratio(self, calibrated_model, table):
-        point = self.point(table, calibrated_model, ratio=0.5)
+    def test_pinned_ratio_solves_the_budget_at_that_ratio(self, calibrated_model):
+        point = self.point(calibrated_model, ratio=0.5)
         pinned = solve_plan(calibrated_model, self.CONSTRAINTS, 8000, ratio=0.5)
-        assert (point.ratio, point.max_tokens, point.planning_miss) == (0.5, pinned.max_tokens, False)
-        assert pinned.max_tokens != table.lookup("doc_qa", "phone", 8000).max_tokens
+        assert (point.ratio, point.max_tokens) == (0.5, pinned.max_tokens)
+        assert pinned.max_tokens != solve_plan(calibrated_model, self.CONSTRAINTS, 8000).max_tokens
         assert point.feasible == check_plan(calibrated_model, self.CONSTRAINTS, 8000, 0.5, pinned.max_tokens) is True
 
-    def test_pinned_budget_keeps_the_planned_ratio(self, calibrated_model, table):
-        plan = table.lookup("doc_qa", "phone", 8000)
-        short = self.point(table, calibrated_model, max_tokens=3)
-        assert (short.ratio, short.max_tokens, short.planning_miss) == (plan.ratio, 3, False)
+    def test_pinned_budget_keeps_the_planned_ratio(self, calibrated_model):
+        plan = solve_plan(calibrated_model, self.CONSTRAINTS, 8000)
+        short = self.point(calibrated_model, max_tokens=3)
+        assert (short.ratio, short.max_tokens) == (plan.ratio, 3)
         # 3 tokens cannot amortize the device prefill under 100 ms
         assert not short.feasible
-        assert self.point(table, calibrated_model, max_tokens=plan.max_tokens).feasible
+        assert self.point(calibrated_model, max_tokens=plan.max_tokens).feasible
 
-    def test_both_pinned_is_checked_as_given(self, calibrated_model, table):
+    def test_both_pinned_is_checked_as_given(self, calibrated_model):
         for ratio, budget in ((0.5, 20), (0.5, 1), (0.95, 20)):
-            point = self.point(table, calibrated_model, ratio=ratio, max_tokens=budget)
-            assert (point.ratio, point.max_tokens, point.planning_miss) == (ratio, budget, False)
+            point = self.point(calibrated_model, ratio=ratio, max_tokens=budget)
+            assert (point.ratio, point.max_tokens) == (ratio, budget)
             assert point.feasible == check_plan(calibrated_model, self.CONSTRAINTS, 8000, ratio, budget)
         # one token leaves nothing to pace; 0.95 is above the ratio interval
-        assert not self.point(table, calibrated_model, ratio=0.5, max_tokens=1).feasible
-        assert not self.point(table, calibrated_model, ratio=0.95, max_tokens=20).feasible
+        assert not self.point(calibrated_model, ratio=0.5, max_tokens=1).feasible
+        assert not self.point(calibrated_model, ratio=0.95, max_tokens=20).feasible
 
-    def test_pinned_point_on_a_miss_serves_ratio_one(self, calibrated_model, table):
-        budget_only = self.point(table, calibrated_model, "unplanned", max_tokens=12)
-        assert (budget_only.ratio, budget_only.max_tokens, budget_only.planning_miss) == (1.0, 12, True)
-        ratio_only = self.point(table, calibrated_model, "unplanned", ratio=0.5)
-        assert ratio_only.max_tokens == solve_plan(calibrated_model, self.CONSTRAINTS, 8000, ratio=0.5).max_tokens
-        assert ratio_only.planning_miss
+
+_COSTS = st.builds(AffineCost, st.floats(0.0, 100.0), st.floats(0.0, 0.05))
+
+
+@st.composite
+def _timing_models(draw) -> TimingModel:
+    k_cloud = draw(st.floats(0.01, 1.0))
+    return TimingModel(
+        k_cloud=k_cloud,
+        k_device=draw(st.floats(k_cloud, 5.0, exclude_min=True)),
+        tpot_cloud=draw(st.floats(1.0, 100.0)),
+        tpot_device=draw(st.floats(1.0, 100.0)),
+        rtt=RttClass("drawn", mean_ms=draw(st.floats(0.0, 300.0))),
+        compress=draw(_COSTS),
+        decompress=draw(_COSTS),
+        overhead_bound=draw(st.none() | st.builds(AffineCost, st.floats(0.0, 1000.0), st.floats(0.0, 0.2))),
+    )
+
+
+class TestFeasibleMeansCheckPlan:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        model=_timing_models(),
+        min_ratio=st.floats(0.0, 1.0),
+        slack_ms=st.floats(0.0, 200.0, exclude_min=True),
+        prompt_tokens=st.integers(40, 60000),
+        ratio=st.none() | st.floats(0.0, 1.0, exclude_min=True),
+        max_tokens=st.none() | st.integers(1, 500),
+    )
+    def test_operating_point_is_feasible_exactly_when_check_plan_holds(
+        self, model, min_ratio, slack_ms, prompt_tokens, ratio, max_tokens
+    ):
+        constraints = PlanConstraints(min_ratio, model.tpot_device + slack_ms)
+        assume(constraints.max_tpot_ms > model.tpot_device)
+        point = operating_point(model, constraints, prompt_tokens, ratio=ratio, max_tokens=max_tokens)
+        assert point.feasible == check_plan(model, constraints, prompt_tokens, point.ratio, point.max_tokens)

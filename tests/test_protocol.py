@@ -80,7 +80,7 @@ class TestReferenceEncoders:
         assert SseDecoder().feed(data) == [event]
 
     @settings(max_examples=200, deadline=None)
-    @given(st.text(), st.lists(st.integers(0, 1), max_size=200), st.integers(0, 2**63))
+    @given(st.text(), st.lists(st.integers(0, 1), max_size=200), st.integers(1, 2**63))
     @example(_HARD_TOKEN, [1, 0, 1], 2**63)
     def test_first_frame_matches_json_dumps(self, token, bits, budget):
         frame = FirstTokenFrame(token=token, mask=pack(SelectionMask(bits)), max_tokens=budget)
@@ -117,11 +117,12 @@ class TestReferenceEncoders:
             lambda: FirstTokenFrame(token="x", mask=pack(SelectionMask([1])), max_tokens=True),
             lambda: FirstTokenFrame(token="x", mask=pack(SelectionMask([1])), max_tokens=False),
             lambda: FirstTokenFrame(token="x", mask=pack(SelectionMask([1])), max_tokens=3.0),
+            lambda: FirstTokenFrame(token="x", mask=pack(SelectionMask([1])), max_tokens=0),
         ],
-        ids=["index-true", "index-float", "budget-true", "budget-false", "budget-float"],
+        ids=["index-true", "index-float", "budget-true", "budget-false", "budget-float", "budget-zero"],
     )
     def test_non_int_counts_are_rejected_at_construction(self, build):
-        # the decoder rejects "i":true and "L":true, so no frame that builds may encode to them
+        # the decoder rejects "i":true, "L":true and "L":0, so no frame that builds may encode to them
         with pytest.raises(ValueError):
             build()
 
@@ -131,7 +132,7 @@ class TestFirstFrameCodec:
         rng = random.Random(0)
         for _ in range(1000):
             frame = FirstTokenFrame(
-                token=random_token(rng), mask=random_mask(rng), max_tokens=rng.randint(0, 500)
+                token=random_token(rng), mask=random_mask(rng), max_tokens=rng.randint(1, 500)
             )
             assert SseDecoder().feed(encode_first_frame(frame)) == [frame]
 
@@ -147,6 +148,7 @@ class TestFirstFrameCodec:
             (b'data: {"first_token":"x","L":5}\n\n', "mask_b64"),
             (b'data: {"first_token":"x","mask_b64":"AAAAAHjaAwAAAAAB"}\n\n', "L"),
             (b'data: {"first_token":"x","mask_b64":"AAAAAHjaAwAAAAAB","L":-1}\n\n', "L"),
+            (b'data: {"first_token":"x","mask_b64":"AAAAAHjaAwAAAAAB","L":0}\n\n', "not a positive integer"),
             (b'data: {"first_token":"x","mask_b64":"AAAAAHjaAwAAAAAB","L":true}\n\n', "L"),
             (b'data: {"first_token":"x","mask_b64":"not base64!","L":5}\n\n', "mask_b64"),
             (b'data: {"first_token":"x","mask_b64":"AAA=","L":5}\n\n', "mask_b64"),  # 2-byte container
@@ -386,7 +388,7 @@ _FIRST_FRAMES = st.builds(
     ),
     st.text(max_size=8),
     st.lists(st.integers(0, 1), max_size=40),
-    st.integers(0, 2**63),
+    st.integers(1, 2**63),
 )
 _FRAMES = st.one_of(
     _event_frames(), _FIRST_FRAMES, st.just(encode_done()), st.binary(max_size=24).map(sse_frame), st.binary(max_size=24)
@@ -442,7 +444,7 @@ _BAD_INDICES = (b"0", b"00", b"01", b"1" + b"0" * 18, b"9" * 25, b"7" * 5000, b"
 def _fuzz_session(rng: random.Random) -> tuple[list[bytes], list]:
     """The frames of one session, and the items they decode to."""
     mask = pack(SelectionMask([rng.randint(0, 1) for _ in range(rng.randint(0, 300))]))
-    first = FirstTokenFrame(token=rng.choice(_FUZZ_TOKENS), mask=mask, max_tokens=rng.randint(0, 60))
+    first = FirstTokenFrame(token=rng.choice(_FUZZ_TOKENS), mask=mask, max_tokens=rng.randint(1, 60))
     parts, items = [encode_first_frame(first)], [first]
     for i in range(1, rng.randint(1, 40)):
         if rng.random() < 0.2:
