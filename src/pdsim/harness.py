@@ -29,7 +29,6 @@ import random
 import re
 import statistics
 import sys
-from bisect import bisect_left
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -370,61 +369,13 @@ def _choice(rng: random.Random, weights: Mapping):
     return key  # float rounding: fall through to the last key
 
 
-# Mersenne Twister outputs in a prompt's first bulk draw; each further draw
-# doubles the block. A prompt consumes about 1.7 outputs per token.
-_DRAW_BLOCK_WORDS = 4096
+# Mersenne Twister outputs per prompt token in the first bulk draw: a prompt
+# consumes about 1.62 (1.64 per word, 1.28 per sentence length), so one block
+# almost always suffices; a block that runs short is redrawn twice as long.
+_DRAW_OUTPUTS_PER_TOKEN = 1.7
+_DRAW_BLOCK_WORDS = 4096  # the smallest block
 _WORD_LIMIT = 10000 << 18  # randrange(10000) keeps w >> 18 and rejects values >= 10000
 _LENGTH_LIMIT = 25 << 27  # randint(8, 32) keeps 8 + (w >> 27) and rejects w >> 27 >= 25
-
-
-class _DrawReplay:
-    """Replays ``rng.randrange(10000)`` and ``rng.randint(8, 32)`` from bulk Mersenne Twister outputs.
-
-    CPython draws both from one 32-bit output at a time, rejecting outputs
-    out of range, so each draw maps to the first acceptable output at or after
-    the current stream position. Outputs are drawn in blocks on demand;
-    ``finish`` rewinds ``rng`` and advances it by exactly the outputs consumed.
-    """
-
-    def __init__(self, rng: random.Random) -> None:
-        self._rng = rng
-        self._state = rng.getstate()
-        self._block = np.empty(0, dtype=np.uint32)
-        self._pos = 0  # stream index of the next unconsumed output
-        self._word_at: list[int] = []  # stream index of each acceptable word output
-        self._values = np.empty(0, dtype=np.uint32)  # its drawn value
-
-    def _extend(self) -> None:
-        drawn = self._block.size
-        block = mt_words(self._rng, max(_DRAW_BLOCK_WORDS, drawn))
-        ok = block < _WORD_LIMIT
-        self._word_at += (np.flatnonzero(ok) + drawn).tolist()
-        self._values = np.concatenate((self._values, block[ok] >> 18))
-        self._block = np.concatenate((self._block, block))
-
-    def words(self, n: int) -> np.ndarray:
-        """Values of the next ``n`` word draws."""
-        if n <= 0:
-            return self._values[:0]
-        i = bisect_left(self._word_at, self._pos)
-        while i + n > len(self._word_at):
-            self._extend()
-        self._pos = self._word_at[i + n - 1] + 1
-        return self._values[i : i + n]
-
-    def length(self) -> int:
-        """The next sentence-length draw."""
-        while True:
-            if self._pos == self._block.size:
-                self._extend()
-            w = self._block.item(self._pos)
-            self._pos += 1
-            if w < _LENGTH_LIMIT:
-                return 8 + (w >> 27)
-
-    def finish(self) -> None:
-        self._rng.setstate(self._state)
-        self._rng.getrandbits(32 * self._pos)
 
 
 def _word_text(values: np.ndarray, periods: Sequence[int] = ()) -> str:
@@ -445,39 +396,82 @@ def _word_text(values: np.ndarray, periods: Sequence[int] = ()) -> str:
     return chars[keep].tobytes()[:-1].decode("ascii")
 
 
+def _replay_draws(block: np.ndarray, head_words: int,
+                  content_target: int) -> tuple[np.ndarray, np.ndarray, list[int], int] | None:
+    """The prompt's draws replayed over the outputs ``block``, or None if the block runs short.
+
+    Returns the head word values (prefix, then suffix), the content word
+    values, each sentence's word count and the number of outputs consumed.
+    """
+    is_word = block < _WORD_LIMIT
+    word_at = np.flatnonzero(is_word)  # word_at[r]: the output of the word of rank r
+    # rank[q]: the rank of the first word output after q (int32 sums run about 3x faster than int64)
+    rank = np.cumsum(is_word, dtype=np.int32)
+    output, word_output, first_after = block.item, word_at.item, rank.item
+    starts, sizes = [], []
+    remaining = content_target
+    try:  # an index past the block's end means the block ran short
+        pos = word_output(head_words - 1) + 1 if head_words else 0
+        # each sentence is its words plus a '.'; the last one takes what is left,
+        # so ``remaining`` is never 1 and every sentence has at least one word
+        while remaining > 0:
+            while (w := output(pos)) >= _LENGTH_LIMIT:  # a rejected length draw
+                pos += 1
+            words = 8 + (w >> 27)
+            if remaining - (words + 1) < 10:
+                words = remaining - 1
+            first = first_after(pos)
+            pos = word_output(first + words - 1) + 1
+            starts.append(first)
+            sizes.append(words)
+            remaining -= words + 1
+    except IndexError:
+        return None
+    # sentence i's words are the ranks starts[i] .. starts[i] + sizes[i] - 1
+    offsets = np.cumsum(sizes) - sizes
+    content_ranks = np.repeat(np.asarray(starts) - offsets, sizes) + np.arange(content_target - len(sizes))
+    values = block[word_at] >> 18
+    return values[:head_words], values[content_ranks], sizes, pos
+
+
 def synthesize_prompt(rng: random.Random, total_tokens: int, prefix_tokens: int, suffix_tokens: int) -> tuple[str, str, str]:
     """Build prompt text whose reference tokenization has exactly total_tokens tokens.
 
     Exact replay: the text, and the state ``rng`` is left in, equal those of
     drawing one by one with ``rng`` the prefix words, the suffix words, then
     per sentence a length ``randint(8, 32)`` and its words, each word
-    ``f"w{rng.randrange(10000)}"``. The draws are replayed from bulk
-    Mersenne Twister outputs (see ``_DrawReplay``).
+    ``f"w{rng.randrange(10000)}"``.
+
+    CPython draws both from one 32-bit Mersenne Twister output at a time,
+    rejecting outputs out of range, so each draw takes the first acceptable
+    output at or after the current stream position. The outputs come from one
+    bulk ``mt_words`` block. numpy marks the word outputs and ranks them once,
+    so a sentence's words are consecutive ranks, and a loop hops from sentence
+    to sentence: it skips to the next length output, takes the word count
+    from it and continues one past the output of the sentence's last word. A
+    block that runs short is redrawn twice as long from the same state.
+    Finally ``rng`` is rewound and advanced by exactly the outputs consumed.
     """
     content_target = total_tokens - prefix_tokens - suffix_tokens
     if content_target < 2:
         raise ValueError("prompt too short for the requested prefix/suffix")
 
-    draws = _DrawReplay(rng)
-    prefix = _word_text(draws.words(prefix_tokens))
+    head_words = prefix_tokens + max(suffix_tokens - 1, 0)
+    state = rng.getstate()
+    size = max(_DRAW_BLOCK_WORDS, math.ceil(_DRAW_OUTPUTS_PER_TOKEN * total_tokens))
+    while (replay := _replay_draws(mt_words(rng, size), head_words, content_target)) is None:
+        rng.setstate(state)
+        size *= 2
+    head, content, sizes, consumed = replay
+    rng.setstate(state)
+    rng.getrandbits(32 * consumed)
+
+    prefix = _word_text(head[:prefix_tokens])
     if suffix_tokens > 0:
-        suffix = _word_text(draws.words(suffix_tokens - 1)) + (" ?" if suffix_tokens > 1 else "?")
+        suffix = _word_text(head[prefix_tokens:]) + (" ?" if suffix_tokens > 1 else "?")
     else:
         suffix = ""
-
-    # each sentence is its words plus a '.'; the last one takes what is left,
-    # so ``remaining`` is never 1 and every sentence has at least one word
-    sentences = []
-    remaining = content_target
-    while remaining > 0:
-        words = draws.length()
-        if remaining - (words + 1) < 10:
-            words = remaining - 1
-        sentences.append(draws.words(words))
-        remaining -= words + 1
-    draws.finish()
-    periods = np.cumsum([s.size for s in sentences]) - 1
-    return prefix, _word_text(np.concatenate(sentences), periods), suffix
+    return prefix, _word_text(content, np.cumsum(sizes) - 1), suffix
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,10 @@ r"""Prompt refinement: attention-window token scoring and sentence selection.
 Both ends of the protocol share one deterministic reference tokenizer
 (whitespace word split, punctuation as separate tokens), so a selection mask
 computed on one side reconstructs the identical refined prompt on the other.
-A request is tokenized once into a ``TokenizedPrompt``, which the cloud uses
-to select and the device uses to check the mask and rebuild the prompt.
+A request is tokenized once into a ``TokenizedPrompt``: its content tokens
+and the token count of each content sentence, from which the per-token
+sentence labels are derived. The cloud uses it to select whole sentences, and
+the device uses it to check the mask and rebuild the prompt.
 
 ``tokenize`` and ``split_sentences`` are the public tokenization and
 segmentation. ``TokenizedPrompt.from_text`` agrees with them token for token
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import chain, count, repeat
 from math import ceil
 from operator import sub
 from typing import Sequence
@@ -48,29 +49,35 @@ def split_sentences(text: str) -> list[str]:
 class TokenizedPrompt:
     """Prompt split into fixed prefix, refinable content and fixed suffix.
 
-    ``sentence_ids`` labels each content token with its sentence, contiguous
-    and nondecreasing from zero. The ids, as an array, and the token count of
-    each sentence are kept for selection.
+    The content is a run of sentences: ``sentence_sizes`` holds each one's
+    token count, in order, each a plain ``int`` of at least 1, summing to
+    ``len(content)``. Selection reads the sizes and the per-token sentence
+    labels derived from them (``sentence_ids``) as arrays.
     """
 
     prefix: tuple[str, ...]
     content: tuple[str, ...]
-    sentence_ids: tuple[int, ...]
+    sentence_sizes: tuple[int, ...]
     suffix: tuple[str, ...]
     _ids: np.ndarray = field(init=False, compare=False, repr=False)
     _sizes: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if len(self.sentence_ids) != len(self.content):
-            raise ValueError("one sentence id per content token required")
-        ids = np.asarray(self.sentence_ids, dtype=np.int64)
-        steps = np.diff(ids)
-        if ids.size and (ids[0] != 0 or not ((steps == 0) | (steps == 1)).all()):
-            raise ValueError("sentence ids must be contiguous and nondecreasing from zero")
-        sizes = np.bincount(ids)
+        for size in self.sentence_sizes:
+            if type(size) is not int or size < 1:
+                raise ValueError(f"sentence sizes must be ints >= 1, got {size!r}")
+        if sum(self.sentence_sizes) != len(self.content):
+            raise ValueError(f"sentence sizes must sum to the {len(self.content)} content tokens")
+        sizes = np.array(self.sentence_sizes, dtype=np.int64)
+        ids = np.repeat(np.arange(sizes.size), sizes)
         ids.flags.writeable = sizes.flags.writeable = False
         object.__setattr__(self, "_ids", ids)
         object.__setattr__(self, "_sizes", sizes)
+
+    @property
+    def sentence_ids(self) -> tuple[int, ...]:
+        """Each content token's sentence: 0 for the first sentence's tokens, then 1, and so on."""
+        return tuple(self._ids.tolist())
 
     @property
     def total_tokens(self) -> int:
@@ -82,7 +89,7 @@ class TokenizedPrompt:
 
     @classmethod
     def from_text(cls, prefix: str, content: str, suffix: str) -> "TokenizedPrompt":
-        r"""Tokenize the three parts, labelling the content by ``split_sentences``.
+        r"""Tokenize the three parts and size the content's sentences as ``split_sentences`` splits them.
 
         One pass over the content: split it on newlines, split each line with
         ``str.split()``, take a chunk for which ``chunk.isalnum()`` holds as one
@@ -93,7 +100,7 @@ class TokenizedPrompt:
         ``c.isalnum() or c == "_"`` (the tests check both over every code
         point). A sentence ends at a '.', '!' or '?' token and at the last
         token of each line, so a segment without tokens yields no sentence,
-        as in ``split_sentences``.
+        as in ``split_sentences``; one size is kept per sentence.
         """
         tokens: list[str] = []
         ends = [0]  # 0, then one past each sentence's last token
@@ -109,12 +116,10 @@ class TokenizedPrompt:
                         ends.append(len(tokens))
             if ends[-1] != len(tokens):
                 ends.append(len(tokens))
-        # repeat shares one int object per sentence, not one per token
-        ids = chain.from_iterable(map(repeat, count(), map(sub, ends[1:], ends)))
         return cls(
             prefix=tuple(tokenize(prefix)),
             content=tuple(tokens),
-            sentence_ids=tuple(ids),
+            sentence_sizes=tuple(map(sub, ends[1:], ends)),
             suffix=tuple(tokenize(suffix)),
         )
 

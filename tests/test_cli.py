@@ -193,6 +193,17 @@ class TestRefineCommand:
         assert len(refined) == mask.popcount()
         assert "selected" in capsys.readouterr().out
 
+    def test_writes_the_golden_mask_and_refined_text(self, tmp_path):
+        # the one command that turns content tokens back into text (refined_text)
+        data, golden = Path(__file__).parent / "data", Path(__file__).parent / "golden" / "refine"
+        assert main([
+            "refine", "--prompt", str(data / "refine_prompt.json"), "--weights", str(data / "refine_weights.bin"),
+            "--ratio", "0.5", "--kernel", "3", "--window", "4", "--out", str(tmp_path),
+        ]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in golden.iterdir())
+        for name in ("mask.bin", "refined.txt"):
+            assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
+
     def test_weight_dump_validation(self, tmp_path):
         bad = tmp_path / "weights.bin"
         bad.write_bytes(b"\x01\x00\x00\x00")

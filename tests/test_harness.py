@@ -115,6 +115,16 @@ class TestConfig:
         assert config.workload.divergence_rate == default.workload.divergence_rate
 
 
+class CountingRandom(random.Random):
+    """A ``random.Random`` that counts its ``getrandbits`` calls."""
+
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+
 class TestWorkloadSynthesis:
     def test_prompt_token_counts_are_exact(self):
         rng = random.Random(0)
@@ -150,29 +160,28 @@ class TestWorkloadSynthesis:
 
     @pytest.mark.parametrize("block", [1, 7, 64])
     def test_extended_blocks_match_the_draw_loop(self, monkeypatch, block):
+        # a first block of ``block`` outputs, whatever the prompt's length,
+        # so most prompts run it short and redraw it longer
         monkeypatch.setattr(harness, "_DRAW_BLOCK_WORDS", block)
+        monkeypatch.setattr(harness, "_DRAW_OUTPUTS_PER_TOKEN", 0)
         cases = random.Random(block)
+        extended = 0
         for _ in range(40):
             seed = cases.getrandbits(32)
             prefix_tokens, suffix_tokens = cases.randint(0, 12), cases.randint(0, 12)
             total = prefix_tokens + suffix_tokens + cases.choice([2, 3, cases.randint(2, 300), cases.randint(2, 3000)])
-            rng, ref = random.Random(seed), random.Random(seed)
+            rng, ref = CountingRandom(seed), random.Random(seed)
             assert synthesize_prompt(rng, total, prefix_tokens, suffix_tokens) == reference_synthesize_prompt(
                 ref, total, prefix_tokens, suffix_tokens
             )
             assert rng.getstate() == ref.getstate()
+            extended += rng.calls > 2  # more than one block and the rewind
+        assert extended >= 10  # 40, 39 and 17 of the 40 cases at blocks 1, 7 and 64
 
     def test_words_are_drawn_in_bulk(self):
-        class CountingRandom(random.Random):
-            calls = 0
-
-            def getrandbits(self, k):
-                self.calls += 1
-                return super().getrandbits(k)
-
         rng = CountingRandom(5)
         synthesize_prompt(rng, 8192, 16, 24)
-        assert 1 <= rng.calls <= 8
+        assert rng.calls == 2  # one block, then the rewind replays what was consumed
 
     def test_workload_is_deterministic(self):
         config = config_from_dict(base_config_dict())

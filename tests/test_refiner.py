@@ -76,10 +76,11 @@ class TestTokenizer:
         assert set(re.findall(r"\w", text)) == {c for c in text if c.isalnum() or c == "_"}
         assert set(re.findall(r"\s", text)) == set(text) - set("".join(text.split()))
 
-    @pytest.mark.parametrize("ids", [(0, 2), (1, 1), (0, 1, 0), (-1, 0, 1), (-1, -1)])
-    def test_sentence_ids_must_be_contiguous_from_zero(self, ids):
-        with pytest.raises(ValueError, match="from zero"):
-            TokenizedPrompt(prefix=(), content=tuple("abc"[: len(ids)]), sentence_ids=ids, suffix=())
+    @pytest.mark.parametrize("sizes", [(0, 2), (-1, 3), (1,), (2, 1), (1.0, 1.0), (True, True), ("2",)],
+                             ids=["zero", "negative", "short-sum", "long-sum", "float", "bool", "str"])
+    def test_sentence_sizes_must_be_ints_of_at_least_one_summing_to_the_content(self, sizes):
+        with pytest.raises(ValueError, match="sentence sizes must"):
+            TokenizedPrompt(prefix=(), content=("a", "b"), sentence_sizes=sizes, suffix=())
 
 
 class TestAttentionWeights:
@@ -368,6 +369,8 @@ class TestMatchesLoopReference:
         assert prompt.content == tuple(tokenize(content))
         n_sentences = prompt.sentence_ids[-1] + 1 if prompt.sentence_ids else 0
         assert n_sentences == len(split_sentences(content))
+        assert prompt.sentence_sizes == tuple(len(tokenize(s)) for s in split_sentences(content))
+        assert np.bincount(prompt._ids).tolist() == list(prompt.sentence_sizes)
 
     @settings(max_examples=200, deadline=None)
     @given(scored_prompts(), st.floats(0.0, 1.0, exclude_min=True))
