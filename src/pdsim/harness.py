@@ -434,8 +434,14 @@ def _replay_draws(block: np.ndarray, head_words: int,
     return values[:head_words], values[content_ranks], sizes, pos
 
 
-def synthesize_prompt(rng: random.Random, total_tokens: int, prefix_tokens: int, suffix_tokens: int) -> tuple[str, str, str]:
+def synthesize_prompt(rng: random.Random, total_tokens: int, prefix_tokens: int,
+                      suffix_tokens: int) -> tuple[str, str, str, tuple[int, ...]]:
     """Build prompt text whose reference tokenization has exactly total_tokens tokens.
+
+    Returns the prefix, content and suffix texts and the content's sentence
+    sizes: each sentence's token count, its words plus its '.', as
+    ``TokenizedPrompt.from_text`` counts them (``tokenize_synthesized`` builds
+    the prompt from these four without tokenizing).
 
     Exact replay: the text, and the state ``rng`` is left in, equal those of
     drawing one by one with ``rng`` the prefix words, the suffix words, then
@@ -471,16 +477,36 @@ def synthesize_prompt(rng: random.Random, total_tokens: int, prefix_tokens: int,
         suffix = _word_text(head[prefix_tokens:]) + (" ?" if suffix_tokens > 1 else "?")
     else:
         suffix = ""
-    return prefix, _word_text(content, np.cumsum(sizes) - 1), suffix
+    return prefix, _word_text(content, np.cumsum(sizes) - 1), suffix, tuple(words + 1 for words in sizes)
+
+
+def tokenize_synthesized(prefix: str, content: str, suffix: str, sentence_sizes: tuple[int, ...]) -> TokenizedPrompt:
+    """The ``TokenizedPrompt`` of texts that ``synthesize_prompt`` wrote, which equals their ``from_text``.
+
+    Split by the synthesized format rather than tokenized: words are
+    ``w<digits>`` separated by single spaces, a '.' follows each sentence's
+    last word, and a suffix ends in a '?', set apart by a space when words
+    precede it. ``sentence_sizes`` comes from the synthesis.
+    """
+    return TokenizedPrompt(
+        prefix=tuple(prefix.split()),
+        content=tuple(content.replace(".", " .").split()),
+        sentence_sizes=sentence_sizes,
+        suffix=tuple(suffix.split()),
+    )
 
 
 @dataclass(frozen=True)
 class GeneratedRequest:
+    """One synthesized request; ``sentence_sizes`` holds its synthesized sentence
+    sizes when scrubbing left every part of its text unchanged, and None otherwise."""
+
     request: AssistRequest
     output_tokens: int
     arrival_ms: float
     source_seed: int
     divergence: frozenset[int]
+    sentence_sizes: tuple[int, ...] | None
 
 
 def generate_workload(config: ExperimentConfig, seed: int) -> list[GeneratedRequest]:
@@ -494,14 +520,16 @@ def generate_workload(config: ExperimentConfig, seed: int) -> list[GeneratedRequ
         length = _choice(rng, w.prompt_lengths)
         n = rng.randint(w.output_min, w.output_max)
         arrival += rng.expovariate(w.arrival_rate_per_s / 1000.0)
-        prefix, content, suffix = synthesize_prompt(rng, length, w.prefix_tokens, w.suffix_tokens)
+        *texts, sizes = synthesize_prompt(rng, length, w.prefix_tokens, w.suffix_tokens)
+        scrubbed = [scrub(text, config.scrub_rules) for text in texts]
+        prefix, content, suffix = scrubbed
         req = AssistRequest(
             scene=scene,
             model_version_label="base-v1",
             device_class=device,
-            prefix=scrub(prefix, config.scrub_rules),
-            content=scrub(content, config.scrub_rules),
-            suffix=scrub(suffix, config.scrub_rules),
+            prefix=prefix,
+            content=content,
+            suffix=suffix,
             request_id=f"req-{i:04d}",
         )
         # position p in 2..n-1 diverges when the next random() falls below the rate
@@ -514,6 +542,9 @@ def generate_workload(config: ExperimentConfig, seed: int) -> list[GeneratedRequ
                 arrival_ms=arrival,
                 source_seed=rng.randrange(1 << 32),
                 divergence=divergence,
+                # compared, not counted: a rule may rewrite text to itself, and
+                # scrub returns an unmatched text as the same object
+                sentence_sizes=sizes if scrubbed == texts else None,
             )
         )
     return out
@@ -684,17 +715,21 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path, seed: int | No
     workload = generate_workload(config, seed)
     metrics: list[VariantMetrics] = []
 
-    # requests outer, variants inner: each prompt is tokenized and scored once
-    # per request, each token source is built once per request, and only one
-    # request's prompt is alive at a time; each variant keeps its own RTT
-    # stream, drawn in request order
+    # requests outer, variants inner: each prompt is built and scored once per
+    # request (split by the synthesized format when scrubbing left its text as
+    # synthesized, tokenized by from_text otherwise), each token source is
+    # built once per request, and only one request's prompt is alive at a
+    # time; each variant keeps its own RTT stream, drawn in request order
     rtt_rngs = [random.Random(f"{seed}:{variant.name}:rtt") for variant in config.variants]
     variant_rows: list[list[TraceRow]] = [[] for _ in config.variants]
     for gen in workload:
         req = gen.request
         model = config.models[req.device_class]
         constraints = config.scenes[req.scene]
-        prompt = TokenizedPrompt.from_text(req.prefix, req.content, req.suffix)
+        if gen.sentence_sizes is None:
+            prompt = TokenizedPrompt.from_text(req.prefix, req.content, req.suffix)
+        else:
+            prompt = tokenize_synthesized(req.prefix, req.content, req.suffix, gen.sentence_sizes)
         # every variant selects by the same scores; called through the module
         # so that a wrapper installed on pdsim.cloudsim sees the call
         scores = cloudsim.uniform_scores(prompt, f"{seed}:{req.request_id}")

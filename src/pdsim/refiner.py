@@ -3,10 +3,13 @@ r"""Prompt refinement: attention-window token scoring and sentence selection.
 Both ends of the protocol share one deterministic reference tokenizer
 (whitespace word split, punctuation as separate tokens), so a selection mask
 computed on one side reconstructs the identical refined prompt on the other.
-A request is tokenized once into a ``TokenizedPrompt``: its content tokens
-and the token count of each content sentence, from which the per-token
+A request's prompt is built once into a ``TokenizedPrompt``: its content
+tokens and the token count of each content sentence, from which the per-token
 sentence labels are derived. The cloud uses it to select whole sentences, and
-the device uses it to check the mask and rebuild the prompt.
+the device uses it to check the mask and rebuild the prompt. ``from_text``
+builds it from any text; a prompt that ``harness.synthesize_prompt`` wrote
+and scrubbing left unchanged is built from the synthesis's own sentence sizes
+(``harness.tokenize_synthesized``), with the same result.
 
 ``tokenize`` and ``split_sentences`` are the public tokenization and
 segmentation. ``TokenizedPrompt.from_text`` agrees with them token for token
@@ -242,16 +245,27 @@ def score_tokens(
 
 
 class SelectionMask:
-    """One bit per prompt token; 1 selects the token for the refined prompt."""
+    """One bit per prompt token; 1 selects the token for the refined prompt.
+
+    ``bits`` is any 1-D sequence of numbers or bools that each equal 0 or 1.
+    A ``uint8`` array is kept as it is, without a copy; anything else is
+    checked before it is cast, so that a cast cannot round or wrap a value
+    into a bit.
+    """
 
     __slots__ = ("bits",)
 
     def __init__(self, bits) -> None:
-        arr = np.asarray(bits, dtype=np.uint8)
+        arr = np.asarray(bits)
         if arr.ndim != 1:
             raise ValueError("mask bits must be 1-D")
-        if arr.size and arr.max() > 1:
+        if arr.dtype == np.uint8:
+            if arr.size and arr.max() > 1:
+                raise ValueError("mask bits must be 0 or 1")
+        elif arr.dtype.kind not in "biuf" or not ((arr == 0) | (arr == 1)).all():
             raise ValueError("mask bits must be 0 or 1")
+        else:
+            arr = arr.astype(np.uint8)
         self.bits = arr
 
     def __len__(self) -> int:

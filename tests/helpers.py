@@ -260,8 +260,11 @@ def reference_select_sentences(prompt: TokenizedPrompt, scores: TokenScores, rat
 
 
 def reference_synthesize_prompt(rng: random.Random, total_tokens: int, prefix_tokens: int,
-                                suffix_tokens: int) -> tuple[str, str, str]:
-    """One ``randrange(10000)`` per word and one ``randint(8, 32)`` per sentence length."""
+                                suffix_tokens: int) -> tuple[str, str, str, tuple[int, ...]]:
+    """One ``randrange(10000)`` per word and one ``randint(8, 32)`` per sentence length.
+
+    Also returns each content sentence's token count.
+    """
     content_target = total_tokens - prefix_tokens - suffix_tokens
     if content_target < 2:
         raise ValueError("prompt too short for the requested prefix/suffix")
@@ -275,7 +278,7 @@ def reference_synthesize_prompt(rng: random.Random, total_tokens: int, prefix_to
     else:
         suffix = ""
 
-    sentences = []
+    sentences, sizes = [], []
     remaining = content_target
     while remaining > 0:
         words = rng.randint(8, 32)
@@ -283,10 +286,12 @@ def reference_synthesize_prompt(rng: random.Random, total_tokens: int, prefix_to
             words = remaining - 1
         if words <= 0:
             sentences.append(word())  # single-token tail without a terminator
+            sizes.append(1)
             break
         sentences.append(" ".join(word() for _ in range(words)) + ".")
+        sizes.append(words + 1)
         remaining -= words + 1
-    return prefix, " ".join(sentences), suffix
+    return prefix, " ".join(sentences), suffix, tuple(sizes)
 
 
 def reference_uniform_scores(prompt: TokenizedPrompt, seed: int | str) -> TokenScores:

@@ -25,6 +25,7 @@ from pdsim.harness import (
     report,
     run_experiment,
     synthesize_prompt,
+    tokenize_synthesized,
     write_trace,
 )
 from pdsim.planner import check_plan, solve_plan
@@ -130,13 +131,13 @@ class TestWorkloadSynthesis:
         rng = random.Random(0)
         for _ in range(40):
             total = rng.randint(64, 4000)
-            prefix, content, suffix = synthesize_prompt(rng, total, 6, 4)
+            prefix, content, suffix, _ = synthesize_prompt(rng, total, 6, 4)
             count = len(tokenize(prefix)) + len(tokenize(content)) + len(tokenize(suffix))
             assert count == total
 
     def test_no_prefix_or_suffix(self):
         rng = random.Random(1)
-        prefix, content, suffix = synthesize_prompt(rng, 500, 0, 0)
+        prefix, content, suffix, _ = synthesize_prompt(rng, 500, 0, 0)
         assert prefix == "" and suffix == ""
         assert len(tokenize(content)) == 500
 
@@ -178,6 +179,23 @@ class TestWorkloadSynthesis:
             extended += rng.calls > 2  # more than one block and the rewind
         assert extended >= 10  # 40, 39 and 17 of the 40 cases at blocks 1, 7 and 64
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**64 - 1),
+        st.one_of(st.integers(2, 40), st.integers(2, 4000), st.sampled_from([8000, 16000, 32000])),
+        st.one_of(st.integers(0, 2), st.integers(3, 24)),
+        st.one_of(st.integers(0, 2), st.integers(3, 24)),
+    )
+    @example(0, 2, 0, 0)  # smallest content: one one-word sentence
+    @example(0, 2, 0, 1)  # a suffix of just '?'
+    @example(1, 32000, 6, 4)
+    def test_synthesized_tokens_equal_from_text(self, seed, content_tokens, prefix_tokens, suffix_tokens):
+        total = content_tokens + prefix_tokens + suffix_tokens
+        *texts, sizes = synthesize_prompt(random.Random(seed), total, prefix_tokens, suffix_tokens)
+        prompt = tokenize_synthesized(*texts, sizes)
+        assert prompt == TokenizedPrompt.from_text(*texts)  # sentence_sizes included
+        assert prompt.total_tokens == total
+
     def test_words_are_drawn_in_bulk(self):
         rng = CountingRandom(5)
         synthesize_prompt(rng, 8192, 16, 24)
@@ -189,6 +207,15 @@ class TestWorkloadSynthesis:
         b = generate_workload(config, seed=7)
         assert [g.request for g in a] == [g.request for g in b]
         assert [g.source_seed for g in a] == [g.source_seed for g in b]
+
+    def test_a_rule_that_rewrites_text_to_itself_keeps_the_synthesized_sizes(self):
+        data = base_config_dict()
+        identity = [{"pattern": r"w(\d)", "replacement": r"w\1"}]
+        plain = generate_workload(config_from_dict({**data, "scrub_rules": []}), seed=7)
+        rewritten = generate_workload(config_from_dict({**data, "scrub_rules": identity}), seed=7)
+        assert [g.request for g in rewritten] == [g.request for g in plain]
+        assert [g.sentence_sizes for g in rewritten] == [g.sentence_sizes for g in plain]
+        assert None not in [g.sentence_sizes for g in plain]
 
     def test_custom_scrub_rules_parse_from_config(self):
         data = base_config_dict()
@@ -280,20 +307,49 @@ class TestRunExperiment:
         assert (tmp_path / "trace_planned.csv").read_text().count("\n") == 1
         assert (tmp_path / "summary.csv").exists()
 
-    def test_each_request_is_tokenized_once(self, tmp_path, monkeypatch):
+    @staticmethod
+    def record_prompt_builds(monkeypatch) -> tuple[list, list]:
+        """Patch ``TokenizedPrompt`` to record each ``from_text`` call's texts and each prompt built."""
+        tokenized, built = [], []
+        original_from_text = TokenizedPrompt.from_text.__func__
+        original_post_init = TokenizedPrompt.__post_init__
+
+        def counting_from_text(cls, *args):
+            tokenized.append(args)
+            return original_from_text(cls, *args)
+
+        def counting_post_init(prompt):
+            built.append(prompt)
+            original_post_init(prompt)
+
+        monkeypatch.setattr(TokenizedPrompt, "from_text", classmethod(counting_from_text))
+        monkeypatch.setattr(TokenizedPrompt, "__post_init__", counting_post_init)
+        return tokenized, built
+
+    def test_synthesized_prompts_are_built_once_without_tokenizing(self, tmp_path, monkeypatch):
         data = base_config_dict()
         data["workload"]["requests"] = 5
         data["variants"] = [{"name": "planned"}, {"name": "L8", "max_tokens": 8}, {"name": "r40", "ratio": 0.4}]
-        calls = []
-        original = TokenizedPrompt.from_text.__func__
-
-        def counting(cls, *args):
-            calls.append(args)
-            return original(cls, *args)
-
-        monkeypatch.setattr(TokenizedPrompt, "from_text", classmethod(counting))
+        tokenized, built = self.record_prompt_builds(monkeypatch)
         run_experiment(config_from_dict(data), tmp_path)
-        assert len(calls) == 5
+        assert tokenized == []
+        assert len(built) == 5
+
+    def test_scrubbed_prompts_are_tokenized_once(self, tmp_path, monkeypatch):
+        # a rule that rewrites one word value: some requests' text holds it
+        data = base_config_dict()
+        data["workload"]["requests"] = 8
+        data["variants"] = [{"name": "planned"}, {"name": "L8", "max_tokens": 8}, {"name": "r40", "ratio": 0.4}]
+        data["scrub_rules"] = [{"pattern": r"\bw7777\b", "replacement": "w7, 777"}]
+        config = config_from_dict(data)
+        scrubbed = [g.request for g in generate_workload(config, config.seed)]
+        plain = [g.request for g in generate_workload(config_from_dict({**data, "scrub_rules": []}), config.seed)]
+        changed = [(req.prefix, req.content, req.suffix) for req, was in zip(scrubbed, plain) if req != was]
+        assert 0 < len(changed) < 8
+        tokenized, built = self.record_prompt_builds(monkeypatch)
+        run_experiment(config, tmp_path)
+        assert tokenized == changed
+        assert len(built) == 8
 
     def test_each_request_is_scored_once(self, tmp_path, monkeypatch):
         data = base_config_dict()
@@ -448,3 +504,8 @@ class TestGoldenReport:
         # 400-1200 output tokens, so most of each session is the device tail
         # after the cloud window; correction policy off
         self.assert_every_file_matches("long_decode", self.data_config("long_decode_config.json"), tmp_path)
+
+    def test_scrubbed_outputs_match_frozen_files(self, tmp_path):
+        # a scrub rule that rewrites most synthesized words and adds commas, so
+        # every prompt goes through from_text rather than its synthesized sizes
+        self.assert_every_file_matches("scrub", self.data_config("scrub_config.json"), tmp_path)

@@ -322,6 +322,43 @@ class TestRefinedText:
             refined_text(prompt, SelectionMask(bits))
 
 
+
+class TestSelectionMask:
+    @pytest.mark.parametrize("bits", [
+        [0.5, 1.0],  # fractional: the uint8 cast would truncate 0.5 to 0
+        [1.9],  # the cast would truncate it to 1
+        [2],
+        [256],  # the cast would wrap it to 0
+        [-1],  # the cast would wrap it to 255
+        np.array([0, 3], dtype=np.int64),
+        np.array([2], dtype=np.uint8),
+        [float("nan")],
+        ["1"],
+        [[0, 1]],
+        1,
+    ])
+    def test_rejected_bits(self, bits):
+        with pytest.raises(ValueError):
+            SelectionMask(bits)
+
+    @pytest.mark.parametrize("bits, expected", [
+        ([], []),  # numpy reads the empty list as float64
+        ([0, 1, 1], [0, 1, 1]),
+        ([True, False], [1, 0]),
+        (np.array([1, 0], dtype=np.int64), [1, 0]),
+        (np.array([False, True]), [0, 1]),
+        ([0.0, 1.0], [0, 1]),
+    ])
+    def test_accepted_bits(self, bits, expected):
+        mask = SelectionMask(bits)
+        assert mask.bits.dtype == np.uint8
+        assert mask.bits.tolist() == expected
+
+    def test_uint8_bits_are_not_copied(self):
+        bits = np.array([1, 0, 1], dtype=np.uint8)
+        assert SelectionMask(bits).bits is bits
+
+
 # --- equivalence with the loop references in helpers ---------------------------
 
 _PIECES = ["alpha", "b2", "w1234", "Ünï", "_x", " ", "   ", "\t", ",", ";", ":", ".", "!", "?", "\n", "\n\n\n", "..."]
