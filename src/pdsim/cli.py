@@ -99,15 +99,16 @@ def _cmd_refine(args: argparse.Namespace) -> int:
 
 
 def _cmd_mask(args: argparse.Namespace) -> int:
+    try:
+        data = Path(args.infile).read_bytes()
+    except OSError as exc:
+        raise SystemExit(f"cannot read {args.infile}: {exc.strerror}") from exc
     if args.action == "pack":
-        text = Path(args.infile).read_text()
-        bits = [int(c) for c in text if c in "01"]
-        compressed = maskcodec.pack(SelectionMask(bits))
+        compressed = maskcodec.pack(SelectionMask([byte - 48 for byte in data if byte in b"01"]))  # '0' and '1'
         Path(args.outfile).write_bytes(compressed.payload)
-        print(f"packed {len(bits)} bits into {len(compressed.payload)} bytes")
+        print(f"packed {compressed.bit_length} bits into {len(compressed.payload)} bytes")
     else:
-        container = Path(args.infile).read_bytes()
-        mask = maskcodec.unpack(maskcodec.CompressedMask.from_container(container))
+        mask = maskcodec.unpack(maskcodec.CompressedMask.from_container(data))
         Path(args.outfile).write_text("".join(str(b) for b in mask.bits) + "\n")
         print(f"unpacked {len(mask)} bits ({mask.popcount()} selected)")
     return 0

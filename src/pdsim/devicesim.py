@@ -80,11 +80,8 @@ class ScrubRule:
     replacement: str
 
 
-DEFAULT_SCRUB_RULES: tuple[ScrubRule, ...] = (ScrubRule(r"\d{11}", "[PHONE]"),)
-
-
-def scrub(text: str, rules: Sequence[ScrubRule] = DEFAULT_SCRUB_RULES) -> str:
-    """Pattern-substitution hook applied before a prompt leaves the device."""
+def scrub(text: str, rules: Sequence[ScrubRule]) -> str:
+    """Pattern-substitution hook applied before a prompt leaves the device: each rule is one ``re.sub``, in order."""
     for rule in rules:
         text = re.sub(rule.pattern, rule.replacement, text)
     return text

@@ -17,7 +17,11 @@ A config object is read into the dataclass it configures (``TimingModel``,
 ``BatchModel``, ``VariantSpec``, ``ScrubRule``): its keys are the field
 names, an absent key takes the field's default, and an unknown key is an
 error. ``batch.completions`` sits beside ``BatchModel``'s keys and fills
-``ExperimentConfig.batch_completions``.
+``ExperimentConfig.batch_completions``. Scrubbing runs exactly the config's
+``scrub_rules`` (absent or empty: none), each one ``re.sub`` over prefix,
+content and suffix in order; a prompt a rule changes is re-tokenized by
+``TokenizedPrompt.from_text``. Synthesized words (``w`` plus at most four
+digits) cannot hold a real-text pattern such as a phone number.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import numpy as np
 
 from . import cloudsim
 from .cloudsim import BatchModel, TokenSource, mt_uniform, mt_words, run_throughput, serve_request
-from .devicesim import DEFAULT_SCRUB_RULES, CorrectionPolicy, ScrubRule, run_session, scrub
+from .devicesim import CorrectionPolicy, ScrubRule, run_session, scrub
 from .planner import Plan, PlanConstraints, build_plan_table, operating_point
 from .planner import solve_plan  # noqa: F401  (benchmarks/tracer.py hooks pdsim.harness.solve_plan)
 from .protocol import AssistRequest
@@ -87,7 +91,7 @@ class ExperimentConfig:
     variants: tuple[VariantSpec, ...]
     batch_completions: int = 1024  # the config key is batch.completions
     policy: CorrectionPolicy = CorrectionPolicy.CLOUD_WINS
-    scrub_rules: tuple[ScrubRule, ...] = DEFAULT_SCRUB_RULES
+    scrub_rules: tuple[ScrubRule, ...] = ()
 
 
 def default_config() -> ExperimentConfig:
@@ -292,7 +296,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             options["policy"] = CorrectionPolicy(_require(data, "policy", str, "config"))
         except ValueError as exc:
             raise ConfigError(f"config.policy: {exc}") from exc
-    if "scrub_rules" in data:  # an empty list means no rules
+    if "scrub_rules" in data:
         options["scrub_rules"] = tuple(_parse_scrub_rule(obj, f"config.scrub_rules[{i}]")
                                        for i, obj in enumerate(_require(data, "scrub_rules", list, "config")))
 
@@ -357,10 +361,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def _choice(rng: random.Random, weights: Mapping):
-    total = sum(weights.values())
-    if total <= 0:
-        raise ConfigError("mix weights must sum to a positive value")
-    point = rng.random() * total
+    point = rng.random() * sum(weights.values())  # the config reader checks the sum is positive
     acc = 0.0
     for key, weight in weights.items():
         acc += weight
@@ -523,6 +524,8 @@ def generate_workload(config: ExperimentConfig, seed: int) -> list[GeneratedRequ
         *texts, sizes = synthesize_prompt(rng, length, w.prefix_tokens, w.suffix_tokens)
         scrubbed = [scrub(text, config.scrub_rules) for text in texts]
         prefix, content, suffix = scrubbed
+        if not content.strip() and not suffix.strip():
+            raise ConfigError(f"config.scrub_rules: req-{i:04d} keeps no content or suffix token")
         req = AssistRequest(
             scene=scene,
             model_version_label="base-v1",
@@ -705,21 +708,19 @@ def _variant_metrics(name: str, rows: Sequence[TraceRow], tps: float | None = No
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | Path, seed: int | None = None) -> MetricsReport:
-    """Run every variant over the shared workload; write traces, plans and summaries."""
+    """Run every variant over the shared workload; write plans, traces and summaries (none if the workload is invalid)."""
     seed = config.seed if seed is None else seed
+    workload = generate_workload(config, seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     write_plans(out / "plans.csv", build_plan_table(config.models, config.scenes, config.buckets))
-
-    workload = generate_workload(config, seed)
     metrics: list[VariantMetrics] = []
 
     # requests outer, variants inner: each prompt is built and scored once per
-    # request (split by the synthesized format when scrubbing left its text as
-    # synthesized, tokenized by from_text otherwise), each token source is
-    # built once per request, and only one request's prompt is alive at a
-    # time; each variant keeps its own RTT stream, drawn in request order
+    # request, each token source is built once per request, and only one
+    # request's prompt is alive at a time; each variant keeps its own RTT
+    # stream, drawn in request order
     rtt_rngs = [random.Random(f"{seed}:{variant.name}:rtt") for variant in config.variants]
     variant_rows: list[list[TraceRow]] = [[] for _ in config.variants]
     for gen in workload:

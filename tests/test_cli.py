@@ -77,6 +77,9 @@ class TestMalformedConfig:
             (_set("batch", "completions", 0), "config.batch.completions"),
             (_set("variants", [{"name": "r", "ratio": "half"}]), "config.variants[0].ratio"),
             (_set("scrub_rules", 5), "config.scrub_rules"),
+            # rules that empty every prompt, or leave only whitespace, leave no request to send
+            (_set("scrub_rules", [{"pattern": "[\\s\\S]+", "replacement": ""}]), "config.scrub_rules"),
+            (_set("scrub_rules", [{"pattern": "\\S+", "replacement": ""}]), "config.scrub_rules"),
             (_set("workload", "prompt_lengths", {"2k": 1.0}), "config.workload.prompt_lengths.2k"),
             (_set("workload", "prompt_lengths", {"0": 1.0}), "config.workload.prompt_lengths.0"),
             (_set("workload", "prompt_lengths", {"2000": "a"}), "config.workload.prompt_lengths.2000"),
@@ -275,6 +278,16 @@ class TestMaskCommand:
         restored = tmp_path / "restored.txt"
         assert main(["mask", "unpack", str(packed), str(restored)]) == 0
         assert restored.read_text().strip() == "110100111"
+
+    @pytest.mark.parametrize("action", ["pack", "unpack"])
+    @pytest.mark.parametrize("infile", ["missing.txt", "."])  # a missing file, and tmp_path itself
+    def test_unreadable_input_exits_with_one_line(self, tmp_path, action, infile):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["mask", action, str(tmp_path / infile), str(tmp_path / "out.bin")])
+        message = exit_info.value.code
+        assert isinstance(message, str) and "\n" not in message  # printed as one line, exit status 1
+        assert message.startswith(f"cannot read {tmp_path / infile}: ")
+        assert not (tmp_path / "out.bin").exists()
 
     def test_corrupt_container_exits_nonzero(self, tmp_path, capsys):
         broken = tmp_path / "broken.bin"

@@ -441,7 +441,7 @@ class TestScrub:
         assert scrub("call 12345678901 now", rules=()) == "call 12345678901 now"
 
     def test_phone_rule(self):
-        assert scrub("call 12345678901 now") == "call [PHONE] now"
+        assert scrub("call 12345678901 now", (ScrubRule(r"\d{11}", "[PHONE]"),)) == "call [PHONE] now"
 
     def test_idempotent(self):
         rules = (ScrubRule(r"\d{11}", "[PHONE]"), ScrubRule(r"secret\w*", "[REDACTED]"))

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from helpers import reference_synthesize_prompt
 
 from pdsim import cloudsim, harness
+from pdsim.devicesim import ScrubRule, scrub
 from pdsim.eventloop import EventLoop
 from pdsim.harness import (
     ConfigError,
@@ -116,6 +117,13 @@ class TestConfig:
         assert config.workload.divergence_rate == default.workload.divergence_rate
 
 
+@st.composite
+def prompt_shapes(draw) -> tuple[int, int, int]:
+    """Prefix tokens, suffix tokens and a total of 2 to 32,000 tokens that leaves room for content."""
+    prefix_tokens, suffix_tokens = draw(st.integers(0, 24)), draw(st.integers(0, 24))
+    return prefix_tokens, suffix_tokens, draw(st.integers(prefix_tokens + suffix_tokens + 2, 32000))
+
+
 class CountingRandom(random.Random):
     """A ``random.Random`` that counts its ``getrandbits`` calls."""
 
@@ -196,6 +204,19 @@ class TestWorkloadSynthesis:
         assert prompt == TokenizedPrompt.from_text(*texts)  # sentence_sizes included
         assert prompt.total_tokens == total
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**64 - 1), prompt_shapes())
+    @example(0, (0, 0, 2))
+    @example(1, (24, 24, 32000))
+    def test_synthesized_text_holds_no_phone_number(self, seed, shape):
+        # words are ``w`` plus at most four digits, so a real-text rule such as
+        # an 11-digit phone number never fires on a synthesized prompt
+        prefix_tokens, suffix_tokens, total = shape
+        phone = (ScrubRule(r"\d{11}", "[PHONE]"),)
+        for text in synthesize_prompt(random.Random(seed), total, prefix_tokens, suffix_tokens)[:3]:
+            assert re.search(r"\d{5}", text) is None
+            assert scrub(text, phone) is text
+
     def test_words_are_drawn_in_bulk(self):
         rng = CountingRandom(5)
         synthesize_prompt(rng, 8192, 16, 24)
@@ -228,6 +249,9 @@ class TestWorkloadSynthesis:
     def test_empty_scrub_rules_turn_scrubbing_off(self):
         config = config_from_dict({**base_config_dict(), "scrub_rules": []})
         assert config.scrub_rules == ()
+
+    def test_absent_scrub_rules_mean_no_rules(self):
+        assert config_from_dict(base_config_dict()).scrub_rules == ()
 
 
 def read_rows(path: Path) -> list[dict]:
