@@ -53,17 +53,18 @@ def read_weight_dump(path: str | Path) -> list[np.ndarray]:
     return [m.astype(np.float64) for m in flat.reshape(heads, window, keys)]
 
 
-def _read_prompt(path: str) -> TokenizedPrompt:
+def _read_prompt(path: str) -> tuple[str, str, str]:
+    """The prefix, content and suffix texts of a prompt file."""
     try:
         prompt_obj = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:
         raise SystemExit(f"cannot read prompt {path}: {exc}") from exc
     if not isinstance(prompt_obj, dict):
         raise SystemExit(f"prompt {path}: expected a JSON object")
-    fields = [prompt_obj.get(key, "") for key in ("prefix", "content", "suffix")]
-    if not all(isinstance(field, str) for field in fields):
+    prefix, content, suffix = (prompt_obj.get(key, "") for key in ("prefix", "content", "suffix"))
+    if not all(isinstance(text, str) for text in (prefix, content, suffix)):
         raise SystemExit(f"prompt {path}: prefix, content and suffix must be strings")
-    return TokenizedPrompt.from_text(*fields)
+    return prefix, content, suffix
 
 
 def _cmd_refine(args: argparse.Namespace) -> int:
@@ -73,7 +74,8 @@ def _cmd_refine(args: argparse.Namespace) -> int:
         raise SystemExit(f"--window must be >= 1, got {args.window}")
     if args.kernel < 1 or args.kernel % 2 == 0:
         raise SystemExit(f"--kernel must be odd and >= 1, got {args.kernel}")
-    prompt = _read_prompt(args.prompt)
+    texts = _read_prompt(args.prompt)
+    prompt = TokenizedPrompt.from_text(*texts)
     try:
         weights = read_weight_dump(args.weights)
     except (OSError, ValueError) as exc:
@@ -81,11 +83,11 @@ def _cmd_refine(args: argparse.Namespace) -> int:
     keys = weights[0].shape[1]
     if keys == prompt.total_tokens:
         span = prompt.content_span
-    elif keys == len(prompt.content):
+    elif keys == prompt.content_tokens:
         span = None
     else:
         raise SystemExit(f"weight dump covers {keys} keys; prompt has {prompt.total_tokens} tokens "
-                         f"({len(prompt.content)} content)")
+                         f"({prompt.content_tokens} content)")
     scores = score_tokens(weights, window=args.window, kernel=args.kernel,
                           content_span=span, head_aggregation=args.aggregation)
     mask = select_sentences(prompt, scores, args.ratio)
@@ -93,7 +95,7 @@ def _cmd_refine(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     compressed = maskcodec.pack(mask)
     (out / "mask.bin").write_bytes(compressed.payload)
-    (out / "refined.txt").write_text(" ".join(refined_text(prompt, mask)) + "\n")
+    (out / "refined.txt").write_text(" ".join(refined_text(*texts, mask)) + "\n")
     print(f"selected {mask.popcount()}/{len(mask)} tokens; mask container {len(compressed.payload)} bytes")
     return 0
 
@@ -177,6 +179,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except (harness.ConfigError, harness.ReportError, maskcodec.MaskCodecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # each command reports its unreadable inputs, so this is an output write
+        path = exc.filename if exc.filename is not None else getattr(args, "out", None) or args.outfile
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
         return 2
 
 

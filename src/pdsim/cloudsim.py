@@ -101,7 +101,7 @@ def uniform_scores(prompt: TokenizedPrompt, seed: int | str) -> TokenScores:
 
     Score i is bit-equal to the i-th ``random()`` of ``random.Random(f"scores:{seed}")``.
     """
-    return TokenScores(mt_uniform(random.Random(f"scores:{seed}"), len(prompt.content)))
+    return TokenScores(mt_uniform(random.Random(f"scores:{seed}"), prompt.content_tokens))
 
 
 def serve_request(
@@ -120,8 +120,8 @@ def serve_request(
 
     ``planner.operating_point`` decides the point: the refinement ``ratio``
     and the budget ``max_tokens``, the tokens the cloud produces counting the
-    first one. ``prompt`` is the request's reference tokenization, shared
-    with the device; the mask selects over it by ``scores``. The first token
+    first one. ``prompt`` is the shape of the request's reference
+    tokenization, shared with the device; the mask selects over it by ``scores``. The first token
     leaves ``ttft_cloud`` after ``start_ms`` at round trip ``rtt_ms``.
     ``req`` is not read; it names the session for callers and for wrappers
     that attribute time per request, as in ``devicesim.run_session``.

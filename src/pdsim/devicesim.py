@@ -168,8 +168,9 @@ def run_session(
     """Simulate one device session and return its trace.
 
     ``req`` is not read; it names the session for callers and for wrappers
-    that attribute time per request. ``prompt`` is the request's reference tokenization, the same one the
-    cloud selected over; the device validates the mask length against it.
+    that attribute time per request. ``prompt`` is the shape of the request's
+    reference tokenization, the same one the cloud selected over; the device
+    validates the mask length against it.
     ``stream`` holds (arrival time, event-or-DONE) pairs as produced by the
     cloud simulator. Raises ProtocolError on a mask/prompt mismatch or on
     event indices other than exactly 1..k, and StallError when the stream

@@ -19,9 +19,15 @@ names, an absent key takes the field's default, and an unknown key is an
 error. ``batch.completions`` sits beside ``BatchModel``'s keys and fills
 ``ExperimentConfig.batch_completions``. Scrubbing runs exactly the config's
 ``scrub_rules`` (absent or empty: none), each one ``re.sub`` over prefix,
-content and suffix in order; a prompt a rule changes is re-tokenized by
-``TokenizedPrompt.from_text``. Synthesized words (``w`` plus at most four
+content and suffix in order. Synthesized words (``w`` plus at most four
 digits) cannot hold a real-text pattern such as a phone number.
+
+The simulated path needs only each prompt's shape (``TokenizedPrompt``:
+prefix, sentence and suffix token counts) and makes no token strings. A
+prompt that scrubbing left as synthesized is shaped from the synthesis's
+sentence sizes by ``synthesized_shape``, which checks them against the text
+with ``str.count`` over the synthesized format; a prompt a rule changes is
+counted by ``TokenizedPrompt.from_text``.
 """
 
 from __future__ import annotations
@@ -441,8 +447,8 @@ def synthesize_prompt(rng: random.Random, total_tokens: int, prefix_tokens: int,
 
     Returns the prefix, content and suffix texts and the content's sentence
     sizes: each sentence's token count, its words plus its '.', as
-    ``TokenizedPrompt.from_text`` counts them (``tokenize_synthesized`` builds
-    the prompt from these four without tokenizing).
+    ``TokenizedPrompt.from_text`` counts them (``synthesized_shape`` builds
+    the prompt's shape from these four without tokenizing).
 
     Exact replay: the text, and the state ``rng`` is left in, equal those of
     drawing one by one with ``rng`` the prefix words, the suffix words, then
@@ -481,26 +487,42 @@ def synthesize_prompt(rng: random.Random, total_tokens: int, prefix_tokens: int,
     return prefix, _word_text(content, np.cumsum(sizes) - 1), suffix, tuple(words + 1 for words in sizes)
 
 
-def tokenize_synthesized(prefix: str, content: str, suffix: str, sentence_sizes: tuple[int, ...]) -> TokenizedPrompt:
+def _synthesized_tokens(text: str) -> int:
+    """Tokens of a synthesized prefix or suffix: one more than its spaces, none when empty."""
+    return text.count(" ") + 1 if text else 0
+
+
+def synthesized_shape(prefix: str, content: str, suffix: str, sentence_sizes: tuple[int, ...]) -> TokenizedPrompt:
     """The ``TokenizedPrompt`` of texts that ``synthesize_prompt`` wrote, which equals their ``from_text``.
 
-    Split by the synthesized format rather than tokenized: words are
+    Counted by the synthesized format rather than tokenized: words are
     ``w<digits>`` separated by single spaces, a '.' follows each sentence's
     last word, and a suffix ends in a '?', set apart by a space when words
-    precede it. ``sentence_sizes`` comes from the synthesis.
+    precede it. So a part holds one token more than it has spaces, and the
+    content one more per '.'. ``sentence_sizes`` comes from the synthesis;
+    content whose count of sentences or of tokens disagrees with it raises
+    ValueError.
     """
+    sentences = content.count(".")
+    tokens = content.count(" ") + 1 + sentences
+    if sentences != len(sentence_sizes) or tokens != sum(sentence_sizes):
+        raise ValueError(
+            f"synthesized content holds {tokens} tokens in {sentences} sentences, "
+            f"its sizes {sum(sentence_sizes)} in {len(sentence_sizes)}"
+        )
     return TokenizedPrompt(
-        prefix=tuple(prefix.split()),
-        content=tuple(content.replace(".", " .").split()),
+        prefix_tokens=_synthesized_tokens(prefix),
         sentence_sizes=sentence_sizes,
-        suffix=tuple(suffix.split()),
+        suffix_tokens=_synthesized_tokens(suffix),
     )
 
 
 @dataclass(frozen=True)
 class GeneratedRequest:
-    """One synthesized request; ``sentence_sizes`` holds its synthesized sentence
-    sizes when scrubbing left every part of its text unchanged, and None otherwise."""
+    """One synthesized request; ``sentence_sizes`` holds the token count of each
+    synthesized content sentence when scrubbing left every part of its text
+    unchanged, and None otherwise: the prompt's shape is then built from it
+    (``synthesized_shape``), or else counted from the scrubbed text."""
 
     request: AssistRequest
     output_tokens: int
@@ -730,7 +752,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path, seed: int | No
         if gen.sentence_sizes is None:
             prompt = TokenizedPrompt.from_text(req.prefix, req.content, req.suffix)
         else:
-            prompt = tokenize_synthesized(req.prefix, req.content, req.suffix, gen.sentence_sizes)
+            prompt = synthesized_shape(req.prefix, req.content, req.suffix, gen.sentence_sizes)
         # every variant selects by the same scores; called through the module
         # so that a wrapper installed on pdsim.cloudsim sees the call
         scores = cloudsim.uniform_scores(prompt, f"{seed}:{req.request_id}")
@@ -807,8 +829,12 @@ def render_summary(metrics: Sequence[VariantMetrics]) -> str:
 
 
 def read_trace(path: str | Path) -> list[TraceRow]:
-    """Parse a trace CSV; raises ReportError naming the file, line and column of a bad value."""
-    with open(path, newline="") as fh:
+    """Parse a trace CSV; raises ReportError naming the file, and the line and column of a bad value."""
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise ReportError(f"cannot read {path}: {exc.strerror}") from exc
+    with fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         missing = [name for name in _TRACE_FIELDS if name not in header]

@@ -3,26 +3,30 @@ r"""Prompt refinement: attention-window token scoring and sentence selection.
 Both ends of the protocol share one deterministic reference tokenizer
 (whitespace word split, punctuation as separate tokens), so a selection mask
 computed on one side reconstructs the identical refined prompt on the other.
-A request's prompt is built once into a ``TokenizedPrompt``: its content
-tokens and the token count of each content sentence, from which the per-token
-sentence labels are derived. The cloud uses it to select whole sentences, and
-the device uses it to check the mask and rebuild the prompt. ``from_text``
-builds it from any text; a prompt that ``harness.synthesize_prompt`` wrote
-and scrubbing left unchanged is built from the synthesis's own sentence sizes
-(``harness.tokenize_synthesized``), with the same result.
+Selecting and checking a mask need only the prompt's shape, so a request's
+prompt is built once into a ``TokenizedPrompt``: its prefix token count, the
+token count of each content sentence and its suffix token count, from which
+the per-token sentence labels are derived. The cloud uses it to select whole
+sentences, and the device uses it to check the mask. ``from_text`` counts
+any text; a prompt that ``harness.synthesize_prompt`` wrote and scrubbing
+left unchanged is shaped from the synthesis's own sentence sizes
+(``harness.synthesized_shape``), with the same result. Token strings are made
+only where a caller prints them: ``refined_text`` tokenizes the texts and
+applies the mask.
 
 ``tokenize`` and ``split_sentences`` are the public tokenization and
 segmentation. ``TokenizedPrompt.from_text`` agrees with them token for token
-and sentence for sentence, but builds the content in one whitespace pass that
-runs the regex only on chunks holding punctuation or ``_``. That is exact
-because ``\s`` matches exactly what ``str.split()`` splits on and ``\w``
-exactly the characters with ``c.isalnum() or c == "_"``.
+and sentence for sentence, but counts the content in one whitespace pass
+that runs the regex only on chunks holding punctuation or ``_``. That is
+exact because ``\s`` matches exactly what ``str.split()`` splits on and
+``\w`` exactly the characters with ``c.isalnum() or c == "_"``.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import compress
 from math import ceil
 from operator import sub
 from typing import Sequence
@@ -50,27 +54,29 @@ def split_sentences(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class TokenizedPrompt:
-    """Prompt split into fixed prefix, refinable content and fixed suffix.
+    """A prompt's shape: fixed prefix, refinable content and fixed suffix, as token counts.
 
     The content is a run of sentences: ``sentence_sizes`` holds each one's
-    token count, in order, each a plain ``int`` of at least 1, summing to
-    ``len(content)``. Selection reads the sizes and the per-token sentence
-    labels derived from them (``sentence_ids``) as arrays.
+    token count, in order, each a plain ``int`` of at least 1; the content
+    holds their sum. ``prefix_tokens`` and ``suffix_tokens`` are plain
+    ``int``s of at least 0. Selection reads the sizes and the per-token
+    sentence labels derived from them (``sentence_ids``) as arrays. The
+    shape holds no token strings; ``refined_text`` makes them from the texts.
     """
 
-    prefix: tuple[str, ...]
-    content: tuple[str, ...]
+    prefix_tokens: int
     sentence_sizes: tuple[int, ...]
-    suffix: tuple[str, ...]
+    suffix_tokens: int
     _ids: np.ndarray = field(init=False, compare=False, repr=False)
     _sizes: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        for count in (self.prefix_tokens, self.suffix_tokens):
+            if type(count) is not int or count < 0:
+                raise ValueError(f"prefix and suffix token counts must be ints >= 0, got {count!r}")
         for size in self.sentence_sizes:
             if type(size) is not int or size < 1:
                 raise ValueError(f"sentence sizes must be ints >= 1, got {size!r}")
-        if sum(self.sentence_sizes) != len(self.content):
-            raise ValueError(f"sentence sizes must sum to the {len(self.content)} content tokens")
         sizes = np.array(self.sentence_sizes, dtype=np.int64)
         ids = np.repeat(np.arange(sizes.size), sizes)
         ids.flags.writeable = sizes.flags.writeable = False
@@ -83,47 +89,49 @@ class TokenizedPrompt:
         return tuple(self._ids.tolist())
 
     @property
+    def content_tokens(self) -> int:
+        return self._ids.size
+
+    @property
     def total_tokens(self) -> int:
-        return len(self.prefix) + len(self.content) + len(self.suffix)
+        return self.prefix_tokens + self._ids.size + self.suffix_tokens
 
     @property
     def content_span(self) -> slice:
-        return slice(len(self.prefix), len(self.prefix) + len(self.content))
+        return slice(self.prefix_tokens, self.prefix_tokens + self._ids.size)
 
     @classmethod
     def from_text(cls, prefix: str, content: str, suffix: str) -> "TokenizedPrompt":
-        r"""Tokenize the three parts and size the content's sentences as ``split_sentences`` splits them.
+        r"""Count the three parts' tokens and size the content's sentences as ``split_sentences`` splits them.
 
         One pass over the content: split it on newlines, split each line with
-        ``str.split()``, take a chunk for which ``chunk.isalnum()`` holds as one
+        ``str.split()``, count a chunk for which ``chunk.isalnum()`` holds as one
         ``\w+`` token, and run ``_TOKEN_RE`` only on the other chunks (those
-        holding punctuation or ``_``). This equals ``tokenize`` because tokens
-        never span whitespace, ``\s`` matches exactly the separators
-        ``str.split()`` uses, and ``\w`` matches exactly the characters with
-        ``c.isalnum() or c == "_"`` (the tests check both over every code
-        point). A sentence ends at a '.', '!' or '?' token and at the last
-        token of each line, so a segment without tokens yields no sentence,
-        as in ``split_sentences``; one size is kept per sentence.
+        holding punctuation or ``_``). This counts what ``tokenize`` returns
+        because tokens never span whitespace, ``\s`` matches exactly the
+        separators ``str.split()`` uses, and ``\w`` matches exactly the
+        characters with ``c.isalnum() or c == "_"`` (the tests check both over
+        every code point). A sentence ends at a '.', '!' or '?' token and at
+        the last token of each line, so a segment without tokens yields no
+        sentence, as in ``split_sentences``; one size is kept per sentence.
         """
-        tokens: list[str] = []
+        count = 0
         ends = [0]  # 0, then one past each sentence's last token
-        append = tokens.append
         for line in content.split("\n"):
             for chunk in line.split():
                 if chunk.isalnum():
-                    append(chunk)
+                    count += 1
                     continue
                 for token in _TOKEN_RE.findall(chunk):
-                    append(token)
+                    count += 1
                     if token in _TERMINATORS:
-                        ends.append(len(tokens))
-            if ends[-1] != len(tokens):
-                ends.append(len(tokens))
+                        ends.append(count)
+            if ends[-1] != count:
+                ends.append(count)
         return cls(
-            prefix=tuple(tokenize(prefix)),
-            content=tuple(tokens),
+            prefix_tokens=len(tokenize(prefix)),
             sentence_sizes=tuple(map(sub, ends[1:], ends)),
-            suffix=tuple(tokenize(suffix)),
+            suffix_tokens=len(tokenize(suffix)),
         )
 
 
@@ -285,8 +293,8 @@ class SelectionMask:
 
 def sentence_order(prompt: TokenizedPrompt, scores: TokenScores) -> list[int]:
     """Sentences sorted by descending mean token score, earlier position first on ties."""
-    if len(scores) != len(prompt.content):
-        raise ValueError(f"expected {len(prompt.content)} scores, got {len(scores)}")
+    if len(scores) != prompt.content_tokens:
+        raise ValueError(f"expected {prompt.content_tokens} scores, got {len(scores)}")
     means = np.bincount(prompt._ids, weights=scores.scores) / prompt._sizes
     return np.argsort(-means, kind="stable").tolist()
 
@@ -301,7 +309,7 @@ def select_sentences(prompt: TokenizedPrompt, scores: TokenScores, ratio: float)
     if not 0.0 < ratio <= 1.0:
         raise ValueError(f"ratio must be in (0, 1], got {ratio}")
     bits = np.ones(prompt.total_tokens, dtype=np.uint8)
-    n_content = len(prompt.content)
+    n_content = prompt.content_tokens
     if n_content == 0 or ratio == 1.0:
         return SelectionMask(bits)
     order = np.asarray(sentence_order(prompt, scores), dtype=np.int64)
@@ -314,13 +322,17 @@ def select_sentences(prompt: TokenizedPrompt, scores: TokenScores, ratio: float)
     return SelectionMask(bits)
 
 
-def refined_text(prompt: TokenizedPrompt, mask: SelectionMask) -> list[str]:
-    """Apply a selection mask: prefix, selected content sentences in order, suffix."""
-    if len(mask) != prompt.total_tokens:
-        raise ValueError(f"mask length {len(mask)} != prompt length {prompt.total_tokens}")
-    span = prompt.content_span
+def refined_text(prefix: str, content: str, suffix: str, mask: SelectionMask) -> list[str]:
+    """Apply a selection mask to the texts' tokens: prefix, selected content sentences in order, suffix.
+
+    The mask must hold one bit per token of the three texts, with every
+    prefix and suffix bit set; otherwise ValueError.
+    """
+    head, body, tail = tokenize(prefix), tokenize(content), tokenize(suffix)
+    total = len(head) + len(body) + len(tail)
+    if len(mask) != total:
+        raise ValueError(f"mask length {len(mask)} != prompt length {total}")
+    span = slice(len(head), len(head) + len(body))
     if not mask.bits[: span.start].all() or not mask.bits[span.stop :].all():
         raise ValueError("prefix and suffix tokens must all be selected")
-    content_bits = mask.bits[span]
-    body = [tok for tok, bit in zip(prompt.content, content_bits) if bit]
-    return list(prompt.prefix) + body + list(prompt.suffix)
+    return head + list(compress(body, mask.bits[span])) + tail

@@ -118,16 +118,21 @@ def write_weight_dump(path: str | Path, weights: list[np.ndarray], hidden: int) 
     Path(path).write_bytes(blob)
 
 
-def synthetic_prompt(rng: random.Random, n_sentences: int, prefix_tokens: int = 3, suffix_tokens: int = 2,
-                     sentence_len: tuple[int, int] = (3, 9)) -> TokenizedPrompt:
-    """Small prompt with explicit sentence structure for selection tests."""
+def synthetic_texts(rng: random.Random, n_sentences: int, prefix_tokens: int = 3, suffix_tokens: int = 2,
+                    sentence_len: tuple[int, int] = (3, 9)) -> tuple[str, str, str]:
+    """Small prompt texts (prefix, content, suffix) with explicit sentence structure for selection tests."""
     prefix = " ".join(f"p{i}" for i in range(prefix_tokens))
     suffix = " ".join(f"s{i}" for i in range(suffix_tokens))
     sentences = []
     for s in range(n_sentences):
         words = rng.randint(*sentence_len)
         sentences.append(" ".join(f"c{s}x{w}" for w in range(words)) + ".")
-    return TokenizedPrompt.from_text(prefix, " ".join(sentences), suffix)
+    return prefix, " ".join(sentences), suffix
+
+
+def synthetic_prompt(rng: random.Random, n_sentences: int) -> TokenizedPrompt:
+    """The shape of ``synthetic_texts``."""
+    return TokenizedPrompt.from_text(*synthetic_texts(rng, n_sentences))
 
 
 # --- reference frame encoders: compact json.dumps, the bytes the direct formatting must match ---
@@ -240,7 +245,7 @@ def reference_sentence_order(prompt: TokenizedPrompt, scores: TokenScores) -> li
 def reference_select_sentences(prompt: TokenizedPrompt, scores: TokenScores, ratio: float) -> SelectionMask:
     """Greedy loop that counts each chosen sentence's tokens with (ids == sid).sum()."""
     bits = np.ones(prompt.total_tokens, dtype=np.uint8)
-    n_content = len(prompt.content)
+    n_content = prompt.content_tokens
     if n_content == 0 or ratio == 1.0:
         return SelectionMask(bits)
     budget = math.ceil(ratio * n_content)
@@ -297,7 +302,7 @@ def reference_synthesize_prompt(rng: random.Random, total_tokens: int, prefix_to
 def reference_uniform_scores(prompt: TokenizedPrompt, seed: int | str) -> TokenScores:
     """One ``random()`` per content token."""
     rng = random.Random(f"scores:{seed}")
-    return TokenScores(np.array([rng.random() for _ in prompt.content]))
+    return TokenScores(np.array([rng.random() for _ in range(prompt.content_tokens)]))
 
 
 # --- reference device session: every decode step is its own loop event ---------

@@ -312,3 +312,62 @@ class TestSimulateAndReport:
     def test_report_without_traces_fails(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["report", "--traces", str(tmp_path), "--out", str(tmp_path / "rep")])
+
+    def test_unreadable_trace_is_named(self, tmp_path, capsys):
+        (tmp_path / "trace_x.csv").mkdir()  # a directory where a trace file should be
+        assert main(["report", "--traces", str(tmp_path), "--out", str(tmp_path / "rep")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {tmp_path / 'trace_x.csv'}: ") and err.count("\n") == 1, err
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written ends in one ``error:`` line naming it, with exit code 2."""
+
+    @staticmethod
+    def assert_one_error_line(capsys, path) -> None:
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1, err
+
+    @pytest.fixture
+    def a_file(self, tmp_path) -> Path:
+        path = tmp_path / "F"
+        path.write_text("not a directory\n")
+        return path
+
+    @pytest.mark.parametrize("action", ["pack", "unpack"])
+    def test_mask_into_a_missing_directory(self, tmp_path, capsys, action):
+        infile = tmp_path / "in"
+        if action == "pack":
+            infile.write_text("1101\n")
+        else:
+            (tmp_path / "bits.txt").write_text("1101\n")
+            assert main(["mask", "pack", str(tmp_path / "bits.txt"), str(infile)]) == 0
+            capsys.readouterr()
+        outfile = tmp_path / "nodir" / "x.bin"
+        assert main(["mask", action, str(infile), str(outfile)]) == 2
+        self.assert_one_error_line(capsys, outfile)
+
+    @pytest.mark.parametrize("command", ["plan", "simulate"])
+    def test_out_is_a_file(self, capsys, config_path, a_file, command):
+        assert main([command, "--config", config_path, "--out", str(a_file)]) == 2
+        self.assert_one_error_line(capsys, a_file)
+        assert a_file.read_text() == "not a directory\n"
+
+    def test_report_out_is_a_file(self, tmp_path, capsys, config_path, a_file):
+        run_dir = tmp_path / "run"
+        assert main(["simulate", "--config", config_path, "--out", str(run_dir)]) == 0
+        capsys.readouterr()
+        assert main(["report", "--traces", str(run_dir), "--out", str(a_file)]) == 2
+        self.assert_one_error_line(capsys, a_file)
+
+    def test_refine_out_is_a_file(self, capsys, a_file):
+        data = Path(__file__).parent / "data"
+        assert main([
+            "refine", "--prompt", str(data / "refine_prompt.json"), "--weights", str(data / "refine_weights.bin"),
+            "--ratio", "0.5", "--kernel", "3", "--window", "4", "--out", str(a_file),
+        ]) == 2
+        self.assert_one_error_line(capsys, a_file)
+
+    def test_out_below_a_file(self, capsys, config_path, a_file):
+        assert main(["plan", "--config", config_path, "--out", str(a_file / "sub")]) == 2
+        self.assert_one_error_line(capsys, a_file / "sub")

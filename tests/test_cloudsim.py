@@ -99,7 +99,7 @@ class TestUniformScores:
     @example(0, "req-0000")
     @example(1, "req-0000")
     def test_bit_equal_to_the_draw_loop(self, n, seed):
-        prompt = TokenizedPrompt(prefix=(), content=("w",) * n, sentence_sizes=(n,) if n else (), suffix=("?",))
+        prompt = TokenizedPrompt(prefix_tokens=0, sentence_sizes=(n,) if n else (), suffix_tokens=1)
         got = uniform_scores(prompt, seed).scores
         want = reference_uniform_scores(prompt, seed).scores
         assert got.shape == want.shape == (n,)

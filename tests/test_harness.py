@@ -26,7 +26,7 @@ from pdsim.harness import (
     report,
     run_experiment,
     synthesize_prompt,
-    tokenize_synthesized,
+    synthesized_shape,
     write_trace,
 )
 from pdsim.planner import check_plan, solve_plan
@@ -200,9 +200,22 @@ class TestWorkloadSynthesis:
     def test_synthesized_tokens_equal_from_text(self, seed, content_tokens, prefix_tokens, suffix_tokens):
         total = content_tokens + prefix_tokens + suffix_tokens
         *texts, sizes = synthesize_prompt(random.Random(seed), total, prefix_tokens, suffix_tokens)
-        prompt = tokenize_synthesized(*texts, sizes)
+        prompt = synthesized_shape(*texts, sizes)
         assert prompt == TokenizedPrompt.from_text(*texts)  # sentence_sizes included
         assert prompt.total_tokens == total
+        counts = (prompt.prefix_tokens, prompt.content_tokens, prompt.suffix_tokens)
+        assert counts == tuple(len(tokenize(text)) for text in texts) == (prefix_tokens, content_tokens, suffix_tokens)
+
+    @pytest.mark.parametrize("wrong", [
+        pytest.param(lambda sizes: (*sizes[:-1], sizes[-1] + 1), id="sum-one-too-high"),
+        pytest.param(lambda sizes: (sizes[0] - 1, *sizes[1:]), id="sum-one-too-low"),
+        pytest.param(lambda sizes: (*sizes, 1), id="extra-sentence"),
+        pytest.param(lambda sizes: (*sizes[:-2], sizes[-2] + sizes[-1]), id="merged-sentences"),  # the sum agrees
+    ])
+    def test_sizes_that_disagree_with_the_text_raise(self, wrong):
+        *texts, sizes = synthesize_prompt(random.Random(3), 400, 6, 4)
+        with pytest.raises(ValueError, match="synthesized content holds"):
+            synthesized_shape(*texts, wrong(sizes))
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**64 - 1), prompt_shapes())

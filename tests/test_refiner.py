@@ -15,6 +15,7 @@ from helpers import (
     reference_sentence_order,
     reference_split_sentences,
     synthetic_prompt,
+    synthetic_texts,
 )
 
 from pdsim.refiner import (
@@ -63,11 +64,11 @@ class TestTokenizer:
 
     def test_prompt_structure(self):
         prompt = TokenizedPrompt.from_text("sys", "Aa bb. Cc dd!", "q?")
-        assert prompt.prefix == ("sys",)
-        assert prompt.suffix == ("q", "?")
-        assert prompt.content == ("Aa", "bb", ".", "Cc", "dd", "!")
+        assert prompt == TokenizedPrompt(prefix_tokens=1, sentence_sizes=(3, 3), suffix_tokens=2)
+        assert prompt.content_tokens == 6
         assert prompt.sentence_ids == (0, 0, 0, 1, 1, 1)
         assert prompt.total_tokens == 9
+        assert prompt.content_span == slice(1, 7)
 
     def test_regex_classes_match_str_methods_on_every_code_point(self):
         # from_text takes an isalnum() chunk between str.split() separators as one
@@ -76,11 +77,17 @@ class TestTokenizer:
         assert set(re.findall(r"\w", text)) == {c for c in text if c.isalnum() or c == "_"}
         assert set(re.findall(r"\s", text)) == set(text) - set("".join(text.split()))
 
-    @pytest.mark.parametrize("sizes", [(0, 2), (-1, 3), (1,), (2, 1), (1.0, 1.0), (True, True), ("2",)],
-                             ids=["zero", "negative", "short-sum", "long-sum", "float", "bool", "str"])
-    def test_sentence_sizes_must_be_ints_of_at_least_one_summing_to_the_content(self, sizes):
+    @pytest.mark.parametrize("sizes", [(0, 2), (-1, 3), (1.0, 1.0), (True, True), ("2",)],
+                             ids=["zero", "negative", "float", "bool", "str"])
+    def test_sentence_sizes_must_be_ints_of_at_least_one(self, sizes):
         with pytest.raises(ValueError, match="sentence sizes must"):
-            TokenizedPrompt(prefix=(), content=("a", "b"), sentence_sizes=sizes, suffix=())
+            TokenizedPrompt(prefix_tokens=0, sentence_sizes=sizes, suffix_tokens=0)
+
+    @pytest.mark.parametrize("count", [-1, 1.0, True, "2", None], ids=["negative", "float", "bool", "str", "none"])
+    @pytest.mark.parametrize("part", ["prefix_tokens", "suffix_tokens"])
+    def test_prefix_and_suffix_counts_must_be_ints_of_at_least_zero(self, part, count):
+        with pytest.raises(ValueError, match="prefix and suffix token counts must"):
+            TokenizedPrompt(**{"prefix_tokens": 0, "sentence_sizes": (2,), "suffix_tokens": 0, part: count})
 
 
 class TestAttentionWeights:
@@ -193,11 +200,15 @@ class TestScoreTokens:
             max_pool_1d(np.ones(4), 2)
 
 
-def equal_sentence_prompt(scores_by_sentence, tokens_per_sentence=5):
+def equal_sentence_texts(n_sentences, tokens_per_sentence=5):
     content = " ".join(
-        " ".join(f"s{i}w{j}" for j in range(tokens_per_sentence - 1)) + "." for i in range(len(scores_by_sentence))
+        " ".join(f"s{i}w{j}" for j in range(tokens_per_sentence - 1)) + "." for i in range(n_sentences)
     )
-    prompt = TokenizedPrompt.from_text("pre", content, "suf")
+    return "pre", content, "suf"
+
+
+def equal_sentence_prompt(scores_by_sentence, tokens_per_sentence=5):
+    prompt = TokenizedPrompt.from_text(*equal_sentence_texts(len(scores_by_sentence), tokens_per_sentence))
     per_token = []
     for sid, value in enumerate(scores_by_sentence):
         per_token.extend([float(value)] * tokens_per_sentence)
@@ -217,7 +228,9 @@ class TestSelectSentences:
         ids = np.asarray(prompt.sentence_ids)
         kept = {int(s) for s in ids[mask.bits[span] == 1]}
         assert kept == {0, 2}
-        assert refined_text(prompt, mask) == ["pre"] + [t for t, sid in zip(prompt.content, ids) if sid in (0, 2)] + ["suf"]
+        prefix, content, suffix = equal_sentence_texts(4)
+        kept_tokens = [t for t, sid in zip(tokenize(content), ids) if sid in (0, 2)]
+        assert refined_text(prefix, content, suffix, mask) == ["pre"] + kept_tokens + ["suf"]
 
     def test_matches_best_subset_for_equal_lengths(self):
         rng = random.Random(5)
@@ -230,8 +243,8 @@ class TestSelectSentences:
             ids = np.asarray(prompt.sentence_ids)
             span = prompt.content_span
             kept = {int(s) for s in ids[mask.bits[span] == 1]}
-            budget = math.ceil(ratio * len(prompt.content))
-            per_sentence = len(prompt.content) // n
+            budget = math.ceil(ratio * prompt.content_tokens)
+            per_sentence = prompt.content_tokens // n
             best = None
             for size in range(n + 1):
                 if size * per_sentence >= budget:
@@ -247,7 +260,7 @@ class TestSelectSentences:
         rng = random.Random(6)
         for _ in range(100):
             prompt = synthetic_prompt(rng, n_sentences=rng.randint(1, 20))
-            scores = TokenScores(np.array([rng.random() for _ in prompt.content]))
+            scores = TokenScores(np.array([rng.random() for _ in range(prompt.content_tokens)]))
             ratio = rng.randint(1, 100) / 100.0
             mask = select_sentences(prompt, scores, ratio)
             span = prompt.content_span
@@ -260,7 +273,7 @@ class TestSelectSentences:
                 sentence_bits = content_bits[ids == sid]
                 assert sentence_bits.all() or not sentence_bits.any()
             # selected count lands in [budget, budget + longest sentence)
-            budget = math.ceil(ratio * len(prompt.content))
+            budget = math.ceil(ratio * prompt.content_tokens)
             longest = max(np.bincount(ids))
             selected = int(content_bits.sum())
             assert budget <= selected < budget + longest
@@ -269,7 +282,7 @@ class TestSelectSentences:
         rng = random.Random(7)
         for _ in range(50):
             prompt = synthetic_prompt(rng, n_sentences=rng.randint(2, 15))
-            scores = TokenScores(np.array([rng.random() for _ in prompt.content]))
+            scores = TokenScores(np.array([rng.random() for _ in range(prompt.content_tokens)]))
             r1, r2 = sorted((rng.randint(1, 100) / 100.0, rng.randint(1, 100) / 100.0))
             small = select_sentences(prompt, scores, r1)
             large = select_sentences(prompt, scores, r2)
@@ -293,34 +306,43 @@ class TestSelectSentences:
 
 class TestRefinedText:
     def test_identity_mask(self):
-        prompt = TokenizedPrompt.from_text("a b", "c d. e f!", "g")
-        mask = SelectionMask(np.ones(prompt.total_tokens, dtype=np.uint8))
-        assert refined_text(prompt, mask) == list(prompt.prefix + prompt.content + prompt.suffix)
+        texts = ("a b", "c d. e f!", "g")
+        mask = SelectionMask(np.ones(TokenizedPrompt.from_text(*texts).total_tokens, dtype=np.uint8))
+        assert refined_text(*texts, mask) == ["a", "b", "c", "d", ".", "e", "f", "!", "g"]
+        assert refined_text(*texts, mask) == tokenize("a b") + tokenize("c d. e f!") + tokenize("g")
+
+    def test_applies_the_mask_token_by_token(self):
+        texts = ("a b", "c d. e f!", "g")
+        bits = np.array([1, 1, 0, 0, 0, 1, 1, 1, 1], dtype=np.uint8)
+        assert refined_text(*texts, SelectionMask(bits)) == ["a", "b", "e", "f", "!", "g"]
 
     def test_device_side_reconstruction_matches(self):
         rng = random.Random(8)
         for _ in range(25):
-            prompt_cloud = synthetic_prompt(rng, n_sentences=rng.randint(2, 10))
-            scores = TokenScores(np.array([rng.random() for _ in prompt_cloud.content]))
+            texts = synthetic_texts(rng, n_sentences=rng.randint(2, 10))
+            prompt_cloud = TokenizedPrompt.from_text(*texts)
+            scores = TokenScores(np.array([rng.random() for _ in range(prompt_cloud.content_tokens)]))
             mask = select_sentences(prompt_cloud, scores, 0.4)
-            # tokenizing the same raw text again yields the same prompt
-            text = (" ".join(prompt_cloud.prefix), " ".join(prompt_cloud.content), " ".join(prompt_cloud.suffix))
-            prompt_device = TokenizedPrompt.from_text(*text)
-            assert prompt_device.total_tokens == prompt_cloud.total_tokens
-            assert refined_text(prompt_device, mask) == refined_text(prompt_cloud, mask)
+            # tokenizing the text re-joined from its tokens yields the same prompt
+            rejoined = tuple(" ".join(tokenize(text)) for text in texts)
+            prompt_device = TokenizedPrompt.from_text(*rejoined)
+            assert prompt_device == prompt_cloud
+            assert refined_text(*rejoined, mask) == refined_text(*texts, mask)
+            ids = np.asarray(prompt_cloud.sentence_ids)
+            kept = set(ids[mask.bits[prompt_cloud.content_span] == 1].tolist())
+            body = [t for t, sid in zip(tokenize(texts[1]), ids) if sid in kept]
+            assert refined_text(*texts, mask) == tokenize(texts[0]) + body + tokenize(texts[2])
 
     def test_length_mismatch_rejected(self):
-        prompt = TokenizedPrompt.from_text("a", "b c.", "d")
-        with pytest.raises(ValueError):
-            refined_text(prompt, SelectionMask(np.ones(3, dtype=np.uint8)))
+        with pytest.raises(ValueError, match="mask length 3 != prompt length 5"):
+            refined_text("a", "b c.", "d", SelectionMask(np.ones(3, dtype=np.uint8)))
 
-    def test_dropped_prefix_bit_rejected(self):
-        prompt = TokenizedPrompt.from_text("a", "b c.", "d")
-        bits = np.ones(prompt.total_tokens, dtype=np.uint8)
-        bits[0] = 0
-        with pytest.raises(ValueError):
-            refined_text(prompt, SelectionMask(bits))
-
+    @pytest.mark.parametrize("dropped", [0, 4], ids=["prefix", "suffix"])
+    def test_dropped_prefix_or_suffix_bit_rejected(self, dropped):
+        bits = np.ones(5, dtype=np.uint8)
+        bits[dropped] = 0
+        with pytest.raises(ValueError, match="prefix and suffix"):
+            refined_text("a", "b c.", "d", SelectionMask(bits))
 
 
 class TestSelectionMask:
@@ -381,7 +403,8 @@ def scored_prompts(draw):
         levels = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=n_sentences, max_size=n_sentences))
         values = [levels[sid] for sid in prompt.sentence_ids]
     else:
-        values = draw(st.lists(st.floats(0.0, 1.0), min_size=len(prompt.content), max_size=len(prompt.content)))
+        n = prompt.content_tokens
+        values = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
     return prompt, TokenScores(np.array(values, dtype=np.float64))
 
 
@@ -395,15 +418,17 @@ class TestMatchesLoopReference:
     @given(prompt_text, prompt_text, prompt_text)
     def test_from_text(self, prefix, content, suffix):
         prompt = TokenizedPrompt.from_text(prefix, content, suffix)
-        assert (prompt.prefix, prompt.content, prompt.sentence_ids, prompt.suffix) == reference_from_text(
-            prefix, content, suffix
+        ref_prefix, ref_content, ref_ids, ref_suffix = reference_from_text(prefix, content, suffix)
+        assert (prompt.prefix_tokens, prompt.content_tokens, prompt.suffix_tokens) == (
+            len(ref_prefix), len(ref_content), len(ref_suffix)
         )
+        assert prompt.sentence_ids == ref_ids
 
     @settings(max_examples=500, deadline=None)
     @given(prompt_text)
     def test_from_text_agrees_with_tokenize_and_split_sentences(self, content):
-        prompt = TokenizedPrompt.from_text("", content, "")
-        assert prompt.content == tuple(tokenize(content))
+        prompt = TokenizedPrompt.from_text(content, content, content)
+        assert prompt.prefix_tokens == prompt.content_tokens == prompt.suffix_tokens == len(tokenize(content))
         n_sentences = prompt.sentence_ids[-1] + 1 if prompt.sentence_ids else 0
         assert n_sentences == len(split_sentences(content))
         assert prompt.sentence_sizes == tuple(len(tokenize(s)) for s in split_sentences(content))
