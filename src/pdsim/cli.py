@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import struct
 import sys
 from pathlib import Path
@@ -106,6 +107,8 @@ def _cmd_mask(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise SystemExit(f"cannot read {args.infile}: {exc.strerror}") from exc
     if args.action == "pack":
+        if bad := re.search(rb"[^01\s]", data):  # a bytes pattern's \s is ASCII whitespace
+            raise SystemExit(f"cannot read {args.infile}: byte {bad.start()} is {bad[0]!r}, not 0, 1 or whitespace")
         compressed = maskcodec.pack(SelectionMask([byte - 48 for byte in data if byte in b"01"]))  # '0' and '1'
         Path(args.outfile).write_bytes(compressed.payload)
         print(f"packed {compressed.bit_length} bits into {len(compressed.payload)} bytes")

@@ -11,13 +11,13 @@ function of its timed stream, computed as three timelines:
   arrival: an early stream item waits for its slot, a late one pauses the
   display. Shows cover the window, positions up to ``min(L, cloud_last)``,
   and stop at the cloud EOT, which ends the session. Under DEVICE_DISPLAY a
-  show displays the device's own token instead when decode p ran first and
+  show displays the device's own token instead when decode p ran by then and
   differs.
 - Decodes. The prefill completes at ``F + recover + prefill``; decode k runs
   at ``t_k``, one ``tpot_device`` after decode k - 1 (after the prefill for
   k = 2). Under CLOUD_WINS, position k takes the cloud token when that token
   arrived at or before ``t_k`` and k is within L. Decoding stops at the
-  effective EOT, or at a cloud-EOT show that runs first.
+  effective EOT, or at the cloud-EOT show.
 - Device display. Once the window is shown in full, position q is shown at
   ``max(t_q, begin)`` with its own token, up to the device EOT. ``begin``
   is the last window show, or ``max(last show, DONE)`` when the stream is
@@ -26,32 +26,22 @@ function of its timed stream, computed as three timelines:
 A session costs its cloud window, not its output length. The decode
 instants are one array, accumulated in order (``np.add.accumulate``, bit-equal
 to adding ``tpot_device`` once per decode). Only positions 2..cloud_last + 1
-are stepped one at a time, for corrections, the effective EOT and the tie
-rule; past them no cloud token is in scope, so the device EOT is its own. A
-cloud-EOT show cuts the timeline at the first decode at or after its instant,
-with one tie check on an equal instant. The device display is described, not
-listed: the trace keeps its first position, its slice of the timeline,
-``begin`` and the device source, and ``DeviceTrace.displays`` expands it on
-demand.
+are stepped one at a time, for corrections and the effective EOT; past them
+no cloud token is in scope, so the device EOT is its own. A cloud-EOT show
+cuts the timeline at the first decode after its instant. The device display
+is described, not listed: the trace keeps its first position, its slice of
+the timeline, ``begin`` and the device source, and ``DeviceTrace.displays``
+expands it on demand.
 
-Tie rule. Two outputs depend on the order of a decode and a show that fall
-on the same instant: a DEVICE_DISPLAY substitution at show p, and whether a
-decode at the instant of the cloud-EOT show still runs. Events at one
-instant run in the order they were scheduled. The frame, the arrivals and
-DONE come before anything scheduled; the frame schedules the prefill before
-show 2, so the prefill runs before every show. Decode k is scheduled at
-``t_{k-1}`` (decode 2 at the prefill). Show p is scheduled at
-``max(a_p, w_{p-1})``: by show p - 1 (the frame for p = 2) when
-``a_p <= w_{p-1}``, otherwise by its arrival. When a decode's and a show's
-scheduling instants are equal, their schedulers are compared by the same
-rule, one step back.
+When a decode and a show fall on the same instant, the decode runs first, as
+the prefill does.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -87,10 +77,6 @@ def scrub(text: str, rules: Sequence[ScrubRule]) -> str:
     return text
 
 
-# the fields that together make DeviceTrace.displays
-_DISPLAY_FIELDS = ("window", "continuation_from", "continuation_decode_ms", "continuation_begin_ms", "device_source")
-
-
 @dataclass(frozen=True, eq=False)
 class DeviceTrace:
     """Everything observed on the device for one session.
@@ -103,8 +89,7 @@ class DeviceTrace:
     are a slice of the session's one accumulated decode timeline, of which
     ``run_session`` steps only the window positions one at a time.
     ``displays`` expands the continuation on demand; ``output_len`` and
-    ``handover_gap_ms`` read the description. Two traces are equal when
-    their displays and every other observed field are.
+    ``handover_gap_ms`` read the description.
     """
 
     user_ttft_ms: float          # first-frame arrival; what the user perceives
@@ -118,8 +103,6 @@ class DeviceTrace:
     corrections: int
     common_prefix_len: int
     max_smoothed_gap_ms: float | None
-    device_eot_position: int | None
-    decode_caught_up_ms: float | None
     refined_tokens: int
 
     @property
@@ -140,17 +123,6 @@ class DeviceTrace:
         times = np.maximum(self.continuation_decode_ms, self.continuation_begin_ms).tolist()
         positions = range(self.continuation_from, self.continuation_from + len(times))
         return self.window + tuple(zip(times, positions, map(self.device_source.token_at, positions)))
-
-    def _observed(self) -> tuple:
-        return (self.displays, *(getattr(self, f.name) for f in fields(self) if f.name not in _DISPLAY_FIELDS))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DeviceTrace):
-            return NotImplemented
-        return self._observed() == other._observed()
-
-    def __hash__(self) -> int:
-        return hash(self._observed())
 
 
 def run_session(
@@ -236,30 +208,11 @@ def run_session(
     timeline = np.add.accumulate(steps)  # sequential: bit-equal to adding one step at a time
     timeline.setflags(write=False)  # the trace keeps a view of it
 
-    def decode_first(k: int, p: int) -> bool:
-        """Whether decode k runs before show p on their common instant (the tie rule)."""
-        while True:
-            decode_by = timeline[k - 2]  # decode k - 1, or the prefill for k = 2
-            previous = shows[p - 2][0]
-            show_by = max(arrival[p], previous)
-            if decode_by != show_by:
-                return decode_by < show_by
-            if arrival[p] > previous or p == 2:
-                return False  # scheduled by its arrival or by the frame
-            if k == 2:
-                return True  # the prefill runs before every show
-            k, p = k - 1, p - 1
-
-    # the first decode that does not run: a cloud EOT in the frame ends the
-    # session before the prefill starts, and a later cloud-EOT show stops
-    # the first decode at or after its instant (unless it wins the tie)
+    # the first decode that does not run: a cloud-EOT show, the frame's
+    # included, stops the first decode after its instant
     cut = decodes + 1
-    if frame.token == EOT_TOKEN:
-        cut = 2
-    elif eot_at is not None:
-        k = max(int(np.searchsorted(timeline, eot_at)), 1) + 1
-        if k <= decodes:
-            cut = k + 1 if timeline[k - 1] == eot_at and decode_first(k, len(shows) + 1) else k
+    if eot_at is not None:
+        cut = max(int(np.searchsorted(timeline, eot_at, side="right")), 1) + 1
 
     # decodes within the window, one position at a time
     corrections = 0
@@ -281,14 +234,11 @@ def run_session(
     else:
         if stepped == cloud_last + 1 and device_source.total_tokens < cut:
             device_eot_position = device_source.total_tokens  # the device's own EOT, past the window
-    decoded = device_eot_position or cut - 1  # the last position decoded
 
     if policy is CorrectionPolicy.DEVICE_DISPLAY:
         for i, (when, p, token) in enumerate(shows):
             mine = own.get(p)
-            if mine is None or mine == token or mine == EOT_TOKEN:
-                continue
-            if at[p - 1] < when or at[p - 1] == when and decode_first(p, p):
+            if mine not in (None, token, EOT_TOKEN) and at[p - 1] <= when:
                 shows[i] = (when, p, mine)  # no retroactive edits: only this position changes
                 corrections += 1
 
@@ -322,7 +272,5 @@ def run_session(
         corrections=corrections,
         common_prefix_len=common,
         max_smoothed_gap_ms=max(gaps) if gaps else None,
-        device_eot_position=device_eot_position,
-        decode_caught_up_ms=float(timeline[cloud_last - 1]) if 2 <= cloud_last <= decoded else None,
         refined_tokens=refined_tokens,
     )

@@ -46,7 +46,6 @@ class Plan:
     max_tokens: int
     feasible: bool
     achieved_tpot_smooth: float  # inf when max_tokens == 1 (nothing to pace)
-    ttft_device_estimate: float
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.ratio <= 1.0:
@@ -137,7 +136,6 @@ def solve_plan(
         max_tokens=budget,
         feasible=ratio_ok and budget_ok,
         achieved_tpot_smooth=achieved,
-        ttft_device_estimate=ttft_d,
     )
 
 

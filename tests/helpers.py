@@ -320,8 +320,6 @@ class ReferenceTrace:
     common_prefix_len: int
     max_smoothed_gap_ms: float | None
     handover_gap_ms: float | None
-    device_eot_position: int | None
-    decode_caught_up_ms: float | None
     refined_tokens: int
 
     @property
@@ -338,7 +336,10 @@ def observed(trace) -> dict:
 
 
 class ReferenceSession:
-    """The device session one event per decode step, the form run_session must match."""
+    """The device session one event per decode step, the form run_session must match.
+
+    At an equal instant a decode runs before a show.
+    """
 
     def __init__(
         self,
@@ -395,7 +396,6 @@ class ReferenceSession:
         self.pos_next = 1
         self.display_pending = False
         self.finished = False
-        self.device_eot_position: int | None = None
         self.ttft_device: float | None = None
 
         self.loop = EventLoop(start_ms=min(start_ms, frame_time_ms))
@@ -450,7 +450,12 @@ class ReferenceSession:
         else:
             self._advance_device_display()
 
-    def _show_cloud(self, position: int) -> None:
+    def _show_cloud(self, position: int, requeued: bool = False) -> None:
+        if not requeued:
+            # a decode at this instant was queued one tpot_device ago: going
+            # back in the queue once lets it run first
+            self.loop.schedule_at(self.loop.now, lambda: self._show_cloud(position, requeued=True))
+            return
         self.display_pending = False
         if self.finished:
             return
@@ -525,7 +530,6 @@ class ReferenceSession:
         if not self.display_pending:
             self._advance_display()
         if effective == EOT_TOKEN:
-            self.device_eot_position = position
             self._advance_display()
             return
         self.loop.schedule_after(self.model.tpot_device, lambda: self._on_decode(position + 1))
@@ -561,8 +565,6 @@ class ReferenceSession:
             common_prefix_len=common,
             max_smoothed_gap_ms=max(gaps) if gaps else None,
             handover_gap_ms=handover,
-            device_eot_position=self.device_eot_position,
-            decode_caught_up_ms=self.decode_time.get(self.cloud_last),
             refined_tokens=self.refined_tokens,
         )
 

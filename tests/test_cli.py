@@ -270,9 +270,12 @@ class TestRefineCommand:
 
 
 class TestMaskCommand:
-    def test_pack_unpack_round_trip(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "content", [b"1101 0011 1\n", b" 1\t101\r\n0011\x0b1\x0c\n"], ids=["spaces", "ascii-whitespace"]
+    )
+    def test_pack_unpack_round_trip(self, tmp_path, capsys, content):
         bits_file = tmp_path / "bits.txt"
-        bits_file.write_text("1101 0011 1\n")
+        bits_file.write_bytes(content)
         packed = tmp_path / "mask.bin"
         assert main(["mask", "pack", str(bits_file), str(packed)]) == 0
         restored = tmp_path / "restored.txt"
@@ -287,6 +290,25 @@ class TestMaskCommand:
         message = exit_info.value.code
         assert isinstance(message, str) and "\n" not in message  # printed as one line, exit status 1
         assert message.startswith(f"cannot read {tmp_path / infile}: ")
+        assert not (tmp_path / "out.bin").exists()
+
+    @pytest.mark.parametrize(
+        "content, offset, byte",
+        [
+            (b"0120x1", 2, b"2"),
+            (b"01 x", 3, b"x"),
+            (b"1\xff0", 1, b"\xff"),
+            (b"10\x001", 2, b"\x00"),
+            (b"1,0", 1, b","),
+        ],
+    )
+    def test_pack_names_the_first_byte_that_is_not_a_bit(self, tmp_path, content, offset, byte):
+        bits_file = tmp_path / "bits.txt"
+        bits_file.write_bytes(content)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["mask", "pack", str(bits_file), str(tmp_path / "out.bin")])
+        message = exit_info.value.code
+        assert message == f"cannot read {bits_file}: byte {offset} is {byte!r}, not 0, 1 or whitespace"
         assert not (tmp_path / "out.bin").exists()
 
     def test_corrupt_container_exits_nonzero(self, tmp_path, capsys):

@@ -69,7 +69,8 @@ class TestSolvePlan:
         assert plan.ratio == 0.6
         assert plan.max_tokens == 74
         assert plan.achieved_tpot_smooth <= 100.0
-        assert plan.ttft_device_estimate == pytest.approx(7000.0)
+        ttft_c = ttft_cloud(calibrated_model, 8000, plan.ratio, calibrated_model.rtt.mean_ms)
+        assert ttft_device(calibrated_model, 8000, plan.ratio, ttft_c) == pytest.approx(7000.0)
         assert brute_force_plan(calibrated_model, PlanConstraints(0.6, 100.0), 8000) == (0.6, 74)
 
     def test_refinement_forbidden_still_plans_token_assist(self, calibrated_model):
@@ -138,7 +139,9 @@ class TestSolvePlan:
 
         estimates = []
         for floor in (0.8, 0.6, 0.4, 0.25, 0.125):
-            estimates.append(solve_plan(calibrated_model, PlanConstraints(floor, 100.0), 8000).ttft_device_estimate)
+            ratio = solve_plan(calibrated_model, PlanConstraints(floor, 100.0), 8000).ratio
+            ttft_c = ttft_cloud(calibrated_model, 8000, ratio, calibrated_model.rtt.mean_ms)
+            estimates.append(ttft_device(calibrated_model, 8000, ratio, ttft_c))
         assert all(a >= b for a, b in zip(estimates, estimates[1:]))
 
 
