@@ -4,16 +4,7 @@ from .cloudsim import EOT_TOKEN, BatchModel, CloudTrace, TokenSource, run_throug
 from .devicesim import CorrectionPolicy, DeviceTrace, StallError, run_session, scrub
 from .harness import ExperimentConfig, MetricsReport, default_config, load_config, run_experiment
 from .maskcodec import CompressedMask, MaskCodecError, MaskLengthError, pack, unpack
-from .planner import (
-    OperatingPoint,
-    Plan,
-    PlanConstraints,
-    build_plan_table,
-    l_bounds,
-    operating_point,
-    r_bounds,
-    solve_plan,
-)
+from .planner import Plan, PlanConstraints, build_plan_table, l_bounds, r_bounds, solve_plan
 from .protocol import (
     DONE,
     AssistRequest,
@@ -26,11 +17,9 @@ from .protocol import (
     encode_stream_event,
 )
 from .refiner import (
-    AttentionInputs,
     SelectionMask,
     TokenizedPrompt,
     TokenScores,
-    attention_weights,
     refined_text,
     score_tokens,
     select_sentences,

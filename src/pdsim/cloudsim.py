@@ -118,7 +118,7 @@ def serve_request(
 ) -> CloudTrace:
     """Serve one request at a given point: refine, piggyback the first token, stream.
 
-    ``planner.operating_point`` decides the point: the refinement ``ratio``
+    ``planner.solve_plan`` decides the point: the refinement ``ratio``
     and the budget ``max_tokens``, the tokens the cloud produces counting the
     first one. ``prompt`` is the shape of the request's reference
     tokenization, shared with the device; the mask selects over it by ``scores``. The first token

@@ -3,7 +3,7 @@
 One experiment is fully determined by its config and seed: reruns produce
 byte-identical CSV outputs. Each sweep variant replays the same workload,
 pinning the ratio and/or the token budget or leaving both to the planner,
-which solves them at each prompt's own length (``planner.operating_point``
+which solves them at each prompt's own length (``planner.solve_plan``
 decides), and writes one trace CSV; a cross-variant summary follows.
 ``plans.csv`` tabulates the planner over the config's prompt-length buckets.
 
@@ -48,8 +48,7 @@ import numpy as np
 from . import cloudsim
 from .cloudsim import BatchModel, TokenSource, mt_uniform, mt_words, run_throughput, serve_request
 from .devicesim import CorrectionPolicy, ScrubRule, run_session, scrub
-from .planner import Plan, PlanConstraints, build_plan_table, operating_point
-from .planner import solve_plan  # noqa: F401  (benchmarks/tracer.py hooks pdsim.harness.solve_plan)
+from .planner import Plan, PlanConstraints, build_plan_table, solve_plan
 from .protocol import AssistRequest
 from .refiner import TokenizedPrompt
 from .timing import RTT_CLASSES, AffineCost, RttClass, TimingModel
@@ -762,7 +761,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path, seed: int | No
         )
         for variant, rng_rtt, rows in zip(config.variants, rtt_rngs, variant_rows):
             rtt = model.rtt.sample(rng_rtt)
-            point = operating_point(
+            point = solve_plan(
                 model, constraints, prompt.total_tokens, ratio=variant.ratio, max_tokens=variant.max_tokens
             )
             trace_c = serve_request(

@@ -5,10 +5,12 @@ floor on the ratio and two budget constraints: the display pace of assisted
 tokens must stay under the tolerable TPOT, and the cloud must finish its
 stream before the device finishes prefill. The structure admits a closed
 form (smallest feasible ratio, then smallest feasible budget), so no MILP
-library is involved. ``operating_point`` is the one place a session's
+library is involved. ``solve_plan`` is the one place a session's
 (ratio, budget) is decided: solved at the prompt's own length, or from the
-values a sweep variant pins. ``build_plan_table`` tabulates the same solve
-over a grid of prompt lengths for ``plans.csv``; no session reads it.
+values a sweep variant pins, and judged feasible by the same two bounds
+(``r_bounds``, ``l_bounds``) it solves with. ``build_plan_table`` tabulates
+the same solve over a grid of prompt lengths for ``plans.csv``; no session
+reads it.
 """
 
 from __future__ import annotations
@@ -96,14 +98,18 @@ def solve_plan(
     prompt_tokens: int,
     *,
     ratio: float | None = None,
+    max_tokens: int | None = None,
 ) -> Plan:
-    """Pick the operating point minimizing on-device TTFT at the mean RTT.
+    """Decide one operating point for a prompt of ``prompt_tokens`` at the mean RTT.
 
     On-device TTFT grows with the ratio and does not depend on the budget,
     so the solution is the smallest feasible ratio followed by the smallest
-    feasible budget (which also minimizes cloud occupancy). Passing ``ratio``
-    pins it (sweep variants do this) and only the budget is solved.
-    Infeasibility is encoded in the plan, never raised:
+    feasible budget (which also minimizes cloud occupancy). ``ratio`` and
+    ``max_tokens`` pin a sweep variant's point: an unpinned ratio is solved
+    as above, and an unpinned budget is solved at the ratio served (a budget
+    sized for another ratio would skew the display pace). A plan is
+    ``feasible`` when its ratio lies in ``r_bounds`` and its budget in
+    ``l_bounds``; infeasibility is encoded in the plan, never raised:
 
     - empty ratio interval (above the 0.01 floor) -> refinement disabled
       (ratio 1), token-level assist still planned;
@@ -124,42 +130,19 @@ def solve_plan(
     ttft_c = ttft_cloud(model, prompt_tokens, ratio, model.rtt.mean_ms)
     ttft_d = ttft_device(model, prompt_tokens, ratio, ttft_c)
     b_lo, b_hi = l_bounds(model, constraints, prompt_tokens, ratio, ttft_c, ttft_d)
-    budget_ok = b_lo <= b_hi
-    budget = b_lo if budget_ok else max(b_hi, 1)
+    if max_tokens is None:
+        max_tokens = b_lo if b_lo <= b_hi else max(b_hi, 1)
 
-    if budget >= 2:
-        achieved = smoothed_tpot(model, prefill_device(model, prompt_tokens, ratio), ttft_c, budget)
+    if max_tokens >= 2:
+        achieved = smoothed_tpot(model, prefill_device(model, prompt_tokens, ratio), ttft_c, max_tokens)
     else:
         achieved = math.inf
     return Plan(
         ratio=ratio,
-        max_tokens=budget,
-        feasible=ratio_ok and budget_ok,
+        max_tokens=max_tokens,
+        feasible=ratio_ok and b_lo <= max_tokens <= b_hi,
         achieved_tpot_smooth=achieved,
     )
-
-
-def check_plan(
-    model: TimingModel,
-    constraints: PlanConstraints,
-    prompt_tokens: int,
-    ratio: float,
-    max_tokens: int,
-    rtt_ms: float | None = None,
-) -> bool:
-    """Re-check an operating point by direct substitution into both constraints."""
-    rtt = model.rtt.mean_ms if rtt_ms is None else rtt_ms
-    lo, hi = r_bounds(model, constraints, prompt_tokens)
-    if not lo <= ratio <= hi:
-        return False
-    ttft_c = ttft_cloud(model, prompt_tokens, ratio, rtt)
-    ttft_d = ttft_device(model, prompt_tokens, ratio, ttft_c)
-    steps = max_tokens - 1
-    if steps < 1:
-        return False
-    if prefill_device(model, prompt_tokens, ratio) - ttft_c > steps * (constraints.max_tpot_ms - model.tpot_device):
-        return False
-    return ttft_c + steps * model.tpot_cloud <= ttft_d
 
 
 def build_plan_table(
@@ -178,38 +161,3 @@ def build_plan_table(
         for device_class, model in models.items()
         for bucket in buckets
     }
-
-
-@dataclass(frozen=True)
-class OperatingPoint:
-    """The (ratio, budget) a session is served at."""
-
-    ratio: float
-    max_tokens: int
-    feasible: bool
-
-
-def operating_point(
-    model: TimingModel,
-    constraints: PlanConstraints,
-    prompt_tokens: int,
-    *,
-    ratio: float | None = None,
-    max_tokens: int | None = None,
-) -> OperatingPoint:
-    """Decide one session's operating point for a prompt of ``prompt_tokens``.
-
-    With nothing pinned it is ``solve_plan`` at ``prompt_tokens``. ``ratio``
-    and ``max_tokens`` pin a sweep variant's point: an unpinned ratio is the
-    plan's, and an unpinned budget is solved at the ratio served (a budget
-    sized for another ratio would skew the display pace). A pinned point is
-    ``feasible`` when ``check_plan`` holds at the mean RTT.
-    """
-    if ratio is None:
-        plan = solve_plan(model, constraints, prompt_tokens)
-        if max_tokens is None:
-            return OperatingPoint(plan.ratio, plan.max_tokens, plan.feasible)
-        ratio = plan.ratio
-    if max_tokens is None:
-        max_tokens = solve_plan(model, constraints, prompt_tokens, ratio=ratio).max_tokens
-    return OperatingPoint(ratio, max_tokens, check_plan(model, constraints, prompt_tokens, ratio, max_tokens))

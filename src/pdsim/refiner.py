@@ -135,54 +135,6 @@ class TokenizedPrompt:
         )
 
 
-@dataclass(frozen=True)
-class AttentionInputs:
-    """Observation-window queries against the full key (and optional value) set.
-
-    One instance per attention head. ``hidden_size`` feeds the score scale
-    and is carried separately from the matrix width so callers control it.
-    """
-
-    q_window: np.ndarray  # [w, dim]
-    k_full: np.ndarray    # [n_keys, dim]
-    hidden_size: int
-    v_full: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        q, k = np.asarray(self.q_window), np.asarray(self.k_full)
-        if q.ndim != 2 or k.ndim != 2 or q.shape[1] != k.shape[1]:
-            raise ValueError(f"query/key shape mismatch: {q.shape} vs {k.shape}")
-        if q.shape[0] > k.shape[0]:
-            raise ValueError("observation window cannot exceed the key count")
-        if self.hidden_size <= 0:
-            raise ValueError("hidden_size must be positive")
-        if not (np.isfinite(q).all() and np.isfinite(k).all()):
-            raise ValueError("non-finite attention inputs")
-        if self.v_full is not None:
-            v = np.asarray(self.v_full)
-            if v.ndim != 2 or v.shape[0] != k.shape[0]:
-                raise ValueError(f"value shape mismatch: {v.shape} vs keys {k.shape}")
-            if not np.isfinite(v).all():
-                raise ValueError("non-finite attention inputs")
-
-
-def attention_weights(inputs: AttentionInputs) -> tuple[np.ndarray, np.ndarray | None]:
-    """Scaled dot-product weights softmax(Q K^T / sqrt(hidden)) for one head.
-
-    Returns (weights [w, n_keys], weights @ V or None). Each weight row is a
-    probability vector.
-    """
-    q = np.asarray(inputs.q_window, dtype=np.float64)
-    k = np.asarray(inputs.k_full, dtype=np.float64)
-    logits = q @ k.T / np.sqrt(float(inputs.hidden_size))
-    logits -= logits.max(axis=1, keepdims=True)
-    weights = np.exp(logits)
-    weights /= weights.sum(axis=1, keepdims=True)
-    if inputs.v_full is None:
-        return weights, None
-    return weights, weights @ np.asarray(inputs.v_full, dtype=np.float64)
-
-
 def max_pool_1d(values: np.ndarray, kernel: int) -> np.ndarray:
     """Same-length 1D max pooling, truncated at the edges."""
     if kernel < 1 or kernel % 2 == 0:

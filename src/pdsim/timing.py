@@ -7,18 +7,18 @@ defaults once, as its field defaults, and holds its codec costs as
 equal and print as numbers. Each formula is a pure function defined once
 here. Its callers:
 
-- ``ttft_cloud``: planner (``solve_plan``, ``check_plan``), ``cloudsim.serve_request``.
+- ``ttft_cloud``: planner (``solve_plan``), ``cloudsim.serve_request``.
 - ``prefill_device``, the refined prefill: ``ttft_device``, planner (``l_bounds``,
-  ``solve_plan``, ``check_plan``), ``devicesim`` with the refined length of the mask.
-- ``ttft_device``: planner (``solve_plan``, ``check_plan``).
+  ``solve_plan``), ``devicesim`` with the refined length of the mask.
+- ``ttft_device``: planner (``solve_plan``).
 - ``smoothed_tpot``: planner (achieved pace), ``devicesim`` (display schedule).
 - ``TimingModel.overhead_ms``, the overhead bound: planner (``r_bounds``).
 - ``request_occupancy``: ``cloudsim.serve_request``, whose ``CloudTrace.occupancy_ms``
   becomes the trace's ``occupancy`` column and feeds ``cloudsim.run_throughput``.
 
-``planner.operating_point`` reaches ``solve_plan`` at each session's prompt
-length and ``check_plan`` for the points that sweep variants pin;
-``build_plan_table`` reaches ``solve_plan`` once per bucket for ``plans.csv``.
+``harness.run_experiment`` calls ``planner.solve_plan`` once per session, at
+its prompt length and with whatever a sweep variant pins; ``build_plan_table``
+calls it once per bucket for ``plans.csv``.
 """
 
 from __future__ import annotations

@@ -23,34 +23,40 @@ from pdsim.refiner import SelectionMask, TokenScores, TokenizedPrompt, tokenize
 from pdsim.timing import AffineCost, RttClass, TimingModel, smoothed_tpot, ttft_cloud, ttft_device
 
 
-def brute_force_plan(model: TimingModel, constraints: PlanConstraints, prompt_tokens: int,
-                     rtt_ms: float | None = None, max_budget: int = 4096):
-    """Grid search over ratio (step 0.01) and budget, checking the raw
-    inequalities by substitution. Returns (ratio, budget) or None.
+def feasible_by_substitution(model: TimingModel, constraints: PlanConstraints, prompt_tokens: int,
+                             ratio: float, budget):
+    """Whether (ratio, budget) meets every planning constraint at the mean RTT,
+    checked by substitution into the raw inequalities. ``budget`` may be an
+    integer array; the answer is then one bool per budget.
 
     Deliberately independent of the closed form: the quality/efficiency
     check uses the un-reorganized inequality k_c*l + bound(l) + k_d*r*l <= k_d*l.
     """
-    rtt = model.rtt.mean_ms if rtt_ms is None else rtt_ms
+    steps = np.asarray(budget) - 1
+    refined_prefill = model.k_device * ratio * prompt_tokens
+    ratio_ok = (constraints.min_ratio <= ratio
+                and model.k_cloud * prompt_tokens + model.overhead_ms(prompt_tokens) + refined_prefill
+                <= model.k_device * prompt_tokens)
+    tc = ttft_cloud(model, prompt_tokens, ratio, model.rtt.mean_ms)
+    td = ttft_device(model, prompt_tokens, ratio, tc)
+    pace_ok = refined_prefill - tc <= steps * (constraints.max_tpot_ms - model.tpot_device)
+    occupancy_ok = tc + steps * model.tpot_cloud <= td
+    feasible = ratio_ok & (steps >= 1) & pace_ok & occupancy_ok
+    return feasible if feasible.ndim else bool(feasible)
+
+
+def brute_force_plan(model: TimingModel, constraints: PlanConstraints, prompt_tokens: int, max_budget: int = 4096):
+    """Grid search over ratio (step 0.01) and budget by ``feasible_by_substitution``.
+    Returns the (ratio, budget) of least device TTFT, then least budget, or None."""
     budgets = np.arange(2, max_budget + 1)
     best = None
-    for step in range(0, 101):
+    for step in range(1, 101):
         ratio = step / 100.0
-        if ratio == 0.0 or ratio < constraints.min_ratio:
-            continue
-        lhs = model.k_cloud * prompt_tokens + model.overhead_ms(prompt_tokens) + model.k_device * ratio * prompt_tokens
-        if lhs > model.k_device * prompt_tokens:
-            continue
-        tc = ttft_cloud(model, prompt_tokens, ratio, rtt)
-        td = ttft_device(model, prompt_tokens, ratio, tc)
-        refined_prefill = model.k_device * ratio * prompt_tokens
-        pace_ok = refined_prefill - tc <= (budgets - 1) * (constraints.max_tpot_ms - model.tpot_device)
-        occupancy_ok = tc + (budgets - 1) * model.tpot_cloud <= td
-        feasible = pace_ok & occupancy_ok
+        feasible = feasible_by_substitution(model, constraints, prompt_tokens, ratio, budgets)
         if not feasible.any():
             continue
-        budget = int(budgets[int(np.argmax(feasible))])
-        candidate = (td, budget, ratio)
+        td = ttft_device(model, prompt_tokens, ratio, ttft_cloud(model, prompt_tokens, ratio, model.rtt.mean_ms))
+        candidate = (td, int(budgets[int(np.argmax(feasible))]), ratio)
         if best is None or candidate < best:
             best = candidate
     if best is None:

@@ -8,7 +8,7 @@ from helpers import write_weight_dump
 
 from pdsim.cli import main, read_weight_dump
 from pdsim.maskcodec import CompressedMask, unpack
-from pdsim.refiner import AttentionInputs, TokenizedPrompt, attention_weights
+from pdsim.refiner import TokenizedPrompt
 
 
 @pytest.fixture
@@ -172,13 +172,12 @@ class TestRefineCommand:
         }))
         prompt = TokenizedPrompt.from_text("sys", "alpha beta gamma. delta epsilon zeta. eta theta iota.", "q")
 
+        # two heads of four strictly positive probability rows over the prompt
         rng = np.random.default_rng(0)
         heads = []
         for _ in range(2):
-            q = rng.normal(size=(4, 8))
-            k = rng.normal(size=(prompt.total_tokens, 8))
-            weights, _ = attention_weights(AttentionInputs(q_window=q, k_full=k, hidden_size=8))
-            heads.append(weights)
+            weights = rng.uniform(0.1, 1.0, size=(4, prompt.total_tokens))
+            heads.append(weights / weights.sum(axis=1, keepdims=True))
         dump = tmp_path / "weights.bin"
         write_weight_dump(dump, heads, hidden=8)
         assert [w.shape for w in read_weight_dump(dump)] == [(4, prompt.total_tokens)] * 2

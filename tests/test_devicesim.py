@@ -255,13 +255,22 @@ class TestMatchesEventReference:
         policy=st.sampled_from(list(CorrectionPolicy)),
         data=st.data(),
     )
-    def test_decodes_meet_the_cloud_eot_show(self, tpot, recover, refined, budget, device_extra, policy, data):
-        # whole milliseconds from a frame at 0 ms put decodes on the instant of
-        # the cloud-EOT show; the device source runs on past the cloud's EOT
-        eot = data.draw(st.integers(2, budget), label="eot")
-        arrivals = data.draw(st.lists(st.integers(0, 24), min_size=eot - 1, max_size=eot - 1), label="arrivals")
+    def test_decodes_meet_the_shows(self, tpot, recover, refined, budget, device_extra, policy, data):
+        # whole milliseconds from a frame at 0 ms put decodes on the instants of
+        # shows: of the cloud-EOT show, or, with no cloud EOT, of the window's
+        # shows. The device source runs on past the cloud's last token
+        eot = data.draw(st.none() | st.integers(2, budget), label="eot")
+        last = budget if eot is None else eot
+        arrivals = data.draw(st.lists(st.integers(0, 24), min_size=last - 1, max_size=last - 1), label="arrivals")
+        divergence = data.draw(st.frozensets(st.integers(2, last + device_extra), max_size=3), label="divergence")
+        # a tie position arrives at the instant of its own decode, where the
+        # device's token differs: DEVICE_DISPLAY shows the device's token if
+        # nothing held the show back
+        tie = data.draw(st.none() | st.integers(2, last), label="tie")
+        if tie is not None:
+            arrivals[tie - 2] = recover + refined + (tie - 1) * tpot
+            divergence |= {tie}
         done = max(arrivals) + data.draw(st.integers(0, 4), label="done_after")
-        divergence = data.draw(st.frozensets(st.integers(2, eot + device_extra), max_size=3), label="divergence")
         model = TimingModel(k_device=1.0, tpot_device=float(tpot), decompress=AffineCost(float(recover), 0.0))
         req = content_prompt_request(sentences=3)
         prompt = tokenized(req)
@@ -272,7 +281,7 @@ class TestMatchesEventReference:
         ]
         stream.append((float(done), DONE))
         args = (req, prompt, FirstTokenFrame("tok1", mask, budget), stream, model)
-        source = TokenSource(seed=5, total_tokens=eot + device_extra, divergence=divergence)
+        source = TokenSource(seed=5, total_tokens=last + device_extra, divergence=divergence)
         got = run_session(*args, source, policy, frame_time_ms=0.0)
         assert observed(got) == observed(reference_run_session(*args, source, policy, frame_time_ms=0.0))
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_synthesize_prompt
+from helpers import feasible_by_substitution, reference_synthesize_prompt
 
 from pdsim import cloudsim, harness
 from pdsim.devicesim import ScrubRule, scrub
@@ -29,7 +29,7 @@ from pdsim.harness import (
     synthesized_shape,
     write_trace,
 )
-from pdsim.planner import check_plan, solve_plan
+from pdsim.planner import solve_plan
 from pdsim.refiner import TokenizedPrompt, tokenize
 from pdsim.timing import ttft_cloud
 
@@ -435,7 +435,7 @@ class TestRunExperiment:
         for row in rows:
             model, constraints = config.models[row.device_class], config.scenes[row.scene]
             assert row.L == solve_plan(model, constraints, row.l, ratio=0.4).max_tokens, row.request_id
-            assert row.feasible == check_plan(model, constraints, row.l, 0.4, row.L)
+            assert row.feasible == feasible_by_substitution(model, constraints, row.l, 0.4, row.L)
 
 
 class TestReport:

@@ -5,18 +5,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_plan, random_planner_instance
+from helpers import brute_force_plan, feasible_by_substitution, random_planner_instance
 
 from pdsim.harness import default_config, write_plans
-from pdsim.planner import (
-    PlanConstraints,
-    build_plan_table,
-    check_plan,
-    l_bounds,
-    operating_point,
-    r_bounds,
-    solve_plan,
-)
+from pdsim.planner import PlanConstraints, build_plan_table, l_bounds, r_bounds, solve_plan
 from pdsim.timing import AffineCost, RttClass, TimingModel, smoothed_tpot, ttft_cloud, ttft_device
 
 
@@ -107,16 +99,7 @@ class TestSolvePlan:
             if not plan.feasible:
                 continue
             checked += 1
-            ratio, budget = plan.ratio, plan.max_tokens
-            bound = model.overhead_ms(tokens)
-            assert constraints.min_ratio <= ratio
-            assert model.k_cloud * tokens + bound + model.k_device * ratio * tokens <= model.k_device * tokens + 1e-9
-            tc = ttft_cloud(model, tokens, ratio, model.rtt.mean_ms)
-            td = ttft_device(model, tokens, ratio, tc)
-            surplus = model.k_device * ratio * tokens - tc
-            assert surplus <= (budget - 1) * (constraints.max_tpot_ms - model.tpot_device) + 1e-9
-            assert tc + (budget - 1) * model.tpot_cloud <= td + 1e-9
-            assert check_plan(model, constraints, tokens, ratio, budget)
+            assert feasible_by_substitution(model, constraints, tokens, plan.ratio, plan.max_tokens)
         assert checked >= 20
 
     def test_oracle_equivalence_sample(self):
@@ -176,42 +159,37 @@ class TestPlanTable:
         assert len(lines) == 3
 
 
-class TestOperatingPoint:
-    """``operating_point`` for doc_qa prompts of 8000 tokens, or off the default config's bucket grid."""
+class TestPinnedPoints:
+    """``solve_plan`` with pins, for doc_qa prompts of 8000 tokens or off the default config's bucket grid."""
 
     CONSTRAINTS = PlanConstraints(0.25, 100.0)
 
     def point(self, model, **pinned):
-        return operating_point(model, self.CONSTRAINTS, 8000, **pinned)
-
-    def test_unpinned_point_is_the_plan_at_the_prompt_length(self, calibrated_model):
-        plan = solve_plan(calibrated_model, self.CONSTRAINTS, 8000)
-        point = self.point(calibrated_model)
-        assert (point.ratio, point.max_tokens, point.feasible) == (plan.ratio, plan.max_tokens, plan.feasible)
-        assert plan.feasible and plan.ratio == 0.25
+        return solve_plan(model, self.CONSTRAINTS, 8000, **pinned)
 
     def test_off_grid_lengths_are_planned_at_their_own_length(self):
         # the default buckets are 1k..32k; neither length is one of them
         config = default_config()
         model, constraints = config.models["phone"], config.scenes["doc_qa"]
-        short = operating_point(model, constraints, 4100)
-        assert short.max_tokens == solve_plan(model, constraints, 4100).max_tokens == 12
-        assert short.max_tokens < solve_plan(model, constraints, 8000).max_tokens
+        assert solve_plan(model, constraints, 4100).max_tokens == 12
+        assert solve_plan(model, constraints, 4100).max_tokens < solve_plan(model, constraints, 8000).max_tokens
         # past the largest bucket its point no longer meets the pace target
-        assert not check_plan(model, constraints, 40000, 0.25, solve_plan(model, constraints, 32000).max_tokens)
-        long = operating_point(model, constraints, 40000)
+        bucket_budget = solve_plan(model, constraints, 32000).max_tokens
+        assert not solve_plan(model, constraints, 40000, ratio=0.25, max_tokens=bucket_budget).feasible
+        assert not feasible_by_substitution(model, constraints, 40000, 0.25, bucket_budget)
+        long = solve_plan(model, constraints, 40000)
         assert (long.ratio, long.max_tokens, long.feasible) == (0.25, 116, True)
-        assert check_plan(model, constraints, 40000, long.ratio, long.max_tokens)
+        assert feasible_by_substitution(model, constraints, 40000, long.ratio, long.max_tokens)
 
     def test_pinned_ratio_solves_the_budget_at_that_ratio(self, calibrated_model):
-        point = self.point(calibrated_model, ratio=0.5)
-        pinned = solve_plan(calibrated_model, self.CONSTRAINTS, 8000, ratio=0.5)
-        assert (point.ratio, point.max_tokens) == (0.5, pinned.max_tokens)
-        assert pinned.max_tokens != solve_plan(calibrated_model, self.CONSTRAINTS, 8000).max_tokens
-        assert point.feasible == check_plan(calibrated_model, self.CONSTRAINTS, 8000, 0.5, pinned.max_tokens) is True
+        pinned = self.point(calibrated_model, ratio=0.5)
+        assert pinned.ratio == 0.5
+        assert pinned.max_tokens != self.point(calibrated_model).max_tokens
+        assert pinned.feasible
+        assert feasible_by_substitution(calibrated_model, self.CONSTRAINTS, 8000, 0.5, pinned.max_tokens)
 
     def test_pinned_budget_keeps_the_planned_ratio(self, calibrated_model):
-        plan = solve_plan(calibrated_model, self.CONSTRAINTS, 8000)
+        plan = self.point(calibrated_model)
         short = self.point(calibrated_model, max_tokens=3)
         assert (short.ratio, short.max_tokens) == (plan.ratio, 3)
         # 3 tokens cannot amortize the device prefill under 100 ms
@@ -222,7 +200,7 @@ class TestOperatingPoint:
         for ratio, budget in ((0.5, 20), (0.5, 1), (0.95, 20)):
             point = self.point(calibrated_model, ratio=ratio, max_tokens=budget)
             assert (point.ratio, point.max_tokens) == (ratio, budget)
-            assert point.feasible == check_plan(calibrated_model, self.CONSTRAINTS, 8000, ratio, budget)
+            assert point.feasible == feasible_by_substitution(calibrated_model, self.CONSTRAINTS, 8000, ratio, budget)
         # one token leaves nothing to pace; 0.95 is above the ratio interval
         assert not self.point(calibrated_model, ratio=0.5, max_tokens=1).feasible
         assert not self.point(calibrated_model, ratio=0.95, max_tokens=20).feasible
@@ -246,7 +224,7 @@ def _timing_models(draw) -> TimingModel:
     )
 
 
-class TestFeasibleMeansCheckPlan:
+class TestFeasibleMeansSubstitution:
     @settings(max_examples=400, deadline=None)
     @given(
         model=_timing_models(),
@@ -256,10 +234,10 @@ class TestFeasibleMeansCheckPlan:
         ratio=st.none() | st.floats(0.0, 1.0, exclude_min=True),
         max_tokens=st.none() | st.integers(1, 500),
     )
-    def test_operating_point_is_feasible_exactly_when_check_plan_holds(
+    def test_plan_is_feasible_exactly_when_its_point_holds_by_substitution(
         self, model, min_ratio, slack_ms, prompt_tokens, ratio, max_tokens
     ):
         constraints = PlanConstraints(min_ratio, model.tpot_device + slack_ms)
         assume(constraints.max_tpot_ms > model.tpot_device)
-        point = operating_point(model, constraints, prompt_tokens, ratio=ratio, max_tokens=max_tokens)
-        assert point.feasible == check_plan(model, constraints, prompt_tokens, point.ratio, point.max_tokens)
+        plan = solve_plan(model, constraints, prompt_tokens, ratio=ratio, max_tokens=max_tokens)
+        assert plan.feasible == feasible_by_substitution(model, constraints, prompt_tokens, plan.ratio, plan.max_tokens)

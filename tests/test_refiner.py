@@ -19,11 +19,9 @@ from helpers import (
 )
 
 from pdsim.refiner import (
-    AttentionInputs,
     SelectionMask,
     TokenScores,
     TokenizedPrompt,
-    attention_weights,
     max_pool_1d,
     refined_text,
     score_tokens,
@@ -32,21 +30,6 @@ from pdsim.refiner import (
     split_sentences,
     tokenize,
 )
-
-
-def brute_force_attention(q, k, v, hidden):
-    """Dense reference: explicit loops, no vectorized shortcuts."""
-    w = [[0.0] * len(k) for _ in range(len(q))]
-    for i, row in enumerate(q):
-        logits = [sum(a * b for a, b in zip(row, key)) / math.sqrt(hidden) for key in k]
-        peak = max(logits)
-        exps = [math.exp(x - peak) for x in logits]
-        total = sum(exps)
-        w[i] = [x / total for x in exps]
-    out = None
-    if v is not None:
-        out = [[sum(w[i][j] * v[j][d] for j in range(len(k))) for d in range(len(v[0]))] for i in range(len(q))]
-    return w, out
 
 
 class TestTokenizer:
@@ -88,57 +71,6 @@ class TestTokenizer:
     def test_prefix_and_suffix_counts_must_be_ints_of_at_least_zero(self, part, count):
         with pytest.raises(ValueError, match="prefix and suffix token counts must"):
             TokenizedPrompt(**{"prefix_tokens": 0, "sentence_sizes": (2,), "suffix_tokens": 0, part: count})
-
-
-class TestAttentionWeights:
-    def test_matching_key_dominates(self):
-        k = np.eye(3)
-        q = np.array([[50.0, 0.0, 0.0]])
-        weights, _ = attention_weights(AttentionInputs(q_window=q, k_full=k, hidden_size=3))
-        expected, _ = brute_force_attention(q.tolist(), k.tolist(), None, 3)
-        assert np.allclose(weights, expected, atol=1e-12)
-        assert weights[0, 0] > 0.999
-
-    def test_zero_query_is_uniform(self):
-        rng = np.random.default_rng(0)
-        k = rng.normal(size=(7, 4))
-        weights, _ = attention_weights(AttentionInputs(q_window=np.zeros((2, 4)), k_full=k, hidden_size=4))
-        assert np.allclose(weights, 1.0 / 7.0)
-
-    def test_scale_invariance(self):
-        rng = np.random.default_rng(1)
-        q = rng.normal(size=(3, 8))
-        k = rng.normal(size=(10, 8))
-        base, _ = attention_weights(AttentionInputs(q_window=q, k_full=k, hidden_size=8))
-        c = 2.0
-        scaled, _ = attention_weights(AttentionInputs(q_window=c * q, k_full=c * k, hidden_size=int(c**4 * 8)))
-        assert np.allclose(base, scaled, atol=1e-12)
-
-    def test_rows_sum_to_one_and_match_brute_force_with_values(self):
-        rng = np.random.default_rng(2)
-        for _ in range(25):
-            w_rows = rng.integers(1, 17)
-            keys = rng.integers(int(w_rows), 17)
-            dim = rng.integers(1, 17)
-            q = rng.normal(size=(w_rows, dim))
-            k = rng.normal(size=(keys, dim))
-            v = rng.normal(size=(keys, dim))
-            weights, out = attention_weights(AttentionInputs(q_window=q, k_full=k, v_full=v, hidden_size=int(dim)))
-            assert np.allclose(weights.sum(axis=1), 1.0, atol=1e-6)
-            ref_w, ref_out = brute_force_attention(q.tolist(), k.tolist(), v.tolist(), int(dim))
-            assert np.allclose(weights, ref_w, atol=1e-9)
-            assert np.allclose(out, ref_out, atol=1e-9)
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            AttentionInputs(q_window=np.zeros((2, 3)), k_full=np.zeros((4, 5)), hidden_size=3)
-        with pytest.raises(ValueError):
-            AttentionInputs(q_window=np.zeros((5, 3)), k_full=np.zeros((4, 3)), hidden_size=3)
-
-    def test_non_finite_rejected(self):
-        bad = np.array([[np.nan, 0.0]])
-        with pytest.raises(ValueError):
-            AttentionInputs(q_window=bad, k_full=np.zeros((2, 2)), hidden_size=2)
 
 
 class TestScoreTokens:
