@@ -437,6 +437,20 @@ class TestRunExperiment:
             assert row.L == solve_plan(model, constraints, row.l, ratio=0.4).max_tokens, row.request_id
             assert row.feasible == feasible_by_substitution(model, constraints, row.l, 0.4, row.L)
 
+    def test_pinned_budget_rows_are_judged_at_the_served_prompt(self, tmp_path):
+        data = json.loads((DATA / "report_config.json").read_text())
+        data["variants"] = [{"name": "L12", "max_tokens": 12}, {"name": "r40L30", "ratio": 0.4, "max_tokens": 30}]
+        config = config_from_dict(data)
+        run_experiment(config, tmp_path)
+        for name, budget in (("L12", 12), ("r40L30", 30)):
+            rows = read_trace(tmp_path / f"trace_{name}.csv")
+            assert len(rows) == 10 and {row.L for row in rows} == {budget}
+            for row in rows:
+                model, constraints = config.models[row.device_class], config.scenes[row.scene]
+                ratio = 0.4 if name == "r40L30" else solve_plan(model, constraints, row.l).ratio
+                assert row.r == ratio, row.request_id
+                assert row.feasible == feasible_by_substitution(model, constraints, row.l, ratio, budget)
+
 
 class TestReport:
     def test_report_over_traces(self, tmp_path):

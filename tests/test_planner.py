@@ -102,6 +102,19 @@ class TestSolvePlan:
             assert feasible_by_substitution(model, constraints, tokens, plan.ratio, plan.max_tokens)
         assert checked >= 20
 
+    def test_unpinned_budget_is_the_lower_bound_or_the_occupancy_clamp(self, calibrated_model):
+        for constraints in (PlanConstraints(0.25, 100.0), PlanConstraints(0.25, 31.0)):
+            plan = solve_plan(calibrated_model, constraints, 8000)
+            tc = ttft_cloud(calibrated_model, 8000, plan.ratio, calibrated_model.rtt.mean_ms)
+            td = ttft_device(calibrated_model, 8000, plan.ratio, tc)
+            lo, hi = l_bounds(calibrated_model, constraints, 8000, plan.ratio, tc, td)
+            if lo <= hi:
+                assert (plan.max_tokens, plan.feasible) == (lo, True)
+            else:
+                # a 31 ms pace target leaves the budget interval empty
+                assert constraints.max_tpot_ms == 31.0
+                assert (plan.max_tokens, plan.feasible) == (max(hi, 1), False)
+
     def test_oracle_equivalence_sample(self):
         rng = random.Random(11)
         agreements = 0
@@ -167,6 +180,14 @@ class TestPinnedPoints:
     def point(self, model, **pinned):
         return solve_plan(model, self.CONSTRAINTS, 8000, **pinned)
 
+    def test_unpinned_point_is_the_plan_at_the_prompt_length(self, calibrated_model):
+        plan = self.point(calibrated_model)
+        assert plan.feasible and plan.ratio == 0.25
+        # pinning a plan's own point judges it as solved
+        assert self.point(calibrated_model, ratio=plan.ratio, max_tokens=plan.max_tokens) == plan
+        assert self.point(calibrated_model, ratio=plan.ratio) == plan
+        assert self.point(calibrated_model, max_tokens=plan.max_tokens) == plan
+
     def test_off_grid_lengths_are_planned_at_their_own_length(self):
         # the default buckets are 1k..32k; neither length is one of them
         config = default_config()
@@ -205,6 +226,15 @@ class TestPinnedPoints:
         assert not self.point(calibrated_model, ratio=0.5, max_tokens=1).feasible
         assert not self.point(calibrated_model, ratio=0.95, max_tokens=20).feasible
 
+    def test_pinned_ratio_outside_the_ratio_interval_is_infeasible_at_any_budget(self, calibrated_model):
+        lo, hi = r_bounds(calibrated_model, self.CONSTRAINTS, 8000)
+        for ratio in (lo / 2, (hi + 1.0) / 2):
+            solved = self.point(calibrated_model, ratio=ratio)
+            assert solved.ratio == ratio and not solved.feasible
+            for budget in (2, solved.max_tokens, 200):
+                assert not self.point(calibrated_model, ratio=ratio, max_tokens=budget).feasible
+                assert not feasible_by_substitution(calibrated_model, self.CONSTRAINTS, 8000, ratio, budget)
+
 
 _COSTS = st.builds(AffineCost, st.floats(0.0, 100.0), st.floats(0.0, 0.05))
 
@@ -241,3 +271,26 @@ class TestFeasibleMeansSubstitution:
         assume(constraints.max_tpot_ms > model.tpot_device)
         plan = solve_plan(model, constraints, prompt_tokens, ratio=ratio, max_tokens=max_tokens)
         assert plan.feasible == feasible_by_substitution(model, constraints, prompt_tokens, plan.ratio, plan.max_tokens)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        model=_timing_models(),
+        min_ratio=st.floats(0.0, 1.0),
+        slack_ms=st.floats(0.0, 200.0, exclude_min=True),
+        prompt_tokens=st.integers(40, 60000),
+        ratio=st.none() | st.floats(0.0, 1.0, exclude_min=True),
+        data=st.data(),
+    )
+    def test_budgets_at_the_interval_edges_are_judged_as_by_substitution(
+        self, model, min_ratio, slack_ms, prompt_tokens, ratio, data
+    ):
+        # budgets drawn at random seldom land on an edge of l_bounds; these do
+        constraints = PlanConstraints(min_ratio, model.tpot_device + slack_ms)
+        assume(constraints.max_tpot_ms > model.tpot_device)
+        served = solve_plan(model, constraints, prompt_tokens, ratio=ratio).ratio
+        tc = ttft_cloud(model, prompt_tokens, served, model.rtt.mean_ms)
+        lo, hi = l_bounds(model, constraints, prompt_tokens, served, tc, ttft_device(model, prompt_tokens, served, tc))
+        edges = sorted({1, 2, lo - 1, lo, hi, hi + 1} - {b for b in (lo - 1, hi, hi + 1) if b < 1})
+        budget = data.draw(st.sampled_from(edges), label="budget")
+        plan = solve_plan(model, constraints, prompt_tokens, ratio=served, max_tokens=budget)
+        assert plan.feasible == feasible_by_substitution(model, constraints, prompt_tokens, served, budget)
