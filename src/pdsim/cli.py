@@ -51,6 +51,8 @@ def read_weight_dump(path: str | Path) -> list[np.ndarray]:
     if len(data) != expect:
         raise ValueError(f"weight dump is {len(data)} bytes, expected {expect}")
     flat = np.frombuffer(data, dtype="<f4", offset=_WEIGHT_HEADER.size)
+    if not np.isfinite(flat).all():
+        raise ValueError("weight dump holds a NaN or infinite weight")
     return [m.astype(np.float64) for m in flat.reshape(heads, window, keys)]
 
 

@@ -24,10 +24,9 @@ digits) cannot hold a real-text pattern such as a phone number.
 
 The simulated path needs only each prompt's shape (``TokenizedPrompt``:
 prefix, sentence and suffix token counts) and makes no token strings. A
-prompt that scrubbing left as synthesized is shaped from the synthesis's
-sentence sizes by ``synthesized_shape``, which checks them against the text
-with ``str.count`` over the synthesized format; a prompt a rule changes is
-counted by ``TokenizedPrompt.from_text``.
+prompt that scrubbing left as synthesized takes its shape from its synthesis:
+the workload's prefix and suffix token counts and the synthesized sentence
+sizes. A prompt a rule changes is counted by ``TokenizedPrompt.from_text``.
 """
 
 from __future__ import annotations
@@ -446,8 +445,9 @@ def synthesize_prompt(rng: random.Random, total_tokens: int, prefix_tokens: int,
 
     Returns the prefix, content and suffix texts and the content's sentence
     sizes: each sentence's token count, its words plus its '.', as
-    ``TokenizedPrompt.from_text`` counts them (``synthesized_shape`` builds
-    the prompt's shape from these four without tokenizing).
+    ``TokenizedPrompt.from_text`` counts them. The prefix holds exactly
+    ``prefix_tokens`` tokens and the suffix ``suffix_tokens``, so these sizes
+    and the two counts are the texts' shape without tokenizing.
 
     Exact replay: the text, and the state ``rng`` is left in, equal those of
     drawing one by one with ``rng`` the prefix words, the suffix words, then
@@ -486,42 +486,13 @@ def synthesize_prompt(rng: random.Random, total_tokens: int, prefix_tokens: int,
     return prefix, _word_text(content, np.cumsum(sizes) - 1), suffix, tuple(words + 1 for words in sizes)
 
 
-def _synthesized_tokens(text: str) -> int:
-    """Tokens of a synthesized prefix or suffix: one more than its spaces, none when empty."""
-    return text.count(" ") + 1 if text else 0
-
-
-def synthesized_shape(prefix: str, content: str, suffix: str, sentence_sizes: tuple[int, ...]) -> TokenizedPrompt:
-    """The ``TokenizedPrompt`` of texts that ``synthesize_prompt`` wrote, which equals their ``from_text``.
-
-    Counted by the synthesized format rather than tokenized: words are
-    ``w<digits>`` separated by single spaces, a '.' follows each sentence's
-    last word, and a suffix ends in a '?', set apart by a space when words
-    precede it. So a part holds one token more than it has spaces, and the
-    content one more per '.'. ``sentence_sizes`` comes from the synthesis;
-    content whose count of sentences or of tokens disagrees with it raises
-    ValueError.
-    """
-    sentences = content.count(".")
-    tokens = content.count(" ") + 1 + sentences
-    if sentences != len(sentence_sizes) or tokens != sum(sentence_sizes):
-        raise ValueError(
-            f"synthesized content holds {tokens} tokens in {sentences} sentences, "
-            f"its sizes {sum(sentence_sizes)} in {len(sentence_sizes)}"
-        )
-    return TokenizedPrompt(
-        prefix_tokens=_synthesized_tokens(prefix),
-        sentence_sizes=sentence_sizes,
-        suffix_tokens=_synthesized_tokens(suffix),
-    )
-
-
 @dataclass(frozen=True)
 class GeneratedRequest:
     """One synthesized request; ``sentence_sizes`` holds the token count of each
     synthesized content sentence when scrubbing left every part of its text
-    unchanged, and None otherwise: the prompt's shape is then built from it
-    (``synthesized_shape``), or else counted from the scrubbed text."""
+    unchanged, and None otherwise. The prompt's shape is then the synthesis's:
+    these sizes between the workload's prefix and suffix token counts; or else
+    ``TokenizedPrompt.from_text`` counts the scrubbed text."""
 
     request: AssistRequest
     output_tokens: int
@@ -627,9 +598,16 @@ def _parse_bool(text: str) -> bool:
     return text == "true"
 
 
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):  # float() reads nan and inf, which _fmt never writes
+        raise ValueError(f"must be a finite number, got {text!r}")
+    return value
+
+
 # the inverse of ``_fmt``, by annotation (annotations are strings here)
-_PARSERS = {"str": str, "int": int, "float": float, "bool": _parse_bool,
-            "float | None": lambda text: float(text) if text else None}
+_PARSERS = {"str": str, "int": int, "float": _parse_float, "bool": _parse_bool,
+            "float | None": lambda text: _parse_float(text) if text else None}
 _TRACE_FIELDS = tuple(f.name for f in fields(TraceRow))
 _TRACE_PARSERS = tuple(_PARSERS[f.type] for f in fields(TraceRow))
 
@@ -732,6 +710,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path, seed: int | No
     """Run every variant over the shared workload; write plans, traces and summaries (none if the workload is invalid)."""
     seed = config.seed if seed is None else seed
     workload = generate_workload(config, seed)
+    w = config.workload
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -751,7 +730,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path, seed: int | No
         if gen.sentence_sizes is None:
             prompt = TokenizedPrompt.from_text(req.prefix, req.content, req.suffix)
         else:
-            prompt = synthesized_shape(req.prefix, req.content, req.suffix, gen.sentence_sizes)
+            prompt = TokenizedPrompt(w.prefix_tokens, gen.sentence_sizes, w.suffix_tokens)
         # every variant selects by the same scores; called through the module
         # so that a wrapper installed on pdsim.cloudsim sees the call
         scores = cloudsim.uniform_scores(prompt, f"{seed}:{req.request_id}")

@@ -1,4 +1,4 @@
-r"""Prompt refinement: attention-window token scoring and sentence selection.
+"""Prompt refinement: attention-window token scoring and sentence selection.
 
 Both ends of the protocol share one deterministic reference tokenizer
 (whitespace word split, punctuation as separate tokens), so a selection mask
@@ -7,19 +7,12 @@ Selecting and checking a mask need only the prompt's shape, so a request's
 prompt is built once into a ``TokenizedPrompt``: its prefix token count, the
 token count of each content sentence and its suffix token count, from which
 the per-token sentence labels are derived. The cloud uses it to select whole
-sentences, and the device uses it to check the mask. ``from_text`` counts
-any text; a prompt that ``harness.synthesize_prompt`` wrote and scrubbing
-left unchanged is shaped from the synthesis's own sentence sizes
-(``harness.synthesized_shape``), with the same result. Token strings are made
-only where a caller prints them: ``refined_text`` tokenizes the texts and
-applies the mask.
-
-``tokenize`` and ``split_sentences`` are the public tokenization and
-segmentation. ``TokenizedPrompt.from_text`` agrees with them token for token
-and sentence for sentence, but counts the content in one whitespace pass
-that runs the regex only on chunks holding punctuation or ``_``. That is
-exact because ``\s`` matches exactly what ``str.split()`` splits on and
-``\w`` exactly the characters with ``c.isalnum() or c == "_"``.
+sentences, and the device uses it to check the mask. A shape has two sources:
+``from_text`` counts any text with ``tokenize`` over ``split_sentences``, and
+a prompt that ``harness.synthesize_prompt`` wrote and scrubbing left unchanged
+is shaped from the sizes its synthesis returned. Token strings are made only
+where a caller prints them: ``refined_text`` tokenizes the texts and applies
+the mask.
 """
 
 from __future__ import annotations
@@ -28,7 +21,6 @@ import re
 from dataclasses import dataclass, field
 from itertools import compress
 from math import ceil
-from operator import sub
 from typing import Sequence
 
 import numpy as np
@@ -36,7 +28,6 @@ import numpy as np
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 # a run up to and including a terminator; failing that, the terminator-free tail
 _SENTENCE_RE = re.compile(r"[^.!?\n]*[.!?\n]|[^.!?\n]+")
-_TERMINATORS = frozenset(".!?")  # with the newline, what ends a sentence
 
 
 def tokenize(text: str) -> list[str]:
@@ -102,35 +93,10 @@ class TokenizedPrompt:
 
     @classmethod
     def from_text(cls, prefix: str, content: str, suffix: str) -> "TokenizedPrompt":
-        r"""Count the three parts' tokens and size the content's sentences as ``split_sentences`` splits them.
-
-        One pass over the content: split it on newlines, split each line with
-        ``str.split()``, count a chunk for which ``chunk.isalnum()`` holds as one
-        ``\w+`` token, and run ``_TOKEN_RE`` only on the other chunks (those
-        holding punctuation or ``_``). This counts what ``tokenize`` returns
-        because tokens never span whitespace, ``\s`` matches exactly the
-        separators ``str.split()`` uses, and ``\w`` matches exactly the
-        characters with ``c.isalnum() or c == "_"`` (the tests check both over
-        every code point). A sentence ends at a '.', '!' or '?' token and at
-        the last token of each line, so a segment without tokens yields no
-        sentence, as in ``split_sentences``; one size is kept per sentence.
-        """
-        count = 0
-        ends = [0]  # 0, then one past each sentence's last token
-        for line in content.split("\n"):
-            for chunk in line.split():
-                if chunk.isalnum():
-                    count += 1
-                    continue
-                for token in _TOKEN_RE.findall(chunk):
-                    count += 1
-                    if token in _TERMINATORS:
-                        ends.append(count)
-            if ends[-1] != count:
-                ends.append(count)
+        """Count the three parts' tokens and size the content's sentences as ``split_sentences`` splits them."""
         return cls(
             prefix_tokens=len(tokenize(prefix)),
-            sentence_sizes=tuple(map(sub, ends[1:], ends)),
+            sentence_sizes=tuple(len(tokenize(s)) for s in split_sentences(content)),
             suffix_tokens=len(tokenize(suffix)),
         )
 

@@ -1,4 +1,5 @@
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -239,7 +240,12 @@ class TestRefineCommand:
     def test_malformed_prompt_file(self, tmp_path, prompt_text, needle):
         assert needle in self.refine_exit(tmp_path, prompt_text, b"")
 
-    @pytest.mark.parametrize("weights", [b"", b"\x01\x00\x00\x00", bytes(16), bytes(20)])
+    @pytest.mark.parametrize("weights", [
+        b"", b"\x01\x00\x00\x00", bytes(16), bytes(20),
+        # one head, one row, four keys, one of them not finite
+        *(struct.pack("<IIII", 1, 1, 4, 8) + np.array([0.25, bad, 0.25, 0.25], "<f4").tobytes()
+          for bad in (np.nan, np.inf, -np.inf)),
+    ])
     def test_malformed_weight_dump(self, tmp_path, weights):
         prompt_text = json.dumps({"prefix": "sys", "content": "alpha beta. gamma.", "suffix": "q"})
         assert "cannot read weight dump" in self.refine_exit(tmp_path, prompt_text, weights)

@@ -26,7 +26,6 @@ from pdsim.harness import (
     report,
     run_experiment,
     synthesize_prompt,
-    synthesized_shape,
     write_trace,
 )
 from pdsim.planner import solve_plan
@@ -200,22 +199,11 @@ class TestWorkloadSynthesis:
     def test_synthesized_tokens_equal_from_text(self, seed, content_tokens, prefix_tokens, suffix_tokens):
         total = content_tokens + prefix_tokens + suffix_tokens
         *texts, sizes = synthesize_prompt(random.Random(seed), total, prefix_tokens, suffix_tokens)
-        prompt = synthesized_shape(*texts, sizes)
+        prompt = TokenizedPrompt(prefix_tokens, sizes, suffix_tokens)  # the shape run_experiment builds
         assert prompt == TokenizedPrompt.from_text(*texts)  # sentence_sizes included
         assert prompt.total_tokens == total
         counts = (prompt.prefix_tokens, prompt.content_tokens, prompt.suffix_tokens)
         assert counts == tuple(len(tokenize(text)) for text in texts) == (prefix_tokens, content_tokens, suffix_tokens)
-
-    @pytest.mark.parametrize("wrong", [
-        pytest.param(lambda sizes: (*sizes[:-1], sizes[-1] + 1), id="sum-one-too-high"),
-        pytest.param(lambda sizes: (sizes[0] - 1, *sizes[1:]), id="sum-one-too-low"),
-        pytest.param(lambda sizes: (*sizes, 1), id="extra-sentence"),
-        pytest.param(lambda sizes: (*sizes[:-2], sizes[-2] + sizes[-1]), id="merged-sentences"),  # the sum agrees
-    ])
-    def test_sizes_that_disagree_with_the_text_raise(self, wrong):
-        *texts, sizes = synthesize_prompt(random.Random(3), 400, 6, 4)
-        with pytest.raises(ValueError, match="synthesized content holds"):
-            synthesized_shape(*texts, wrong(sizes))
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**64 - 1), prompt_shapes())
@@ -250,6 +238,12 @@ class TestWorkloadSynthesis:
         assert [g.request for g in rewritten] == [g.request for g in plain]
         assert [g.sentence_sizes for g in rewritten] == [g.sentence_sizes for g in plain]
         assert None not in [g.sentence_sizes for g in plain]
+        # the synthesized sizes, between the workload's prefix and suffix counts, shape the text
+        w = config_from_dict(data).workload
+        for g in rewritten:
+            req = g.request
+            shape = TokenizedPrompt(w.prefix_tokens, g.sentence_sizes, w.suffix_tokens)
+            assert shape == TokenizedPrompt.from_text(req.prefix, req.content, req.suffix)
 
     def test_custom_scrub_rules_parse_from_config(self):
         data = base_config_dict()
@@ -367,10 +361,13 @@ class TestRunExperiment:
         data = base_config_dict()
         data["workload"]["requests"] = 5
         data["variants"] = [{"name": "planned"}, {"name": "L8", "max_tokens": 8}, {"name": "r40", "ratio": 0.4}]
+        config = config_from_dict(data)
+        shapes = [TokenizedPrompt.from_text(g.request.prefix, g.request.content, g.request.suffix)
+                  for g in generate_workload(config, config.seed)]
         tokenized, built = self.record_prompt_builds(monkeypatch)
-        run_experiment(config_from_dict(data), tmp_path)
+        run_experiment(config, tmp_path)
         assert tokenized == []
-        assert len(built) == 5
+        assert built == shapes
 
     def test_scrubbed_prompts_are_tokenized_once(self, tmp_path, monkeypatch):
         # a rule that rewrites one word value: some requests' text holds it
@@ -383,10 +380,11 @@ class TestRunExperiment:
         plain = [g.request for g in generate_workload(config_from_dict({**data, "scrub_rules": []}), config.seed)]
         changed = [(req.prefix, req.content, req.suffix) for req, was in zip(scrubbed, plain) if req != was]
         assert 0 < len(changed) < 8
+        shapes = [TokenizedPrompt.from_text(req.prefix, req.content, req.suffix) for req in scrubbed]
         tokenized, built = self.record_prompt_builds(monkeypatch)
         run_experiment(config, tmp_path)
         assert tokenized == changed
-        assert len(built) == 8
+        assert built == shapes
 
     def test_each_request_is_scored_once(self, tmp_path, monkeypatch):
         data = base_config_dict()
@@ -475,6 +473,9 @@ class TestReport:
             ("occupancy", "", "column occupancy: could not convert"),
             ("planning_miss", "yes", "column planning_miss: expected true or false, got 'yes'"),
             ("feasible", "True", "column feasible: expected true or false"),
+            ("user_ttft", "nan", "column user_ttft: must be a finite number, got 'nan'"),
+            ("occupancy", "inf", "column occupancy: must be a finite number, got 'inf'"),
+            ("tpot_smooth", "-inf", "column tpot_smooth: must be a finite number, got '-inf'"),
         ],
     )
     def test_bad_values_name_file_line_and_column(self, tmp_path, column, value, needle):
