@@ -60,7 +60,7 @@ def _read_prompt(path: str) -> tuple[str, str, str]:
     """The prefix, content and suffix texts of a prompt file."""
     try:
         prompt_obj = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # deep nesting ends in RecursionError
         raise SystemExit(f"cannot read prompt {path}: {exc}") from exc
     if not isinstance(prompt_obj, dict):
         raise SystemExit(f"prompt {path}: expected a JSON object")

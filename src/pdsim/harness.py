@@ -47,10 +47,10 @@ import numpy as np
 from . import cloudsim
 from .cloudsim import BatchModel, TokenSource, mt_uniform, mt_words, run_throughput, serve_request
 from .devicesim import CorrectionPolicy, ScrubRule, run_session, scrub
-from .planner import Plan, PlanConstraints, build_plan_table, solve_plan
+from .planner import _RATIO_FLOOR, Plan, PlanConstraints, build_plan_table, l_bounds, solve_plan
 from .protocol import AssistRequest
 from .refiner import TokenizedPrompt
-from .timing import RTT_CLASSES, AffineCost, RttClass, TimingModel
+from .timing import RTT_CLASSES, AffineCost, RttClass, TimingModel, ttft_cloud, ttft_device
 
 
 class ConfigError(Exception):
@@ -263,7 +263,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError("config.timing.device_classes: must not be empty")
     models = {
         name: _read(TimingModel, obj, f"config.timing.device_classes.{name}",
-                    rtt=_parse_rtt, compress=_parse_cost, decompress=_parse_cost, overhead_bound=_parse_cost)
+                    rtt=_parse_rtt, compress=_parse_cost, decompress=_parse_cost)
         for name, obj in device_classes.items()
     }
 
@@ -341,22 +341,34 @@ def _validate_config(config: ExperimentConfig) -> None:
     for length in w.prompt_lengths:
         if length < floor:
             raise ConfigError(f"config.workload.prompt_lengths.{length}: shorter than prefix+suffix+16")
+    # planning reads the token budget bounds at every bucket and prompt length;
+    # their quotients are linear in the ratio, so they are finite at every ratio
+    # served if they are at the smallest (the 0.01 floor or a pinned one) and at 1
+    lengths = sorted({*config.buckets, *w.prompt_lengths})
+    ratios = (min((_RATIO_FLOOR, *(v.ratio for v in config.variants if v.ratio is not None))), 1.0)
     for name, model in config.models.items():
-        try:  # planning reads the bound at every bucket and at every prompt length served
-            model.check_overhead_bound((*config.buckets, *w.prompt_lengths))
-        except ValueError as exc:
-            raise ConfigError(f"config.timing.device_classes.{name}: {exc}") from exc
         for scene, constraints in config.scenes.items():
             if constraints.max_tpot_ms <= model.tpot_device:
                 raise ConfigError(
                     f"config.scenes.{scene}.max_tpot_ms: must exceed the device TPOT of {name}"
                 )
+            for length in lengths:
+                for ratio in ratios:
+                    ttft_c = ttft_cloud(model, length, ratio, model.rtt.mean_ms)
+                    ttft_d = ttft_device(model, length, ratio, ttft_c)
+                    try:  # math.ceil or math.floor of an infinite or NaN quotient
+                        l_bounds(model, constraints, length, ratio, ttft_c, ttft_d)
+                    except (OverflowError, ValueError) as exc:
+                        raise ConfigError(
+                            f"config.timing.device_classes.{name}: the token budget bounds of scene {scene} "
+                            f"are not finite at {length} tokens and ratio {ratio}"
+                        ) from exc
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
     try:
         data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError and UnicodeDecodeError
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return config_from_dict(data)
 
@@ -814,22 +826,27 @@ def read_trace(path: str | Path) -> list[TraceRow]:
         raise ReportError(f"cannot read {path}: {exc.strerror}") from exc
     with fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = [name for name in _TRACE_FIELDS if name not in header]
-        if missing:
-            raise ReportError(f"{path}: missing columns {missing}")
-        at = [header.index(name) for name in _TRACE_FIELDS]
-        rows = []
-        for raw in reader:
-            if len(raw) != len(header):
-                raise ReportError(f"{path}: line {reader.line_num}: {len(raw)} values for {len(header)} columns")
-            values = []
-            for name, parse, i in zip(_TRACE_FIELDS, _TRACE_PARSERS, at):
-                try:
-                    values.append(parse(raw[i]))
-                except ValueError as exc:
-                    raise ReportError(f"{path}: line {reader.line_num}: column {name}: {exc}") from None
-            rows.append(TraceRow(*values))
+        try:
+            header = next(reader, [])
+            missing = [name for name in _TRACE_FIELDS if name not in header]
+            if missing:
+                raise ReportError(f"{path}: missing columns {missing}")
+            at = [header.index(name) for name in _TRACE_FIELDS]
+            rows = []
+            for raw in reader:
+                if len(raw) != len(header):
+                    raise ReportError(f"{path}: line {reader.line_num}: {len(raw)} values for {len(header)} columns")
+                values = []
+                for name, parse, i in zip(_TRACE_FIELDS, _TRACE_PARSERS, at):
+                    try:
+                        values.append(parse(raw[i]))
+                    except ValueError as exc:
+                        raise ReportError(f"{path}: line {reader.line_num}: column {name}: {exc}") from None
+                rows.append(TraceRow(*values))
+        except UnicodeDecodeError as exc:  # the file is decoded a block ahead of the parser, so no line is known
+            raise ReportError(f"{path}: cannot decode byte {exc.object[exc.start]:#04x} as {exc.encoding}") from None
+        except csv.Error as exc:  # such as a field over csv.field_size_limit()
+            raise ReportError(f"{path}: line {reader.line_num}: {exc}") from None
         return rows
 
 

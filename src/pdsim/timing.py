@@ -12,7 +12,8 @@ here. Its callers:
   ``solve_plan``), ``devicesim`` with the refined length of the mask.
 - ``ttft_device``: planner (``solve_plan``).
 - ``smoothed_tpot``: planner (achieved pace), ``devicesim`` (display schedule).
-- ``TimingModel.overhead_ms``, the overhead bound: planner (``r_bounds``).
+- ``TimingModel.overhead_ms``, the collaboration overhead (compress + decompress
+  + p95 RTT, derived, never configured): planner (``r_bounds``).
 - ``request_occupancy``: ``cloudsim.serve_request``, whose ``CloudTrace.occupancy_ms``
   becomes the trace's ``occupancy`` column and feeds ``cloudsim.run_throughput``.
 
@@ -24,7 +25,6 @@ calls it once per bucket for ``plans.csv``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 
 class AmortizationUndefined(ValueError):
@@ -63,7 +63,7 @@ RTT_CLASSES: dict[str, RttClass] = {
 
 @dataclass(frozen=True)
 class AffineCost:
-    """A cost linear in the prompt token count (compression, decompression, overhead bound)."""
+    """A cost linear in the prompt token count (compression, decompression)."""
 
     base_ms: float
     per_token_ms: float
@@ -79,11 +79,9 @@ class TimingModel:
     The defaults put an 8k-token prompt at 800 ms cloud prefill, 10 s device
     prefill, ~100 ms mask compression and ~50 ms recovery. ``compress``
     covers mask build + compression on the cloud side, ``decompress`` the
-    device-side recovery, and the overhead bound must dominate compress +
-    decompress + mean RTT for every supported prompt length (checked by
-    :meth:`check_overhead_bound`). ``overhead_bound=None`` bounds it by
-    compress + decompress + the 95th-percentile RTT of the class,
-    deliberately conservative.
+    device-side recovery. The planner's collaboration overhead is derived
+    from them, not configured: compress + decompress + the 95th-percentile
+    RTT of the class (``overhead_ms``), deliberately conservative.
     """
 
     k_cloud: float = 0.1        # cloud prefill, ms per prompt token
@@ -93,7 +91,6 @@ class TimingModel:
     rtt: RttClass = RTT_CLASSES["wifi"]
     compress: AffineCost = AffineCost(20.0, 0.01)
     decompress: AffineCost = AffineCost(10.0, 0.005)
-    overhead_bound: AffineCost | None = None
 
     def __post_init__(self) -> None:
         for name in ("k_cloud", "k_device", "tpot_cloud", "tpot_device"):
@@ -103,21 +100,8 @@ class TimingModel:
             raise ValueError("device prefill must be slower than cloud (k_device > k_cloud)")
 
     def overhead_ms(self, tokens: int) -> float:
-        """The overhead bound at ``tokens`` prompt tokens."""
-        if self.overhead_bound is None:
-            return self.compress(tokens) + self.decompress(tokens) + self.rtt.p95_ms
-        return self.overhead_bound(tokens)
-
-    def check_overhead_bound(self, lengths: Iterable[int]) -> None:
-        """Verify overhead_ms(l) >= compress(l) + decompress(l) + mean RTT."""
-        for l in lengths:
-            bound = self.overhead_ms(l)
-            need = self.compress(l) + self.decompress(l) + self.rtt.mean_ms
-            if bound < need - 1e-9:
-                raise ValueError(
-                    f"overhead_bound({l}) = {bound:.3f} ms does not cover "
-                    f"compress+decompress+RTT = {need:.3f} ms"
-                )
+        """The collaboration overhead at ``tokens`` prompt tokens: compress + decompress + p95 RTT."""
+        return self.compress(tokens) + self.decompress(tokens) + self.rtt.p95_ms
 
 
 def _check_domain(prompt_tokens: int, ratio: float, rtt_ms: float) -> None:

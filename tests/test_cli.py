@@ -98,8 +98,6 @@ class TestMalformedConfig:
              "config.timing.device_classes.phone.compress.per_token_ms"),
             (_set("timing", "device_classes", "tablet", "decompress", {"base_ms": -50.0, "per_token_ms": -0.01}),
              "config.timing.device_classes.tablet.decompress.base_ms"),
-            (_set("timing", "device_classes", "phone", "overhead_bound", {"base_ms": 500.0, "per_token_ms": -0.01}),
-             "config.timing.device_classes.phone.overhead_bound.per_token_ms"),
             (_set("timing", "device_classes", "tablet", 5), "config.timing.device_classes.tablet"),
             (_set("timing", "device_classes", "phone", "rtt", "5g"), "config.timing.device_classes.phone.rtt"),
             (_set("timing", "device_classes", "phone", "rtt", {"name": "x", "mean_ms": -5.0}),
@@ -141,14 +139,20 @@ class TestMalformedConfig:
             (_set("batch", "complet", 64), "config.batch.complet"),
             (_set("variants", [{"name": "r50", "ratoi": 0.5}]), "config.variants[0].ratoi"),
             (_set("scrub_rules", [{"pattern": "a", "replacement": "b", "flags": "i"}]), "config.scrub_rules[0].flags"),
-            # omitting the key gives the default bound
+            # the planner's overhead is derived from compress, decompress and the RTT, never configured
             (_set("timing", "device_classes", "phone", "overhead_bound", "auto"),
              "config.timing.device_classes.phone.overhead_bound"),
-            # the bound covers every bucket, but a 60k prompt is planned at its own
-            # length: 200 + 0.012 * 60000 = 920 ms against 980 ms of compress +
-            # decompress + mean RTT
-            (_all(_set("timing", "device_classes", "phone", "overhead_bound", {"base_ms": 200, "per_token_ms": 0.012}),
-                  _set("workload", "prompt_lengths", {"2000": 0.5, "60000": 0.5})),
+            # finite values whose token budget bounds overflow a float
+            (_set("timing", "device_classes", "phone", "k_device", 1e306), "config.timing.device_classes.phone"),
+            (_set("timing", "device_classes", "phone", "tpot_cloud", 1e-320), "config.timing.device_classes.phone"),
+            (_set("timing", "device_classes", "phone", "compress", {"base_ms": 1.7e308, "per_token_ms": 1e305}),
+             "config.timing.device_classes.phone"),
+            # finite at ratios 0.01 and 1, but at the ratio a variant pins about -0.9e308 ms
+            # of prefill surplus over a 0.5003 ms pace margin overflows
+            (_all(_set("timing", "device_classes", "phone", "k_device", 1.1e304),
+                  _set("timing", "device_classes", "phone", "tpot_device", 99.4997),
+                  _set("timing", "device_classes", "phone", "compress", {"base_ms": 0.9e308, "per_token_ms": 0.01}),
+                  _set("variants", [{"name": "planned"}, {"name": "tiny", "ratio": 0.0001}])),
              "config.timing.device_classes.phone"),
         ],
     )
@@ -160,6 +164,16 @@ class TestMalformedConfig:
         assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key_path}: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "plan"])
+    @pytest.mark.parametrize("content", [b'{"seed": 1\xff}', b"[" * 100000 + b"]" * 100000], ids=["not-utf-8", "deep"])
+    def test_unreadable_config_ends_in_one_error_line(self, tmp_path, capsys, command, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert main([command, "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config {bad}: ") and err.count("\n") == 1, err
         assert not (tmp_path / "out").exists()
 
 
@@ -232,6 +246,7 @@ class TestRefineCommand:
         "prompt_text,needle",
         [
             ("{not json", "cannot read prompt"),
+            pytest.param("[" * 100000 + "]" * 100000, "cannot read prompt", id="deep"),
             ('["sys", "content", "q"]', "expected a JSON object"),
             ('{"prefix": "sys", "content": 42}', "must be strings"),
             ('{"content": ["a", "b"]}', "must be strings"),

@@ -489,6 +489,19 @@ class TestReport:
         with pytest.raises(ReportError, match=f"^{re.escape(str(bad))}: line 4: {re.escape(needle)}"):
             report([bad], tmp_path / "rep")
 
+    def test_undecodable_byte_names_file(self, tmp_path):
+        bad = tmp_path / "trace_bad.csv"
+        bad.write_bytes((GOLDEN / "report" / "trace_planned.csv").read_bytes() + b"planned,\xff\n")
+        with pytest.raises(ReportError, match=f"^{re.escape(str(bad))}: cannot decode byte 0xff"):
+            report([bad], tmp_path / "rep")
+
+    def test_field_over_the_csv_limit_names_file_and_line(self, tmp_path):
+        lines = (GOLDEN / "report" / "trace_planned.csv").read_text().splitlines()
+        bad = tmp_path / "trace_bad.csv"
+        bad.write_text("\n".join([*lines[:3], "x" * (csv.field_size_limit() + 1) + lines[3]]) + "\n")
+        with pytest.raises(ReportError, match=f"^{re.escape(str(bad))}: line 4: field larger than field limit"):
+            report([bad], tmp_path / "rep")
+
     def test_short_row_raises(self, tmp_path):
         lines = (GOLDEN / "report" / "trace_planned.csv").read_text().splitlines()
         bad = tmp_path / "trace_bad.csv"

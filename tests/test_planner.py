@@ -16,10 +16,10 @@ class TestRatioBounds:
     def test_worked_example(self, calibrated_model):
         lo, hi = r_bounds(calibrated_model, PlanConstraints(0.6, 100.0), 8000)
         assert lo == 0.6
-        assert hi == pytest.approx(0.88)
+        assert hi == pytest.approx(0.9)  # 1 - (0.1 + 200 / 8000) / 1.25
 
     def test_interval_empty_when_collaboration_cannot_pay_off(self):
-        model = TimingModel(k_cloud=1.2, k_device=1.25, overhead_bound=AffineCost(0.0, 0.1))
+        model = TimingModel(k_cloud=1.24, k_device=1.25)
         lo, hi = r_bounds(model, PlanConstraints(0.25, 100.0), 8000)
         assert hi <= 0.0
         assert lo > hi
@@ -250,7 +250,6 @@ def _timing_models(draw) -> TimingModel:
         rtt=RttClass("drawn", mean_ms=draw(st.floats(0.0, 300.0))),
         compress=draw(_COSTS),
         decompress=draw(_COSTS),
-        overhead_bound=draw(st.none() | st.builds(AffineCost, st.floats(0.0, 1000.0), st.floats(0.0, 0.2))),
     )
 
 

@@ -347,16 +347,6 @@ class TestMatchesLoopReference:
         )
         assert prompt.sentence_ids == ref_ids
 
-    @settings(max_examples=500, deadline=None)
-    @given(prompt_text)
-    def test_from_text_agrees_with_tokenize_and_split_sentences(self, content):
-        prompt = TokenizedPrompt.from_text(content, content, content)
-        assert prompt.prefix_tokens == prompt.content_tokens == prompt.suffix_tokens == len(tokenize(content))
-        n_sentences = prompt.sentence_ids[-1] + 1 if prompt.sentence_ids else 0
-        assert n_sentences == len(split_sentences(content))
-        assert prompt.sentence_sizes == tuple(len(tokenize(s)) for s in split_sentences(content))
-        assert np.bincount(prompt._ids).tolist() == list(prompt.sentence_sizes)
-
     @settings(max_examples=200, deadline=None)
     @given(scored_prompts(), st.floats(0.0, 1.0, exclude_min=True))
     def test_sentence_order_and_selection(self, scored, ratio):

@@ -163,11 +163,6 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             TimingModel(tpot_cloud=0.0)
 
-    def test_overhead_bound_dominance(self, calibrated_model):
-        calibrated_model.check_overhead_bound([2000, 4000, 8000, 16000, 32000])
-        with pytest.raises(ValueError):
-            calibrated_model.check_overhead_bound([100])  # 5 ms bound < RTT alone
-
     def test_rtt_class(self):
         wifi = RttClass("wifi", 50.0, 10.0)
         assert wifi.p95_ms == pytest.approx(50.0 + 16.45)
