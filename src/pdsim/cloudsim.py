@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .maskcodec import pack
-from .protocol import DONE, AssistRequest, DoneMarker, FirstTokenFrame, StreamEvent, encode_done, encode_first_frame, encode_stream_event
+from .protocol import DONE, DoneMarker, FirstTokenFrame, StreamEvent, encode_done, encode_first_frame, encode_stream_event
 from .refiner import TokenScores, TokenizedPrompt, select_sentences
 from .timing import TimingModel, request_occupancy, ttft_cloud
 
@@ -105,7 +105,7 @@ def uniform_scores(prompt: TokenizedPrompt, seed: int | str) -> TokenScores:
 
 
 def serve_request(
-    req: AssistRequest,
+    req: object,
     prompt: TokenizedPrompt,
     model: TimingModel,
     source: TokenSource,
@@ -123,7 +123,7 @@ def serve_request(
     first one. ``prompt`` is the shape of the request's reference
     tokenization, shared with the device; the mask selects over it by ``scores``. The first token
     leaves ``ttft_cloud`` after ``start_ms`` at round trip ``rtt_ms``.
-    ``req`` is not read; it names the session for callers and for wrappers
+    ``req`` is not read; it names the session by its ``request_id`` for wrappers
     that attribute time per request, as in ``devicesim.run_session``.
     """
     first_token_at = start_ms + ttft_cloud(model, prompt.total_tokens, ratio, rtt_ms)

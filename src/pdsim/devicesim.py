@@ -49,7 +49,7 @@ import numpy as np
 
 from .cloudsim import EOT_TOKEN, TokenSource
 from .maskcodec import unpack
-from .protocol import AssistRequest, DoneMarker, FirstTokenFrame, ProtocolError, StreamEvent
+from .protocol import DoneMarker, FirstTokenFrame, ProtocolError, StreamEvent
 from .refiner import TokenizedPrompt
 from .timing import TimingModel, prefill_device, smoothed_tpot
 
@@ -126,7 +126,7 @@ class DeviceTrace:
 
 
 def run_session(
-    req: AssistRequest,
+    req: object,
     prompt: TokenizedPrompt,
     frame: FirstTokenFrame,
     stream: Iterable[tuple[float, StreamEvent | DoneMarker]],
@@ -139,8 +139,9 @@ def run_session(
 ) -> DeviceTrace:
     """Simulate one device session and return its trace.
 
-    ``req`` is not read; it names the session for callers and for wrappers
-    that attribute time per request. ``prompt`` is the shape of the request's
+    ``req`` is not read; it names the session by its ``request_id`` (a
+    ``harness.GeneratedRequest`` in experiments) for wrappers that attribute
+    time per request. ``prompt`` is the shape of the request's
     reference tokenization, the same one the cloud selected over; the device
     validates the mask length against it.
     ``stream`` holds (arrival time, event-or-DONE) pairs as produced by the

@@ -23,10 +23,12 @@ content and suffix in order. Synthesized words (``w`` plus at most four
 digits) cannot hold a real-text pattern such as a phone number.
 
 The simulated path needs only each prompt's shape (``TokenizedPrompt``:
-prefix, sentence and suffix token counts) and makes no token strings. A
-prompt that scrubbing left as synthesized takes its shape from its synthesis:
-the workload's prefix and suffix token counts and the synthesized sentence
-sizes. A prompt a rule changes is counted by ``TokenizedPrompt.from_text``.
+prefix, sentence and suffix token counts) and makes no text: the workload
+draws a prompt as its sentence sizes (``synthesize_prompt``) between the
+workload's prefix and suffix token counts. Only scrub rules read text, so
+only a config that names one renders each prompt's text from the same draws
+(``render_prompt``); a prompt a rule changes is counted by
+``TokenizedPrompt.from_text``.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from . import cloudsim
 from .cloudsim import BatchModel, TokenSource, mt_uniform, mt_words, run_throughput, serve_request
 from .devicesim import CorrectionPolicy, ScrubRule, run_session, scrub
 from .planner import _RATIO_FLOOR, Plan, PlanConstraints, build_plan_table, l_bounds, solve_plan
-from .protocol import AssistRequest
 from .refiner import TokenizedPrompt
 from .timing import RTT_CLASSES, AffineCost, RttClass, TimingModel, ttft_cloud, ttft_device
 
@@ -395,123 +396,108 @@ _WORD_LIMIT = 10000 << 18  # randrange(10000) keeps w >> 18 and rejects values >
 _LENGTH_LIMIT = 25 << 27  # randint(8, 32) keeps 8 + (w >> 27) and rejects w >> 27 >= 25
 
 
-def _word_text(values: np.ndarray, periods: Sequence[int] = ()) -> str:
-    """``" ".join(f"w{v}" for v in values)`` for values below 10000, with a '.' after the words at ``periods``."""
-    # one row of characters per word: "w", four digit places, ".", " ";
-    # leading zero places and unflagged periods are dropped
-    chars = np.empty((values.size, 7), dtype=np.uint8)
-    keep = np.ones(chars.shape, dtype=bool)
-    chars[:, 0] = ord("w")
-    for col, place in enumerate((1000, 100, 10, 1), start=1):
-        chars[:, col] = values // place % 10 + ord("0")
-        if place > 1:
-            keep[:, col] = values >= place
-    chars[:, 5] = ord(".")
-    keep[:, 5] = False
-    keep[periods, 5] = True
-    chars[:, 6] = ord(" ")
-    return chars[keep].tobytes()[:-1].decode("ascii")
+def _draw_prompt(rng: random.Random, total_tokens: int, prefix_tokens: int,
+                 suffix_tokens: int) -> tuple[np.ndarray, list[int], list[int]]:
+    """Replay ``synthesize_prompt``'s draws over one bulk block of ``rng``'s outputs.
 
-
-def _replay_draws(block: np.ndarray, head_words: int,
-                  content_target: int) -> tuple[np.ndarray, np.ndarray, list[int], int] | None:
-    """The prompt's draws replayed over the outputs ``block``, or None if the block runs short.
-
-    Returns the head word values (prefix, then suffix), the content word
-    values, each sentence's word count and the number of outputs consumed.
-    """
-    is_word = block < _WORD_LIMIT
-    word_at = np.flatnonzero(is_word)  # word_at[r]: the output of the word of rank r
-    # rank[q]: the rank of the first word output after q (int32 sums run about 3x faster than int64)
-    rank = np.cumsum(is_word, dtype=np.int32)
-    output, word_output, first_after = block.item, word_at.item, rank.item
-    starts, sizes = [], []
-    remaining = content_target
-    try:  # an index past the block's end means the block ran short
-        pos = word_output(head_words - 1) + 1 if head_words else 0
-        # each sentence is its words plus a '.'; the last one takes what is left,
-        # so ``remaining`` is never 1 and every sentence has at least one word
-        while remaining > 0:
-            while (w := output(pos)) >= _LENGTH_LIMIT:  # a rejected length draw
-                pos += 1
-            words = 8 + (w >> 27)
-            if remaining - (words + 1) < 10:
-                words = remaining - 1
-            first = first_after(pos)
-            pos = word_output(first + words - 1) + 1
-            starts.append(first)
-            sizes.append(words)
-            remaining -= words + 1
-    except IndexError:
-        return None
-    # sentence i's words are the ranks starts[i] .. starts[i] + sizes[i] - 1
-    offsets = np.cumsum(sizes) - sizes
-    content_ranks = np.repeat(np.asarray(starts) - offsets, sizes) + np.arange(content_target - len(sizes))
-    values = block[word_at] >> 18
-    return values[:head_words], values[content_ranks], sizes, pos
-
-
-def synthesize_prompt(rng: random.Random, total_tokens: int, prefix_tokens: int,
-                      suffix_tokens: int) -> tuple[str, str, str, tuple[int, ...]]:
-    """Build prompt text whose reference tokenization has exactly total_tokens tokens.
-
-    Returns the prefix, content and suffix texts and the content's sentence
-    sizes: each sentence's token count, its words plus its '.', as
-    ``TokenizedPrompt.from_text`` counts them. The prefix holds exactly
-    ``prefix_tokens`` tokens and the suffix ``suffix_tokens``, so these sizes
-    and the two counts are the texts' shape without tokenizing.
-
-    Exact replay: the text, and the state ``rng`` is left in, equal those of
-    drawing one by one with ``rng`` the prefix words, the suffix words, then
-    per sentence a length ``randint(8, 32)`` and its words, each word
-    ``f"w{rng.randrange(10000)}"``.
-
-    CPython draws both from one 32-bit Mersenne Twister output at a time,
-    rejecting outputs out of range, so each draw takes the first acceptable
-    output at or after the current stream position. The outputs come from one
-    bulk ``mt_words`` block. numpy marks the word outputs and ranks them once,
-    so a sentence's words are consecutive ranks, and a loop hops from sentence
-    to sentence: it skips to the next length output, takes the word count
-    from it and continues one past the output of the sentence's last word. A
-    block that runs short is redrawn twice as long from the same state.
-    Finally ``rng`` is rewound and advanced by exactly the outputs consumed.
+    Returns the block and each sentence's first word rank (the block's word
+    outputs ranked from 0) and word count. CPython draws words and lengths
+    from one 32-bit Mersenne Twister output at a time, rejecting outputs out
+    of range, so each draw takes the first acceptable output at or after the
+    current stream position. numpy marks the word outputs and ranks them
+    once, so a sentence's words are consecutive ranks, and a loop hops from
+    sentence to sentence: it skips to the next length output, takes the word
+    count from it and continues one past the output of the sentence's last
+    word. A block that runs short is redrawn twice as long from the same
+    state. Finally ``rng`` is rewound and advanced by exactly the outputs consumed.
     """
     content_target = total_tokens - prefix_tokens - suffix_tokens
     if content_target < 2:
         raise ValueError("prompt too short for the requested prefix/suffix")
-
     head_words = prefix_tokens + max(suffix_tokens - 1, 0)
     state = rng.getstate()
     size = max(_DRAW_BLOCK_WORDS, math.ceil(_DRAW_OUTPUTS_PER_TOKEN * total_tokens))
-    while (replay := _replay_draws(mt_words(rng, size), head_words, content_target)) is None:
-        rng.setstate(state)
-        size *= 2
-    head, content, sizes, consumed = replay
+    while True:
+        block = mt_words(rng, size)
+        is_word = block < _WORD_LIMIT
+        word_at = np.flatnonzero(is_word)  # word_at[r]: the output of the word of rank r
+        # rank[q]: the rank of the first word output after q (int32 sums run about 3x faster than int64)
+        rank = np.cumsum(is_word, dtype=np.int32)
+        output, word_output, first_after = block.item, word_at.item, rank.item
+        starts, sizes = [], []
+        remaining = content_target
+        try:  # an index past the block's end means the block ran short
+            pos = word_output(head_words - 1) + 1 if head_words else 0
+            # each sentence is its words plus a '.'; the last one takes what is left,
+            # so ``remaining`` is never 1 and every sentence has at least one word
+            while remaining > 0:
+                while (w := output(pos)) >= _LENGTH_LIMIT:  # a rejected length draw
+                    pos += 1
+                words = 8 + (w >> 27)
+                if remaining - (words + 1) < 10:
+                    words = remaining - 1
+                first = first_after(pos)
+                pos = word_output(first + words - 1) + 1
+                starts.append(first)
+                sizes.append(words)
+                remaining -= words + 1
+            break
+        except IndexError:
+            rng.setstate(state)
+            size *= 2
     rng.setstate(state)
-    rng.getrandbits(32 * consumed)
+    rng.getrandbits(32 * pos)
+    return block, starts, sizes
 
-    prefix = _word_text(head[:prefix_tokens])
-    if suffix_tokens > 0:
-        suffix = _word_text(head[prefix_tokens:]) + (" ?" if suffix_tokens > 1 else "?")
-    else:
-        suffix = ""
-    return prefix, _word_text(content, np.cumsum(sizes) - 1), suffix, tuple(words + 1 for words in sizes)
+
+def synthesize_prompt(rng: random.Random, total_tokens: int, prefix_tokens: int,
+                      suffix_tokens: int) -> tuple[int, ...]:
+    """Draw a prompt of exactly total_tokens tokens as its shape: each content sentence's size.
+
+    A size is a sentence's token count, its words plus its '.'. Between
+    ``prefix_tokens`` and ``suffix_tokens`` they are the shape
+    ``TokenizedPrompt.from_text`` counts in the text ``render_prompt``
+    writes from the same draws; no word value or text is made here.
+
+    Exact replay: the sizes, and the state ``rng`` is left in, equal those of
+    drawing one by one with ``rng`` the prefix words, the suffix words, then
+    per sentence a length ``randint(8, 32)`` and its words, each word
+    ``f"w{rng.randrange(10000)}"``.
+    """
+    return tuple(n + 1 for n in _draw_prompt(rng, total_tokens, prefix_tokens, suffix_tokens)[2])
+
+
+def render_prompt(rng: random.Random, total_tokens: int, prefix_tokens: int,
+                  suffix_tokens: int) -> tuple[str, str, str, tuple[int, ...]]:
+    """The prompt ``synthesize_prompt`` draws as its prefix, content and suffix texts, and its sizes.
+
+    The same draws, replayed the same way: ``rng`` ends where
+    ``synthesize_prompt`` leaves it, and the sizes are the ones it returns.
+    """
+    block, starts, words = _draw_prompt(rng, total_tokens, prefix_tokens, suffix_tokens)
+    text = [f"w{v}" for v in (block[block < _WORD_LIMIT] >> 18).tolist()]  # the words, by rank
+    # sentence i's words are the ranks starts[i] .. starts[i] + words[i] - 1
+    content = " ".join(" ".join(text[first:first + n]) + "." for first, n in zip(starts, words))
+    suffix = " ".join(text[prefix_tokens:prefix_tokens + suffix_tokens - 1] + ["?"]) if suffix_tokens else ""
+    return " ".join(text[:prefix_tokens]), content, suffix, tuple(n + 1 for n in words)
 
 
 @dataclass(frozen=True)
 class GeneratedRequest:
-    """One synthesized request; ``sentence_sizes`` holds the token count of each
-    synthesized content sentence when scrubbing left every part of its text
-    unchanged, and None otherwise. The prompt's shape is then the synthesis's:
-    these sizes between the workload's prefix and suffix token counts; or else
-    ``TokenizedPrompt.from_text`` counts the scrubbed text."""
+    """One synthesized request; it names its session in ``serve_request`` and ``run_session``.
 
-    request: AssistRequest
+    ``prompt`` is the synthesized shape, or ``TokenizedPrompt.from_text`` of
+    the scrubbed text when a scrub rule changed the rendered text.
+    """
+
+    request_id: str
+    scene: str
+    device_class: str
+    prompt: TokenizedPrompt
     output_tokens: int
     arrival_ms: float
     source_seed: int
     divergence: frozenset[int]
-    sentence_sizes: tuple[int, ...] | None
 
 
 def generate_workload(config: ExperimentConfig, seed: int) -> list[GeneratedRequest]:
@@ -520,38 +506,39 @@ def generate_workload(config: ExperimentConfig, seed: int) -> list[GeneratedRequ
     out: list[GeneratedRequest] = []
     arrival = 0.0
     for i in range(w.requests):
+        request_id = f"req-{i:04d}"
         scene = _choice(rng, w.scene_mix)
         device = _choice(rng, w.device_mix)
         length = _choice(rng, w.prompt_lengths)
         n = rng.randint(w.output_min, w.output_max)
         arrival += rng.expovariate(w.arrival_rate_per_s / 1000.0)
-        *texts, sizes = synthesize_prompt(rng, length, w.prefix_tokens, w.suffix_tokens)
-        scrubbed = [scrub(text, config.scrub_rules) for text in texts]
-        prefix, content, suffix = scrubbed
-        if not content.strip() and not suffix.strip():
-            raise ConfigError(f"config.scrub_rules: req-{i:04d} keeps no content or suffix token")
-        req = AssistRequest(
-            scene=scene,
-            model_version_label="base-v1",
-            device_class=device,
-            prefix=prefix,
-            content=content,
-            suffix=suffix,
-            request_id=f"req-{i:04d}",
-        )
+        if not config.scrub_rules:  # only scrub rules read the prompt's text
+            prompt = TokenizedPrompt(w.prefix_tokens, synthesize_prompt(rng, length, w.prefix_tokens, w.suffix_tokens),
+                                     w.suffix_tokens)
+        else:
+            *texts, sizes = render_prompt(rng, length, w.prefix_tokens, w.suffix_tokens)
+            scrubbed = [scrub(text, config.scrub_rules) for text in texts]
+            if not scrubbed[1].strip() and not scrubbed[2].strip():
+                raise ConfigError(f"config.scrub_rules: {request_id} keeps no content or suffix token")
+            # compared, not counted: a rule may rewrite text to itself, and
+            # scrub returns an unmatched text as the same object
+            if scrubbed == texts:
+                prompt = TokenizedPrompt(w.prefix_tokens, sizes, w.suffix_tokens)
+            else:
+                prompt = TokenizedPrompt.from_text(*scrubbed)
         # position p in 2..n-1 diverges when the next random() falls below the rate
         flips = mt_uniform(rng, max(n - 2, 0))
         divergence = frozenset((np.flatnonzero(flips < w.divergence_rate) + 2).tolist())
         out.append(
             GeneratedRequest(
-                request=req,
+                request_id=request_id,
+                scene=scene,
+                device_class=device,
+                prompt=prompt,
                 output_tokens=n,
                 arrival_ms=arrival,
                 source_seed=rng.randrange(1 << 32),
                 divergence=divergence,
-                # compared, not counted: a rule may rewrite text to itself, and
-                # scrub returns an unmatched text as the same object
-                sentence_sizes=sizes if scrubbed == texts else None,
             )
         )
     return out
@@ -687,6 +674,14 @@ class MetricsReport:
     summary_text: str
 
 
+def _mean(values: Sequence[float]) -> float:
+    """``statistics.fmean`` (0 for no values); finite values whose sum overflows are summed divided by their count."""
+    try:
+        return statistics.fmean(values) if values else 0.0
+    except OverflowError:  # each term is at most the largest float over the count, and so is their sum
+        return math.fsum(value / len(values) for value in values)
+
+
 def _variant_metrics(name: str, rows: Sequence[TraceRow], tps: float | None = None, analytic_tps: float | None = None,
                      tau_ms: Mapping[str, float] | None = None) -> VariantMetrics:
     """Aggregate one variant's rows; ``tau_ms`` (scene -> tolerable pace) or a throughput left None stays blank."""
@@ -700,18 +695,18 @@ def _variant_metrics(name: str, rows: Sequence[TraceRow], tps: float | None = No
     return VariantMetrics(
         name=name,
         requests=len(rows),
-        mean_user_ttft=statistics.fmean(user) if user else 0.0,
+        mean_user_ttft=_mean(user),
         p50_user_ttft=nearest_rank_percentile(user, 50),
         p95_user_ttft=nearest_rank_percentile(user, 95),
-        mean_ttft_d=statistics.fmean(ttft_d) if ttft_d else 0.0,
+        mean_ttft_d=_mean(ttft_d),
         p95_ttft_d=nearest_rank_percentile(ttft_d, 95),
         max_display_tpot=max(gaps) if gaps else 0.0,
-        mean_display_tpot=statistics.fmean(gaps) if gaps else 0.0,
+        mean_display_tpot=_mean(gaps),
         tps=tps,
         analytic_tps=analytic_tps,
-        mean_occupancy_ms=statistics.fmean([r.occupancy for r in rows]) if rows else 0.0,
+        mean_occupancy_ms=_mean([r.occupancy for r in rows]),
         corrections=sum(r.corrections for r in rows),
-        mean_mask_bytes=statistics.fmean(masks) if masks else 0.0,
+        mean_mask_bytes=_mean(masks),
         median_mask_bytes=statistics.median(masks) if masks else 0.0,
         planning_misses=sum(1 for r in rows if r.planning_miss),
         above_tau_requests=above_tau,
@@ -722,7 +717,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path, seed: int | No
     """Run every variant over the shared workload; write plans, traces and summaries (none if the workload is invalid)."""
     seed = config.seed if seed is None else seed
     workload = generate_workload(config, seed)
-    w = config.workload
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -736,16 +730,12 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path, seed: int | No
     rtt_rngs = [random.Random(f"{seed}:{variant.name}:rtt") for variant in config.variants]
     variant_rows: list[list[TraceRow]] = [[] for _ in config.variants]
     for gen in workload:
-        req = gen.request
-        model = config.models[req.device_class]
-        constraints = config.scenes[req.scene]
-        if gen.sentence_sizes is None:
-            prompt = TokenizedPrompt.from_text(req.prefix, req.content, req.suffix)
-        else:
-            prompt = TokenizedPrompt(w.prefix_tokens, gen.sentence_sizes, w.suffix_tokens)
+        model = config.models[gen.device_class]
+        constraints = config.scenes[gen.scene]
+        prompt = gen.prompt
         # every variant selects by the same scores; called through the module
         # so that a wrapper installed on pdsim.cloudsim sees the call
-        scores = cloudsim.uniform_scores(prompt, f"{seed}:{req.request_id}")
+        scores = cloudsim.uniform_scores(prompt, f"{seed}:{gen.request_id}")
         cloud_source = TokenSource(seed=gen.source_seed, total_tokens=gen.output_tokens)
         device_source = TokenSource(
             seed=gen.source_seed, total_tokens=gen.output_tokens, divergence=gen.divergence
@@ -756,16 +746,16 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path, seed: int | No
                 model, constraints, prompt.total_tokens, ratio=variant.ratio, max_tokens=variant.max_tokens
             )
             trace_c = serve_request(
-                req, prompt, model, cloud_source, scores,
+                gen, prompt, model, cloud_source, scores,
                 ratio=point.ratio, max_tokens=point.max_tokens, start_ms=gen.arrival_ms, rtt_ms=rtt,
             )
             trace_d = run_session(
-                req, prompt, trace_c.frame, trace_c.delivery(), model, device_source, config.policy,
+                gen, prompt, trace_c.frame, trace_c.delivery(), model, device_source, config.policy,
                 start_ms=gen.arrival_ms, frame_time_ms=trace_c.frame_time_ms,
             )
             rows.append(
                 TraceRow(
-                    variant=variant.name, request_id=req.request_id, scene=req.scene, device_class=req.device_class,
+                    variant=variant.name, request_id=gen.request_id, scene=gen.scene, device_class=gen.device_class,
                     l=prompt.total_tokens, r=point.ratio, L=trace_c.frame.max_tokens,
                     n=gen.output_tokens, rtt_ms=rtt, ttft_c=trace_c.frame_time_ms - gen.arrival_ms,
                     user_ttft=trace_d.user_ttft_ms, ttft_d=trace_d.ttft_device_ms, tpot_smooth=trace_d.tpot_smooth_ms,

@@ -9,8 +9,8 @@ token count of each content sentence and its suffix token count, from which
 the per-token sentence labels are derived. The cloud uses it to select whole
 sentences, and the device uses it to check the mask. A shape has two sources:
 ``from_text`` counts any text with ``tokenize`` over ``split_sentences``, and
-a prompt that ``harness.synthesize_prompt`` wrote and scrubbing left unchanged
-is shaped from the sizes its synthesis returned. Token strings are made only
+a prompt ``harness.synthesize_prompt`` drew, unless a scrub rule changed its
+text, is shaped from the sizes the synthesis returned. Token strings are made only
 where a caller prints them: ``refined_text`` tokenizes the texts and applies
 the mask.
 """

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import random
 import re
 import statistics
@@ -23,12 +24,14 @@ from pdsim.harness import (
     load_config,
     nearest_rank_percentile,
     read_trace,
+    render_prompt,
     report,
     run_experiment,
     synthesize_prompt,
     write_trace,
 )
 from pdsim.planner import solve_plan
+from pdsim.protocol import AssistRequest
 from pdsim.refiner import TokenizedPrompt, tokenize
 from pdsim.timing import ttft_cloud
 
@@ -133,18 +136,60 @@ class CountingRandom(random.Random):
         return super().getrandbits(k)
 
 
+def assert_matches_the_draw_loop(make_rng, seed: int, total: int, prefix_tokens: int, suffix_tokens: int):
+    """The shape and the rendered text each equal the per-draw loop's, and leave ``rng`` in its state.
+
+    Returns the generator the shape was drawn with.
+    """
+    ref = random.Random(seed)
+    want = reference_synthesize_prompt(ref, total, prefix_tokens, suffix_tokens)
+    shaped, rendered = make_rng(seed), make_rng(seed)
+    assert synthesize_prompt(shaped, total, prefix_tokens, suffix_tokens) == want[3]
+    assert shaped.getstate() == ref.getstate()
+    assert render_prompt(rendered, total, prefix_tokens, suffix_tokens) == want
+    assert rendered.getstate() == ref.getstate()
+    return shaped
+
+
+def record_renders(monkeypatch) -> list:
+    """Patch ``harness.render_prompt`` to record the three texts of each prompt it renders."""
+    rendered = []
+    original = harness.render_prompt
+
+    def recording(*args):
+        result = original(*args)
+        rendered.append(tuple(result[:3]))
+        return result
+
+    monkeypatch.setattr(harness, "render_prompt", recording)
+    return rendered
+
+
+def record_from_text(monkeypatch) -> list:
+    """Patch ``TokenizedPrompt.from_text`` to record the texts of each call."""
+    tokenized = []
+    original = TokenizedPrompt.from_text.__func__
+
+    def recording(cls, *args):
+        tokenized.append(args)
+        return original(cls, *args)
+
+    monkeypatch.setattr(TokenizedPrompt, "from_text", classmethod(recording))
+    return tokenized
+
+
 class TestWorkloadSynthesis:
     def test_prompt_token_counts_are_exact(self):
         rng = random.Random(0)
         for _ in range(40):
             total = rng.randint(64, 4000)
-            prefix, content, suffix, _ = synthesize_prompt(rng, total, 6, 4)
+            prefix, content, suffix, _ = render_prompt(rng, total, 6, 4)
             count = len(tokenize(prefix)) + len(tokenize(content)) + len(tokenize(suffix))
             assert count == total
 
     def test_no_prefix_or_suffix(self):
         rng = random.Random(1)
-        prefix, content, suffix, _ = synthesize_prompt(rng, 500, 0, 0)
+        prefix, content, suffix, _ = render_prompt(rng, 500, 0, 0)
         assert prefix == "" and suffix == ""
         assert len(tokenize(content)) == 500
 
@@ -160,11 +205,7 @@ class TestWorkloadSynthesis:
     @example(1, 32000, 2, 2)
     def test_matches_the_draw_loop(self, seed, content_tokens, prefix_tokens, suffix_tokens):
         total = content_tokens + prefix_tokens + suffix_tokens
-        rng, ref = random.Random(seed), random.Random(seed)
-        assert synthesize_prompt(rng, total, prefix_tokens, suffix_tokens) == reference_synthesize_prompt(
-            ref, total, prefix_tokens, suffix_tokens
-        )
-        assert rng.getstate() == ref.getstate()
+        assert_matches_the_draw_loop(random.Random, seed, total, prefix_tokens, suffix_tokens)
 
     @pytest.mark.parametrize("block", [1, 7, 64])
     def test_extended_blocks_match_the_draw_loop(self, monkeypatch, block):
@@ -178,11 +219,7 @@ class TestWorkloadSynthesis:
             seed = cases.getrandbits(32)
             prefix_tokens, suffix_tokens = cases.randint(0, 12), cases.randint(0, 12)
             total = prefix_tokens + suffix_tokens + cases.choice([2, 3, cases.randint(2, 300), cases.randint(2, 3000)])
-            rng, ref = CountingRandom(seed), random.Random(seed)
-            assert synthesize_prompt(rng, total, prefix_tokens, suffix_tokens) == reference_synthesize_prompt(
-                ref, total, prefix_tokens, suffix_tokens
-            )
-            assert rng.getstate() == ref.getstate()
+            rng = assert_matches_the_draw_loop(CountingRandom, seed, total, prefix_tokens, suffix_tokens)
             extended += rng.calls > 2  # more than one block and the rewind
         assert extended >= 10  # 40, 39 and 17 of the 40 cases at blocks 1, 7 and 64
 
@@ -198,8 +235,8 @@ class TestWorkloadSynthesis:
     @example(1, 32000, 6, 4)
     def test_synthesized_tokens_equal_from_text(self, seed, content_tokens, prefix_tokens, suffix_tokens):
         total = content_tokens + prefix_tokens + suffix_tokens
-        *texts, sizes = synthesize_prompt(random.Random(seed), total, prefix_tokens, suffix_tokens)
-        prompt = TokenizedPrompt(prefix_tokens, sizes, suffix_tokens)  # the shape run_experiment builds
+        *texts, sizes = render_prompt(random.Random(seed), total, prefix_tokens, suffix_tokens)
+        prompt = TokenizedPrompt(prefix_tokens, sizes, suffix_tokens)  # the shape generate_workload builds
         assert prompt == TokenizedPrompt.from_text(*texts)  # sentence_sizes included
         assert prompt.total_tokens == total
         counts = (prompt.prefix_tokens, prompt.content_tokens, prompt.suffix_tokens)
@@ -214,36 +251,36 @@ class TestWorkloadSynthesis:
         # an 11-digit phone number never fires on a synthesized prompt
         prefix_tokens, suffix_tokens, total = shape
         phone = (ScrubRule(r"\d{11}", "[PHONE]"),)
-        for text in synthesize_prompt(random.Random(seed), total, prefix_tokens, suffix_tokens)[:3]:
+        for text in render_prompt(random.Random(seed), total, prefix_tokens, suffix_tokens)[:3]:
             assert re.search(r"\d{5}", text) is None
             assert scrub(text, phone) is text
 
-    def test_words_are_drawn_in_bulk(self):
+    @pytest.mark.parametrize("draw", [synthesize_prompt, render_prompt])
+    def test_words_are_drawn_in_bulk(self, draw):
         rng = CountingRandom(5)
-        synthesize_prompt(rng, 8192, 16, 24)
+        draw(rng, 8192, 16, 24)
         assert rng.calls == 2  # one block, then the rewind replays what was consumed
 
     def test_workload_is_deterministic(self):
         config = config_from_dict(base_config_dict())
         a = generate_workload(config, seed=7)
         b = generate_workload(config, seed=7)
-        assert [g.request for g in a] == [g.request for g in b]
-        assert [g.source_seed for g in a] == [g.source_seed for g in b]
+        assert a == b
+        assert len({g.source_seed for g in a}) == len(a)
 
-    def test_a_rule_that_rewrites_text_to_itself_keeps_the_synthesized_sizes(self):
+    def test_a_rule_that_rewrites_text_to_itself_keeps_the_synthesized_sizes(self, monkeypatch):
         data = base_config_dict()
         identity = [{"pattern": r"w(\d)", "replacement": r"w\1"}]
         plain = generate_workload(config_from_dict({**data, "scrub_rules": []}), seed=7)
+        rendered = record_renders(monkeypatch)
+        tokenized = record_from_text(monkeypatch)
         rewritten = generate_workload(config_from_dict({**data, "scrub_rules": identity}), seed=7)
-        assert [g.request for g in rewritten] == [g.request for g in plain]
-        assert [g.sentence_sizes for g in rewritten] == [g.sentence_sizes for g in plain]
-        assert None not in [g.sentence_sizes for g in plain]
+        # the rule rewrote each rendered text to itself, so no prompt was counted
+        assert len(rendered) == len(plain) and tokenized == []
+        assert rewritten == plain
         # the synthesized sizes, between the workload's prefix and suffix counts, shape the text
-        w = config_from_dict(data).workload
-        for g in rewritten:
-            req = g.request
-            shape = TokenizedPrompt(w.prefix_tokens, g.sentence_sizes, w.suffix_tokens)
-            assert shape == TokenizedPrompt.from_text(req.prefix, req.content, req.suffix)
+        for g, texts in zip(plain, rendered):
+            assert g.prompt == TokenizedPrompt.from_text(*texts)
 
     def test_custom_scrub_rules_parse_from_config(self):
         data = base_config_dict()
@@ -341,19 +378,14 @@ class TestRunExperiment:
     @staticmethod
     def record_prompt_builds(monkeypatch) -> tuple[list, list]:
         """Patch ``TokenizedPrompt`` to record each ``from_text`` call's texts and each prompt built."""
-        tokenized, built = [], []
-        original_from_text = TokenizedPrompt.from_text.__func__
+        built = []
         original_post_init = TokenizedPrompt.__post_init__
-
-        def counting_from_text(cls, *args):
-            tokenized.append(args)
-            return original_from_text(cls, *args)
 
         def counting_post_init(prompt):
             built.append(prompt)
             original_post_init(prompt)
 
-        monkeypatch.setattr(TokenizedPrompt, "from_text", classmethod(counting_from_text))
+        tokenized = record_from_text(monkeypatch)
         monkeypatch.setattr(TokenizedPrompt, "__post_init__", counting_post_init)
         return tokenized, built
 
@@ -362,12 +394,15 @@ class TestRunExperiment:
         data["workload"]["requests"] = 5
         data["variants"] = [{"name": "planned"}, {"name": "L8", "max_tokens": 8}, {"name": "r40", "ratio": 0.4}]
         config = config_from_dict(data)
-        shapes = [TokenizedPrompt.from_text(g.request.prefix, g.request.content, g.request.suffix)
-                  for g in generate_workload(config, config.seed)]
+        # a rule that never matches has generate_workload render the same prompts' text
+        rendered = record_renders(monkeypatch)
+        generate_workload(config_from_dict({**data, "scrub_rules": [{"pattern": "z", "replacement": "y"}]}), config.seed)
+        shapes = [TokenizedPrompt.from_text(*texts) for texts in rendered]
         tokenized, built = self.record_prompt_builds(monkeypatch)
         run_experiment(config, tmp_path)
         assert tokenized == []
         assert built == shapes
+        assert len(rendered) == 5  # the run rendered none
 
     def test_scrubbed_prompts_are_tokenized_once(self, tmp_path, monkeypatch):
         # a rule that rewrites one word value: some requests' text holds it
@@ -376,15 +411,26 @@ class TestRunExperiment:
         data["variants"] = [{"name": "planned"}, {"name": "L8", "max_tokens": 8}, {"name": "r40", "ratio": 0.4}]
         data["scrub_rules"] = [{"pattern": r"\bw7777\b", "replacement": "w7, 777"}]
         config = config_from_dict(data)
-        scrubbed = [g.request for g in generate_workload(config, config.seed)]
-        plain = [g.request for g in generate_workload(config_from_dict({**data, "scrub_rules": []}), config.seed)]
-        changed = [(req.prefix, req.content, req.suffix) for req, was in zip(scrubbed, plain) if req != was]
-        assert 0 < len(changed) < 8
-        shapes = [TokenizedPrompt.from_text(req.prefix, req.content, req.suffix) for req in scrubbed]
+        rendered = record_renders(monkeypatch)
         tokenized, built = self.record_prompt_builds(monkeypatch)
         run_experiment(config, tmp_path)
+        tokenized, built = list(tokenized), list(built)  # before the shapes below are built
+        scrubbed = [tuple(scrub(text, config.scrub_rules) for text in texts) for texts in rendered]
+        changed = [after for after, before in zip(scrubbed, rendered) if after != before]
+        assert len(rendered) == 8 and 0 < len(changed) < 8
         assert tokenized == changed
-        assert built == shapes
+        assert built == [TokenizedPrompt.from_text(*texts) for texts in scrubbed]
+
+    @pytest.mark.parametrize("config_file", ["report_config.json", "scrub_config.json"])
+    def test_prompt_text_is_rendered_only_for_scrub_rules(self, tmp_path, monkeypatch, config_file):
+        # without rules nothing reads a prompt's text; with them each request's is rendered once
+        config = load_config(DATA / config_file)
+        rendered = record_renders(monkeypatch)
+        built = []
+        monkeypatch.setattr(AssistRequest, "__post_init__", built.append)
+        run_experiment(config, tmp_path)
+        assert len(rendered) == (config.workload.requests if config.scrub_rules else 0)
+        assert built == []
 
     def test_each_request_is_scored_once(self, tmp_path, monkeypatch):
         data = base_config_dict()
@@ -530,6 +576,25 @@ class TestReport:
                 assert float(row[column]) == pytest.approx(float(summary[name][column]), abs=1e-6), (name, column)
         text = (tmp_path / "rep" / "report.txt").read_text()
         assert "tps=n/a" in text and "n/a: tps, analytic_tps, above_tau_requests" in text
+
+    def test_means_of_latencies_whose_sum_overflows_are_finite(self, tmp_path):
+        # each latency is finite, but the compression cost puts the phone's
+        # near 1e308, so their sum overflows where their mean does not
+        data = json.loads((DATA / "report_config.json").read_text())
+        data["timing"]["device_classes"]["phone"].update(
+            k_device=1.1e304, tpot_device=99.4997, compress={"base_ms": 0.9e308, "per_token_ms": 0.01}
+        )
+        simulated = run_experiment(config_from_dict(data), tmp_path / "run").variants
+        traces = sorted((tmp_path / "run").glob("trace_*.csv"))
+        reported = {m.name: m for m in report(traces, tmp_path / "rep").variants}
+        for m in simulated:
+            rows = read_trace(tmp_path / "run" / f"trace_{m.name}.csv")
+            for column, mean in (("user_ttft", "mean_user_ttft"), ("ttft_d", "mean_ttft_d"),
+                                 ("occupancy", "mean_occupancy_ms")):
+                values = [getattr(row, column) for row in rows]
+                assert sum(values) == math.inf, column
+                for metrics in (m, reported[m.name]):
+                    assert min(values) <= getattr(metrics, mean) <= max(values), (m.name, column)
 
     def test_percentile_is_nearest_rank(self):
         values = [10.0, 20.0, 30.0, 40.0]
