@@ -7,7 +7,6 @@ from .maskcodec import CompressedMask, MaskCodecError, MaskLengthError, pack, un
 from .planner import Plan, PlanConstraints, build_plan_table, l_bounds, r_bounds, solve_plan
 from .protocol import (
     DONE,
-    AssistRequest,
     FirstTokenFrame,
     ProtocolError,
     SseDecoder,

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .maskcodec import pack
-from .protocol import DONE, DoneMarker, FirstTokenFrame, StreamEvent, encode_done, encode_first_frame, encode_stream_event
+from .protocol import DONE, DoneMarker, FirstTokenFrame, StreamEvent
 from .refiner import TokenScores, TokenizedPrompt, select_sentences
 from .timing import TimingModel, request_occupancy, ttft_cloud
 
@@ -89,11 +89,6 @@ class CloudTrace:
         timed: list[tuple[float, StreamEvent | DoneMarker]] = list(self.events)
         timed.append((self.done_time_ms, DONE))
         return timed
-
-    def wire_bytes(self) -> bytes:
-        """Exact bytes of the whole response stream."""
-        events = (encode_stream_event(event) for _, event in self.events)
-        return b"".join([encode_first_frame(self.frame), *events, encode_done()])
 
 
 def uniform_scores(prompt: TokenizedPrompt, seed: int | str) -> TokenScores:

@@ -17,9 +17,23 @@ A config object is read into the dataclass it configures (``TimingModel``,
 ``BatchModel``, ``VariantSpec``, ``ScrubRule``): its keys are the field
 names, an absent key takes the field's default, and an unknown key is an
 error. ``batch.completions`` sits beside ``BatchModel``'s keys and fills
-``ExperimentConfig.batch_completions``. Scrubbing runs exactly the config's
-``scrub_rules`` (absent or empty: none), each one ``re.sub`` over prefix,
-content and suffix in order. Synthesized words (``w`` plus at most four
+``ExperimentConfig.batch_completions``.
+
+Every numeric key has one physical range, a closed interval in ``_RANGES``,
+checked on the raw JSON number before it is converted (an int of any size
+compares exactly; NaN fails). Within them a prompt holds at most 2^24 tokens
+and a per-token cost is at most 1e4 ms, so ``ttft_c`` stays below 3.5e11 ms
+(a drawn RTT is at most 8.6 jitters above its mean), a session ends within
+2e13 ms of its arrival, and no session's clock reaches 1e14 ms; the slot
+pool's clock stays below 2e19 ms. The budget ``L`` is at most
+max(1 + (ttft_d - ttft_c) / tpot_cloud, 2^24) < 3.4e14, set by the lower end
+of ``tpot_cloud``, 1e-3 ms. No sum or mean of such values overflows a float,
+and ``read_trace`` rejects a numeric cell beyond 1e15 in magnitude.
+``_validate_config`` then checks only how keys relate to each other.
+
+Scrubbing runs exactly the config's ``scrub_rules`` (absent or empty: none),
+each one ``re.sub`` over prefix, content and suffix in order; a rule may not
+grow a prompt past 2^24 tokens. Synthesized words (``w`` plus at most four
 digits) cannot hold a real-text pattern such as a phone number.
 
 The simulated path needs only each prompt's shape (``TokenizedPrompt``:
@@ -39,7 +53,6 @@ import math
 import random
 import re
 import statistics
-import sys
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -49,9 +62,9 @@ import numpy as np
 from . import cloudsim
 from .cloudsim import BatchModel, TokenSource, mt_uniform, mt_words, run_throughput, serve_request
 from .devicesim import CorrectionPolicy, ScrubRule, run_session, scrub
-from .planner import _RATIO_FLOOR, Plan, PlanConstraints, build_plan_table, l_bounds, solve_plan
+from .planner import Plan, PlanConstraints, build_plan_table, solve_plan
 from .refiner import TokenizedPrompt
-from .timing import RTT_CLASSES, AffineCost, RttClass, TimingModel, ttft_cloud, ttft_device
+from .timing import RTT_CLASSES, AffineCost, RttClass, TimingModel
 
 
 class ConfigError(Exception):
@@ -138,17 +151,47 @@ _KINDS = {"int": int, "float": float, "str": str, "int | None": int, "float | No
           "dict[str, float]": dict, "dict[int, float]": dict}
 _TOP_LEVEL_KEYS = ("seed", "timing", "scenes", "buckets", "workload", "batch", "variants", "policy", "scrub_rules")
 
+_TOKENS = 1 << 24  # the most tokens a prompt, an output or a budget holds
+_COUNT = 1 << 20  # the most requests, completions or decode slots
+
+# the physical range of each numeric config key, a closed interval, by key;
+# ``buckets`` and ``prompt_lengths`` range their token counts and ``weight``
+# each weight of a workload mix (the module docstring derives what they bound)
+_RANGES = {
+    "seed": (-math.inf, math.inf),  # a label, not a quantity
+    # ms per prompt token
+    "k_cloud": (1e-6, 10**4), "k_device": (1e-6, 10**4), "per_token_ms": (0, 10**4),
+    # ms per output token, and the tolerable display pace tau
+    "tpot_cloud": (1e-3, 10**6), "tpot_device": (1e-3, 10**6), "max_tpot_ms": (1e-3, 10**6),
+    # fixed costs and round trips, ms
+    "base_ms": (0, 10**9), "mean_ms": (0, 10**9), "jitter_ms": (0, 10**9),
+    "buckets": (1, _TOKENS), "prompt_lengths": (1, _TOKENS), "max_tokens": (1, _TOKENS),
+    "output_min": (2, _TOKENS), "output_max": (2, _TOKENS),
+    "prefix_tokens": (0, _TOKENS), "suffix_tokens": (0, _TOKENS),
+    "requests": (0, _COUNT), "completions": (1, _COUNT), "slots": (1, _COUNT),
+    "min_ratio": (0, 1), "ratio": (1e-6, 1), "divergence_rate": (0, 1), "weight": (0, 10**9),
+    "arrival_rate_per_s": (1e-3, 10**6),  # per second
+}
+
+
+def _number(value, kind, key: str, path: str):
+    """The JSON number ``value`` as ``kind`` (an int, or a float that an int also gives) in the range of ``key``."""
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        raise ConfigError(f"{path}: expected {kind.__name__}, got {type(value).__name__}")
+    lo, hi = _RANGES[key]
+    if not lo <= value <= hi:  # exact for an int of any size; false for NaN
+        raise ConfigError(f"{path}: must be in [{lo}, {hi}], got {value!r}")
+    return kind(value)
+
 
 def _require(mapping: dict, key: str, kind, path: str):
     if key not in mapping:
         raise ConfigError(f"{path}.{key}: missing")
     value = mapping[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value) if abs(value) <= sys.float_info.max else math.inf
-    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
+    if kind in (int, float):
+        return _number(value, kind, key, f"{path}.{key}")
+    if not isinstance(value, kind):
         raise ConfigError(f"{path}.{key}: expected {kind.__name__}, got {type(value).__name__}")
-    if kind is float and not math.isfinite(value):  # json.loads reads NaN and Infinity
-        raise ConfigError(f"{path}.{key}: must be a finite number, got {value!r}")
     return value
 
 
@@ -189,19 +232,13 @@ def _read(cls, obj, path: str, **parsers):
 def _parse_rtt(obj, path: str) -> RttClass:
     if isinstance(obj, str) and obj in RTT_CLASSES:
         return RTT_CLASSES[obj]
-    if isinstance(obj, dict):  # an out-of-range value is reported at the device class
+    if isinstance(obj, dict):
         return RttClass(**_fields(RttClass, obj, path, {}))
     raise ConfigError(f"{path}: expected an RTT class name ({', '.join(RTT_CLASSES)}) or object, got {obj!r}")
 
 
-def _nonnegative(value: float, path: str) -> float:
-    if value < 0:
-        raise ConfigError(f"{path}: must be >= 0, got {value!r}")
-    return value
-
-
 def _parse_cost(obj, path: str) -> AffineCost:
-    return _read(AffineCost, obj, path, base_ms=_nonnegative, per_token_ms=_nonnegative)
+    return _read(AffineCost, obj, path)
 
 
 def _parse_scrub_rule(obj, path: str) -> ScrubRule:
@@ -214,13 +251,11 @@ def _parse_scrub_rule(obj, path: str) -> ScrubRule:
 
 
 def _parse_mix(mix: dict, path: str) -> dict:
-    """A workload mix: weights are finite numbers >= 0 with a positive sum."""
-    for name, weight in mix.items():
-        if isinstance(weight, bool) or not isinstance(weight, (int, float)) or not 0 <= weight < math.inf:
-            raise ConfigError(f"{path}.{name}: weight must be a finite number >= 0, got {weight!r}")
-    if sum(mix.values()) <= 0:
+    """A workload mix: each weight in the range of ``weight``, with a positive sum."""
+    weights = {name: _number(weight, float, "weight", f"{path}.{name}") for name, weight in mix.items()}
+    if sum(weights.values()) <= 0:
         raise ConfigError(f"{path}: weights must sum to a positive value")
-    return dict(mix)
+    return weights
 
 
 def _parse_prompt_lengths(mix: dict, path: str) -> dict[int, float]:
@@ -231,18 +266,15 @@ def _parse_prompt_lengths(mix: dict, path: str) -> dict[int, float]:
             length = int(key)
         except ValueError:
             raise ConfigError(f"{path}.{key}: expected an integer token count") from None
+        _number(length, int, "prompt_lengths", f"{path}.{key}")
         if length in lengths:
             raise ConfigError(f"{path}.{key}: repeats the token count {length}")
-        lengths[length] = float(weight)
+        lengths[length] = weight
     return lengths
 
 
 def _parse_variant(obj, path: str, earlier: Sequence[VariantSpec]) -> VariantSpec:
     variant = _read(VariantSpec, obj, path)
-    if variant.ratio is not None and not 0.0 < variant.ratio <= 1.0:
-        raise ConfigError(f"{path}.ratio: must be in (0, 1]")
-    if variant.max_tokens is not None and variant.max_tokens < 1:
-        raise ConfigError(f"{path}.max_tokens: must be >= 1")
     name = variant.name
     if not name or any(c in name for c in "/\\\0"):
         raise ConfigError(f"{path}.name: must be nonempty and hold no '/', '\\' or NUL (it names a file), got {name!r}")
@@ -273,9 +305,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if not scenes:
         raise ConfigError("config.scenes: must not be empty")
 
-    buckets = tuple(_require(data, "buckets", list, "config"))
-    if not buckets or any(not isinstance(b, int) or isinstance(b, bool) or b <= 0 for b in buckets):
-        raise ConfigError("config.buckets: expected positive integers")
+    buckets = tuple(_number(b, int, "buckets", "config.buckets") for b in _require(data, "buckets", list, "config"))
+    if not buckets:
+        raise ConfigError("config.buckets: must not be empty")
     if list(buckets) != sorted(set(buckets)):
         raise ConfigError("config.buckets: must be strictly increasing")
 
@@ -285,8 +317,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     batch_obj = dict(_require(data, "batch", dict, "config"))
     if "completions" in batch_obj:  # read beside BatchModel's keys
         options["batch_completions"] = _require(batch_obj, "completions", int, "config.batch")
-        if options["batch_completions"] < 1:
-            raise ConfigError("config.batch.completions: must be >= 1")
         del batch_obj["completions"]
     batch = _read(BatchModel, batch_obj, "config.batch")
 
@@ -327,43 +357,18 @@ def _validate_config(config: ExperimentConfig) -> None:
         if device not in config.models:
             raise ConfigError(f"config.workload.device_mix.{device}: unknown device class")
     w = config.workload
-    if w.requests < 0:
-        raise ConfigError("config.workload.requests: must be nonnegative")
-    if w.output_min < 2 or w.output_max < w.output_min:
-        raise ConfigError("config.workload.output_min/max: need 2 <= min <= max")
-    for key in ("prefix_tokens", "suffix_tokens"):
-        if getattr(w, key) < 0:
-            raise ConfigError(f"config.workload.{key}: must be nonnegative")
-    if not 0 <= w.divergence_rate <= 1:
-        raise ConfigError(f"config.workload.divergence_rate: must be in [0, 1], got {w.divergence_rate!r}")
-    if w.arrival_rate_per_s <= 0:
-        raise ConfigError("config.workload.arrival_rate_per_s: must be positive")
+    if w.output_max < w.output_min:
+        raise ConfigError("config.workload.output_max: must be >= output_min")
     floor = w.prefix_tokens + w.suffix_tokens + 16
     for length in w.prompt_lengths:
         if length < floor:
             raise ConfigError(f"config.workload.prompt_lengths.{length}: shorter than prefix+suffix+16")
-    # planning reads the token budget bounds at every bucket and prompt length;
-    # their quotients are linear in the ratio, so they are finite at every ratio
-    # served if they are at the smallest (the 0.01 floor or a pinned one) and at 1
-    lengths = sorted({*config.buckets, *w.prompt_lengths})
-    ratios = (min((_RATIO_FLOOR, *(v.ratio for v in config.variants if v.ratio is not None))), 1.0)
     for name, model in config.models.items():
         for scene, constraints in config.scenes.items():
             if constraints.max_tpot_ms <= model.tpot_device:
                 raise ConfigError(
                     f"config.scenes.{scene}.max_tpot_ms: must exceed the device TPOT of {name}"
                 )
-            for length in lengths:
-                for ratio in ratios:
-                    ttft_c = ttft_cloud(model, length, ratio, model.rtt.mean_ms)
-                    ttft_d = ttft_device(model, length, ratio, ttft_c)
-                    try:  # math.ceil or math.floor of an infinite or NaN quotient
-                        l_bounds(model, constraints, length, ratio, ttft_c, ttft_d)
-                    except (OverflowError, ValueError) as exc:
-                        raise ConfigError(
-                            f"config.timing.device_classes.{name}: the token budget bounds of scene {scene} "
-                            f"are not finite at {length} tokens and ratio {ratio}"
-                        ) from exc
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -526,6 +531,8 @@ def generate_workload(config: ExperimentConfig, seed: int) -> list[GeneratedRequ
                 prompt = TokenizedPrompt(w.prefix_tokens, sizes, w.suffix_tokens)
             else:
                 prompt = TokenizedPrompt.from_text(*scrubbed)
+                if prompt.total_tokens > _TOKENS:
+                    raise ConfigError(f"config.scrub_rules: {request_id} grows past {_TOKENS} tokens")
         # position p in 2..n-1 diverges when the next random() falls below the rate
         flips = mt_uniform(rng, max(n - 2, 0))
         divergence = frozenset((np.flatnonzero(flips < w.divergence_rate) + 2).tolist())
@@ -597,15 +604,23 @@ def _parse_bool(text: str) -> bool:
     return text == "true"
 
 
-def _parse_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):  # float() reads nan and inf, which _fmt never writes
-        raise ValueError(f"must be a finite number, got {text!r}")
-    return value
+# no trace value that a config in range can make comes near this (see the module docstring)
+_CELL_BOUND = 1e15
 
 
+def _bounded(parse):
+    """``parse``, whose value must be at most ``_CELL_BOUND`` in magnitude (float() reads nan and inf, which fail)."""
+    def parse_bounded(text: str):
+        value = parse(text)
+        if not -_CELL_BOUND <= value <= _CELL_BOUND:
+            raise ValueError(f"must be a finite number of magnitude at most {_CELL_BOUND:g}, got {text!r}")
+        return value
+    return parse_bounded
+
+
+_parse_float = _bounded(float)
 # the inverse of ``_fmt``, by annotation (annotations are strings here)
-_PARSERS = {"str": str, "int": int, "float": _parse_float, "bool": _parse_bool,
+_PARSERS = {"str": str, "int": _bounded(int), "float": _parse_float, "bool": _parse_bool,
             "float | None": lambda text: _parse_float(text) if text else None}
 _TRACE_FIELDS = tuple(f.name for f in fields(TraceRow))
 _TRACE_PARSERS = tuple(_PARSERS[f.type] for f in fields(TraceRow))
@@ -675,11 +690,8 @@ class MetricsReport:
 
 
 def _mean(values: Sequence[float]) -> float:
-    """``statistics.fmean`` (0 for no values); finite values whose sum overflows are summed divided by their count."""
-    try:
-        return statistics.fmean(values) if values else 0.0
-    except OverflowError:  # each term is at most the largest float over the count, and so is their sum
-        return math.fsum(value / len(values) for value in values)
+    """``statistics.fmean``, 0 for no values."""
+    return statistics.fmean(values) if values else 0.0
 
 
 def _variant_metrics(name: str, rows: Sequence[TraceRow], tps: float | None = None, analytic_tps: float | None = None,
@@ -850,12 +862,12 @@ def report(trace_paths: Sequence[str | Path], out_dir: str | Path) -> MetricsRep
     Variants are listed by name, not in the config's order, since the traces
     carry no config order.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     by_variant: dict[str, list[TraceRow]] = {}
     for path in trace_paths:
         for row in read_trace(path):
             by_variant.setdefault(row.variant, []).append(row)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     metrics = [_variant_metrics(name, rows) for name, rows in sorted(by_variant.items())]
     _write_csv(out / "report.csv", _SUMMARY_HEADER, (m.row() for m in metrics))

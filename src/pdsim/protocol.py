@@ -59,24 +59,7 @@ _EVENT_RE = re.compile(
 
 
 class ProtocolError(Exception):
-    """Malformed frame or request body; the message names the offending field."""
-
-
-@dataclass(frozen=True)
-class AssistRequest:
-    """Device-to-cloud request: routing labels plus the raw prompt triple."""
-
-    scene: str
-    model_version_label: str
-    device_class: str
-    prefix: str
-    content: str
-    suffix: str
-    request_id: str
-
-    def __post_init__(self) -> None:
-        if not self.content and not self.suffix:
-            raise ValueError("request needs nonempty content or suffix")
+    """Malformed response frame; the message names the offending field."""
 
 
 @dataclass(frozen=True)
@@ -123,39 +106,6 @@ class DoneMarker:
 
 
 DONE = DoneMarker()
-
-
-def _json_body(obj: dict) -> bytes:
-    return json.dumps(obj, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
-
-
-def encode_request(req: AssistRequest) -> bytes:
-    return _json_body(
-        {
-            "scene": req.scene,
-            "model_version_label": req.model_version_label,
-            "device_class": req.device_class,
-            "prefix": req.prefix,
-            "content": req.content,
-            "suffix": req.suffix,
-            "request_id": req.request_id,
-        }
-    )
-
-
-def decode_request(data: bytes) -> AssistRequest:
-    obj = _parse_json(data)
-    fields = ("scene", "model_version_label", "device_class", "prefix", "content", "suffix", "request_id")
-    values = {}
-    for name in fields:
-        value = obj.get(name)
-        if not isinstance(value, str):
-            raise ProtocolError(f"request field {name!r} missing or not a string")
-        values[name] = value
-    try:
-        return AssistRequest(**values)
-    except ValueError as exc:
-        raise ProtocolError(str(exc)) from exc
 
 
 def encode_first_frame(frame: FirstTokenFrame) -> bytes:

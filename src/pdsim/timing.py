@@ -1,8 +1,10 @@
 """Latency and throughput models for cloud-assisted on-device inference.
 
 All durations are milliseconds (float); token counts are nonnegative
-integers. ``TimingModel`` is a plain value: it declares the calibrated
-defaults once, as its field defaults, and holds its codec costs as
+integers. Within the config reader's ranges (``harness._RANGES``) no
+session's clock reaches 1e14 ms and the slot pool's stays below 2e19 ms,
+far inside a float. ``TimingModel`` is a plain value: it declares the
+calibrated defaults once, as its field defaults, and holds its codec costs as
 ``AffineCost`` coefficients, so two models with the same numbers compare
 equal and print as numbers. Each formula is a pure function defined once
 here. Its callers:

@@ -18,7 +18,7 @@ from pdsim.devicesim import CorrectionPolicy, StallError
 from pdsim.eventloop import EventLoop
 from pdsim.maskcodec import unpack
 from pdsim.planner import PlanConstraints
-from pdsim.protocol import AssistRequest, DoneMarker, FirstTokenFrame, ProtocolError, StreamEvent
+from pdsim.protocol import DoneMarker, FirstTokenFrame, ProtocolError, StreamEvent
 from pdsim.refiner import SelectionMask, TokenScores, TokenizedPrompt, tokenize
 from pdsim.timing import AffineCost, RttClass, TimingModel, smoothed_tpot, ttft_cloud, ttft_device
 
@@ -97,21 +97,22 @@ def clustered_mask(rng: random.Random, length: int, mean_run: float = 24.0) -> S
     return SelectionMask(bits[:length])
 
 
-def tokenized(req: AssistRequest) -> TokenizedPrompt:
-    """The request's reference tokenization, as the harness builds it once per request."""
-    return TokenizedPrompt.from_text(req.prefix, req.content, req.suffix)
+@dataclass(frozen=True)
+class Session:
+    """Names a session in ``serve_request`` and ``run_session``, as the harness's ``GeneratedRequest`` does."""
+
+    request_id: str = "req-1"
 
 
-def serve_at(req: AssistRequest, model: TimingModel, source: TokenSource, ratio: float, max_tokens: int, *,
-             prompt: TokenizedPrompt | None = None, start_ms: float = 0.0, rtt_ms: float | None = None) -> CloudTrace:
-    """``serve_request`` at (ratio, max_tokens), selecting by ``uniform_scores(prompt, request_id)``.
+def serve_at(prompt: TokenizedPrompt, model: TimingModel, source: TokenSource, ratio: float, max_tokens: int, *,
+             request_id: str = "req-1", start_ms: float = 0.0, rtt_ms: float | None = None) -> CloudTrace:
+    """``serve_request`` of session ``request_id`` at (ratio, max_tokens).
 
-    ``prompt`` defaults to the request's own tokenization, ``rtt_ms`` to the model's mean RTT.
+    It selects by ``uniform_scores(prompt, request_id)``; ``rtt_ms`` defaults to the model's mean RTT.
     """
-    prompt = tokenized(req) if prompt is None else prompt
     return serve_request(
-        req, prompt, model, source, uniform_scores(prompt, req.request_id), ratio=ratio, max_tokens=max_tokens,
-        start_ms=start_ms, rtt_ms=model.rtt.mean_ms if rtt_ms is None else rtt_ms,
+        Session(request_id), prompt, model, source, uniform_scores(prompt, request_id), ratio=ratio,
+        max_tokens=max_tokens, start_ms=start_ms, rtt_ms=model.rtt.mean_ms if rtt_ms is None else rtt_ms,
     )
 
 
@@ -349,7 +350,7 @@ class ReferenceSession:
 
     def __init__(
         self,
-        req: AssistRequest,
+        req: object,
         prompt: TokenizedPrompt,
         frame: FirstTokenFrame,
         timed_stream: list[tuple[float, StreamEvent | DoneMarker]],

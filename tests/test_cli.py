@@ -1,9 +1,16 @@
+import contextlib
+import copy
+import io
 import json
+import math
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import write_weight_dump
 
@@ -61,7 +68,7 @@ class TestMalformedConfig:
             (_set("workload", "arrival_rate_per_s", 0.0), "config.workload.arrival_rate_per_s"),
             (_set("workload", "arrival_rate_per_s", -2.0), "config.workload.arrival_rate_per_s"),
             (_set("batch", "mode", "burst"), "config.batch"),
-            (_set("batch", "slots", 0), "config.batch"),
+            (_set("batch", "slots", 0), "config.batch.slots"),
             (_set("batch", "mode", "poisson"), "config.batch"),
             (_set("buckets", [4000, 2000, 8000]), "config.buckets"),
             (_set("buckets", [2000, 2000, 8000]), "config.buckets"),
@@ -101,7 +108,7 @@ class TestMalformedConfig:
             (_set("timing", "device_classes", "tablet", 5), "config.timing.device_classes.tablet"),
             (_set("timing", "device_classes", "phone", "rtt", "5g"), "config.timing.device_classes.phone.rtt"),
             (_set("timing", "device_classes", "phone", "rtt", {"name": "x", "mean_ms": -5.0}),
-             "config.timing.device_classes.phone"),
+             "config.timing.device_classes.phone.rtt.mean_ms"),
             # json.loads reads NaN and Infinity as floats
             (_set("timing", "device_classes", "tablet", "k_device", float("nan")),
              "config.timing.device_classes.tablet.k_device"),
@@ -142,18 +149,23 @@ class TestMalformedConfig:
             # the planner's overhead is derived from compress, decompress and the RTT, never configured
             (_set("timing", "device_classes", "phone", "overhead_bound", "auto"),
              "config.timing.device_classes.phone.overhead_bound"),
-            # finite values whose token budget bounds overflow a float
-            (_set("timing", "device_classes", "phone", "k_device", 1e306), "config.timing.device_classes.phone"),
-            (_set("timing", "device_classes", "phone", "tpot_cloud", 1e-320), "config.timing.device_classes.phone"),
+            # finite values whose token budget bounds would overflow a float lie outside their ranges
+            (_set("timing", "device_classes", "phone", "k_device", 1e306),
+             "config.timing.device_classes.phone.k_device"),
+            (_set("timing", "device_classes", "phone", "tpot_cloud", 1e-320),
+             "config.timing.device_classes.phone.tpot_cloud"),
             (_set("timing", "device_classes", "phone", "compress", {"base_ms": 1.7e308, "per_token_ms": 1e305}),
-             "config.timing.device_classes.phone"),
-            # finite at ratios 0.01 and 1, but at the ratio a variant pins about -0.9e308 ms
-            # of prefill surplus over a 0.5003 ms pace margin overflows
+             "config.timing.device_classes.phone.compress.base_ms"),
+            # about -0.9e308 ms of prefill surplus over a 0.5003 ms pace margin at the pinned ratio
             (_all(_set("timing", "device_classes", "phone", "k_device", 1.1e304),
                   _set("timing", "device_classes", "phone", "tpot_device", 99.4997),
                   _set("timing", "device_classes", "phone", "compress", {"base_ms": 0.9e308, "per_token_ms": 0.01}),
                   _set("variants", [{"name": "planned"}, {"name": "tiny", "ratio": 0.0001}])),
-             "config.timing.device_classes.phone"),
+             "config.timing.device_classes.phone.k_device"),
+            # counts whose allocation or draw would fail after the config was read
+            (_set("batch", "slots", 10**20), "config.batch.slots"),
+            (_set("workload", "output_max", 10**20), "config.workload.output_max"),
+            (_set("workload", "prompt_lengths", {str(10**20): 1.0}), f"config.workload.prompt_lengths.{10**20}"),
         ],
     )
     def test_ends_in_one_error_line_with_exit_code_2(self, tmp_path, config_path, capsys, mutate, key_path):
@@ -175,6 +187,43 @@ class TestMalformedConfig:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot read config {bad}: ") and err.count("\n") == 1, err
         assert not (tmp_path / "out").exists()
+
+
+def _numeric_leaves(node, path: tuple = ()) -> list[tuple]:
+    """The key path of every number in a parsed JSON document, in document order (a bool is no number)."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return [path] if isinstance(node, (int, float)) and not isinstance(node, bool) else []
+    return [leaf for key, child in children for leaf in _numeric_leaves(child, (*path, key))]
+
+
+_REPORT_CONFIG = json.loads((Path(__file__).parent / "data" / "report_config.json").read_text())
+# extreme finite floats, the smallest subnormal, a negative, a 401-digit int,
+# the non-finite floats json.loads reads, and a number's text
+_EXTREMES = [1e308, -1e308, 5e-324, -1, 10**400, math.nan, math.inf, -math.inf, "1"]
+
+
+class TestConfigFuzz:
+    @settings(max_examples=500, deadline=None)
+    @given(st.dictionaries(st.sampled_from(_numeric_leaves(_REPORT_CONFIG)), st.sampled_from(_EXTREMES),
+                           min_size=1, max_size=2))
+    def test_extreme_numbers_run_or_end_in_one_error_line(self, edits):
+        data = copy.deepcopy(_REPORT_CONFIG)
+        for path, value in edits.items():
+            _set(*path, value)(data)
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            config, out = Path(tmp) / "config.json", Path(tmp) / "out"
+            config.write_text(json.dumps(data))
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["simulate", "--config", str(config), "--out", str(out)])
+            message = err.getvalue()
+            if code != 0:
+                assert code == 2 and message.startswith("error: config.") and message.count("\n") == 1, (edits, message)
+                assert "Traceback" not in message and not out.exists(), (edits, message)
 
 
 class TestRefineCommand:
@@ -360,6 +409,20 @@ class TestSimulateAndReport:
         assert main(["report", "--traces", str(tmp_path), "--out", str(tmp_path / "rep")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot read {tmp_path / 'trace_x.csv'}: ") and err.count("\n") == 1, err
+
+
+    def test_trace_cell_beyond_the_bound_ends_in_one_error_line(self, tmp_path, capsys):
+        # a 401-digit count parses as an int, but no float mean can take it
+        lines = (Path(__file__).parent / "golden" / "report" / "trace_planned.csv").read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[lines[0].split(",").index("mask_bytes")] = "1" + "0" * 400
+        trace = tmp_path / "traces" / "trace_planned.csv"
+        trace.parent.mkdir()
+        trace.write_text("\n".join([lines[0], ",".join(cells), *lines[2:]]) + "\n")
+        assert main(["report", "--traces", str(trace.parent), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {trace}: line 2: column mask_bytes: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "out").exists()
 
 
 class TestUnwritableOutput:

@@ -2,10 +2,10 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_run_throughput, reference_uniform_scores, serve_at, tokenized
+from helpers import Session, reference_run_throughput, reference_uniform_scores, serve_at
 
 from pdsim.cloudsim import (
     EOT_TOKEN,
@@ -17,24 +17,13 @@ from pdsim.cloudsim import (
     uniform_scores,
 )
 from pdsim.maskcodec import pack
-from pdsim.protocol import DONE, AssistRequest, SseDecoder
 from pdsim.refiner import TokenizedPrompt, select_sentences
 from pdsim.timing import ttft_cloud
 
 
-def make_request(content_sentences: int = 40, words: int = 9, scene: str = "doc_qa") -> AssistRequest:
-    content = " ".join(
-        " ".join(f"w{s}x{w}" for w in range(words)) + "." for s in range(content_sentences)
-    )
-    return AssistRequest(
-        scene=scene,
-        model_version_label="base-v1",
-        device_class="phone",
-        prefix="setup tokens here",
-        content=content,
-        suffix="what happened ?",
-        request_id="req-1",
-    )
+def make_prompt(content_sentences: int = 40, words: int = 9) -> TokenizedPrompt:
+    """A 3-token prefix, ``content_sentences`` sentences of ``words`` words and a '.', and a 3-token suffix."""
+    return TokenizedPrompt(3, (words + 1,) * content_sentences, 3)
 
 
 class TestTokenSource:
@@ -123,7 +112,7 @@ class TestMtUniform:
 class TestServeRequest:
     def test_budget_cuts_stream_and_slot(self, calibrated_model):
         source = TokenSource(seed=3, total_tokens=500)
-        trace = serve_at(make_request(), calibrated_model, source, 0.5, 21)
+        trace = serve_at(make_prompt(), calibrated_model, source, 0.5, 21)
         assert len(trace.events) == 20
         assert trace.frame.max_tokens == 21
         # served from 0 ms, the first token leaves at the cloud TTFT
@@ -136,59 +125,35 @@ class TestServeRequest:
             assert when == pytest.approx(trace.frame_time_ms + j * calibrated_model.tpot_cloud)
 
     def test_natural_finish_before_budget(self, calibrated_model):
-        trace = serve_at(make_request(), calibrated_model, TokenSource(seed=3, total_tokens=3), 0.5, 21)
+        trace = serve_at(make_prompt(), calibrated_model, TokenSource(seed=3, total_tokens=3), 0.5, 21)
         assert len(trace.events) == 2
         assert trace.events[-1][1].token == EOT_TOKEN
 
     def test_budget_below_one_is_rejected(self, calibrated_model):
         # the wire contract is L >= 1: no budget streams until EOT
         with pytest.raises(ValueError, match="max_tokens"):
-            serve_at(make_request(), calibrated_model, TokenSource(seed=4, total_tokens=40), 1.0, 0)
+            serve_at(make_prompt(), calibrated_model, TokenSource(seed=4, total_tokens=40), 1.0, 0)
 
     def test_served_at_the_given_point(self, calibrated_model):
-        req = make_request()
-        prompt = tokenized(req)
+        prompt = make_prompt()
         scores = uniform_scores(prompt, "other")
-        trace = serve_request(req, prompt, calibrated_model, TokenSource(seed=5, total_tokens=500), scores,
+        trace = serve_request(Session(), prompt, calibrated_model, TokenSource(seed=5, total_tokens=500), scores,
                               ratio=0.25, max_tokens=7, start_ms=100.0, rtt_ms=80.0)
         assert trace.frame.max_tokens == 7 and len(trace.events) == 6
         assert trace.frame.mask == pack(select_sentences(prompt, scores, 0.25))
         ttft = ttft_cloud(calibrated_model, prompt.total_tokens, 0.25, 80.0)
         assert trace.frame_time_ms == pytest.approx(100.0 + ttft)
 
-    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(
-        st.floats(0.05, 1.0),
-        st.integers(1, 60),
-        st.integers(1, 80),
-        st.lists(st.integers(1, 300), min_size=1, max_size=6),
-    )
-    @example(0.5, 12, 100, [1 << 20])
-    def test_wire_bytes_decode_to_one_frame_then_events_then_done(self, calibrated_model, ratio, budget, total, chunks):
-        # the model fixture is immutable, so sharing it across examples is safe
-        trace = serve_at(make_request(), calibrated_model, TokenSource(seed=6, total_tokens=total), ratio, budget)
-        data = trace.wire_bytes()
-        decoder = SseDecoder()
-        items = []
-        pos = k = 0
-        while pos < len(data):
-            size = chunks[k % len(chunks)]
-            items.extend(decoder.feed(data[pos : pos + size]))
-            pos, k = pos + size, k + 1
-        assert items == [trace.frame, *(event for _, event in trace.events), DONE]
-        assert len(trace.events) == min(budget, total) - 1
-
     def test_determinism(self, calibrated_model):
         source = TokenSource(seed=7, total_tokens=64)
-        a = serve_at(make_request(), calibrated_model, source, 0.5, 9)
-        b = serve_at(make_request(), calibrated_model, source, 0.5, 9)
-        assert a.wire_bytes() == b.wire_bytes()
-        assert a.events == b.events
+        a = serve_at(make_prompt(), calibrated_model, source, 0.5, 9)
+        b = serve_at(make_prompt(), calibrated_model, source, 0.5, 9)
+        assert a == b
 
     def test_rtt_sample_shifts_first_frame(self, calibrated_model):
         source = TokenSource(seed=8, total_tokens=30)
-        base = serve_at(make_request(), calibrated_model, source, 1.0, 5, rtt_ms=50.0)
-        slow = serve_at(make_request(), calibrated_model, source, 1.0, 5, rtt_ms=150.0)
+        base = serve_at(make_prompt(), calibrated_model, source, 1.0, 5, rtt_ms=50.0)
+        slow = serve_at(make_prompt(), calibrated_model, source, 1.0, 5, rtt_ms=150.0)
         assert slow.frame_time_ms - base.frame_time_ms == pytest.approx(100.0)
 
 

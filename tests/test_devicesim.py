@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import OBSERVED, observed, reference_run_session, serve_at, tokenized
+from helpers import OBSERVED, Session, observed, reference_run_session, serve_at
 
 from pdsim.cloudsim import EOT_TOKEN, TokenSource
 from pdsim.devicesim import (
@@ -19,42 +19,32 @@ from pdsim.devicesim import (
 from pdsim.eventloop import EventLoop
 from pdsim.maskcodec import CompressedMask, pack
 from pdsim.planner import PlanConstraints, solve_plan
-from pdsim.protocol import DONE, AssistRequest, FirstTokenFrame, ProtocolError, StreamEvent
-from pdsim.refiner import SelectionMask
+from pdsim.protocol import DONE, FirstTokenFrame, ProtocolError, StreamEvent
+from pdsim.refiner import SelectionMask, TokenizedPrompt
 from pdsim.timing import AffineCost, RttClass, TimingModel
 
 
-def content_prompt_request(sentences: int = 800, words: int = 10, request_id: str = "req-1") -> AssistRequest:
-    """Content-only prompt of exactly sentences*words tokens (last word is the period)."""
-    content = " ".join(
-        " ".join(f"w{s}x{w}" for w in range(words - 1)) + "." for s in range(sentences)
-    )
-    return AssistRequest(
-        scene="doc_qa",
-        model_version_label="base-v1",
-        device_class="phone",
-        prefix="",
-        content=content,
-        suffix="",
-        request_id=request_id,
-    )
+def content_prompt(sentences: int = 800, words: int = 10) -> TokenizedPrompt:
+    """Content-only prompt of exactly sentences*words tokens: each sentence holds ``words`` tokens."""
+    return TokenizedPrompt(0, (words,) * sentences, 0)
+
+
+SESSION = Session()
 
 
 @pytest.fixture
 def plan(calibrated_model):
-    """The doc_qa plan for the 8000 tokens of ``content_prompt_request()``."""
+    """The doc_qa plan for the 8000 tokens of ``content_prompt()``."""
     return solve_plan(calibrated_model, PlanConstraints(0.25, 100.0), 8000)
 
 
-def serve(calibrated_model, ratio, max_tokens, *, n=60, divergence=frozenset(), policy=CorrectionPolicy.CLOUD_WINS,
-          request=None):
-    req = request or content_prompt_request()
+def serve(calibrated_model, ratio, max_tokens, *, n=60, divergence=frozenset(), policy=CorrectionPolicy.CLOUD_WINS):
+    prompt = content_prompt()
     cloud_source = TokenSource(seed=77, total_tokens=n)
     device_source = TokenSource(seed=77, total_tokens=n, divergence=divergence)
-    prompt = tokenized(req)
-    trace_c = serve_at(req, calibrated_model, cloud_source, ratio, max_tokens, prompt=prompt)
+    trace_c = serve_at(prompt, calibrated_model, cloud_source, ratio, max_tokens)
     trace_d = run_session(
-        req, prompt, trace_c.frame, trace_c.delivery(), calibrated_model, device_source, policy,
+        SESSION, prompt, trace_c.frame, trace_c.delivery(), calibrated_model, device_source, policy,
         start_ms=0.0, frame_time_ms=trace_c.frame_time_ms,
     )
     return trace_c, trace_d
@@ -113,13 +103,12 @@ class TestHappyPath:
                 assert when >= arrivals[position]
 
     def test_item_timed_before_the_frame_waits_for_it(self, calibrated_model, plan):
-        req = content_prompt_request()
+        prompt = content_prompt()
         source = TokenSource(seed=77, total_tokens=12)
-        prompt = tokenized(req)
-        trace_c = serve_at(req, calibrated_model, source, plan.ratio, plan.max_tokens, prompt=prompt)
+        trace_c = serve_at(prompt, calibrated_model, source, plan.ratio, plan.max_tokens)
         stream = trace_c.delivery()
         stream[0] = (trace_c.frame_time_ms - 10.0, stream[0][1])
-        trace_d = run_session(req, prompt, trace_c.frame, stream, calibrated_model, source,
+        trace_d = run_session(SESSION, prompt, trace_c.frame, stream, calibrated_model, source,
                               start_ms=0.0, frame_time_ms=trace_c.frame_time_ms)
         positions = [position for _, position, _ in trace_d.displays]
         assert positions == list(range(1, 12))
@@ -166,16 +155,15 @@ class TestCorrector:
         assert trace_d.common_prefix_len == 24
 
     def test_device_display_substitutes_when_ready(self, calibrated_model, plan):
-        req = content_prompt_request()
+        prompt = content_prompt()
         cloud_source = TokenSource(seed=77, total_tokens=60)
         device_source = TokenSource(seed=77, total_tokens=60, divergence=frozenset({3}))
-        prompt = tokenized(req)
-        trace_c = serve_at(req, calibrated_model, cloud_source, plan.ratio, plan.max_tokens, prompt=prompt)
+        trace_c = serve_at(prompt, calibrated_model, cloud_source, plan.ratio, plan.max_tokens)
         # hold every event back until long after the device finished decoding
         late = [(6000.0 + 10.0 * i, event) for i, (_, event) in enumerate(trace_c.events, start=1)]
         late.append((late[-1][0], DONE))
         trace_d = run_session(
-            req, prompt, trace_c.frame, late, calibrated_model, device_source, CorrectionPolicy.DEVICE_DISPLAY,
+            SESSION, prompt, trace_c.frame, late, calibrated_model, device_source, CorrectionPolicy.DEVICE_DISPLAY,
             start_ms=0.0, frame_time_ms=trace_c.frame_time_ms,
         )
         assert trace_d.corrections >= 1
@@ -219,11 +207,9 @@ class TestMatchesEventReference:
             k_cloud=k[0], k_device=k[1], tpot_cloud=float(tpots[0]), tpot_device=float(tpots[1]),
             rtt=RttClass("fixed", mean_ms=float(rtt), jitter_ms=0.0),
         )
-        req = content_prompt_request(sentences=sentences)
-        prompt = tokenized(req)
+        prompt = content_prompt(sentences=sentences)
         # n below the budget ends the stream with a cloud EOT inside the window
-        trace_c = serve_at(req, model, TokenSource(seed=5, total_tokens=n), ratio, budget,
-                           prompt=prompt, start_ms=float(start))
+        trace_c = serve_at(prompt, model, TokenSource(seed=5, total_tokens=n), ratio, budget, start_ms=float(start))
         # late arrivals interleave the stream with the device's own decoding; a
         # stream cut short still ends in DONE, which may come at any time from
         # the frame on
@@ -233,7 +219,7 @@ class TestMatchesEventReference:
             stream.append((max([trace_c.done_time_ms] + [t for t, _ in stream]), DONE))
         else:
             stream.append((trace_c.frame_time_ms + done_after, DONE))
-        args = (req, prompt, trace_c.frame, stream, model)
+        args = (SESSION, prompt, trace_c.frame, stream, model)
         kwargs = dict(start_ms=float(start), frame_time_ms=trace_c.frame_time_ms)
         device_tokens = max(1, n + device_extra)
         got = run_session(
@@ -272,15 +258,14 @@ class TestMatchesEventReference:
             divergence |= {tie}
         done = max(arrivals) + data.draw(st.integers(0, 4), label="done_after")
         model = TimingModel(k_device=1.0, tpot_device=float(tpot), decompress=AffineCost(float(recover), 0.0))
-        req = content_prompt_request(sentences=3)
-        prompt = tokenized(req)
+        prompt = content_prompt(sentences=3)
         mask = pack(SelectionMask([1] * refined + [0] * (prompt.total_tokens - refined)))
         stream = [
             (float(t), StreamEvent(p - 1, EOT_TOKEN if p == eot else f"tok{p}"))
             for p, t in enumerate(arrivals, start=2)
         ]
         stream.append((float(done), DONE))
-        args = (req, prompt, FirstTokenFrame("tok1", mask, budget), stream, model)
+        args = (SESSION, prompt, FirstTokenFrame("tok1", mask, budget), stream, model)
         source = TokenSource(seed=5, total_tokens=last + device_extra, divergence=divergence)
         got = run_session(*args, source, policy, frame_time_ms=0.0)
         assert observed(got) == observed(reference_run_session(*args, source, policy, frame_time_ms=0.0))
@@ -324,15 +309,14 @@ class TestMatchesEventReference:
         self, tpot, recover, refined, budget, arrivals, eot, done, divergence, device_len, policy, corrections
     ):
         model = TimingModel(k_device=1.0, tpot_device=float(tpot), decompress=AffineCost(float(recover), 0.0))
-        req = content_prompt_request(sentences=3)
-        prompt = tokenized(req)
+        prompt = content_prompt(sentences=3)
         mask = pack(SelectionMask([1] * refined + [0] * (prompt.total_tokens - refined)))
         stream = [
             (float(t), StreamEvent(p - 1, EOT_TOKEN if p == eot else f"tok{p}"))
             for p, t in enumerate(arrivals, start=2)
         ]
         stream.append((float(done), DONE))
-        args = (req, prompt, FirstTokenFrame("tok1", mask, budget), stream, model)
+        args = (SESSION, prompt, FirstTokenFrame("tok1", mask, budget), stream, model)
         source = TokenSource(seed=5, total_tokens=device_len, divergence=frozenset(divergence))
         got = run_session(*args, source, policy, frame_time_ms=0.0)
         assert observed(got) == observed(reference_run_session(*args, source, policy, frame_time_ms=0.0))
@@ -371,24 +355,22 @@ class TestMatchesEventReference:
 
 class TestFailureModes:
     def test_stalled_stream_raises(self, calibrated_model, plan):
-        req = content_prompt_request()
+        prompt = content_prompt()
         source = TokenSource(seed=77, total_tokens=60)
-        prompt = tokenized(req)
-        trace_c = serve_at(req, calibrated_model, source, plan.ratio, plan.max_tokens, prompt=prompt)
+        trace_c = serve_at(prompt, calibrated_model, source, plan.ratio, plan.max_tokens)
         truncated = [(t, e) for t, e in trace_c.events[:5]]  # no DONE, fewer than budget
         with pytest.raises(StallError):
-            run_session(req, prompt, trace_c.frame, truncated, calibrated_model, source,
+            run_session(SESSION, prompt, trace_c.frame, truncated, calibrated_model, source,
                         start_ms=0.0, frame_time_ms=trace_c.frame_time_ms)
 
     def test_full_window_without_done_is_not_a_stall(self, calibrated_model, plan):
         # budget - 1 events complete the window, so the missing DONE loses nothing
-        req = content_prompt_request()
+        prompt = content_prompt()
         source = TokenSource(seed=77, total_tokens=60)
-        prompt = tokenized(req)
-        trace_c = serve_at(req, calibrated_model, source, plan.ratio, plan.max_tokens, prompt=prompt)
+        trace_c = serve_at(prompt, calibrated_model, source, plan.ratio, plan.max_tokens)
         assert len(trace_c.events) == plan.max_tokens - 1
         with_done, without_done = (
-            run_session(req, prompt, trace_c.frame, stream, calibrated_model, source,
+            run_session(SESSION, prompt, trace_c.frame, stream, calibrated_model, source,
                         start_ms=0.0, frame_time_ms=trace_c.frame_time_ms)
             for stream in (trace_c.delivery(), list(trace_c.events))
         )
@@ -402,22 +384,20 @@ class TestFailureModes:
         ],
     )
     def test_event_indices_must_run_one_to_k(self, calibrated_model, indices, message):
-        req = content_prompt_request(sentences=3)
-        prompt = tokenized(req)
+        prompt = content_prompt(sentences=3)
         frame = FirstTokenFrame("tok1", pack(SelectionMask([1] * prompt.total_tokens)), 10)
         stream = [(30.0 * index, StreamEvent(index, f"tok{index + 1}")) for index in indices]
         stream.append((900.0, DONE))
         with pytest.raises(ProtocolError, match=message):
-            run_session(req, prompt, frame, stream, calibrated_model, TokenSource(seed=1, total_tokens=30),
+            run_session(SESSION, prompt, frame, stream, calibrated_model, TokenSource(seed=1, total_tokens=30),
                         frame_time_ms=0.0)
 
     def test_mask_prompt_mismatch_raises(self, calibrated_model, plan):
-        req = content_prompt_request()
-        other = content_prompt_request(sentences=400, request_id="req-2")
         source = TokenSource(seed=77, total_tokens=60)
-        trace_c = serve_at(other, calibrated_model, source, plan.ratio, plan.max_tokens)
+        trace_c = serve_at(content_prompt(sentences=400), calibrated_model, source, plan.ratio, plan.max_tokens,
+                           request_id="req-2")
         with pytest.raises(ProtocolError):
-            run_session(req, tokenized(req), trace_c.frame, trace_c.delivery(), calibrated_model, source,
+            run_session(SESSION, content_prompt(), trace_c.frame, trace_c.delivery(), calibrated_model, source,
                         start_ms=0.0, frame_time_ms=trace_c.frame_time_ms)
 
     def test_mask_length_checked_before_inflating(self, calibrated_model):
@@ -425,12 +405,11 @@ class TestFailureModes:
         deflate = zlib.compressobj(9)
         body = b"".join(deflate.compress(bytes(1 << 20)) for _ in range(8)) + deflate.flush()
         mask = CompressedMask.from_container(struct.pack("<I", 1 << 26) + body)
-        req = content_prompt_request(sentences=3)
         frame = FirstTokenFrame("tok1", mask, 4)
         tracemalloc.start()
         try:
             with pytest.raises(ProtocolError, match="mask carries 67108864 bits for a 30-token prompt"):
-                run_session(req, tokenized(req), frame, [(1.0, DONE)], calibrated_model,
+                run_session(SESSION, content_prompt(sentences=3), frame, [(1.0, DONE)], calibrated_model,
                             TokenSource(seed=1, total_tokens=4), frame_time_ms=0.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:

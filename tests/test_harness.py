@@ -1,9 +1,9 @@
 import csv
 import json
-import math
 import random
 import re
 import statistics
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -13,11 +13,14 @@ from hypothesis import strategies as st
 from helpers import feasible_by_substitution, reference_synthesize_prompt
 
 from pdsim import cloudsim, harness
+from pdsim.cloudsim import BatchModel
 from pdsim.devicesim import ScrubRule, scrub
 from pdsim.eventloop import EventLoop
 from pdsim.harness import (
     ConfigError,
     ReportError,
+    VariantSpec,
+    WorkloadSpec,
     config_from_dict,
     default_config,
     generate_workload,
@@ -30,10 +33,9 @@ from pdsim.harness import (
     synthesize_prompt,
     write_trace,
 )
-from pdsim.planner import solve_plan
-from pdsim.protocol import AssistRequest
+from pdsim.planner import PlanConstraints, solve_plan
 from pdsim.refiner import TokenizedPrompt, tokenize
-from pdsim.timing import ttft_cloud
+from pdsim.timing import AffineCost, RttClass, TimingModel, ttft_cloud
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -117,6 +119,14 @@ class TestConfig:
         assert (config.policy, config.scrub_rules) == (default.policy, default.scrub_rules)
         assert config.workload.prefix_tokens == default.workload.prefix_tokens
         assert config.workload.divergence_rate == default.workload.divergence_rate
+
+    def test_every_numeric_key_has_one_range(self):
+        # the dataclass fields the reader fills, plus the keys it reads beside them
+        classes = (TimingModel, RttClass, AffineCost, PlanConstraints, WorkloadSpec, BatchModel, VariantSpec)
+        numeric = {f.name for cls in classes for f in fields(cls) if harness._KINDS.get(f.type) in (int, float)}
+        assert numeric | {"seed", "buckets", "prompt_lengths", "weight", "completions"} == set(harness._RANGES)
+        for key, (lo, hi) in harness._RANGES.items():
+            assert lo < hi, key
 
 
 @st.composite
@@ -282,6 +292,14 @@ class TestWorkloadSynthesis:
         for g, texts in zip(plain, rendered):
             assert g.prompt == TokenizedPrompt.from_text(*texts)
 
+    def test_a_rule_may_not_grow_a_prompt_past_the_token_range(self, monkeypatch):
+        # the rule splits each word ``w1234`` into ``w1, 234``; a range of 2100
+        # tokens admits the 1000- and 2000-token prompts, not what the rule makes of them
+        config = load_config(DATA / "scrub_config.json")
+        monkeypatch.setattr(harness, "_TOKENS", 2100)
+        with pytest.raises(ConfigError, match=r"^config\.scrub_rules: req-\d{4} grows past 2100 tokens$"):
+            generate_workload(config, config.seed)
+
     def test_custom_scrub_rules_parse_from_config(self):
         data = base_config_dict()
         data["scrub_rules"] = [{"pattern": r"\d{10}", "replacement": "[NUM]"}]
@@ -296,6 +314,18 @@ class TestWorkloadSynthesis:
 
     def test_absent_scrub_rules_mean_no_rules(self):
         assert config_from_dict(base_config_dict()).scrub_rules == ()
+
+
+def trace_with_cell(tmp_path, column: str, value: str) -> Path:
+    """The golden report trace with the ``column`` cell of its line 4 set to ``value``."""
+    lines = (GOLDEN / "report" / "trace_planned.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    cells = lines[3].split(",")
+    cells[header.index(column)] = value
+    lines[3] = ",".join(cells)
+    bad = tmp_path / "trace_bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    return bad
 
 
 def read_rows(path: Path) -> list[dict]:
@@ -426,11 +456,8 @@ class TestRunExperiment:
         # without rules nothing reads a prompt's text; with them each request's is rendered once
         config = load_config(DATA / config_file)
         rendered = record_renders(monkeypatch)
-        built = []
-        monkeypatch.setattr(AssistRequest, "__post_init__", built.append)
         run_experiment(config, tmp_path)
         assert len(rendered) == (config.workload.requests if config.scrub_rules else 0)
-        assert built == []
 
     def test_each_request_is_scored_once(self, tmp_path, monkeypatch):
         data = base_config_dict()
@@ -519,19 +546,20 @@ class TestReport:
             ("occupancy", "", "column occupancy: could not convert"),
             ("planning_miss", "yes", "column planning_miss: expected true or false, got 'yes'"),
             ("feasible", "True", "column feasible: expected true or false"),
-            ("user_ttft", "nan", "column user_ttft: must be a finite number, got 'nan'"),
-            ("occupancy", "inf", "column occupancy: must be a finite number, got 'inf'"),
-            ("tpot_smooth", "-inf", "column tpot_smooth: must be a finite number, got '-inf'"),
+            ("user_ttft", "nan", "column user_ttft: must be a finite number of magnitude at most 1e+15, got 'nan'"),
+            ("occupancy", "inf", "column occupancy: must be a finite number of magnitude at most 1e+15, got 'inf'"),
+            ("tpot_smooth", "-inf",
+             "column tpot_smooth: must be a finite number of magnitude at most 1e+15, got '-inf'"),
+            # beyond what any config in range writes: a 401-digit int is too large for a float mean
+            pytest.param("mask_bytes", "1" + "0" * 400,
+                         "column mask_bytes: must be a finite number of magnitude at most 1e+15",
+                         id="mask_bytes-401-digits"),
+            ("L", "-1000000000000001", "column L: must be a finite number of magnitude at most 1e+15"),
+            ("user_ttft", "1.7e308", "column user_ttft: must be a finite number of magnitude at most 1e+15"),
         ],
     )
     def test_bad_values_name_file_line_and_column(self, tmp_path, column, value, needle):
-        lines = (GOLDEN / "report" / "trace_planned.csv").read_text().splitlines()
-        header = lines[0].split(",")
-        cells = lines[3].split(",")
-        cells[header.index(column)] = value
-        lines[3] = ",".join(cells)
-        bad = tmp_path / "trace_bad.csv"
-        bad.write_text("\n".join(lines) + "\n")
+        bad = trace_with_cell(tmp_path, column, value)
         with pytest.raises(ReportError, match=f"^{re.escape(str(bad))}: line 4: {re.escape(needle)}"):
             report([bad], tmp_path / "rep")
 
@@ -577,24 +605,20 @@ class TestReport:
         text = (tmp_path / "rep" / "report.txt").read_text()
         assert "tps=n/a" in text and "n/a: tps, analytic_tps, above_tau_requests" in text
 
-    def test_means_of_latencies_whose_sum_overflows_are_finite(self, tmp_path):
-        # each latency is finite, but the compression cost puts the phone's
-        # near 1e308, so their sum overflows where their mean does not
+    def test_latencies_whose_sum_would_overflow_are_out_of_range(self, tmp_path):
+        # each latency of this config would be finite, but the compression cost
+        # puts the phone's near 1e308 ms, so their sum would overflow a float
         data = json.loads((DATA / "report_config.json").read_text())
         data["timing"]["device_classes"]["phone"].update(
             k_device=1.1e304, tpot_device=99.4997, compress={"base_ms": 0.9e308, "per_token_ms": 0.01}
         )
-        simulated = run_experiment(config_from_dict(data), tmp_path / "run").variants
-        traces = sorted((tmp_path / "run").glob("trace_*.csv"))
-        reported = {m.name: m for m in report(traces, tmp_path / "rep").variants}
-        for m in simulated:
-            rows = read_trace(tmp_path / "run" / f"trace_{m.name}.csv")
-            for column, mean in (("user_ttft", "mean_user_ttft"), ("ttft_d", "mean_ttft_d"),
-                                 ("occupancy", "mean_occupancy_ms")):
-                values = [getattr(row, column) for row in rows]
-                assert sum(values) == math.inf, column
-                for metrics in (m, reported[m.name]):
-                    assert min(values) <= getattr(metrics, mean) <= max(values), (m.name, column)
+        with pytest.raises(ConfigError, match=r"^config\.timing\.device_classes\.phone\.k_device: must be in \["):
+            config_from_dict(data)
+        # nor can a trace hold such a latency
+        bad = trace_with_cell(tmp_path, "user_ttft", "0.9e308")
+        with pytest.raises(ReportError, match=f"^{re.escape(str(bad))}: line 4: column user_ttft: must be a finite"):
+            report([bad], tmp_path / "rep")
+        assert not (tmp_path / "rep").exists()
 
     def test_percentile_is_nearest_rank(self):
         values = [10.0, 20.0, 30.0, 40.0]

@@ -16,16 +16,13 @@ from pdsim.protocol import (
     DONE,
     FRAME_PREFIX,
     FRAME_SUFFIX,
-    AssistRequest,
     DoneMarker,
     FirstTokenFrame,
     ProtocolError,
     SseDecoder,
     StreamEvent,
-    decode_request,
     encode_done,
     encode_first_frame,
-    encode_request,
     encode_stream_event,
 )
 from pdsim.refiner import SelectionMask
@@ -189,37 +186,6 @@ class TestStreamEventCodec:
 # json.loads raises ValueError past the int-digit limit and RecursionError on deep nesting
 _HOSTILE_BODIES = [b'{"i":' + b"7" * 5000 + b',"token":"x"}', b"[" * 200_000]
 _HOSTILE_IDS = ["5000-digit-index", "200000-deep-nesting"]
-
-
-class TestRequestCodec:
-    def test_round_trip(self):
-        req = AssistRequest(
-            scene="doc_qa",
-            model_version_label="base-v1",
-            device_class="phone",
-            prefix="system text",
-            content="body. text.",
-            suffix="question?",
-            request_id="r-1",
-        )
-        assert decode_request(encode_request(req)) == req
-
-    def test_needs_content_or_suffix(self):
-        with pytest.raises(ValueError):
-            AssistRequest("s", "m", "d", "p", "", "", "id")
-        with pytest.raises(ProtocolError):
-            decode_request(b'{"scene":"s","model_version_label":"m","device_class":"d",'
-                           b'"prefix":"p","content":"","suffix":"","request_id":"id"}')
-
-    def test_missing_field_named(self):
-        with pytest.raises(ProtocolError, match="request_id"):
-            decode_request(b'{"scene":"s","model_version_label":"m","device_class":"d",'
-                           b'"prefix":"p","content":"c","suffix":"q"}')
-
-    @pytest.mark.parametrize("body", _HOSTILE_BODIES, ids=_HOSTILE_IDS)
-    def test_hostile_body_raises_protocol_error(self, body):
-        with pytest.raises(ProtocolError, match="JSON"):
-            decode_request(body)
 
 
 class TestSseDecoder:
