@@ -3,7 +3,7 @@
 from .cloudsim import EOT_TOKEN, BatchModel, CloudTrace, TokenSource, run_throughput, serve_request
 from .devicesim import CorrectionPolicy, DeviceTrace, StallError, run_session, scrub
 from .harness import ExperimentConfig, MetricsReport, default_config, load_config, run_experiment
-from .maskcodec import CompressedMask, MaskCodecError, MaskLengthError, pack, unpack
+from .maskcodec import CompressedMask, MaskCodecError, pack, unpack
 from .planner import Plan, PlanConstraints, build_plan_table, l_bounds, r_bounds, solve_plan
 from .protocol import (
     DONE,
@@ -26,7 +26,6 @@ from .refiner import (
 )
 from .timing import (
     AffineCost,
-    AmortizationUndefined,
     RttClass,
     TimingModel,
     prefill_device,

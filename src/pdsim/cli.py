@@ -2,7 +2,8 @@
 
 Attention-weight dumps for ``pd refine`` are little-endian binary: four
 uint32 header fields (heads, window, keys, hidden) followed by
-heads * window * keys float32 weights. Prompt files are JSON objects with
+heads * window * keys float32 weights, one key per prompt token (prefix,
+content, then suffix); heads are summed. Prompt files are JSON objects with
 "prefix", "content" and "suffix" strings.
 """
 
@@ -84,15 +85,9 @@ def _cmd_refine(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         raise SystemExit(f"cannot read weight dump {args.weights}: {exc}") from exc
     keys = weights[0].shape[1]
-    if keys == prompt.total_tokens:
-        span = prompt.content_span
-    elif keys == prompt.content_tokens:
-        span = None
-    else:
-        raise SystemExit(f"weight dump covers {keys} keys; prompt has {prompt.total_tokens} tokens "
-                         f"({prompt.content_tokens} content)")
-    scores = score_tokens(weights, window=args.window, kernel=args.kernel,
-                          content_span=span, head_aggregation=args.aggregation)
+    if keys != prompt.total_tokens:
+        raise SystemExit(f"weight dump covers {keys} keys; prompt has {prompt.total_tokens} tokens")
+    scores = score_tokens(weights, window=args.window, kernel=args.kernel, content_span=prompt.content_span)
     mask = select_sentences(prompt, scores, args.ratio)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -115,7 +110,7 @@ def _cmd_mask(args: argparse.Namespace) -> int:
         Path(args.outfile).write_bytes(compressed.payload)
         print(f"packed {compressed.bit_length} bits into {len(compressed.payload)} bytes")
     else:
-        mask = maskcodec.unpack(maskcodec.CompressedMask.from_container(data))
+        mask = maskcodec.unpack(maskcodec.CompressedMask(data))
         Path(args.outfile).write_text("".join(str(b) for b in mask.bits) + "\n")
         print(f"unpacked {len(mask)} bits ({mask.popcount()} selected)")
     return 0
@@ -152,7 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_refine.add_argument("--ratio", type=float, required=True, help="target refinement ratio in (0, 1]")
     p_refine.add_argument("--window", type=int, default=32, help="observation window (trailing query rows)")
     p_refine.add_argument("--kernel", type=int, default=7, help="odd 1D max-pooling kernel")
-    p_refine.add_argument("--aggregation", choices=("sum", "max"), default="sum", help="cross-head score aggregation")
     p_refine.add_argument("--out", required=True, help="output directory")
     p_refine.set_defaults(fn=_cmd_refine)
 

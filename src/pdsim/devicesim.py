@@ -262,8 +262,7 @@ def run_session(
     gaps = [b[0] - a[0] for a, b in zip(shows, shows[1:])]
     return DeviceTrace(
         user_ttft_ms=user_ttft,
-        # with a cloud EOT in the frame the prefill never ran; report its estimate
-        ttft_device_ms=user_ttft + recover + prefill if frame.token == EOT_TOKEN else prefill_done - start_ms,
+        ttft_device_ms=prefill_done - start_ms,  # with a cloud EOT in the frame, the instant it would have completed
         tpot_smooth_ms=tpot_smooth,
         window=tuple(shows),
         continuation_from=window_end + 1,

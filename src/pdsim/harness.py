@@ -41,8 +41,8 @@ prefix, sentence and suffix token counts) and makes no text: the workload
 draws a prompt as its sentence sizes (``synthesize_prompt``) between the
 workload's prefix and suffix token counts. Only scrub rules read text, so
 only a config that names one renders each prompt's text from the same draws
-(``render_prompt``); a prompt a rule changes is counted by
-``TokenizedPrompt.from_text``.
+(``render_prompt``), scrubs it and counts the scrubbed text with
+``TokenizedPrompt.from_text``; a text no rule changed counts to the drawn shape.
 """
 
 from __future__ import annotations
@@ -473,18 +473,19 @@ def synthesize_prompt(rng: random.Random, total_tokens: int, prefix_tokens: int,
 
 
 def render_prompt(rng: random.Random, total_tokens: int, prefix_tokens: int,
-                  suffix_tokens: int) -> tuple[str, str, str, tuple[int, ...]]:
-    """The prompt ``synthesize_prompt`` draws as its prefix, content and suffix texts, and its sizes.
+                  suffix_tokens: int) -> tuple[str, str, str]:
+    """The prompt ``synthesize_prompt`` draws as its prefix, content and suffix texts.
 
     The same draws, replayed the same way: ``rng`` ends where
-    ``synthesize_prompt`` leaves it, and the sizes are the ones it returns.
+    ``synthesize_prompt`` leaves it, and ``TokenizedPrompt.from_text`` of the
+    texts is the shape it returns.
     """
     block, starts, words = _draw_prompt(rng, total_tokens, prefix_tokens, suffix_tokens)
     text = [f"w{v}" for v in (block[block < _WORD_LIMIT] >> 18).tolist()]  # the words, by rank
     # sentence i's words are the ranks starts[i] .. starts[i] + words[i] - 1
     content = " ".join(" ".join(text[first:first + n]) + "." for first, n in zip(starts, words))
     suffix = " ".join(text[prefix_tokens:prefix_tokens + suffix_tokens - 1] + ["?"]) if suffix_tokens else ""
-    return " ".join(text[:prefix_tokens]), content, suffix, tuple(n + 1 for n in words)
+    return " ".join(text[:prefix_tokens]), content, suffix
 
 
 @dataclass(frozen=True)
@@ -492,7 +493,7 @@ class GeneratedRequest:
     """One synthesized request; it names its session in ``serve_request`` and ``run_session``.
 
     ``prompt`` is the synthesized shape, or ``TokenizedPrompt.from_text`` of
-    the scrubbed text when a scrub rule changed the rendered text.
+    the scrubbed text when the config names a scrub rule.
     """
 
     request_id: str
@@ -521,18 +522,13 @@ def generate_workload(config: ExperimentConfig, seed: int) -> list[GeneratedRequ
             prompt = TokenizedPrompt(w.prefix_tokens, synthesize_prompt(rng, length, w.prefix_tokens, w.suffix_tokens),
                                      w.suffix_tokens)
         else:
-            *texts, sizes = render_prompt(rng, length, w.prefix_tokens, w.suffix_tokens)
+            texts = render_prompt(rng, length, w.prefix_tokens, w.suffix_tokens)
             scrubbed = [scrub(text, config.scrub_rules) for text in texts]
             if not scrubbed[1].strip() and not scrubbed[2].strip():
                 raise ConfigError(f"config.scrub_rules: {request_id} keeps no content or suffix token")
-            # compared, not counted: a rule may rewrite text to itself, and
-            # scrub returns an unmatched text as the same object
-            if scrubbed == texts:
-                prompt = TokenizedPrompt(w.prefix_tokens, sizes, w.suffix_tokens)
-            else:
-                prompt = TokenizedPrompt.from_text(*scrubbed)
-                if prompt.total_tokens > _TOKENS:
-                    raise ConfigError(f"config.scrub_rules: {request_id} grows past {_TOKENS} tokens")
+            prompt = TokenizedPrompt.from_text(*scrubbed)
+            if prompt.total_tokens > _TOKENS:
+                raise ConfigError(f"config.scrub_rules: {request_id} grows past {_TOKENS} tokens")
         # position p in 2..n-1 diverges when the next random() falls below the rate
         flips = mt_uniform(rng, max(n - 2, 0))
         divergence = frozenset((np.flatnonzero(flips < w.divergence_rate) + 2).tolist())

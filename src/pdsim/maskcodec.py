@@ -2,7 +2,9 @@
 
 Container layout: 4-byte little-endian unsigned bit count, then the
 compressed byte stream. Compression level is pinned so identical masks
-produce identical payload bytes.
+produce identical payload bytes. A ``CompressedMask`` is the container's
+bytes, whatever their source (``pack``, a frame's base64 field, a file);
+its bit count is read from the header.
 """
 
 from __future__ import annotations
@@ -23,31 +25,19 @@ class MaskCodecError(Exception):
     """Corrupt or malformed mask container."""
 
 
-class MaskLengthError(MaskCodecError):
-    """Declared bit count exceeds what the stream decodes to."""
-
-
 @dataclass(frozen=True)
 class CompressedMask:
-    """Self-describing compressed mask: full container bytes plus the bit count."""
+    """A mask container: its header's bit count, then the deflate stream."""
 
     payload: bytes
-    bit_length: int
 
     def __post_init__(self) -> None:
-        if self.bit_length < 0:
-            raise ValueError("bit_length must be nonnegative")
         if len(self.payload) < _HEADER.size:
-            raise ValueError("payload shorter than the container header")
-        declared = _HEADER.unpack_from(self.payload)[0]
-        if declared != self.bit_length:
-            raise ValueError(f"bit_length {self.bit_length} disagrees with header {declared}")
-
-    @classmethod
-    def from_container(cls, data: bytes) -> "CompressedMask":
-        if len(data) < _HEADER.size:
             raise MaskCodecError("container shorter than its header")
-        return cls(payload=bytes(data), bit_length=_HEADER.unpack_from(data)[0])
+
+    @property
+    def bit_length(self) -> int:
+        return _HEADER.unpack_from(self.payload)[0]
 
 
 def pack(mask: SelectionMask) -> CompressedMask:
@@ -56,7 +46,7 @@ def pack(mask: SelectionMask) -> CompressedMask:
         raise ValueError("mask too long for a 32-bit container header")
     raw = np.packbits(mask.bits).tobytes()
     payload = _HEADER.pack(len(mask)) + zlib.compress(raw, _LEVEL)
-    return CompressedMask(payload=payload, bit_length=len(mask))
+    return CompressedMask(payload)
 
 
 def unpack(compressed: CompressedMask) -> SelectionMask:
@@ -77,7 +67,7 @@ def unpack(compressed: CompressedMask) -> SelectionMask:
     if inflater.unused_data:
         raise MaskCodecError(f"{len(inflater.unused_data)} bytes after the deflate stream")
     if len(raw) < need:
-        raise MaskLengthError(f"declared {bit_length} bits but stream holds {len(raw) * 8}")
+        raise MaskCodecError(f"declared {bit_length} bits but stream holds {len(raw) * 8}")
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
     if bits[bit_length:].any():
         raise MaskCodecError("nonzero padding bits past the declared length")

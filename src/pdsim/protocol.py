@@ -140,7 +140,7 @@ def _decode_mask_b64(text: str) -> CompressedMask:
     except (binascii.Error, UnicodeEncodeError) as exc:
         raise ProtocolError(f"field 'mask_b64' is not valid base64: {exc}") from exc
     try:
-        return CompressedMask.from_container(container)
+        return CompressedMask(container)
     except MaskCodecError as exc:
         raise ProtocolError(f"field 'mask_b64' is not a mask container: {exc}") from exc
 

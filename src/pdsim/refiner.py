@@ -8,11 +8,11 @@ prompt is built once into a ``TokenizedPrompt``: its prefix token count, the
 token count of each content sentence and its suffix token count, from which
 the per-token sentence labels are derived. The cloud uses it to select whole
 sentences, and the device uses it to check the mask. A shape has two sources:
-``from_text`` counts any text with ``tokenize`` over ``split_sentences``, and
-a prompt ``harness.synthesize_prompt`` drew, unless a scrub rule changed its
-text, is shaped from the sizes the synthesis returned. Token strings are made only
-where a caller prints them: ``refined_text`` tokenizes the texts and applies
-the mask.
+``from_text`` counts any text (``pd refine``'s prompt, a scrubbed workload
+prompt) with ``tokenize`` over ``split_sentences``, and a prompt
+``harness.synthesize_prompt`` drew is shaped from the sizes the synthesis
+returned. Token strings are made only where a caller prints them:
+``refined_text`` tokenizes the texts and applies the mask.
 """
 
 from __future__ import annotations
@@ -106,13 +106,13 @@ def max_pool_1d(values: np.ndarray, kernel: int) -> np.ndarray:
     if kernel < 1 or kernel % 2 == 0:
         raise ValueError(f"kernel must be odd and >= 1, got {kernel}")
     x = np.asarray(values, dtype=np.float64)
-    if kernel == 1 or x.size == 0:
-        return x.copy()
-    half = kernel // 2
-    padded = np.full(x.size + 2 * half, -np.inf)
-    padded[half : half + x.size] = x
-    windows = np.lib.stride_tricks.sliding_window_view(padded, kernel)
-    return windows.max(axis=1)
+    pooled = x.copy()
+    # each pass widens the window by one on each side; a half-width of
+    # size - 1 already reaches both ends from every index
+    for shift in range(1, min(kernel // 2, x.size - 1) + 1):
+        np.maximum(pooled[shift:], x[:-shift], out=pooled[shift:])
+        np.maximum(pooled[:-shift], x[shift:], out=pooled[:-shift])
+    return pooled
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,35 +136,23 @@ def score_tokens(
     window: int,
     kernel: int,
     content_span: slice | None = None,
-    head_aggregation: str = "sum",
 ) -> TokenScores:
     """Collapse per-head attention weights into one score per content token.
 
     Per head: sum the trailing ``window`` query rows, then max-pool with
-    ``kernel``. Heads combine by summation (default) or elementwise max,
-    selectable because per-head top-k voting has no canonical conflict rule.
+    ``kernel``. Heads combine by summation.
     """
     if not weights_per_head:
         raise ValueError("at least one head required")
     if window < 1:
         raise ValueError("window must be >= 1")
-    if head_aggregation not in ("sum", "max"):
-        raise ValueError(f"unknown head aggregation {head_aggregation!r}")
     n_keys = np.asarray(weights_per_head[0]).shape[1]
-    combined: np.ndarray | None = None
+    combined = np.zeros(n_keys)
     for head in weights_per_head:
         w = np.asarray(head, dtype=np.float64)
         if w.ndim != 2 or w.shape[1] != n_keys:
             raise ValueError("all heads must share the key dimension")
-        rows = w[-window:] if w.shape[0] > window else w
-        pooled = max_pool_1d(rows.sum(axis=0), kernel)
-        if combined is None:
-            combined = pooled
-        elif head_aggregation == "sum":
-            combined += pooled
-        else:
-            combined = np.maximum(combined, pooled)
-    assert combined is not None
+        combined += max_pool_1d(w[-window:].sum(axis=0), kernel)
     if content_span is not None:
         combined = combined[content_span]
     return TokenScores(scores=combined)
@@ -221,15 +209,13 @@ def select_sentences(prompt: TokenizedPrompt, scores: TokenScores, ratio: float)
     """Greedy whole-sentence selection until the token budget ceil(ratio * |content|) is met.
 
     Prefix and suffix are always kept. The greedy order does not depend on
-    the ratio, so selections nest as the ratio grows. Empty content yields an
-    all-ones mask (nothing to refine).
+    the ratio, so selections nest as the ratio grows. Empty content or a
+    ratio of 1 yields an all-ones mask.
     """
     if not 0.0 < ratio <= 1.0:
         raise ValueError(f"ratio must be in (0, 1], got {ratio}")
     bits = np.ones(prompt.total_tokens, dtype=np.uint8)
     n_content = prompt.content_tokens
-    if n_content == 0 or ratio == 1.0:
-        return SelectionMask(bits)
     order = np.asarray(sentence_order(prompt, scores), dtype=np.int64)
     ids = prompt._ids
     covered = np.cumsum(prompt._sizes[order])

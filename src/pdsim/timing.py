@@ -29,10 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-class AmortizationUndefined(ValueError):
-    """Smoothed TPOT needs at least one decode token to amortize over."""
-
-
 @dataclass(frozen=True)
 class RttClass:
     """Coarse network class: mean round trip plus a jitter spread."""
@@ -148,7 +144,7 @@ def smoothed_tpot(model: TimingModel, prefill_device_ms: float, ttft_cloud_ms: f
     no-display-branch path in the device simulator.
     """
     if total_tokens < 2:
-        raise AmortizationUndefined(f"need at least 2 assisted tokens, got {total_tokens}")
+        raise ValueError(f"need at least 2 assisted tokens, got {total_tokens}")
     if prefill_device_ms < 0.0 or ttft_cloud_ms < 0.0:
         raise ValueError("latencies must be nonnegative")
     return model.tpot_device + (prefill_device_ms - ttft_cloud_ms) / (total_tokens - 1)

@@ -560,9 +560,9 @@ class ReferenceSession:
             common += 1
 
         if self.ttft_device is None:
-            # session ended before prefill completed (e.g. instant cloud EOT)
+            # a cloud EOT in the frame: the prefill never ran; the instant _on_prefill_done would have seen
             recover = self.model.decompress(self.prompt_tokens)
-            self.ttft_device = self.user_ttft + recover + self.prefill_est
+            self.ttft_device = self.frame_time + recover + self.prefill_est - self.start
         return ReferenceTrace(
             user_ttft_ms=self.user_ttft,
             ttft_device_ms=self.ttft_device,

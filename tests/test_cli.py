@@ -252,7 +252,7 @@ class TestRefineCommand:
             "--ratio", "0.5", "--kernel", "3", "--window", "4", "--out", str(out),
         ])
         assert code == 0
-        mask = unpack(CompressedMask.from_container((out / "mask.bin").read_bytes()))
+        mask = unpack(CompressedMask((out / "mask.bin").read_bytes()))
         assert len(mask) == prompt.total_tokens
         refined = (out / "refined.txt").read_text().split()
         assert refined[0] == "sys" and refined[-1] == "q"
@@ -269,6 +269,20 @@ class TestRefineCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in golden.iterdir())
         for name in ("mask.bin", "refined.txt"):
             assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
+
+    def test_a_kernel_wider_than_the_prompt_pools_as_the_widest_one(self, tmp_path):
+        # the golden prompt has 67 tokens, so kernel 135 already reaches both ends
+        # from every key; a wider one must pool the same in the same memory
+        data = Path(__file__).parent / "data"
+        masks = []
+        for kernel in ("135", str(2**62 + 1)):
+            out = tmp_path / kernel
+            assert main([
+                "refine", "--prompt", str(data / "refine_prompt.json"), "--weights", str(data / "refine_weights.bin"),
+                "--ratio", "0.5", "--kernel", kernel, "--window", "4", "--out", str(out),
+            ]) == 0
+            masks.append((out / "mask.bin").read_bytes())
+        assert masks[0] == masks[1]
 
     def test_weight_dump_validation(self, tmp_path):
         bad = tmp_path / "weights.bin"
@@ -313,6 +327,15 @@ class TestRefineCommand:
     def test_malformed_weight_dump(self, tmp_path, weights):
         prompt_text = json.dumps({"prefix": "sys", "content": "alpha beta. gamma.", "suffix": "q"})
         assert "cannot read weight dump" in self.refine_exit(tmp_path, prompt_text, weights)
+
+    def test_a_dump_needs_one_key_per_prompt_token(self, tmp_path):
+        # prefix, content and suffix: a dump of the 5 content keys alone is refused
+        prompt_text = json.dumps({"prefix": "sys", "content": "alpha beta. gamma.", "suffix": "q"})
+        prompt = TokenizedPrompt.from_text("sys", "alpha beta. gamma.", "q")
+        dump = tmp_path / "dump.bin"
+        write_weight_dump(dump, [np.full((4, prompt.content_tokens), 0.25)], hidden=8)
+        message = self.refine_exit(tmp_path, prompt_text, dump.read_bytes())
+        assert message == "weight dump covers 5 keys; prompt has 7 tokens"
 
     @pytest.mark.parametrize("ratio", ["0", "-0.5", "1.5", "nan"])
     def test_ratio_outside_unit_interval(self, tmp_path, ratio):
@@ -380,11 +403,13 @@ class TestMaskCommand:
         assert message == f"cannot read {bits_file}: byte {offset} is {byte!r}, not 0, 1 or whitespace"
         assert not (tmp_path / "out.bin").exists()
 
-    def test_corrupt_container_exits_nonzero(self, tmp_path, capsys):
+    @pytest.mark.parametrize("container", [b"\x09\x00\x00\x00notdeflate", b"abc"], ids=["not-deflate", "short"])
+    def test_corrupt_container_exits_nonzero(self, tmp_path, capsys, container):
         broken = tmp_path / "broken.bin"
-        broken.write_bytes(b"\x09\x00\x00\x00notdeflate")
+        broken.write_bytes(container)
         assert main(["mask", "unpack", str(broken), str(tmp_path / "out.txt")]) == 2
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "out.txt").exists()
 
 
 class TestSimulateAndReport:

@@ -133,6 +133,22 @@ class TestEarlyNaturalFinish:
         assert [position for _, position, _ in trace_d.displays] == list(range(1, 10))
         assert EOT_TOKEN not in [token for _, _, token in trace_d.displays]
 
+    def test_an_eot_frame_reports_when_the_prefill_would_have_completed(self):
+        # the frame, arriving at 0.7 ms for a session started at 0.1 ms, is the
+        # cloud EOT, so the 0.3 ms recovery and the 1.05 ms prefill of the one
+        # refined token never run
+        model = TimingModel(k_device=1.05, decompress=AffineCost(0.3, 0.0))
+        prompt = content_prompt(sentences=3)
+        mask = pack(SelectionMask([1] + [0] * (prompt.total_tokens - 1)))
+        args = (SESSION, prompt, FirstTokenFrame(EOT_TOKEN, mask, 4), [(0.7, DONE)], model,
+                TokenSource(seed=1, total_tokens=4))
+        trace_d = run_session(*args, start_ms=0.1, frame_time_ms=0.7)
+        assert trace_d.window == () and trace_d.output_len == 0
+        # the clock instant less the start, 1.9499999999999997; the frame's
+        # TTFT plus recovery and prefill would round to 1.95
+        assert trace_d.ttft_device_ms == 0.7 + 0.3 + 1.05 - 0.1 != 0.7 - 0.1 + 0.3 + 1.05
+        assert observed(trace_d) == observed(reference_run_session(*args, start_ms=0.1, frame_time_ms=0.7))
+
 
 class TestCorrector:
     def test_cloud_wins_displays_cloud_stream_and_counts(self, calibrated_model, plan):
@@ -404,7 +420,7 @@ class TestFailureModes:
         # 2^26 zero bits deflate to about 8 KB; decoding them would take 72 MB
         deflate = zlib.compressobj(9)
         body = b"".join(deflate.compress(bytes(1 << 20)) for _ in range(8)) + deflate.flush()
-        mask = CompressedMask.from_container(struct.pack("<I", 1 << 26) + body)
+        mask = CompressedMask(struct.pack("<I", 1 << 26) + body)
         frame = FirstTokenFrame("tok1", mask, 4)
         tracemalloc.start()
         try:

@@ -156,7 +156,7 @@ def assert_matches_the_draw_loop(make_rng, seed: int, total: int, prefix_tokens:
     shaped, rendered = make_rng(seed), make_rng(seed)
     assert synthesize_prompt(shaped, total, prefix_tokens, suffix_tokens) == want[3]
     assert shaped.getstate() == ref.getstate()
-    assert render_prompt(rendered, total, prefix_tokens, suffix_tokens) == want
+    assert render_prompt(rendered, total, prefix_tokens, suffix_tokens) == want[:3]
     assert rendered.getstate() == ref.getstate()
     return shaped
 
@@ -168,7 +168,7 @@ def record_renders(monkeypatch) -> list:
 
     def recording(*args):
         result = original(*args)
-        rendered.append(tuple(result[:3]))
+        rendered.append(result)
         return result
 
     monkeypatch.setattr(harness, "render_prompt", recording)
@@ -193,13 +193,13 @@ class TestWorkloadSynthesis:
         rng = random.Random(0)
         for _ in range(40):
             total = rng.randint(64, 4000)
-            prefix, content, suffix, _ = render_prompt(rng, total, 6, 4)
+            prefix, content, suffix = render_prompt(rng, total, 6, 4)
             count = len(tokenize(prefix)) + len(tokenize(content)) + len(tokenize(suffix))
             assert count == total
 
     def test_no_prefix_or_suffix(self):
         rng = random.Random(1)
-        prefix, content, suffix, _ = render_prompt(rng, 500, 0, 0)
+        prefix, content, suffix = render_prompt(rng, 500, 0, 0)
         assert prefix == "" and suffix == ""
         assert len(tokenize(content)) == 500
 
@@ -245,7 +245,8 @@ class TestWorkloadSynthesis:
     @example(1, 32000, 6, 4)
     def test_synthesized_tokens_equal_from_text(self, seed, content_tokens, prefix_tokens, suffix_tokens):
         total = content_tokens + prefix_tokens + suffix_tokens
-        *texts, sizes = render_prompt(random.Random(seed), total, prefix_tokens, suffix_tokens)
+        texts = render_prompt(random.Random(seed), total, prefix_tokens, suffix_tokens)
+        sizes = synthesize_prompt(random.Random(seed), total, prefix_tokens, suffix_tokens)
         prompt = TokenizedPrompt(prefix_tokens, sizes, suffix_tokens)  # the shape generate_workload builds
         assert prompt == TokenizedPrompt.from_text(*texts)  # sentence_sizes included
         assert prompt.total_tokens == total
@@ -261,7 +262,7 @@ class TestWorkloadSynthesis:
         # an 11-digit phone number never fires on a synthesized prompt
         prefix_tokens, suffix_tokens, total = shape
         phone = (ScrubRule(r"\d{11}", "[PHONE]"),)
-        for text in render_prompt(random.Random(seed), total, prefix_tokens, suffix_tokens)[:3]:
+        for text in render_prompt(random.Random(seed), total, prefix_tokens, suffix_tokens):
             assert re.search(r"\d{5}", text) is None
             assert scrub(text, phone) is text
 
@@ -285,8 +286,8 @@ class TestWorkloadSynthesis:
         rendered = record_renders(monkeypatch)
         tokenized = record_from_text(monkeypatch)
         rewritten = generate_workload(config_from_dict({**data, "scrub_rules": identity}), seed=7)
-        # the rule rewrote each rendered text to itself, so no prompt was counted
-        assert len(rendered) == len(plain) and tokenized == []
+        # each scrubbed prompt is counted once, and the rule rewrote each rendered text to itself
+        assert len(rendered) == len(plain) and tokenized == rendered
         assert rewritten == plain
         # the synthesized sizes, between the workload's prefix and suffix counts, shape the text
         for g, texts in zip(plain, rendered):
@@ -448,7 +449,7 @@ class TestRunExperiment:
         scrubbed = [tuple(scrub(text, config.scrub_rules) for text in texts) for texts in rendered]
         changed = [after for after, before in zip(scrubbed, rendered) if after != before]
         assert len(rendered) == 8 and 0 < len(changed) < 8
-        assert tokenized == changed
+        assert tokenized == scrubbed  # changed or not, each scrubbed prompt is counted once
         assert built == [TokenizedPrompt.from_text(*texts) for texts in scrubbed]
 
     @pytest.mark.parametrize("config_file", ["report_config.json", "scrub_config.json"])

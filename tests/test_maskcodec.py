@@ -9,7 +9,7 @@ import pytest
 
 from helpers import clustered_mask
 
-from pdsim.maskcodec import CompressedMask, MaskCodecError, MaskLengthError, pack, unpack
+from pdsim.maskcodec import CompressedMask, MaskCodecError, pack, unpack
 from pdsim.refiner import SelectionMask
 
 
@@ -71,31 +71,31 @@ class TestSizes:
 class TestErrors:
     def test_truncated_payload(self):
         compressed = pack(SelectionMask([1, 0, 1] * 100))
-        broken = CompressedMask.from_container(compressed.payload[:-3])
+        broken = CompressedMask(compressed.payload[:-3])
         with pytest.raises(MaskCodecError):
             unpack(broken)
 
     def test_declared_length_exceeding_stream(self):
         container = struct.pack("<I", 100) + zlib.compress(b"\xff", 9)
-        with pytest.raises(MaskLengthError):
-            unpack(CompressedMask.from_container(container))
+        with pytest.raises(MaskCodecError, match="declared 100 bits but stream holds 8"):
+            unpack(CompressedMask(container))
 
     def test_extra_decoded_bytes(self):
         container = struct.pack("<I", 4) + zlib.compress(b"\xf0\x00\x00", 9)
         with pytest.raises(MaskCodecError):
-            unpack(CompressedMask.from_container(container))
+            unpack(CompressedMask(container))
 
     @pytest.mark.parametrize("junk", [b"\x00", b"junk", zlib.compress(b"\x00", 9)])
     def test_bytes_after_the_deflate_stream(self, junk):
         compressed = pack(SelectionMask([1, 0, 1] * 100))
         with pytest.raises(MaskCodecError, match="after the deflate stream"):
-            unpack(CompressedMask.from_container(compressed.payload + junk))
+            unpack(CompressedMask(compressed.payload + junk))
 
     def test_inflation_is_bounded_by_the_declared_length(self):
         # 8 bits declared, 50 MB of zeros behind them
         deflate = zlib.compressobj(9)
         stream = b"".join(deflate.compress(bytes(1 << 20)) for _ in range(50)) + deflate.flush()
-        bomb = CompressedMask.from_container(struct.pack("<I", 8) + stream)
+        bomb = CompressedMask(struct.pack("<I", 8) + stream)
         tracemalloc.start()
         try:
             with pytest.raises(MaskCodecError):
@@ -108,16 +108,16 @@ class TestErrors:
     def test_nonzero_padding_bits(self):
         container = struct.pack("<I", 4) + zlib.compress(b"\xff", 9)
         with pytest.raises(MaskCodecError):
-            unpack(CompressedMask.from_container(container))
+            unpack(CompressedMask(container))
 
-    def test_header_disagreement_rejected(self):
+    def test_bit_length_is_read_from_the_header(self):
         compressed = pack(SelectionMask([1, 0, 1]))
-        with pytest.raises(ValueError):
-            CompressedMask(payload=compressed.payload, bit_length=5)
+        assert CompressedMask(compressed.payload).bit_length == 3
+        assert CompressedMask(struct.pack("<I", 5) + compressed.payload[4:]).bit_length == 5
 
     def test_container_shorter_than_header(self):
         with pytest.raises(MaskCodecError):
-            CompressedMask.from_container(b"\x01")
+            CompressedMask(b"\x01")
 
 
 class TestMutationFuzz:
@@ -142,7 +142,7 @@ class TestMutationFuzz:
                         declared = rng.choice([0, len(mask) + 1, len(mask) + 8, rng.getrandbits(32), 0xFFFFFFFF])
                         container[:4] = struct.pack("<I", declared)
                 try:
-                    got = unpack(CompressedMask.from_container(bytes(container)))
+                    got = unpack(CompressedMask(bytes(container)))
                 except MaskCodecError:
                     assert case % 4, "an unmutated container must unpack"
                     continue

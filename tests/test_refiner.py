@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -64,11 +64,12 @@ class TestTokenizer:
             TokenizedPrompt(**{"prefix_tokens": 0, "sentence_sizes": (2,), "suffix_tokens": 0, part: count})
 
 
-class TestScoreTokens:
-    def brute_pool(self, xs, kernel):
-        half = kernel // 2
-        return [max(xs[max(0, i - half) : i + half + 1]) for i in range(len(xs))]
+def brute_pool(xs, kernel):
+    half = kernel // 2
+    return [max(xs[max(0, i - half) : i + half + 1]) for i in range(len(xs))]
 
+
+class TestScoreTokens:
     def test_identity_pooling_single_head(self):
         row = np.array([[0.1, 0.5, 0.2, 0.2]])
         scores = score_tokens([row], window=1, kernel=1)
@@ -77,15 +78,17 @@ class TestScoreTokens:
     def test_kernel_three_spreads_spike(self):
         xs = [0.0, 0.0, 0.0, 9.0, 0.0, 0.0, 0.0, 1.0]
         pooled = max_pool_1d(np.array(xs), 3)
-        assert pooled.tolist() == self.brute_pool(xs, 3)
+        assert pooled.tolist() == brute_pool(xs, 3)
         assert pooled[2] == pooled[3] == pooled[4] == 9.0
 
-    def test_pooling_matches_brute_force(self):
-        rng = random.Random(3)
-        for _ in range(50):
-            xs = [rng.random() for _ in range(rng.randint(1, 40))]
-            kernel = rng.choice([1, 3, 5, 7, 9])
-            assert max_pool_1d(np.array(xs), kernel).tolist() == pytest.approx(self.brute_pool(xs, kernel))
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1e6, 1e6), max_size=40))
+    @example([])
+    @example([2.5])
+    def test_pooling_matches_brute_force(self, xs):
+        # every odd kernel, up to two past 2 * len(xs) + 1, which already reaches both ends
+        for kernel in range(1, 2 * len(xs) + 4, 2):
+            assert max_pool_1d(np.array(xs), kernel).tolist() == brute_pool(xs, kernel)
 
     def test_two_heads_with_disjoint_spikes(self):
         a = np.zeros((1, 8))
@@ -96,13 +99,10 @@ class TestScoreTokens:
         order = np.argsort(-scores.scores)
         assert set(order[:2]) == {1, 6}
 
-    def test_max_aggregation(self):
+    def test_heads_are_summed(self):
         a = np.array([[1.0, 0.0]])
         b = np.array([[0.5, 0.25]])
-        summed = score_tokens([a, b], window=1, kernel=1).scores
-        peaked = score_tokens([a, b], window=1, kernel=1, head_aggregation="max").scores
-        assert summed.tolist() == [1.5, 0.25]
-        assert peaked.tolist() == [1.0, 0.25]
+        assert score_tokens([a, b], window=1, kernel=1).scores.tolist() == [1.5, 0.25]
 
     def test_only_trailing_window_rows_count(self):
         m = np.array([[100.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
@@ -349,6 +349,9 @@ class TestMatchesLoopReference:
 
     @settings(max_examples=200, deadline=None)
     @given(scored_prompts(), st.floats(0.0, 1.0, exclude_min=True))
+    @example((TokenizedPrompt.from_text("sys tokens", "Aa bb. Cc dd ee! Ff", "q ?"),
+              TokenScores(np.array([0.5, 0.25, 0.0, 1.0, 0.5, 0.0, 0.75, 0.25]))), 1.0)
+    @example((TokenizedPrompt.from_text("sys tokens", " \n ", "q ?"), TokenScores(np.array([]))), 0.5)
     def test_sentence_order_and_selection(self, scored, ratio):
         prompt, scores = scored
         assert sentence_order(prompt, scores) == reference_sentence_order(prompt, scores)

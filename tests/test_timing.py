@@ -6,7 +6,6 @@ import pytest
 from pdsim.timing import (
     RTT_CLASSES,
     AffineCost,
-    AmortizationUndefined,
     RttClass,
     TimingModel,
     prefill_device,
@@ -91,7 +90,7 @@ class TestSmoothedTpot:
         assert pace <= 100.0
 
     def test_single_token_is_undefined(self, calibrated_model):
-        with pytest.raises(AmortizationUndefined):
+        with pytest.raises(ValueError, match="need at least 2 assisted tokens, got 1"):
             smoothed_tpot(calibrated_model, 2000.0, 500.0, 1)
 
     def test_strictly_decreasing_toward_device_pace(self, calibrated_model):
