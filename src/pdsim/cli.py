@@ -106,12 +106,13 @@ def _cmd_mask(args: argparse.Namespace) -> int:
     if args.action == "pack":
         if bad := re.search(rb"[^01\s]", data):  # a bytes pattern's \s is ASCII whitespace
             raise SystemExit(f"cannot read {args.infile}: byte {bad.start()} is {bad[0]!r}, not 0, 1 or whitespace")
-        compressed = maskcodec.pack(SelectionMask([byte - 48 for byte in data if byte in b"01"]))  # '0' and '1'
+        chars = np.frombuffer(data, dtype=np.uint8)
+        compressed = maskcodec.pack(SelectionMask(chars[(chars == 48) | (chars == 49)] - 48))  # '0' and '1'
         Path(args.outfile).write_bytes(compressed.payload)
         print(f"packed {compressed.bit_length} bits into {len(compressed.payload)} bytes")
     else:
         mask = maskcodec.unpack(maskcodec.CompressedMask(data))
-        Path(args.outfile).write_text("".join(str(b) for b in mask.bits) + "\n")
+        Path(args.outfile).write_bytes((mask.bits + 48).tobytes() + b"\n")  # '0' and '1'
         print(f"unpacked {len(mask)} bits ({mask.popcount()} selected)")
     return 0
 

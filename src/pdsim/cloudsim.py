@@ -84,11 +84,9 @@ class CloudTrace:
     done_time_ms: float
     occupancy_ms: float
 
-    def delivery(self) -> list[tuple[float, StreamEvent | DoneMarker]]:
-        """Timed stream as the device sees it (events then the DONE marker)."""
-        timed: list[tuple[float, StreamEvent | DoneMarker]] = list(self.events)
-        timed.append((self.done_time_ms, DONE))
-        return timed
+    def delivery(self) -> list[tuple[float, FirstTokenFrame | StreamEvent | DoneMarker]]:
+        """Timed stream as the device sees it: the frame, the events, then DONE, as ``SseDecoder`` yields them."""
+        return [(self.frame_time_ms, self.frame), *self.events, (self.done_time_ms, DONE)]
 
 
 def uniform_scores(prompt: TokenizedPrompt, seed: int | str) -> TokenScores:
@@ -100,29 +98,25 @@ def uniform_scores(prompt: TokenizedPrompt, seed: int | str) -> TokenScores:
 
 
 def serve_request(
-    req: object,
-    prompt: TokenizedPrompt,
+    req,
     model: TimingModel,
     source: TokenSource,
     scores: TokenScores,
     *,
     ratio: float,
     max_tokens: int,
-    start_ms: float,
     rtt_ms: float,
 ) -> CloudTrace:
-    """Serve one request at a given point: refine, piggyback the first token, stream.
+    """Serve request ``req`` at a given point: refine, piggyback the first token, stream.
 
-    ``planner.solve_plan`` decides the point: the refinement ``ratio``
-    and the budget ``max_tokens``, the tokens the cloud produces counting the
-    first one. ``prompt`` is the shape of the request's reference
-    tokenization, shared with the device; the mask selects over it by ``scores``. The first token
-    leaves ``ttft_cloud`` after ``start_ms`` at round trip ``rtt_ms``.
-    ``req`` is not read; it names the session by its ``request_id`` for wrappers
-    that attribute time per request, as in ``devicesim.run_session``.
+    The mask selects over ``req.prompt``, the shape shared with the device,
+    by ``scores``; the first token leaves ``ttft_cloud`` after
+    ``req.arrival_ms`` at round trip ``rtt_ms``. ``planner.solve_plan``
+    decides the point: the ``ratio`` and the budget ``max_tokens``, the
+    tokens the cloud produces counting the first one.
     """
-    first_token_at = start_ms + ttft_cloud(model, prompt.total_tokens, ratio, rtt_ms)
-    compressed = pack(select_sentences(prompt, scores, ratio))
+    first_token_at = req.arrival_ms + ttft_cloud(model, req.prompt.total_tokens, ratio, rtt_ms)
+    compressed = pack(select_sentences(req.prompt, scores, ratio))
 
     emit_total = min(max_tokens, source.total_tokens)
     frame = FirstTokenFrame(token=source.token_at(1), mask=compressed, max_tokens=max_tokens)
@@ -138,7 +132,7 @@ def serve_request(
         frame=frame,
         events=events,
         done_time_ms=events[-1][0] if events else first_token_at,
-        occupancy_ms=request_occupancy(first_token_at - start_ms, model.tpot_cloud, emit_total),
+        occupancy_ms=request_occupancy(first_token_at - req.arrival_ms, model.tpot_cloud, emit_total),
     )
 
 
@@ -149,10 +143,13 @@ class BatchModel:
     slots: int
     mode: str = "closed"  # "closed" | "poisson"
     arrival_rate_per_s: float | None = None
+    completions: int = 1024  # measured after the warmup
 
     def __post_init__(self) -> None:
         if self.slots < 1:
             raise ValueError("slots must be >= 1")
+        if self.completions < 1:
+            raise ValueError("completions must be >= 1")
         if self.mode not in ("closed", "poisson"):
             raise ValueError(f"unknown batch mode {self.mode!r}")
         if self.mode == "poisson" and (self.arrival_rate_per_s is None or self.arrival_rate_per_s <= 0):
@@ -165,13 +162,7 @@ class ThroughputResult:
     analytic_tps: float
 
 
-def run_throughput(
-    batch: BatchModel,
-    occupancies_ms: Sequence[float],
-    completions: int,
-    *,
-    seed: int = 0,
-) -> ThroughputResult:
+def run_throughput(batch: BatchModel, occupancies_ms: Sequence[float], *, seed: int = 0) -> ThroughputResult:
     """Measure steady-state completions per second over the occupancy population.
 
     Requests cycle through ``occupancies_ms`` and are served first come,
@@ -180,18 +171,16 @@ def run_throughput(
     Closed mode, where each completion admits the next request, has every
     arrival ``a_i`` at 0; Poisson mode draws the gaps between arrivals
     from ``random.Random(f"throughput:{seed}")``. All ``completions + slots``
-    requests complete; the first ``slots`` completions are warmup, so the
-    measurement window holds exactly ``completions``. The returned analytic
-    rate is slots / mean occupancy for cross-checks.
+    requests of ``batch`` complete; the first ``slots`` completions are warmup,
+    so the measurement window holds exactly ``completions``. The returned
+    analytic rate is slots / mean occupancy for cross-checks.
     """
     if not occupancies_ms:
         raise ValueError("need at least one occupancy sample")
     if any(t <= 0 for t in occupancies_ms):
         raise ValueError("occupancies must be positive")
-    if completions < 1:
-        raise ValueError("completions must be >= 1")
 
-    target = completions + batch.slots  # warmup + measured
+    target = batch.completions + batch.slots  # warmup + measured
     if batch.mode == "closed":
         arrivals: Iterable[float] = itertools.repeat(0.0, target)
     else:
@@ -208,6 +197,6 @@ def run_throughput(
     window = ends[-1] - ends[batch.slots - 1]
     mean_occ = sum(occupancies_ms) / len(occupancies_ms)
     return ThroughputResult(
-        tps=completions / (window / 1000.0) if window > 0 else 0.0,
+        tps=batch.completions / (window / 1000.0) if window > 0 else 0.0,
         analytic_tps=batch.slots / (mean_occ / 1000.0),
     )

@@ -4,7 +4,10 @@ Branch 2 displays the cloud-assisted tokens at the smoothed pace computed
 once at first-frame arrival; branch 1 runs the postponed prefill over the
 refined prompt and then decodes at device speed, with the token corrector
 comparing against the cloud tokens received so far. A session is a pure
-function of its timed stream, computed as three timelines:
+function of its request (prompt shape and arrival time) and its timed
+stream, the items ``protocol.SseDecoder`` yields in their order (the
+first-token frame, the events, DONE), each with its arrival time. It is
+computed as three timelines:
 
 - Cloud shows. The frame shows position 1 at its arrival F; position p is
   shown at ``w_p = max(F + (p - 1)·pace, a_p, w_{p-1})``, with ``a_p`` its
@@ -13,11 +16,12 @@ function of its timed stream, computed as three timelines:
   and stop at the cloud EOT, which ends the session. Under DEVICE_DISPLAY a
   show displays the device's own token instead when decode p ran by then and
   differs.
-- Decodes. The prefill completes at ``F + recover + prefill``; decode k runs
-  at ``t_k``, one ``tpot_device`` after decode k - 1 (after the prefill for
-  k = 2). Under CLOUD_WINS, position k takes the cloud token when that token
-  arrived at or before ``t_k`` and k is within L. Decoding stops at the
-  effective EOT, or at the cloud-EOT show.
+- Decodes. The prefill completes at ``F + recover + prefill``
+  (``timing.ttft_device``); decode k runs at ``t_k``, one ``tpot_device``
+  after decode k - 1 (after the prefill for k = 2). Under CLOUD_WINS,
+  position k takes the cloud token when that token arrived at or before
+  ``t_k`` and k is within L. Decoding stops at the effective EOT, or at the
+  cloud-EOT show.
 - Device display. Once the window is shown in full, position q is shown at
   ``max(t_q, begin)`` with its own token, up to the device EOT. ``begin``
   is the last window show, or ``max(last show, DONE)`` when the stream is
@@ -50,8 +54,7 @@ import numpy as np
 from .cloudsim import EOT_TOKEN, TokenSource
 from .maskcodec import unpack
 from .protocol import DoneMarker, FirstTokenFrame, ProtocolError, StreamEvent
-from .refiner import TokenizedPrompt
-from .timing import TimingModel, prefill_device, smoothed_tpot
+from .timing import TimingModel, prefill_device, smoothed_tpot, ttft_device
 
 
 class StallError(Exception):
@@ -126,30 +129,33 @@ class DeviceTrace:
 
 
 def run_session(
-    req: object,
-    prompt: TokenizedPrompt,
-    frame: FirstTokenFrame,
-    stream: Iterable[tuple[float, StreamEvent | DoneMarker]],
+    req,
+    stream: Iterable[tuple[float, FirstTokenFrame | StreamEvent | DoneMarker]],
     model: TimingModel,
     device_source: TokenSource,
     policy: CorrectionPolicy = CorrectionPolicy.CLOUD_WINS,
-    *,
-    start_ms: float = 0.0,
-    frame_time_ms: float,
 ) -> DeviceTrace:
     """Simulate one device session and return its trace.
 
-    ``req`` is not read; it names the session by its ``request_id`` (a
-    ``harness.GeneratedRequest`` in experiments) for wrappers that attribute
-    time per request. ``prompt`` is the shape of the request's
-    reference tokenization, the same one the cloud selected over; the device
-    validates the mask length against it.
-    ``stream`` holds (arrival time, event-or-DONE) pairs as produced by the
-    cloud simulator. Raises ProtocolError on a mask/prompt mismatch or on
-    event indices other than exactly 1..k, and StallError when the stream
-    is short without the DONE marker.
+    The session starts at ``req.arrival_ms`` and checks the mask length
+    against ``req.prompt``, the shape the cloud selected over (``req`` is a
+    ``harness.GeneratedRequest`` in experiments). ``stream`` is
+    ``CloudTrace.delivery()``: (arrival time, item) pairs in the order
+    ``protocol.SseDecoder`` yields the items. Raises ProtocolError on a
+    stream that does not open with the frame or holds a second one, on a
+    mask/prompt mismatch or on event indices other than exactly 1..k, and
+    StallError when the stream is short without the DONE marker.
     """
-    budget = frame.max_tokens
+    timed = list(stream)
+    frame_time_ms, frame = timed[0] if timed else (None, None)
+    if not isinstance(frame, FirstTokenFrame):
+        raise ProtocolError("stream must open with the first-token frame")
+    if any(isinstance(item, FirstTokenFrame) for _, item in timed[1:]):
+        raise ProtocolError("stream holds a second first-token frame")
+    events = sorted(((t, item) for t, item in timed if isinstance(item, StreamEvent)), key=lambda pair: pair[0])
+    done = max((t for t, item in timed if isinstance(item, DoneMarker)), default=None)
+
+    prompt, start_ms, budget = req.prompt, req.arrival_ms, frame.max_tokens
     # checked before inflating, so a declared length never costs memory
     if frame.mask.bit_length != prompt.total_tokens:
         raise ProtocolError(
@@ -157,15 +163,9 @@ def run_session(
         )
     refined_tokens = unpack(frame.mask).popcount()
     prefill = prefill_device(model, refined_tokens)
-    recover = model.decompress(prompt.total_tokens)
     user_ttft = frame_time_ms - start_ms
     tpot_smooth = smoothed_tpot(model, prefill, user_ttft, budget) if budget >= 2 else None
 
-    timed = list(stream)
-    events = sorted(
-        ((t, item) for t, item in timed if isinstance(item, StreamEvent)), key=lambda pair: pair[0]
-    )
-    done = max((t for t, item in timed if isinstance(item, DoneMarker)), default=None)
     cloud = {1: frame.token}
     arrival = {1: frame_time_ms}
     for when, event in events:
@@ -202,7 +202,7 @@ def run_session(
     # decode k runs at timeline[k - 1]; timeline[0] is the prefill. Past
     # cloud_last + 1 no position is in scope and the raw EOT ends decoding,
     # so no decode runs past max(total_tokens, cloud_last + 1).
-    prefill_done = frame_time_ms + recover + prefill
+    prefill_done = ttft_device(model, prompt.total_tokens, prefill, frame_time_ms)
     decodes = max(device_source.total_tokens, cloud_last + 1)
     steps = np.full(decodes, model.tpot_device, dtype=float)
     steps[0] = prefill_done

@@ -16,8 +16,7 @@ A config object is read into the dataclass it configures (``TimingModel``,
 ``RttClass``, ``AffineCost``, ``PlanConstraints``, ``WorkloadSpec``,
 ``BatchModel``, ``VariantSpec``, ``ScrubRule``): its keys are the field
 names, an absent key takes the field's default, and an unknown key is an
-error. ``batch.completions`` sits beside ``BatchModel``'s keys and fills
-``ExperimentConfig.batch_completions``.
+error.
 
 Every numeric key has one physical range, a closed interval in ``_RANGES``,
 checked on the raw JSON number before it is converted (an int of any size
@@ -63,7 +62,7 @@ from . import cloudsim
 from .cloudsim import BatchModel, TokenSource, mt_uniform, mt_words, run_throughput, serve_request
 from .devicesim import CorrectionPolicy, ScrubRule, run_session, scrub
 from .planner import Plan, PlanConstraints, build_plan_table, solve_plan
-from .refiner import TokenizedPrompt
+from .refiner import MAX_PROMPT_TOKENS, TokenizedPrompt
 from .timing import RTT_CLASSES, AffineCost, RttClass, TimingModel
 
 
@@ -107,7 +106,6 @@ class ExperimentConfig:
     workload: WorkloadSpec
     batch: BatchModel
     variants: tuple[VariantSpec, ...]
-    batch_completions: int = 1024  # the config key is batch.completions
     policy: CorrectionPolicy = CorrectionPolicy.CLOUD_WINS
     scrub_rules: tuple[ScrubRule, ...] = ()
 
@@ -151,7 +149,7 @@ _KINDS = {"int": int, "float": float, "str": str, "int | None": int, "float | No
           "dict[str, float]": dict, "dict[int, float]": dict}
 _TOP_LEVEL_KEYS = ("seed", "timing", "scenes", "buckets", "workload", "batch", "variants", "policy", "scrub_rules")
 
-_TOKENS = 1 << 24  # the most tokens a prompt, an output or a budget holds
+_TOKENS = MAX_PROMPT_TOKENS  # the most tokens a prompt, an output or a budget holds
 _COUNT = 1 << 20  # the most requests, completions or decode slots
 
 # the physical range of each numeric config key, a closed interval, by key;
@@ -314,11 +312,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     workload = _read(WorkloadSpec, _require(data, "workload", dict, "config"), "config.workload",
                      scene_mix=_parse_mix, device_mix=_parse_mix, prompt_lengths=_parse_prompt_lengths)
 
-    batch_obj = dict(_require(data, "batch", dict, "config"))
-    if "completions" in batch_obj:  # read beside BatchModel's keys
-        options["batch_completions"] = _require(batch_obj, "completions", int, "config.batch")
-        del batch_obj["completions"]
-    batch = _read(BatchModel, batch_obj, "config.batch")
+    batch = _read(BatchModel, _require(data, "batch", dict, "config"), "config.batch")
 
     variants: list[VariantSpec] = []
     for i, obj in enumerate(_require(data, "variants", list, "config")):
@@ -490,10 +484,11 @@ def render_prompt(rng: random.Random, total_tokens: int, prefix_tokens: int,
 
 @dataclass(frozen=True)
 class GeneratedRequest:
-    """One synthesized request; it names its session in ``serve_request`` and ``run_session``.
+    """One synthesized request: ``serve_request`` and ``run_session`` read its ``prompt`` and ``arrival_ms``.
 
     ``prompt`` is the synthesized shape, or ``TokenizedPrompt.from_text`` of
-    the scrubbed text when the config names a scrub rule.
+    the scrubbed text when the config names a scrub rule. ``request_id``
+    names the session for wrappers that attribute time per request.
     """
 
     request_id: str
@@ -754,18 +749,14 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path, seed: int | No
                 model, constraints, prompt.total_tokens, ratio=variant.ratio, max_tokens=variant.max_tokens
             )
             trace_c = serve_request(
-                gen, prompt, model, cloud_source, scores,
-                ratio=point.ratio, max_tokens=point.max_tokens, start_ms=gen.arrival_ms, rtt_ms=rtt,
+                gen, model, cloud_source, scores, ratio=point.ratio, max_tokens=point.max_tokens, rtt_ms=rtt
             )
-            trace_d = run_session(
-                gen, prompt, trace_c.frame, trace_c.delivery(), model, device_source, config.policy,
-                start_ms=gen.arrival_ms, frame_time_ms=trace_c.frame_time_ms,
-            )
+            trace_d = run_session(gen, trace_c.delivery(), model, device_source, config.policy)
             rows.append(
                 TraceRow(
                     variant=variant.name, request_id=gen.request_id, scene=gen.scene, device_class=gen.device_class,
                     l=prompt.total_tokens, r=point.ratio, L=trace_c.frame.max_tokens,
-                    n=gen.output_tokens, rtt_ms=rtt, ttft_c=trace_c.frame_time_ms - gen.arrival_ms,
+                    n=gen.output_tokens, rtt_ms=rtt, ttft_c=trace_d.user_ttft_ms,
                     user_ttft=trace_d.user_ttft_ms, ttft_d=trace_d.ttft_device_ms, tpot_smooth=trace_d.tpot_smooth_ms,
                     max_smoothed_gap=trace_d.max_smoothed_gap_ms, handover_gap=trace_d.handover_gap_ms,
                     occupancy=trace_c.occupancy_ms, tokens_emitted=len(trace_c.events) + 1,
@@ -779,7 +770,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path, seed: int | No
     for variant, rows in zip(config.variants, variant_rows):
         if rows:
             occupancies = [row.occupancy for row in rows]
-            result = run_throughput(config.batch, occupancies, config.batch_completions, seed=seed)
+            result = run_throughput(config.batch, occupancies, seed=seed)
             tps, analytic = result.tps, result.analytic_tps
         else:
             tps, analytic = 0.0, 0.0

@@ -4,7 +4,8 @@ Container layout: 4-byte little-endian unsigned bit count, then the
 compressed byte stream. Compression level is pinned so identical masks
 produce identical payload bytes. A ``CompressedMask`` is the container's
 bytes, whatever their source (``pack``, a frame's base64 field, a file);
-its bit count is read from the header.
+its bit count is read from the header: at most 2^24, one bit per token of
+the longest prompt (``refiner.MAX_PROMPT_TOKENS``), so none inflates past 2 MiB.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .refiner import SelectionMask
+from .refiner import MAX_PROMPT_TOKENS, SelectionMask
 
 _HEADER = struct.Struct("<I")
 _LEVEL = 9  # pinned for byte determinism
@@ -23,6 +24,11 @@ _LEVEL = 9  # pinned for byte determinism
 
 class MaskCodecError(Exception):
     """Corrupt or malformed mask container."""
+
+
+def _check_length(bits: int) -> None:
+    if bits > MAX_PROMPT_TOKENS:
+        raise MaskCodecError(f"a mask holds at most {MAX_PROMPT_TOKENS} bits, one per prompt token; got {bits}")
 
 
 @dataclass(frozen=True)
@@ -34,6 +40,7 @@ class CompressedMask:
     def __post_init__(self) -> None:
         if len(self.payload) < _HEADER.size:
             raise MaskCodecError("container shorter than its header")
+        _check_length(self.bit_length)
 
     @property
     def bit_length(self) -> int:
@@ -42,8 +49,7 @@ class CompressedMask:
 
 def pack(mask: SelectionMask) -> CompressedMask:
     """Pack bits MSB-first into bytes, zero-pad to a byte boundary, deflate."""
-    if len(mask) > 0xFFFFFFFF:
-        raise ValueError("mask too long for a 32-bit container header")
+    _check_length(len(mask))
     raw = np.packbits(mask.bits).tobytes()
     payload = _HEADER.pack(len(mask)) + zlib.compress(raw, _LEVEL)
     return CompressedMask(payload)

@@ -128,15 +128,13 @@ def solve_plan(
         ratio_ok = lo <= ratio <= hi
 
     ttft_c = ttft_cloud(model, prompt_tokens, ratio, model.rtt.mean_ms)
-    ttft_d = ttft_device(model, prompt_tokens, ratio, ttft_c)
+    prefill = prefill_device(model, prompt_tokens, ratio)
+    ttft_d = ttft_device(model, prompt_tokens, prefill, ttft_c)
     b_lo, b_hi = l_bounds(model, constraints, prompt_tokens, ratio, ttft_c, ttft_d)
     if max_tokens is None:
         max_tokens = b_lo if b_lo <= b_hi else max(b_hi, 1)
 
-    if max_tokens >= 2:
-        achieved = smoothed_tpot(model, prefill_device(model, prompt_tokens, ratio), ttft_c, max_tokens)
-    else:
-        achieved = math.inf
+    achieved = smoothed_tpot(model, prefill, ttft_c, max_tokens) if max_tokens >= 2 else math.inf
     return Plan(
         ratio=ratio,
         max_tokens=max_tokens,

@@ -25,6 +25,11 @@ from typing import Sequence
 
 import numpy as np
 
+# the most tokens a prompt holds: the config reader bounds every token count
+# by it (``harness._TOKENS``), and a mask container declares at most this
+# many bits (``maskcodec``)
+MAX_PROMPT_TOKENS = 1 << 24
+
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 # a run up to and including a terminator; failing that, the terminator-free tail
 _SENTENCE_RE = re.compile(r"[^.!?\n]*[.!?\n]|[^.!?\n]+")
@@ -102,17 +107,24 @@ class TokenizedPrompt:
 
 
 def max_pool_1d(values: np.ndarray, kernel: int) -> np.ndarray:
-    """Same-length 1D max pooling, truncated at the edges."""
+    """Same-length 1D max pooling, truncated at the edges, by doubling in O(n log kernel).
+
+    ``run[i]`` is the maximum of the ``span`` values from i on; ``span``
+    doubles while it fits the window, and two runs then cover each window.
+    """
     if kernel < 1 or kernel % 2 == 0:
         raise ValueError(f"kernel must be odd and >= 1, got {kernel}")
     x = np.asarray(values, dtype=np.float64)
-    pooled = x.copy()
-    # each pass widens the window by one on each side; a half-width of
-    # size - 1 already reaches both ends from every index
-    for shift in range(1, min(kernel // 2, x.size - 1) + 1):
-        np.maximum(pooled[shift:], x[:-shift], out=pooled[shift:])
-        np.maximum(pooled[:-shift], x[shift:], out=pooled[:-shift])
-    return pooled
+    half = min(kernel // 2, max(x.size - 1, 0))  # n - 1 already reaches both ends from every index
+    if half == 0:
+        return x.copy()
+    width = 2 * half + 1
+    edge = np.full(half, -np.inf)  # truncation: the pads never win a maximum
+    run, span = np.concatenate((edge, x, edge)), 1
+    while 2 * span <= width:
+        run = np.maximum(run[:-span], run[span:])
+        span *= 2
+    return np.maximum(run[: x.size], run[width - span : width - span + x.size])
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,12 +147,13 @@ def score_tokens(
     weights_per_head: Sequence[np.ndarray],
     window: int,
     kernel: int,
-    content_span: slice | None = None,
+    content_span: slice,
 ) -> TokenScores:
-    """Collapse per-head attention weights into one score per content token.
+    """Collapse per-head attention weights, one key per prompt token, into one score per content token.
 
     Per head: sum the trailing ``window`` query rows, then max-pool with
-    ``kernel``. Heads combine by summation.
+    ``kernel``. Heads combine by summation, and the keys of ``content_span``
+    (``TokenizedPrompt.content_span``) are the scores.
     """
     if not weights_per_head:
         raise ValueError("at least one head required")
@@ -153,9 +166,7 @@ def score_tokens(
         if w.ndim != 2 or w.shape[1] != n_keys:
             raise ValueError("all heads must share the key dimension")
         combined += max_pool_1d(w[-window:].sum(axis=0), kernel)
-    if content_span is not None:
-        combined = combined[content_span]
-    return TokenScores(scores=combined)
+    return TokenScores(scores=combined[content_span])
 
 
 class SelectionMask:

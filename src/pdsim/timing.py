@@ -10,9 +10,11 @@ equal and print as numbers. Each formula is a pure function defined once
 here. Its callers:
 
 - ``ttft_cloud``: planner (``solve_plan``), ``cloudsim.serve_request``.
-- ``prefill_device``, the refined prefill: ``ttft_device``, planner (``l_bounds``,
-  ``solve_plan``), ``devicesim`` with the refined length of the mask.
-- ``ttft_device``: planner (``solve_plan``).
+- ``prefill_device``, the refined prefill: planner (``l_bounds``,
+  ``solve_plan``), ``devicesim.run_session`` with the refined length of the mask.
+- ``ttft_device``, the device's ready instant (frame + recovery + refined
+  prefill): planner (``solve_plan``, from the planned TTFT),
+  ``devicesim.run_session`` (from the frame's arrival).
 - ``smoothed_tpot``: planner (achieved pace), ``devicesim`` (display schedule).
 - ``TimingModel.overhead_ms``, the collaboration overhead (compress + decompress
   + p95 RTT, derived, never configured): planner (``r_bounds``).
@@ -102,15 +104,6 @@ class TimingModel:
         return self.compress(tokens) + self.decompress(tokens) + self.rtt.p95_ms
 
 
-def _check_domain(prompt_tokens: int, ratio: float, rtt_ms: float) -> None:
-    if prompt_tokens <= 0:
-        raise ValueError(f"prompt_tokens must be positive, got {prompt_tokens}")
-    if not 0.0 < ratio <= 1.0:
-        raise ValueError(f"ratio must be in (0, 1], got {ratio}")
-    if rtt_ms < 0.0:
-        raise ValueError(f"rtt_ms must be nonnegative, got {rtt_ms}")
-
-
 def prefill_device(model: TimingModel, tokens: int, ratio: float = 1.0) -> float:
     """Device prefill of ``ratio`` of ``tokens`` prompt tokens.
 
@@ -124,16 +117,23 @@ def prefill_device(model: TimingModel, tokens: int, ratio: float = 1.0) -> float
 
 def ttft_cloud(model: TimingModel, prompt_tokens: int, ratio: float, rtt_ms: float) -> float:
     """Time until the device holds the first token: cloud prefill + mask compression + RTT."""
-    _check_domain(prompt_tokens, ratio, rtt_ms)
+    if prompt_tokens <= 0:
+        raise ValueError(f"prompt_tokens must be positive, got {prompt_tokens}")
+    if not 0.0 < ratio <= 1.0:
+        raise ValueError(f"ratio must be in (0, 1], got {ratio}")
+    if rtt_ms < 0.0:
+        raise ValueError(f"rtt_ms must be nonnegative, got {rtt_ms}")
     return model.k_cloud * prompt_tokens + model.compress(prompt_tokens) + rtt_ms
 
 
-def ttft_device(model: TimingModel, prompt_tokens: int, ratio: float, ttft_cloud_ms: float) -> float:
-    """On-device TTFT: cloud feedback, mask recovery, then prefill of the refined prompt."""
-    _check_domain(prompt_tokens, ratio, 0.0)
-    if ttft_cloud_ms < 0.0:
-        raise ValueError(f"ttft_cloud_ms must be nonnegative, got {ttft_cloud_ms}")
-    return ttft_cloud_ms + model.decompress(prompt_tokens) + prefill_device(model, prompt_tokens, ratio)
+def ttft_device(model: TimingModel, prompt_tokens: int, prefill_ms: float, frame_ms: float) -> float:
+    """The device's ready instant: the frame at ``frame_ms``, then mask recovery, then the refined prefill.
+
+    From the planned cloud TTFT it is the device TTFT; from the frame's arrival, the instant the prefill completes.
+    """
+    if prompt_tokens < 0 or prefill_ms < 0.0:
+        raise ValueError(f"prompt_tokens and prefill_ms must be nonnegative, got {prompt_tokens} and {prefill_ms}")
+    return frame_ms + model.decompress(prompt_tokens) + prefill_ms
 
 
 def smoothed_tpot(model: TimingModel, prefill_device_ms: float, ttft_cloud_ms: float, total_tokens: int) -> float:

@@ -20,7 +20,7 @@ from pdsim.maskcodec import unpack
 from pdsim.planner import PlanConstraints
 from pdsim.protocol import DoneMarker, FirstTokenFrame, ProtocolError, StreamEvent
 from pdsim.refiner import SelectionMask, TokenScores, TokenizedPrompt, tokenize
-from pdsim.timing import AffineCost, RttClass, TimingModel, smoothed_tpot, ttft_cloud, ttft_device
+from pdsim.timing import AffineCost, RttClass, TimingModel, prefill_device, smoothed_tpot, ttft_cloud, ttft_device
 
 
 def feasible_by_substitution(model: TimingModel, constraints: PlanConstraints, prompt_tokens: int,
@@ -38,7 +38,7 @@ def feasible_by_substitution(model: TimingModel, constraints: PlanConstraints, p
                 and model.k_cloud * prompt_tokens + model.overhead_ms(prompt_tokens) + refined_prefill
                 <= model.k_device * prompt_tokens)
     tc = ttft_cloud(model, prompt_tokens, ratio, model.rtt.mean_ms)
-    td = ttft_device(model, prompt_tokens, ratio, tc)
+    td = ttft_device(model, prompt_tokens, refined_prefill, tc)
     pace_ok = refined_prefill - tc <= steps * (constraints.max_tpot_ms - model.tpot_device)
     occupancy_ok = tc + steps * model.tpot_cloud <= td
     feasible = ratio_ok & (steps >= 1) & pace_ok & occupancy_ok
@@ -55,7 +55,8 @@ def brute_force_plan(model: TimingModel, constraints: PlanConstraints, prompt_to
         feasible = feasible_by_substitution(model, constraints, prompt_tokens, ratio, budgets)
         if not feasible.any():
             continue
-        td = ttft_device(model, prompt_tokens, ratio, ttft_cloud(model, prompt_tokens, ratio, model.rtt.mean_ms))
+        tc = ttft_cloud(model, prompt_tokens, ratio, model.rtt.mean_ms)
+        td = ttft_device(model, prompt_tokens, prefill_device(model, prompt_tokens, ratio), tc)
         candidate = (td, int(budgets[int(np.argmax(feasible))]), ratio)
         if best is None or candidate < best:
             best = candidate
@@ -99,20 +100,22 @@ def clustered_mask(rng: random.Random, length: int, mean_run: float = 24.0) -> S
 
 @dataclass(frozen=True)
 class Session:
-    """Names a session in ``serve_request`` and ``run_session``, as the harness's ``GeneratedRequest`` does."""
+    """A request as ``serve_request`` and ``run_session`` read it, as the harness's ``GeneratedRequest`` holds it."""
 
-    request_id: str = "req-1"
+    request_id: str
+    prompt: TokenizedPrompt
+    arrival_ms: float = 0.0
 
 
 def serve_at(prompt: TokenizedPrompt, model: TimingModel, source: TokenSource, ratio: float, max_tokens: int, *,
              request_id: str = "req-1", start_ms: float = 0.0, rtt_ms: float | None = None) -> CloudTrace:
-    """``serve_request`` of session ``request_id`` at (ratio, max_tokens).
+    """``serve_request`` of ``Session(request_id, prompt, start_ms)`` at (ratio, max_tokens).
 
     It selects by ``uniform_scores(prompt, request_id)``; ``rtt_ms`` defaults to the model's mean RTT.
     """
     return serve_request(
-        Session(request_id), prompt, model, source, uniform_scores(prompt, request_id), ratio=ratio,
-        max_tokens=max_tokens, start_ms=start_ms, rtt_ms=model.rtt.mean_ms if rtt_ms is None else rtt_ms,
+        Session(request_id, prompt, start_ms), model, source, uniform_scores(prompt, request_id), ratio=ratio,
+        max_tokens=max_tokens, rtt_ms=model.rtt.mean_ms if rtt_ms is None else rtt_ms,
     )
 
 
@@ -576,17 +579,17 @@ class ReferenceSession:
         )
 
 
-def reference_run_session(req, prompt, frame, stream, model, device_source, policy=CorrectionPolicy.CLOUD_WINS,
-                          *, start_ms: float = 0.0, frame_time_ms: float) -> ReferenceTrace:
-    """run_session's contract, simulated by ReferenceSession."""
-    return ReferenceSession(req, prompt, frame, list(stream), model, device_source, policy,
-                            start_ms, frame_time_ms).run()
+def reference_run_session(req, stream, model, device_source, policy=CorrectionPolicy.CLOUD_WINS) -> ReferenceTrace:
+    """run_session's contract, simulated by ReferenceSession; the stream opens with the timed frame."""
+    (frame_time_ms, frame), *rest = stream
+    return ReferenceSession(req, req.prompt, frame, rest, model, device_source, policy,
+                            req.arrival_ms, frame_time_ms).run()
 
 
 # --- reference throughput simulator: a state dict, a queue list and every completion time ---
 
 
-def reference_run_throughput(batch, occupancies_ms, completions: int, *, seed: int = 0) -> tuple[float, float]:
+def reference_run_throughput(batch, occupancies_ms, *, seed: int = 0) -> tuple[float, float]:
     """(tps, analytic_tps) of the slot-pool simulation, with each admit path written out.
 
     Closed mode admits on completion; Poisson mode admits on arrival and
@@ -597,7 +600,7 @@ def reference_run_throughput(batch, occupancies_ms, completions: int, *, seed: i
     rng = random.Random(f"throughput:{seed}")
     state = {"admitted": 0, "in_flight": 0, "done": 0, "next": 0, "window_start": None, "window_done": 0}
     queue: list[int] = []
-    target = completions + batch.slots
+    target = batch.completions + batch.slots
     done_times: list[float] = []
 
     def occupancy_of(index: int) -> float:

@@ -5,6 +5,8 @@ import json
 import math
 import struct
 import tempfile
+import tracemalloc
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -410,6 +412,33 @@ class TestMaskCommand:
         assert main(["mask", "unpack", str(broken), str(tmp_path / "out.txt")]) == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "out.txt").exists()
+
+
+    def test_the_longest_mask_unpacks_in_bounded_memory(self, tmp_path):
+        # 2^24 bits; one Python string per bit took about 1.2 GB
+        container = tmp_path / "longest.bin"
+        container.write_bytes(struct.pack("<I", 1 << 24) + zlib.compress(bytes(1 << 21), 9))
+        tracemalloc.start()
+        try:
+            assert main(["mask", "unpack", str(container), str(tmp_path / "bits.txt")]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "bits.txt").read_bytes() == b"0" * (1 << 24) + b"\n"
+        assert peak < 96 << 20
+
+    def test_a_mask_longer_than_the_longest_prompt_ends_in_one_error_line(self, tmp_path, capsys):
+        # 2^24 + 1 bits to pack, and a container declaring 2^25 bits of deflated zeros to unpack
+        bits_file = tmp_path / "bits.txt"
+        bits_file.write_bytes(b"0" * ((1 << 24) + 1))
+        deflate = zlib.compressobj(9)
+        container = tmp_path / "long.bin"
+        container.write_bytes(struct.pack("<I", 1 << 25) + deflate.compress(bytes(1 << 22)) + deflate.flush())
+        for action, infile, declared in (("pack", bits_file, (1 << 24) + 1), ("unpack", container, 1 << 25)):
+            assert main(["mask", action, str(infile), str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: a mask holds at most {1 << 24} bits, one per prompt token; got {declared}\n"
+            assert not (tmp_path / "out").exists()
 
 
 class TestSimulateAndReport:

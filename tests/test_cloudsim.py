@@ -137,8 +137,8 @@ class TestServeRequest:
     def test_served_at_the_given_point(self, calibrated_model):
         prompt = make_prompt()
         scores = uniform_scores(prompt, "other")
-        trace = serve_request(Session(), prompt, calibrated_model, TokenSource(seed=5, total_tokens=500), scores,
-                              ratio=0.25, max_tokens=7, start_ms=100.0, rtt_ms=80.0)
+        trace = serve_request(Session("req-1", prompt, 100.0), calibrated_model, TokenSource(seed=5, total_tokens=500),
+                              scores, ratio=0.25, max_tokens=7, rtt_ms=80.0)
         assert trace.frame.max_tokens == 7 and len(trace.events) == 6
         assert trace.frame.mask == pack(select_sentences(prompt, scores, 0.25))
         ttft = ttft_cloud(calibrated_model, prompt.total_tokens, 0.25, 80.0)
@@ -159,28 +159,28 @@ class TestServeRequest:
 
 class TestThroughput:
     def test_single_slot_single_occupancy(self):
-        result = run_throughput(BatchModel(slots=1), [2000.0], completions=50)
+        result = run_throughput(BatchModel(slots=1, completions=50), [2000.0])
         assert result.tps == pytest.approx(1000.0 / 2000.0)
         assert result.tps == pytest.approx(result.analytic_tps)
 
     def test_closed_loop_matches_analytic_rate(self):
-        result = run_throughput(BatchModel(slots=64), [1100.0], completions=1024)
+        result = run_throughput(BatchModel(slots=64, completions=1024), [1100.0])
         assert result.tps == pytest.approx(result.analytic_tps, rel=0.02)
 
     def test_ratio_between_two_budgets(self):
-        short = run_throughput(BatchModel(slots=64), [1100.0], completions=1024)
-        long = run_throughput(BatchModel(slots=64), [6500.0], completions=1024)
+        short = run_throughput(BatchModel(slots=64, completions=1024), [1100.0])
+        long = run_throughput(BatchModel(slots=64, completions=1024), [6500.0])
         assert short.tps / long.tps == pytest.approx(6500.0 / 1100.0, rel=0.02)
 
     def test_mixed_occupancies(self):
         rng = random.Random(0)
         occupancies = [rng.uniform(500.0, 4000.0) for _ in range(200)]
-        result = run_throughput(BatchModel(slots=16), occupancies, completions=3200)
+        result = run_throughput(BatchModel(slots=16, completions=3200), occupancies)
         assert result.tps == pytest.approx(result.analytic_tps, rel=0.05)
 
     def test_poisson_underload_matches_arrival_rate(self):
-        batch = BatchModel(slots=64, mode="poisson", arrival_rate_per_s=20.0)
-        result = run_throughput(batch, [1000.0], completions=2000, seed=1)
+        batch = BatchModel(slots=64, mode="poisson", arrival_rate_per_s=20.0, completions=2000)
+        result = run_throughput(batch, [1000.0], seed=1)
         assert result.tps == pytest.approx(20.0, rel=0.1)
 
     # whole-millisecond occupancies make completion ties, and so tie-breaks, common
@@ -195,16 +195,18 @@ class TestThroughput:
     )
     @settings(max_examples=150, deadline=None)
     def test_bit_equal_to_the_reference_simulator(self, slots, occupancies, completions, seed, rate):
-        batch = BatchModel(slots=slots) if rate is None else BatchModel(slots, "poisson", rate)
-        result = run_throughput(batch, occupancies, completions, seed=seed)
-        expected = reference_run_throughput(batch, occupancies, completions, seed=seed)
+        batch = BatchModel(slots, completions=completions)
+        if rate is not None:
+            batch = BatchModel(slots, "poisson", rate, completions)
+        result = run_throughput(batch, occupancies, seed=seed)
+        expected = reference_run_throughput(batch, occupancies, seed=seed)
         assert (result.tps, result.analytic_tps) == expected
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            run_throughput(BatchModel(slots=1), [], completions=10)
+            run_throughput(BatchModel(slots=1, completions=10), [])
         with pytest.raises(ValueError):
-            run_throughput(BatchModel(slots=1), [0.0], completions=10)
+            run_throughput(BatchModel(slots=1, completions=10), [0.0])
         with pytest.raises(ValueError):
             BatchModel(slots=0)
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import random
 import struct
 import tracemalloc
 import zlib
@@ -19,7 +20,16 @@ from pdsim.devicesim import (
 from pdsim.eventloop import EventLoop
 from pdsim.maskcodec import CompressedMask, pack
 from pdsim.planner import PlanConstraints, solve_plan
-from pdsim.protocol import DONE, FirstTokenFrame, ProtocolError, StreamEvent
+from pdsim.protocol import (
+    DONE,
+    FirstTokenFrame,
+    ProtocolError,
+    SseDecoder,
+    StreamEvent,
+    encode_done,
+    encode_first_frame,
+    encode_stream_event,
+)
 from pdsim.refiner import SelectionMask, TokenizedPrompt
 from pdsim.timing import AffineCost, RttClass, TimingModel
 
@@ -27,9 +37,6 @@ from pdsim.timing import AffineCost, RttClass, TimingModel
 def content_prompt(sentences: int = 800, words: int = 10) -> TokenizedPrompt:
     """Content-only prompt of exactly sentences*words tokens: each sentence holds ``words`` tokens."""
     return TokenizedPrompt(0, (words,) * sentences, 0)
-
-
-SESSION = Session()
 
 
 @pytest.fixture
@@ -43,10 +50,7 @@ def serve(calibrated_model, ratio, max_tokens, *, n=60, divergence=frozenset(), 
     cloud_source = TokenSource(seed=77, total_tokens=n)
     device_source = TokenSource(seed=77, total_tokens=n, divergence=divergence)
     trace_c = serve_at(prompt, calibrated_model, cloud_source, ratio, max_tokens)
-    trace_d = run_session(
-        SESSION, prompt, trace_c.frame, trace_c.delivery(), calibrated_model, device_source, policy,
-        start_ms=0.0, frame_time_ms=trace_c.frame_time_ms,
-    )
+    trace_d = run_session(Session("req-1", prompt), trace_c.delivery(), calibrated_model, device_source, policy)
     return trace_c, trace_d
 
 
@@ -107,9 +111,8 @@ class TestHappyPath:
         source = TokenSource(seed=77, total_tokens=12)
         trace_c = serve_at(prompt, calibrated_model, source, plan.ratio, plan.max_tokens)
         stream = trace_c.delivery()
-        stream[0] = (trace_c.frame_time_ms - 10.0, stream[0][1])
-        trace_d = run_session(SESSION, prompt, trace_c.frame, stream, calibrated_model, source,
-                              start_ms=0.0, frame_time_ms=trace_c.frame_time_ms)
+        stream[1] = (trace_c.frame_time_ms - 10.0, stream[1][1])
+        trace_d = run_session(Session("req-1", prompt), stream, calibrated_model, source)
         positions = [position for _, position, _ in trace_d.displays]
         assert positions == list(range(1, 12))
         assert trace_d.displays[1][0] > trace_d.displays[0][0] == trace_c.frame_time_ms
@@ -140,14 +143,14 @@ class TestEarlyNaturalFinish:
         model = TimingModel(k_device=1.05, decompress=AffineCost(0.3, 0.0))
         prompt = content_prompt(sentences=3)
         mask = pack(SelectionMask([1] + [0] * (prompt.total_tokens - 1)))
-        args = (SESSION, prompt, FirstTokenFrame(EOT_TOKEN, mask, 4), [(0.7, DONE)], model,
+        args = (Session("req-1", prompt, 0.1), [(0.7, FirstTokenFrame(EOT_TOKEN, mask, 4)), (0.7, DONE)], model,
                 TokenSource(seed=1, total_tokens=4))
-        trace_d = run_session(*args, start_ms=0.1, frame_time_ms=0.7)
+        trace_d = run_session(*args)
         assert trace_d.window == () and trace_d.output_len == 0
         # the clock instant less the start, 1.9499999999999997; the frame's
         # TTFT plus recovery and prefill would round to 1.95
         assert trace_d.ttft_device_ms == 0.7 + 0.3 + 1.05 - 0.1 != 0.7 - 0.1 + 0.3 + 1.05
-        assert observed(trace_d) == observed(reference_run_session(*args, start_ms=0.1, frame_time_ms=0.7))
+        assert observed(trace_d) == observed(reference_run_session(*args))
 
 
 class TestCorrector:
@@ -179,8 +182,8 @@ class TestCorrector:
         late = [(6000.0 + 10.0 * i, event) for i, (_, event) in enumerate(trace_c.events, start=1)]
         late.append((late[-1][0], DONE))
         trace_d = run_session(
-            SESSION, prompt, trace_c.frame, late, calibrated_model, device_source, CorrectionPolicy.DEVICE_DISPLAY,
-            start_ms=0.0, frame_time_ms=trace_c.frame_time_ms,
+            Session("req-1", prompt), [(trace_c.frame_time_ms, trace_c.frame), *late], calibrated_model,
+            device_source, CorrectionPolicy.DEVICE_DISPLAY,
         )
         assert trace_d.corrections >= 1
         shown = {position: token for _, position, token in trace_d.displays}
@@ -235,14 +238,11 @@ class TestMatchesEventReference:
             stream.append((max([trace_c.done_time_ms] + [t for t, _ in stream]), DONE))
         else:
             stream.append((trace_c.frame_time_ms + done_after, DONE))
-        args = (SESSION, prompt, trace_c.frame, stream, model)
-        kwargs = dict(start_ms=float(start), frame_time_ms=trace_c.frame_time_ms)
+        args = (Session("req-1", prompt, float(start)), [(trace_c.frame_time_ms, trace_c.frame), *stream], model)
         device_tokens = max(1, n + device_extra)
-        got = run_session(
-            *args, TokenSource(seed=5, total_tokens=device_tokens, divergence=divergence), policy, **kwargs
-        )
+        got = run_session(*args, TokenSource(seed=5, total_tokens=device_tokens, divergence=divergence), policy)
         want = reference_run_session(
-            *args, TokenSource(seed=5, total_tokens=device_tokens, divergence=divergence), policy, **kwargs
+            *args, TokenSource(seed=5, total_tokens=device_tokens, divergence=divergence), policy
         )
         for name in OBSERVED:  # displays among them
             assert getattr(got, name) == getattr(want, name), name
@@ -281,10 +281,10 @@ class TestMatchesEventReference:
             for p, t in enumerate(arrivals, start=2)
         ]
         stream.append((float(done), DONE))
-        args = (SESSION, prompt, FirstTokenFrame("tok1", mask, budget), stream, model)
+        args = (Session("req-1", prompt), [(0.0, FirstTokenFrame("tok1", mask, budget)), *stream], model)
         source = TokenSource(seed=5, total_tokens=last + device_extra, divergence=divergence)
-        got = run_session(*args, source, policy, frame_time_ms=0.0)
-        assert observed(got) == observed(reference_run_session(*args, source, policy, frame_time_ms=0.0))
+        got = run_session(*args, source, policy)
+        assert observed(got) == observed(reference_run_session(*args, source, policy))
 
     # the frame arrives at 0 ms; 0 refined tokens with no recovery cost put the
     # prefill on the frame's instant. At an equal instant a decode runs before
@@ -332,10 +332,10 @@ class TestMatchesEventReference:
             for p, t in enumerate(arrivals, start=2)
         ]
         stream.append((float(done), DONE))
-        args = (SESSION, prompt, FirstTokenFrame("tok1", mask, budget), stream, model)
+        args = (Session("req-1", prompt), [(0.0, FirstTokenFrame("tok1", mask, budget)), *stream], model)
         source = TokenSource(seed=5, total_tokens=device_len, divergence=frozenset(divergence))
-        got = run_session(*args, source, policy, frame_time_ms=0.0)
-        assert observed(got) == observed(reference_run_session(*args, source, policy, frame_time_ms=0.0))
+        got = run_session(*args, source, policy)
+        assert observed(got) == observed(reference_run_session(*args, source, policy))
         assert got.corrections == corrections
 
     def test_a_session_builds_no_event_loop(self, calibrated_model, plan, monkeypatch):
@@ -369,15 +369,61 @@ class TestMatchesEventReference:
         assert calls == list(range(41, 1600))  # the continuation, expanded on demand
 
 
+class TestWireStream:
+    """The stream a session takes is the item sequence ``SseDecoder`` yields from the encoded frames."""
+
+    @staticmethod
+    def encode(item) -> bytes:
+        if isinstance(item, FirstTokenFrame):
+            return encode_first_frame(item)
+        return encode_stream_event(item) if isinstance(item, StreamEvent) else encode_done()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_the_decoded_stream_is_the_delivery_and_gives_its_trace(self, calibrated_model, seed):
+        rng = random.Random(seed)
+        prompt = content_prompt(sentences=rng.randint(3, 400))
+        n, start = rng.randint(1, 200), rng.uniform(0.0, 1000.0)
+        cloud = TokenSource(seed=seed, total_tokens=n)
+        device = TokenSource(seed=seed, total_tokens=n, divergence=frozenset(rng.sample(range(2, 200), 5)))
+        trace_c = serve_at(prompt, calibrated_model, cloud, rng.choice([0.1, 0.25, 0.5, 1.0]), rng.randint(1, 80),
+                           request_id=f"req-{seed}", start_ms=start)
+        delivered = trace_c.delivery()
+        wire = b"".join(self.encode(item) for _, item in delivered)
+        decoder, size = SseDecoder(), rng.randint(1, 64)
+        decoded = [item for at in range(0, len(wire), size) for item in decoder.feed(wire[at : at + size])]
+        assert decoded == [item for _, item in delivered]
+
+        req, policy = Session(f"req-{seed}", prompt, start), rng.choice(list(CorrectionPolicy))
+        stream = [(when, item) for (when, _), item in zip(delivered, decoded)]
+        got = run_session(req, stream, calibrated_model, device, policy)
+        assert observed(got) == observed(run_session(req, delivered, calibrated_model, device, policy))
+
+    def test_a_stream_must_open_with_the_frame(self, calibrated_model, plan):
+        # list order, not time: the frame comes first even when an item is timed before it
+        prompt = content_prompt()
+        source = TokenSource(seed=77, total_tokens=12)
+        delivered = serve_at(prompt, calibrated_model, source, plan.ratio, plan.max_tokens).delivery()
+        for stream in ([], delivered[1:], [delivered[1], delivered[0], *delivered[2:]]):
+            with pytest.raises(ProtocolError, match="stream must open with the first-token frame"):
+                run_session(Session("req-1", prompt), stream, calibrated_model, source)
+
+    def test_a_second_frame_is_refused(self, calibrated_model, plan):
+        prompt = content_prompt()
+        source = TokenSource(seed=77, total_tokens=12)
+        delivered = serve_at(prompt, calibrated_model, source, plan.ratio, plan.max_tokens).delivery()
+        with pytest.raises(ProtocolError, match="stream holds a second first-token frame"):
+            run_session(Session("req-1", prompt), [*delivered[:-1], delivered[0], delivered[-1]], calibrated_model,
+                        source)
+
+
 class TestFailureModes:
     def test_stalled_stream_raises(self, calibrated_model, plan):
         prompt = content_prompt()
         source = TokenSource(seed=77, total_tokens=60)
         trace_c = serve_at(prompt, calibrated_model, source, plan.ratio, plan.max_tokens)
-        truncated = [(t, e) for t, e in trace_c.events[:5]]  # no DONE, fewer than budget
+        truncated = trace_c.delivery()[:6]  # the frame and 5 events: no DONE, fewer than budget
         with pytest.raises(StallError):
-            run_session(SESSION, prompt, trace_c.frame, truncated, calibrated_model, source,
-                        start_ms=0.0, frame_time_ms=trace_c.frame_time_ms)
+            run_session(Session("req-1", prompt), truncated, calibrated_model, source)
 
     def test_full_window_without_done_is_not_a_stall(self, calibrated_model, plan):
         # budget - 1 events complete the window, so the missing DONE loses nothing
@@ -386,9 +432,8 @@ class TestFailureModes:
         trace_c = serve_at(prompt, calibrated_model, source, plan.ratio, plan.max_tokens)
         assert len(trace_c.events) == plan.max_tokens - 1
         with_done, without_done = (
-            run_session(SESSION, prompt, trace_c.frame, stream, calibrated_model, source,
-                        start_ms=0.0, frame_time_ms=trace_c.frame_time_ms)
-            for stream in (trace_c.delivery(), list(trace_c.events))
+            run_session(Session("req-1", prompt), stream, calibrated_model, source)
+            for stream in (trace_c.delivery(), trace_c.delivery()[:-1])
         )
         assert observed(without_done) == observed(with_done)
 
@@ -405,28 +450,28 @@ class TestFailureModes:
         stream = [(30.0 * index, StreamEvent(index, f"tok{index + 1}")) for index in indices]
         stream.append((900.0, DONE))
         with pytest.raises(ProtocolError, match=message):
-            run_session(SESSION, prompt, frame, stream, calibrated_model, TokenSource(seed=1, total_tokens=30),
-                        frame_time_ms=0.0)
+            run_session(Session("req-1", prompt), [(0.0, frame), *stream], calibrated_model,
+                        TokenSource(seed=1, total_tokens=30))
 
     def test_mask_prompt_mismatch_raises(self, calibrated_model, plan):
         source = TokenSource(seed=77, total_tokens=60)
         trace_c = serve_at(content_prompt(sentences=400), calibrated_model, source, plan.ratio, plan.max_tokens,
                            request_id="req-2")
         with pytest.raises(ProtocolError):
-            run_session(SESSION, content_prompt(), trace_c.frame, trace_c.delivery(), calibrated_model, source,
-                        start_ms=0.0, frame_time_ms=trace_c.frame_time_ms)
+            run_session(Session("req-1", content_prompt()), trace_c.delivery(), calibrated_model, source)
 
     def test_mask_length_checked_before_inflating(self, calibrated_model):
-        # 2^26 zero bits deflate to about 8 KB; decoding them would take 72 MB
+        # 2^24 zero bits, the longest mask a container declares, deflate to about
+        # 2 KB; decoding them would take 18 MB
         deflate = zlib.compressobj(9)
-        body = b"".join(deflate.compress(bytes(1 << 20)) for _ in range(8)) + deflate.flush()
-        mask = CompressedMask(struct.pack("<I", 1 << 26) + body)
+        body = b"".join(deflate.compress(bytes(1 << 20)) for _ in range(2)) + deflate.flush()
+        mask = CompressedMask(struct.pack("<I", 1 << 24) + body)
         frame = FirstTokenFrame("tok1", mask, 4)
         tracemalloc.start()
         try:
-            with pytest.raises(ProtocolError, match="mask carries 67108864 bits for a 30-token prompt"):
-                run_session(SESSION, content_prompt(sentences=3), frame, [(1.0, DONE)], calibrated_model,
-                            TokenSource(seed=1, total_tokens=4), frame_time_ms=0.0)
+            with pytest.raises(ProtocolError, match="mask carries 16777216 bits for a 30-token prompt"):
+                run_session(Session("req-1", content_prompt(sentences=3)), [(0.0, frame), (1.0, DONE)],
+                            calibrated_model, TokenSource(seed=1, total_tokens=4))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -115,7 +115,7 @@ class TestConfig:
                             ("requests", "scene_mix", "device_mix", "prompt_lengths", "output_min", "output_max")}
         config, default = config_from_dict(data), default_config()
         assert config.models == default.models
-        assert config.batch == default.batch and config.batch_completions == default.batch_completions
+        assert config.batch == default.batch
         assert (config.policy, config.scrub_rules) == (default.policy, default.scrub_rules)
         assert config.workload.prefix_tokens == default.workload.prefix_tokens
         assert config.workload.divergence_rate == default.workload.divergence_rate
@@ -124,7 +124,7 @@ class TestConfig:
         # the dataclass fields the reader fills, plus the keys it reads beside them
         classes = (TimingModel, RttClass, AffineCost, PlanConstraints, WorkloadSpec, BatchModel, VariantSpec)
         numeric = {f.name for cls in classes for f in fields(cls) if harness._KINDS.get(f.type) in (int, float)}
-        assert numeric | {"seed", "buckets", "prompt_lengths", "weight", "completions"} == set(harness._RANGES)
+        assert numeric | {"seed", "buckets", "prompt_lengths", "weight"} == set(harness._RANGES)
         for key, (lo, hi) in harness._RANGES.items():
             assert lo < hi, key
 

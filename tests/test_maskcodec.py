@@ -120,6 +120,34 @@ class TestErrors:
             CompressedMask(b"\x01")
 
 
+class TestLongestMask:
+    """A mask holds at most one bit per token of the longest prompt, 2^24."""
+
+    def test_the_longest_mask_round_trips(self):
+        mask = SelectionMask(np.zeros(1 << 24, dtype=np.uint8))
+        compressed = pack(mask)
+        assert compressed.bit_length == 1 << 24
+        assert unpack(compressed) == mask
+
+    def test_pack_refuses_a_longer_mask(self):
+        with pytest.raises(MaskCodecError, match="at most 16777216 bits, one per prompt token; got 16777217"):
+            pack(SelectionMask(np.zeros((1 << 24) + 1, dtype=np.uint8)))
+
+    @pytest.mark.parametrize("declared", [(1 << 24) + 1, 1 << 25, 0xFFFFFFFF])
+    def test_a_longer_header_is_refused_before_anything_is_inflated(self, declared):
+        # deflated zeros for every declared bit, which unpack would otherwise expand
+        deflate = zlib.compressobj(9)
+        body = b"".join(deflate.compress(bytes(1 << 20)) for _ in range(4)) + deflate.flush()
+        tracemalloc.start()
+        try:
+            with pytest.raises(MaskCodecError, match=f"got {declared}$"):
+                CompressedMask(struct.pack("<I", declared) + body)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+
 class TestMutationFuzz:
     def test_mutated_containers_unpack_exactly_or_raise(self):
         """Flipped, cut, grown or re-declared containers end in MaskCodecError or the exact bits, in bounded memory."""

@@ -9,7 +9,7 @@ from helpers import brute_force_plan, feasible_by_substitution, random_planner_i
 
 from pdsim.harness import default_config, write_plans
 from pdsim.planner import PlanConstraints, build_plan_table, l_bounds, r_bounds, solve_plan
-from pdsim.timing import AffineCost, RttClass, TimingModel, smoothed_tpot, ttft_cloud, ttft_device
+from pdsim.timing import AffineCost, RttClass, TimingModel, prefill_device, smoothed_tpot, ttft_cloud, ttft_device
 
 
 class TestRatioBounds:
@@ -49,7 +49,7 @@ class TestBudgetBounds:
         for tokens, moderate in ((8000, 40), (32000, 50)):
             plan = solve_plan(calibrated_model, constraints, tokens)
             tc = ttft_cloud(calibrated_model, tokens, plan.ratio, 50.0)
-            td = ttft_device(calibrated_model, tokens, plan.ratio, tc)
+            td = ttft_device(calibrated_model, tokens, prefill_device(calibrated_model, tokens, plan.ratio), tc)
             lo, hi = l_bounds(calibrated_model, constraints, tokens, plan.ratio, tc, td)
             assert lo <= moderate <= hi
 
@@ -62,7 +62,8 @@ class TestSolvePlan:
         assert plan.max_tokens == 74
         assert plan.achieved_tpot_smooth <= 100.0
         ttft_c = ttft_cloud(calibrated_model, 8000, plan.ratio, calibrated_model.rtt.mean_ms)
-        assert ttft_device(calibrated_model, 8000, plan.ratio, ttft_c) == pytest.approx(7000.0)
+        prefill = prefill_device(calibrated_model, 8000, plan.ratio)
+        assert ttft_device(calibrated_model, 8000, prefill, ttft_c) == pytest.approx(7000.0)
         assert brute_force_plan(calibrated_model, PlanConstraints(0.6, 100.0), 8000) == (0.6, 74)
 
     def test_refinement_forbidden_still_plans_token_assist(self, calibrated_model):
@@ -106,7 +107,7 @@ class TestSolvePlan:
         for constraints in (PlanConstraints(0.25, 100.0), PlanConstraints(0.25, 31.0)):
             plan = solve_plan(calibrated_model, constraints, 8000)
             tc = ttft_cloud(calibrated_model, 8000, plan.ratio, calibrated_model.rtt.mean_ms)
-            td = ttft_device(calibrated_model, 8000, plan.ratio, tc)
+            td = ttft_device(calibrated_model, 8000, prefill_device(calibrated_model, 8000, plan.ratio), tc)
             lo, hi = l_bounds(calibrated_model, constraints, 8000, plan.ratio, tc, td)
             if lo <= hi:
                 assert (plan.max_tokens, plan.feasible) == (lo, True)
@@ -137,7 +138,8 @@ class TestSolvePlan:
         for floor in (0.8, 0.6, 0.4, 0.25, 0.125):
             ratio = solve_plan(calibrated_model, PlanConstraints(floor, 100.0), 8000).ratio
             ttft_c = ttft_cloud(calibrated_model, 8000, ratio, calibrated_model.rtt.mean_ms)
-            estimates.append(ttft_device(calibrated_model, 8000, ratio, ttft_c))
+            prefill = prefill_device(calibrated_model, 8000, ratio)
+            estimates.append(ttft_device(calibrated_model, 8000, prefill, ttft_c))
         assert all(a >= b for a, b in zip(estimates, estimates[1:]))
 
 
@@ -288,7 +290,8 @@ class TestFeasibleMeansSubstitution:
         assume(constraints.max_tpot_ms > model.tpot_device)
         served = solve_plan(model, constraints, prompt_tokens, ratio=ratio).ratio
         tc = ttft_cloud(model, prompt_tokens, served, model.rtt.mean_ms)
-        lo, hi = l_bounds(model, constraints, prompt_tokens, served, tc, ttft_device(model, prompt_tokens, served, tc))
+        td = ttft_device(model, prompt_tokens, prefill_device(model, prompt_tokens, served), tc)
+        lo, hi = l_bounds(model, constraints, prompt_tokens, served, tc, td)
         edges = sorted({1, 2, lo - 1, lo, hi, hi + 1} - {b for b in (lo - 1, hi, hi + 1) if b < 1})
         budget = data.draw(st.sampled_from(edges), label="budget")
         plan = solve_plan(model, constraints, prompt_tokens, ratio=served, max_tokens=budget)

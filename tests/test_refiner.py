@@ -72,7 +72,7 @@ def brute_pool(xs, kernel):
 class TestScoreTokens:
     def test_identity_pooling_single_head(self):
         row = np.array([[0.1, 0.5, 0.2, 0.2]])
-        scores = score_tokens([row], window=1, kernel=1)
+        scores = score_tokens([row], window=1, kernel=1, content_span=slice(0, 4))
         assert np.allclose(scores.scores, row[0])
 
     def test_kernel_three_spreads_spike(self):
@@ -90,23 +90,32 @@ class TestScoreTokens:
         for kernel in range(1, 2 * len(xs) + 4, 2):
             assert max_pool_1d(np.array(xs), kernel).tolist() == brute_pool(xs, kernel)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(-1e6, 1e6), max_size=300),
+        # half-widths near the row, and far past it up to --kernel 4611686018427387905
+        st.integers(0, 320) | st.integers(0, 2**62),
+    )
+    def test_pooling_by_doubling_matches_a_sliding_max(self, xs, half):
+        assert max_pool_1d(np.array(xs), 2 * half + 1).tolist() == brute_pool(xs, 2 * half + 1)
+
     def test_two_heads_with_disjoint_spikes(self):
         a = np.zeros((1, 8))
         b = np.zeros((1, 8))
         a[0, 1] = 5.0
         b[0, 6] = 4.0
-        scores = score_tokens([a, b], window=1, kernel=1)
+        scores = score_tokens([a, b], window=1, kernel=1, content_span=slice(0, 8))
         order = np.argsort(-scores.scores)
         assert set(order[:2]) == {1, 6}
 
     def test_heads_are_summed(self):
         a = np.array([[1.0, 0.0]])
         b = np.array([[0.5, 0.25]])
-        assert score_tokens([a, b], window=1, kernel=1).scores.tolist() == [1.5, 0.25]
+        assert score_tokens([a, b], window=1, kernel=1, content_span=slice(0, 2)).scores.tolist() == [1.5, 0.25]
 
     def test_only_trailing_window_rows_count(self):
         m = np.array([[100.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-        scores = score_tokens([m], window=2, kernel=1)
+        scores = score_tokens([m], window=2, kernel=1, content_span=slice(0, 2))
         assert scores.scores.tolist() == [0.0, 2.0]
 
     def test_content_span_restriction(self):
@@ -116,7 +125,7 @@ class TestScoreTokens:
 
     def test_empty_head_list_rejected(self):
         with pytest.raises(ValueError):
-            score_tokens([], window=1, kernel=1)
+            score_tokens([], window=1, kernel=1, content_span=slice(0, 0))
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError):

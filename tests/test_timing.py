@@ -64,14 +64,16 @@ class TestTtftCloud:
 
 class TestTtftDevice:
     def test_worked_example(self, calibrated_model):
-        assert ttft_device(calibrated_model, 8000, 0.6, 950.0) == pytest.approx(7000.0)
+        prefill = prefill_device(calibrated_model, 8000, 0.6)
+        assert ttft_device(calibrated_model, 8000, prefill, 950.0) == pytest.approx(7000.0)
 
     def test_degenerate_no_cloud_case(self):
         model = TimingModel(decompress=AffineCost(0.0, 0.0))
-        assert ttft_device(model, 4096, 1.0, 0.0) == pytest.approx(prefill_device(model, 4096))
+        prefill = prefill_device(model, 4096, 1.0)
+        assert ttft_device(model, 4096, prefill, 0.0) == pytest.approx(prefill_device(model, 4096))
 
     def test_sixty_percent_reduction_at_quarter_ratio(self, calibrated_model):
-        collaborative = ttft_device(calibrated_model, 8000, 0.25, 950.0)
+        collaborative = ttft_device(calibrated_model, 8000, prefill_device(calibrated_model, 8000, 0.25), 950.0)
         assert collaborative == pytest.approx(3500.0)
         device_only = prefill_device(calibrated_model, 8000)
         assert 1.0 - collaborative / device_only >= 0.60
@@ -149,7 +151,7 @@ class TestComposition:
             tokens = rng.randint(100, 32000)
             ratio = rng.uniform(0.05, 1.0)
             tc = ttft_cloud(calibrated_model, tokens, ratio, rng.uniform(0.0, 200.0))
-            td = ttft_device(calibrated_model, tokens, ratio, tc)
+            td = ttft_device(calibrated_model, tokens, prefill_device(calibrated_model, tokens, ratio), tc)
             assert td == tc + calibrated_model.decompress(tokens) + prefill_device(calibrated_model, tokens, ratio)
 
 
