@@ -149,7 +149,6 @@ _KINDS = {"int": int, "float": float, "str": str, "int | None": int, "float | No
           "dict[str, float]": dict, "dict[int, float]": dict}
 _TOP_LEVEL_KEYS = ("seed", "timing", "scenes", "buckets", "workload", "batch", "variants", "policy", "scrub_rules")
 
-_TOKENS = MAX_PROMPT_TOKENS  # the most tokens a prompt, an output or a budget holds
 _COUNT = 1 << 20  # the most requests, completions or decode slots
 
 # the physical range of each numeric config key, a closed interval, by key;
@@ -163,9 +162,10 @@ _RANGES = {
     "tpot_cloud": (1e-3, 10**6), "tpot_device": (1e-3, 10**6), "max_tpot_ms": (1e-3, 10**6),
     # fixed costs and round trips, ms
     "base_ms": (0, 10**9), "mean_ms": (0, 10**9), "jitter_ms": (0, 10**9),
-    "buckets": (1, _TOKENS), "prompt_lengths": (1, _TOKENS), "max_tokens": (1, _TOKENS),
-    "output_min": (2, _TOKENS), "output_max": (2, _TOKENS),
-    "prefix_tokens": (0, _TOKENS), "suffix_tokens": (0, _TOKENS),
+    # token counts: a prompt, an output or a budget holds at most MAX_PROMPT_TOKENS
+    "buckets": (1, MAX_PROMPT_TOKENS), "prompt_lengths": (1, MAX_PROMPT_TOKENS), "max_tokens": (1, MAX_PROMPT_TOKENS),
+    "output_min": (2, MAX_PROMPT_TOKENS), "output_max": (2, MAX_PROMPT_TOKENS),
+    "prefix_tokens": (0, MAX_PROMPT_TOKENS), "suffix_tokens": (0, MAX_PROMPT_TOKENS),
     "requests": (0, _COUNT), "completions": (1, _COUNT), "slots": (1, _COUNT),
     "min_ratio": (0, 1), "ratio": (1e-6, 1), "divergence_rate": (0, 1), "weight": (0, 10**9),
     "arrival_rate_per_s": (1e-3, 10**6),  # per second
@@ -522,8 +522,8 @@ def generate_workload(config: ExperimentConfig, seed: int) -> list[GeneratedRequ
             if not scrubbed[1].strip() and not scrubbed[2].strip():
                 raise ConfigError(f"config.scrub_rules: {request_id} keeps no content or suffix token")
             prompt = TokenizedPrompt.from_text(*scrubbed)
-            if prompt.total_tokens > _TOKENS:
-                raise ConfigError(f"config.scrub_rules: {request_id} grows past {_TOKENS} tokens")
+            if prompt.total_tokens > MAX_PROMPT_TOKENS:
+                raise ConfigError(f"config.scrub_rules: {request_id} grows past {MAX_PROMPT_TOKENS} tokens")
         # position p in 2..n-1 diverges when the next random() falls below the rate
         flips = mt_uniform(rng, max(n - 2, 0))
         divergence = frozenset((np.flatnonzero(flips < w.divergence_rate) + 2).tolist())

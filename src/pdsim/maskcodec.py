@@ -26,11 +26,6 @@ class MaskCodecError(Exception):
     """Corrupt or malformed mask container."""
 
 
-def _check_length(bits: int) -> None:
-    if bits > MAX_PROMPT_TOKENS:
-        raise MaskCodecError(f"a mask holds at most {MAX_PROMPT_TOKENS} bits, one per prompt token; got {bits}")
-
-
 @dataclass(frozen=True)
 class CompressedMask:
     """A mask container: its header's bit count, then the deflate stream."""
@@ -40,7 +35,10 @@ class CompressedMask:
     def __post_init__(self) -> None:
         if len(self.payload) < _HEADER.size:
             raise MaskCodecError("container shorter than its header")
-        _check_length(self.bit_length)
+        if self.bit_length > MAX_PROMPT_TOKENS:
+            raise MaskCodecError(
+                f"a mask holds at most {MAX_PROMPT_TOKENS} bits, one per prompt token; got {self.bit_length}"
+            )
 
     @property
     def bit_length(self) -> int:
@@ -49,7 +47,6 @@ class CompressedMask:
 
 def pack(mask: SelectionMask) -> CompressedMask:
     """Pack bits MSB-first into bytes, zero-pad to a byte boundary, deflate."""
-    _check_length(len(mask))
     raw = np.packbits(mask.bits).tobytes()
     payload = _HEADER.pack(len(mask)) + zlib.compress(raw, _LEVEL)
     return CompressedMask(payload)

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 # the most tokens a prompt holds: the config reader bounds every token count
-# by it (``harness._TOKENS``), and a mask container declares at most this
+# by it (``harness._RANGES``), and a mask container declares at most this
 # many bits (``maskcodec``)
 MAX_PROMPT_TOKENS = 1 << 24
 
@@ -116,8 +116,6 @@ def max_pool_1d(values: np.ndarray, kernel: int) -> np.ndarray:
         raise ValueError(f"kernel must be odd and >= 1, got {kernel}")
     x = np.asarray(values, dtype=np.float64)
     half = min(kernel // 2, max(x.size - 1, 0))  # n - 1 already reaches both ends from every index
-    if half == 0:
-        return x.copy()
     width = 2 * half + 1
     edge = np.full(half, -np.inf)  # truncation: the pads never win a maximum
     run, span = np.concatenate((edge, x, edge)), 1

@@ -131,8 +131,6 @@ def ttft_device(model: TimingModel, prompt_tokens: int, prefill_ms: float, frame
 
     From the planned cloud TTFT it is the device TTFT; from the frame's arrival, the instant the prefill completes.
     """
-    if prompt_tokens < 0 or prefill_ms < 0.0:
-        raise ValueError(f"prompt_tokens and prefill_ms must be nonnegative, got {prompt_tokens} and {prefill_ms}")
     return frame_ms + model.decompress(prompt_tokens) + prefill_ms
 
 

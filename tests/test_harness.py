@@ -297,7 +297,7 @@ class TestWorkloadSynthesis:
         # the rule splits each word ``w1234`` into ``w1, 234``; a range of 2100
         # tokens admits the 1000- and 2000-token prompts, not what the rule makes of them
         config = load_config(DATA / "scrub_config.json")
-        monkeypatch.setattr(harness, "_TOKENS", 2100)
+        monkeypatch.setattr(harness, "MAX_PROMPT_TOKENS", 2100)
         with pytest.raises(ConfigError, match=r"^config\.scrub_rules: req-\d{4} grows past 2100 tokens$"):
             generate_workload(config, config.seed)
 
