@@ -1,6 +1,6 @@
 """Cloud-device split serving toolkit: planner, wire protocol and simulators."""
 
-from .cloudsim import EOT_TOKEN, BatchModel, CloudTrace, TokenSource, run_throughput, serve_request
+from .cloudsim import EOT_TOKEN, BatchModel, CloudTrace, TokenSource, refine, run_throughput, serve_request
 from .devicesim import CorrectionPolicy, DeviceTrace, StallError, run_session, scrub
 from .harness import ExperimentConfig, MetricsReport, default_config, load_config, run_experiment
 from .maskcodec import CompressedMask, MaskCodecError, pack, unpack

@@ -4,20 +4,23 @@ Prefill and refinement are timed delays from the calibrated model rather
 than modeled compute. Each request is served at the (ratio, budget) the
 planner decided: it yields the piggyback first frame, a periodic decode
 stream cut off at the budget (or at EOT, whichever comes first) and the time
-it holds a decode slot, which the batch throughput simulator consumes.
+it holds a decode slot, which the batch throughput simulator consumes. The
+refinement the frame carries (``refine``) depends only on the prompt, its
+scores and the ratio, so a caller makes it once per request and ratio.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .maskcodec import pack
+from .maskcodec import CompressedMask, pack
 from .protocol import DONE, DoneMarker, FirstTokenFrame, StreamEvent
 from .refiner import TokenScores, TokenizedPrompt, select_sentences
 from .timing import TimingModel, request_occupancy, ttft_cloud
@@ -97,29 +100,37 @@ def uniform_scores(prompt: TokenizedPrompt, seed: int | str) -> TokenScores:
     return TokenScores(mt_uniform(random.Random(f"scores:{seed}"), prompt.content_tokens))
 
 
+def refine(prompt: TokenizedPrompt, scores: TokenScores, ratio: float) -> CompressedMask:
+    """The cloud's refinement of ``prompt`` at ``ratio``: the sentences ``scores`` select, packed for the wire.
+
+    A pure function of its arguments, so one container serves every session
+    of a request that runs at the same ratio.
+    """
+    return pack(select_sentences(prompt, scores, ratio))
+
+
 def serve_request(
     req,
     model: TimingModel,
     source: TokenSource,
-    scores: TokenScores,
+    mask: CompressedMask,
     *,
     ratio: float,
     max_tokens: int,
     rtt_ms: float,
 ) -> CloudTrace:
-    """Serve request ``req`` at a given point: refine, piggyback the first token, stream.
+    """Serve request ``req`` at a given point: piggyback the refinement on the first token, then stream.
 
-    The mask selects over ``req.prompt``, the shape shared with the device,
-    by ``scores``; the first token leaves ``ttft_cloud`` after
+    ``mask`` is ``refine(req.prompt, scores, ratio)``, the selection over
+    the shape shared with the device, made once per request and ratio by
+    the caller; the first token leaves ``ttft_cloud`` after
     ``req.arrival_ms`` at round trip ``rtt_ms``. ``planner.solve_plan``
     decides the point: the ``ratio`` and the budget ``max_tokens``, the
     tokens the cloud produces counting the first one.
     """
     first_token_at = req.arrival_ms + ttft_cloud(model, req.prompt.total_tokens, ratio, rtt_ms)
-    compressed = pack(select_sentences(req.prompt, scores, ratio))
-
     emit_total = min(max_tokens, source.total_tokens)
-    frame = FirstTokenFrame(token=source.token_at(1), mask=compressed, max_tokens=max_tokens)
+    frame = FirstTokenFrame(token=source.token_at(1), mask=mask, max_tokens=max_tokens)
     events = tuple(
         (
             first_token_at + i * model.tpot_cloud,
@@ -170,10 +181,11 @@ def run_throughput(batch: BatchModel, occupancies_ms: Sequence[float], *, seed: 
     occupancy`` (the Kiefer-Wolfowitz recursion for the FIFO G/G/c queue).
     Closed mode, where each completion admits the next request, has every
     arrival ``a_i`` at 0; Poisson mode draws the gaps between arrivals
-    from ``random.Random(f"throughput:{seed}")``. All ``completions + slots``
-    requests of ``batch`` complete; the first ``slots`` completions are warmup,
-    so the measurement window holds exactly ``completions``. The returned
-    analytic rate is slots / mean occupancy for cross-checks.
+    from ``random.Random(f"throughput:{seed}")``, each bit-equal to its
+    ``expovariate``. All ``completions + slots`` requests of ``batch``
+    complete; the first ``slots`` completions are warmup, so the
+    measurement window holds exactly ``completions``. The returned analytic
+    rate is slots / mean occupancy for cross-checks.
     """
     if not occupancies_ms:
         raise ValueError("need at least one occupancy sample")
@@ -184,13 +196,13 @@ def run_throughput(batch: BatchModel, occupancies_ms: Sequence[float], *, seed: 
     if batch.mode == "closed":
         arrivals: Iterable[float] = itertools.repeat(0.0, target)
     else:
-        rng = random.Random(f"throughput:{seed}")
         rate_per_ms = batch.arrival_rate_per_s / 1000.0
-        arrivals = itertools.accumulate(rng.expovariate(rate_per_ms) for _ in range(target))
+        uniforms = mt_uniform(random.Random(f"throughput:{seed}"), target).tolist()
+        arrivals = itertools.accumulate(-math.log(1.0 - u) / rate_per_ms for u in uniforms)
     released = [0.0] * batch.slots  # heap of slot release times
     ends = []
-    for i, arrival in enumerate(arrivals):
-        end = max(arrival, released[0]) + occupancies_ms[i % len(occupancies_ms)]
+    for arrival, occupancy in zip(arrivals, itertools.cycle(occupancies_ms)):
+        end = max(arrival, released[0]) + occupancy
         heapq.heapreplace(released, end)
         ends.append(end)
     ends.sort()

@@ -142,16 +142,20 @@ def run_session(
     ``harness.GeneratedRequest`` in experiments). ``stream`` is
     ``CloudTrace.delivery()``: (arrival time, item) pairs in the order
     ``protocol.SseDecoder`` yields the items. Raises ProtocolError on a
-    stream that does not open with the frame or holds a second one, on a
-    mask/prompt mismatch or on event indices other than exactly 1..k, and
-    StallError when the stream is short without the DONE marker.
+    stream that does not open with the frame, or that holds a second frame
+    or an item other than a ``StreamEvent`` or DONE, on a mask/prompt
+    mismatch or on event indices other than exactly 1..k, and StallError
+    when the stream is short without the DONE marker.
     """
     timed = list(stream)
     frame_time_ms, frame = timed[0] if timed else (None, None)
     if not isinstance(frame, FirstTokenFrame):
         raise ProtocolError("stream must open with the first-token frame")
-    if any(isinstance(item, FirstTokenFrame) for _, item in timed[1:]):
-        raise ProtocolError("stream holds a second first-token frame")
+    for _, item in timed[1:]:
+        if isinstance(item, FirstTokenFrame):
+            raise ProtocolError("stream holds a second first-token frame")
+        if not isinstance(item, (StreamEvent, DoneMarker)):
+            raise ProtocolError(f"stream holds a {type(item).__name__} item, not a stream event or DONE")
     events = sorted(((t, item) for t, item in timed if isinstance(item, StreamEvent)), key=lambda pair: pair[0])
     done = max((t for t, item in timed if isinstance(item, DoneMarker)), default=None)
 

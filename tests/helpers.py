@@ -13,7 +13,7 @@ import numpy as np
 
 from pdsim import protocol
 from pdsim.cli import _WEIGHT_HEADER
-from pdsim.cloudsim import EOT_TOKEN, CloudTrace, TokenSource, serve_request, uniform_scores
+from pdsim.cloudsim import EOT_TOKEN, CloudTrace, TokenSource, refine, serve_request, uniform_scores
 from pdsim.devicesim import CorrectionPolicy, StallError
 from pdsim.eventloop import EventLoop
 from pdsim.maskcodec import unpack
@@ -113,8 +113,9 @@ def serve_at(prompt: TokenizedPrompt, model: TimingModel, source: TokenSource, r
 
     It selects by ``uniform_scores(prompt, request_id)``; ``rtt_ms`` defaults to the model's mean RTT.
     """
+    mask = refine(prompt, uniform_scores(prompt, request_id), ratio)
     return serve_request(
-        Session(request_id, prompt, start_ms), model, source, uniform_scores(prompt, request_id), ratio=ratio,
+        Session(request_id, prompt, start_ms), model, source, mask, ratio=ratio,
         max_tokens=max_tokens, rtt_ms=model.rtt.mean_ms if rtt_ms is None else rtt_ms,
     )
 

@@ -12,6 +12,7 @@ from pdsim.cloudsim import (
     BatchModel,
     TokenSource,
     mt_uniform,
+    refine,
     run_throughput,
     serve_request,
     uniform_scores,
@@ -137,10 +138,12 @@ class TestServeRequest:
     def test_served_at_the_given_point(self, calibrated_model):
         prompt = make_prompt()
         scores = uniform_scores(prompt, "other")
+        mask = refine(prompt, scores, 0.25)
+        assert mask == pack(select_sentences(prompt, scores, 0.25))
         trace = serve_request(Session("req-1", prompt, 100.0), calibrated_model, TokenSource(seed=5, total_tokens=500),
-                              scores, ratio=0.25, max_tokens=7, rtt_ms=80.0)
+                              mask, ratio=0.25, max_tokens=7, rtt_ms=80.0)
         assert trace.frame.max_tokens == 7 and len(trace.events) == 6
-        assert trace.frame.mask == pack(select_sentences(prompt, scores, 0.25))
+        assert trace.frame.mask is mask
         ttft = ttft_cloud(calibrated_model, prompt.total_tokens, 0.25, 80.0)
         assert trace.frame_time_ms == pytest.approx(100.0 + ttft)
 

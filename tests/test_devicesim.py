@@ -415,6 +415,15 @@ class TestWireStream:
             run_session(Session("req-1", prompt), [*delivered[:-1], delivered[0], delivered[-1]], calibrated_model,
                         source)
 
+    @pytest.mark.parametrize("stray, name", [(b"data: junk", "bytes"), (None, "NoneType")])
+    def test_an_item_of_another_type_is_refused(self, calibrated_model, plan, stray, name):
+        prompt = content_prompt()
+        source = TokenSource(seed=77, total_tokens=12)
+        delivered = serve_at(prompt, calibrated_model, source, plan.ratio, plan.max_tokens).delivery()
+        stream = [delivered[0], (delivered[0][0], stray), *delivered[1:]]
+        with pytest.raises(ProtocolError, match=f"^stream holds a {name} item, not a stream event or DONE$"):
+            run_session(Session("req-1", prompt), stream, calibrated_model, source)
+
 
 class TestFailureModes:
     def test_stalled_stream_raises(self, calibrated_model, plan):

@@ -6,6 +6,7 @@ import statistics
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -146,6 +147,21 @@ class CountingRandom(random.Random):
         return super().getrandbits(k)
 
 
+def at_index(rng: random.Random, index: int) -> random.Random:
+    """``rng`` with its Mersenne Twister words kept and its next output at ``index`` (624: a twist comes first)."""
+    version, words, gauss = rng.getstate()
+    rng.setstate((version, (*words[:-1], index), gauss))
+    return rng
+
+
+def consumed(state: tuple, pos: int) -> random.Random:
+    """A generator in ``state`` that has then drawn ``pos`` outputs one by one."""
+    rng = random.Random()
+    rng.setstate(state)
+    rng.getrandbits(32 * pos)
+    return rng
+
+
 def assert_matches_the_draw_loop(make_rng, seed: int, total: int, prefix_tokens: int, suffix_tokens: int):
     """The shape and the rendered text each equal the per-draw loop's, and leave ``rng`` in its state.
 
@@ -230,7 +246,7 @@ class TestWorkloadSynthesis:
             prefix_tokens, suffix_tokens = cases.randint(0, 12), cases.randint(0, 12)
             total = prefix_tokens + suffix_tokens + cases.choice([2, 3, cases.randint(2, 300), cases.randint(2, 3000)])
             rng = assert_matches_the_draw_loop(CountingRandom, seed, total, prefix_tokens, suffix_tokens)
-            extended += rng.calls > 2  # more than one block and the rewind
+            extended += rng.calls > 1  # more than one block
         assert extended >= 10  # 40, 39 and 17 of the 40 cases at blocks 1, 7 and 64
 
     @settings(max_examples=200, deadline=None)
@@ -270,7 +286,43 @@ class TestWorkloadSynthesis:
     def test_words_are_drawn_in_bulk(self, draw):
         rng = CountingRandom(5)
         draw(rng, 8192, 16, 24)
-        assert rng.calls == 2  # one block, then the rewind replays what was consumed
+        assert rng.calls == 1  # one block; the state after the consumed outputs is rebuilt, not redrawn
+
+    @pytest.mark.parametrize("index", [0, 1, 623, 624])
+    @pytest.mark.parametrize(
+        "size, pos",
+        [
+            (4096, 1),  # inside the state's own words, or at the first output of a twist
+            (4096, 1247),  # the twist ends at 1,247 (index 1) or 1,248 (index 0 and 624) outputs
+            (4096, 1248),
+            (4096, 2000),  # inside a twist the block runs past
+            (2010, 2000),  # inside the twist where the block ends
+            (1248, 1248),  # the block ends where pos does
+            (1249, 1248),
+        ],
+    )
+    def test_the_rebuilt_state_is_that_of_drawing_pos_outputs(self, index, size, pos):
+        state = at_index(random.Random(index), index).getstate()
+        rng = random.Random()
+        rng.setstate(state)
+        harness._advance(rng, state, cloudsim.mt_words(rng, size), pos)
+        assert rng.getstate() == consumed(state, pos).getstate()
+
+    @pytest.mark.parametrize("index", [0, 1, 623, 624])
+    @pytest.mark.parametrize("block", [None, 7])  # the default first block, or one every prompt runs short
+    def test_a_drawn_prompt_leaves_the_state_of_drawing_its_outputs(self, monkeypatch, index, block):
+        if block is not None:
+            monkeypatch.setattr(harness, "_DRAW_BLOCK_WORDS", block)
+            monkeypatch.setattr(harness, "_DRAW_OUTPUTS_PER_TOKEN", 0)
+        cases = random.Random(index)
+        for total in (30, 700, 3000, 8000):
+            rng = at_index(random.Random(cases.getrandbits(32)), index)
+            state = rng.getstate()
+            drawn, starts, words = harness._draw_prompt(rng, total, 12, 8)
+            assert block is None or len(drawn) > block
+            # one past the output of the last sentence's last word
+            pos = int(np.flatnonzero(drawn < harness._WORD_LIMIT)[starts[-1] + words[-1] - 1]) + 1
+            assert rng.getstate() == consumed(state, pos).getstate()
 
     def test_workload_is_deterministic(self):
         config = config_from_dict(base_config_dict())
@@ -474,6 +526,31 @@ class TestRunExperiment:
         monkeypatch.setattr(cloudsim, "uniform_scores", counting)
         run_experiment(config_from_dict(data), tmp_path)
         assert len(calls) == 5 and len(set(calls)) == 5
+
+    def test_each_request_is_refined_once_per_ratio(self, tmp_path, monkeypatch):
+        # on the built-in config ``L20`` and ``planned`` solve to the same
+        # ratio for a third of the 180 sessions
+        counts = {"select_sentences": 0, "pack": 0}
+        for name in counts:
+            original = getattr(cloudsim, name)
+
+            def counting(*args, name=name, original=original):
+                counts[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(cloudsim, name, counting)
+        served = {}
+        original_serve = harness.serve_request
+
+        def recording(gen, model, source, mask, **point):
+            served.setdefault((gen.request_id, point["ratio"]), []).append(mask)
+            return original_serve(gen, model, source, mask, **point)
+
+        monkeypatch.setattr(harness, "serve_request", recording)
+        run_experiment(default_config(), tmp_path)
+        assert sum(map(len, served.values())) == 180
+        assert counts == {"select_sentences": 120, "pack": 120} and len(served) == 120
+        assert all(mask is masks[0] for masks in served.values() for mask in masks)
 
     def test_an_experiment_builds_no_event_loop(self, tmp_path, monkeypatch):
         built = []
