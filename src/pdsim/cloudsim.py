@@ -115,20 +115,19 @@ def serve_request(
     source: TokenSource,
     mask: CompressedMask,
     *,
-    ratio: float,
     max_tokens: int,
     rtt_ms: float,
 ) -> CloudTrace:
     """Serve request ``req`` at a given point: piggyback the refinement on the first token, then stream.
 
+    ``planner.solve_plan`` decides the point: a ratio and the budget
+    ``max_tokens``, the tokens the cloud produces counting the first one.
     ``mask`` is ``refine(req.prompt, scores, ratio)``, the selection over
     the shape shared with the device, made once per request and ratio by
-    the caller; the first token leaves ``ttft_cloud`` after
-    ``req.arrival_ms`` at round trip ``rtt_ms``. ``planner.solve_plan``
-    decides the point: the ``ratio`` and the budget ``max_tokens``, the
-    tokens the cloud produces counting the first one.
+    the caller; the ratio reaches the cloud only through it. The first token
+    leaves ``ttft_cloud`` after ``req.arrival_ms`` at round trip ``rtt_ms``.
     """
-    first_token_at = req.arrival_ms + ttft_cloud(model, req.prompt.total_tokens, ratio, rtt_ms)
+    first_token_at = req.arrival_ms + ttft_cloud(model, req.prompt.total_tokens, rtt_ms)
     emit_total = min(max_tokens, source.total_tokens)
     frame = FirstTokenFrame(token=source.token_at(1), mask=mask, max_tokens=max_tokens)
     events = tuple(

@@ -6,8 +6,9 @@ refined prompt and then decodes at device speed, with the token corrector
 comparing against the cloud tokens received so far. A session is a pure
 function of its request (prompt shape and arrival time) and its timed
 stream, the items ``protocol.SseDecoder`` yields in their order (the
-first-token frame, the events, DONE), each with its arrival time. It is
-computed as three timelines:
+first-token frame, the events, DONE), each with its arrival time, read
+once in that order: each event carries the next index, and DONE ends the
+stream. Arrival times need not increase. It is computed as three timelines:
 
 - Cloud shows. The frame shows position 1 at its arrival F; position p is
   shown at ``w_p = max(F + (p - 1)·pace, a_p, w_{p-1})``, with ``a_p`` its
@@ -43,7 +44,6 @@ the prefill does.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -85,8 +85,8 @@ class DeviceTrace:
     """Everything observed on the device for one session.
 
     The cloud-window displays are listed in ``window``. The device's own
-    continuation is described, not listed: positions from
-    ``continuation_from`` on, decoded at the instants in
+    continuation is described, not listed: the positions after the window,
+    decoded at the instants in
     ``continuation_decode_ms``, each shown at ``max(decode,
     continuation_begin_ms)`` with ``device_source``'s token. The instants
     are a slice of the session's one accumulated decode timeline, of which
@@ -99,7 +99,6 @@ class DeviceTrace:
     ttft_device_ms: float        # mask recovery + refined prefill completed
     tpot_smooth_ms: float | None
     window: tuple[tuple[float, int, str], ...]  # cloud-window shows: (time, position, token shown)
-    continuation_from: int
     continuation_decode_ms: np.ndarray
     continuation_begin_ms: float | None  # None when the window was not shown in full
     device_source: TokenSource
@@ -124,7 +123,7 @@ class DeviceTrace:
         if not len(self.continuation_decode_ms):
             return self.window
         times = np.maximum(self.continuation_decode_ms, self.continuation_begin_ms).tolist()
-        positions = range(self.continuation_from, self.continuation_from + len(times))
+        positions = range(len(self.window) + 1, self.output_len + 1)  # it follows a window shown in full
         return self.window + tuple(zip(times, positions, map(self.device_source.token_at, positions)))
 
 
@@ -141,23 +140,34 @@ def run_session(
     against ``req.prompt``, the shape the cloud selected over (``req`` is a
     ``harness.GeneratedRequest`` in experiments). ``stream`` is
     ``CloudTrace.delivery()``: (arrival time, item) pairs in the order
-    ``protocol.SseDecoder`` yields the items. Raises ProtocolError on a
-    stream that does not open with the frame, or that holds a second frame
-    or an item other than a ``StreamEvent`` or DONE, on a mask/prompt
-    mismatch or on event indices other than exactly 1..k, and StallError
-    when the stream is short without the DONE marker.
+    ``protocol.SseDecoder`` yields the items, read once in that order, so any
+    iterable serves. Raises ProtocolError on a stream that does not open
+    with the frame, holds a second frame or an item other than a
+    ``StreamEvent`` or DONE, skips or repeats an event index, or continues
+    after DONE, and on a mask/prompt mismatch; StallError when the stream is
+    short without DONE.
     """
-    timed = list(stream)
-    frame_time_ms, frame = timed[0] if timed else (None, None)
+    items = iter(stream)
+    frame_time_ms, frame = next(items, (None, None))
     if not isinstance(frame, FirstTokenFrame):
         raise ProtocolError("stream must open with the first-token frame")
-    for _, item in timed[1:]:
-        if isinstance(item, FirstTokenFrame):
+    # cloud[p - 1] and arrival[p - 1] are position p's token and arrival
+    cloud, arrival, done = [frame.token], [frame_time_ms], None
+    for when, item in items:
+        if done is not None:
+            raise ProtocolError("stream continues after DONE")
+        if isinstance(item, StreamEvent):
+            if item.index != len(cloud):
+                index, fault = (item.index, "repeated") if item.index < len(cloud) else (len(cloud), "missing")
+                raise ProtocolError(f"stream event index {index} {fault}")
+            cloud.append(item.token)
+            arrival.append(when)
+        elif isinstance(item, DoneMarker):
+            done = when
+        elif isinstance(item, FirstTokenFrame):
             raise ProtocolError("stream holds a second first-token frame")
-        if not isinstance(item, (StreamEvent, DoneMarker)):
+        else:
             raise ProtocolError(f"stream holds a {type(item).__name__} item, not a stream event or DONE")
-    events = sorted(((t, item) for t, item in timed if isinstance(item, StreamEvent)), key=lambda pair: pair[0])
-    done = max((t for t, item in timed if isinstance(item, DoneMarker)), default=None)
 
     prompt, start_ms, budget = req.prompt, req.arrival_ms, frame.max_tokens
     # checked before inflating, so a declared length never costs memory
@@ -170,23 +180,12 @@ def run_session(
     user_ttft = frame_time_ms - start_ms
     tpot_smooth = smoothed_tpot(model, prefill, user_ttft, budget) if budget >= 2 else None
 
-    cloud = {1: frame.token}
-    arrival = {1: frame_time_ms}
-    for when, event in events:
-        cloud[event.index + 1] = event.token
-        arrival[event.index + 1] = when
-    cloud_last = 1 + len(events)
-    if len(cloud) != cloud_last or max(cloud) != cloud_last:  # indices are not exactly 1..k
-        indices = sorted(event.index for _, event in events)
-        i, index = next((i, index) for i, index in enumerate(indices, 1) if index != i)
-        raise ProtocolError(
-            f"stream event index {index} repeated" if index < i else f"stream event index {i} missing"
-        )
-    if done is None and len(events) < budget - 1:
-        last = events[-1][0] if events else frame_time_ms
+    cloud_last = len(cloud)
+    if done is None and cloud_last < budget:
+        last = max(arrival[1:], default=frame_time_ms)
         wait = 5 * (tpot_smooth or model.tpot_device)
         raise StallError(
-            f"stream ended after {len(events)} events without [DONE]; "
+            f"stream ended after {cloud_last - 1} events without [DONE]; "
             f"display branch gave up at {last + wait:.1f} ms"
         )
     window_end = min(budget, cloud_last)
@@ -197,11 +196,11 @@ def run_session(
     eot_at: float | None = None  # instant of the show that met the cloud EOT
     shown = frame_time_ms
     for p in range(1, window_end + 1):
-        shown = max(frame_time_ms + (p - 1) * pace, arrival[p], shown)
-        if cloud[p] == EOT_TOKEN:
+        shown = max(frame_time_ms + (p - 1) * pace, arrival[p - 1], shown)
+        if cloud[p - 1] == EOT_TOKEN:
             eot_at = shown
             break
-        shows.append((shown, p, cloud[p]))
+        shows.append((shown, p, cloud[p - 1]))
 
     # decode k runs at timeline[k - 1]; timeline[0] is the prefill. Past
     # cloud_last + 1 no position is in scope and the raw EOT ends decoding,
@@ -229,10 +228,10 @@ def run_session(
         raw = device_source.token_at(k) if k <= device_source.total_tokens else EOT_TOKEN
         own[k] = raw
         effective = raw
-        in_scope = arrival.get(k, math.inf) <= at[k - 1] and k <= budget
-        if in_scope and raw != cloud[k] and policy is CorrectionPolicy.CLOUD_WINS:
+        in_scope = k <= window_end and arrival[k - 1] <= at[k - 1]
+        if in_scope and raw != cloud[k - 1] and policy is CorrectionPolicy.CLOUD_WINS:
             corrections += 1
-            effective = cloud[k]
+            effective = cloud[k - 1]
         if effective == EOT_TOKEN:
             device_eot_position = k
             break
@@ -259,7 +258,7 @@ def run_session(
     common = 0
     for position in range(1, min(cloud_last, device_source.total_tokens) + 1):
         mine = own[position] if position in own else device_source.token_at(position)
-        if cloud[position] != mine:
+        if cloud[position - 1] != mine:
             break
         common += 1
 
@@ -269,7 +268,6 @@ def run_session(
         ttft_device_ms=prefill_done - start_ms,  # with a cloud EOT in the frame, the instant it would have completed
         tpot_smooth_ms=tpot_smooth,
         window=tuple(shows),
-        continuation_from=window_end + 1,
         continuation_decode_ms=continuation,
         continuation_begin_ms=begin,
         device_source=device_source,

@@ -231,7 +231,7 @@ def _parse_rtt(obj, path: str) -> RttClass:
     if isinstance(obj, str) and obj in RTT_CLASSES:
         return RTT_CLASSES[obj]
     if isinstance(obj, dict):
-        return RttClass(**_fields(RttClass, obj, path, {}))
+        return _read(RttClass, obj, path)
     raise ConfigError(f"{path}: expected an RTT class name ({', '.join(RTT_CLASSES)}) or object, got {obj!r}")
 
 
@@ -794,8 +794,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path, seed: int | No
             if point.ratio not in masks:
                 masks[point.ratio] = cloudsim.refine(prompt, scores, point.ratio)
             trace_c = serve_request(
-                gen, model, cloud_source, masks[point.ratio], ratio=point.ratio, max_tokens=point.max_tokens,
-                rtt_ms=rtt,
+                gen, model, cloud_source, masks[point.ratio], max_tokens=point.max_tokens, rtt_ms=rtt
             )
             trace_d = run_session(gen, trace_c.delivery(), model, device_source, config.policy)
             rows.append(

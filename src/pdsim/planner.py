@@ -127,7 +127,7 @@ def solve_plan(
             raise ValueError(f"pinned ratio must be in (0, 1], got {ratio}")
         ratio_ok = lo <= ratio <= hi
 
-    ttft_c = ttft_cloud(model, prompt_tokens, ratio, model.rtt.mean_ms)
+    ttft_c = ttft_cloud(model, prompt_tokens, model.rtt.mean_ms)
     prefill = prefill_device(model, prompt_tokens, ratio)
     ttft_d = ttft_device(model, prompt_tokens, prefill, ttft_c)
     b_lo, b_hi = l_bounds(model, constraints, prompt_tokens, ratio, ttft_c, ttft_d)

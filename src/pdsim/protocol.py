@@ -4,8 +4,9 @@ Every payload rides in an SSE-style frame ``data: <body>\\n\\n``. The first
 response frame piggybacks the selection mask and the assisted-token budget
 next to the first token; each following frame carries one decode token; a
 literal ``[DONE]`` frame closes the stream and is the only end-of-stream
-marker. ``SseDecoder`` is the one decoder for response frames: it parses each
-frame body once, whole or split across receive chunks.
+marker; ``devicesim.run_session`` refuses any item after it. ``SseDecoder``
+is the one decoder for response frames: it parses each frame body once,
+whole or split across receive chunks.
 
 Canonical bodies are compact JSON with pinned key order, so encoders are
 byte-deterministic. The event and first-frame encoders format their frames

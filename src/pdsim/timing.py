@@ -9,7 +9,8 @@ calibrated defaults once, as its field defaults, and holds its codec costs as
 equal and print as numbers. Each formula is a pure function defined once
 here. Its callers:
 
-- ``ttft_cloud``: planner (``solve_plan``), ``cloudsim.serve_request``.
+- ``ttft_cloud(model, prompt_tokens, rtt_ms)``: planner (``solve_plan``, at the
+  mean RTT), ``cloudsim.serve_request`` (at the sampled RTT).
 - ``prefill_device``, the refined prefill: planner (``l_bounds``,
   ``solve_plan``), ``devicesim.run_session`` with the refined length of the mask.
 - ``ttft_device``, the device's ready instant (frame + recovery + refined
@@ -33,9 +34,8 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class RttClass:
-    """Coarse network class: mean round trip plus a jitter spread."""
+    """Coarse network class: mean round trip plus a jitter spread; ``RTT_CLASSES`` names the built-in ones."""
 
-    name: str
     mean_ms: float
     jitter_ms: float = 0.0
 
@@ -56,8 +56,8 @@ class RttClass:
 
 
 RTT_CLASSES: dict[str, RttClass] = {
-    "wifi": RttClass("wifi", mean_ms=50.0, jitter_ms=10.0),
-    "lte": RttClass("lte", mean_ms=100.0, jitter_ms=30.0),
+    "wifi": RttClass(mean_ms=50.0, jitter_ms=10.0),
+    "lte": RttClass(mean_ms=100.0, jitter_ms=30.0),
 }
 
 
@@ -115,12 +115,10 @@ def prefill_device(model: TimingModel, tokens: int, ratio: float = 1.0) -> float
     return model.k_device * ratio * tokens
 
 
-def ttft_cloud(model: TimingModel, prompt_tokens: int, ratio: float, rtt_ms: float) -> float:
-    """Time until the device holds the first token: cloud prefill + mask compression + RTT."""
+def ttft_cloud(model: TimingModel, prompt_tokens: int, rtt_ms: float) -> float:
+    """Time until the device holds the first token: prefill and mask compression of the whole prompt, then RTT."""
     if prompt_tokens <= 0:
         raise ValueError(f"prompt_tokens must be positive, got {prompt_tokens}")
-    if not 0.0 < ratio <= 1.0:
-        raise ValueError(f"ratio must be in (0, 1], got {ratio}")
     if rtt_ms < 0.0:
         raise ValueError(f"rtt_ms must be nonnegative, got {rtt_ms}")
     return model.k_cloud * prompt_tokens + model.compress(prompt_tokens) + rtt_ms

@@ -8,7 +8,7 @@ def calibrated_model():
     """Worked-example calibration: 8k prompt -> 800 ms cloud prefill, 10 s device
     prefill, 100 ms compress, 50 ms decompress, 50 ms RTT, so 200 ms of derived overhead."""
     return TimingModel(
-        rtt=RttClass("wifi-fixed", mean_ms=50.0, jitter_ms=0.0),
+        rtt=RttClass(mean_ms=50.0, jitter_ms=0.0),
         compress=AffineCost(0.0, 0.0125),
         decompress=AffineCost(0.0, 0.00625),
     )

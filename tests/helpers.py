@@ -37,7 +37,7 @@ def feasible_by_substitution(model: TimingModel, constraints: PlanConstraints, p
     ratio_ok = (constraints.min_ratio <= ratio
                 and model.k_cloud * prompt_tokens + model.overhead_ms(prompt_tokens) + refined_prefill
                 <= model.k_device * prompt_tokens)
-    tc = ttft_cloud(model, prompt_tokens, ratio, model.rtt.mean_ms)
+    tc = ttft_cloud(model, prompt_tokens, model.rtt.mean_ms)
     td = ttft_device(model, prompt_tokens, refined_prefill, tc)
     pace_ok = refined_prefill - tc <= steps * (constraints.max_tpot_ms - model.tpot_device)
     occupancy_ok = tc + steps * model.tpot_cloud <= td
@@ -55,7 +55,7 @@ def brute_force_plan(model: TimingModel, constraints: PlanConstraints, prompt_to
         feasible = feasible_by_substitution(model, constraints, prompt_tokens, ratio, budgets)
         if not feasible.any():
             continue
-        tc = ttft_cloud(model, prompt_tokens, ratio, model.rtt.mean_ms)
+        tc = ttft_cloud(model, prompt_tokens, model.rtt.mean_ms)
         td = ttft_device(model, prompt_tokens, prefill_device(model, prompt_tokens, ratio), tc)
         candidate = (td, int(budgets[int(np.argmax(feasible))]), ratio)
         if best is None or candidate < best:
@@ -75,7 +75,7 @@ def random_planner_instance(rng: random.Random):
         k_device=k_device,
         tpot_cloud=rng.uniform(15.0, 50.0),
         tpot_device=tpot_device,
-        rtt=RttClass("rand", mean_ms=rng.uniform(10.0, 150.0), jitter_ms=0.0),
+        rtt=RttClass(mean_ms=rng.uniform(10.0, 150.0), jitter_ms=0.0),
         compress=AffineCost(rng.uniform(0.0, 30.0), rng.uniform(0.005, 0.03)),
         decompress=AffineCost(rng.uniform(0.0, 15.0), rng.uniform(0.002, 0.015)),
     )
@@ -115,8 +115,8 @@ def serve_at(prompt: TokenizedPrompt, model: TimingModel, source: TokenSource, r
     """
     mask = refine(prompt, uniform_scores(prompt, request_id), ratio)
     return serve_request(
-        Session(request_id, prompt, start_ms), model, source, mask, ratio=ratio,
-        max_tokens=max_tokens, rtt_ms=model.rtt.mean_ms if rtt_ms is None else rtt_ms,
+        Session(request_id, prompt, start_ms), model, source, mask, max_tokens=max_tokens,
+        rtt_ms=model.rtt.mean_ms if rtt_ms is None else rtt_ms,
     )
 
 

@@ -109,7 +109,7 @@ class TestMalformedConfig:
              "config.timing.device_classes.tablet.decompress.base_ms"),
             (_set("timing", "device_classes", "tablet", 5), "config.timing.device_classes.tablet"),
             (_set("timing", "device_classes", "phone", "rtt", "5g"), "config.timing.device_classes.phone.rtt"),
-            (_set("timing", "device_classes", "phone", "rtt", {"name": "x", "mean_ms": -5.0}),
+            (_set("timing", "device_classes", "phone", "rtt", {"mean_ms": -5.0}),
              "config.timing.device_classes.phone.rtt.mean_ms"),
             # json.loads reads NaN and Infinity as floats
             (_set("timing", "device_classes", "tablet", "k_device", float("nan")),
@@ -151,6 +151,9 @@ class TestMalformedConfig:
             # the planner's overhead is derived from compress, decompress and the RTT, never configured
             (_set("timing", "device_classes", "phone", "overhead_bound", "auto"),
              "config.timing.device_classes.phone.overhead_bound"),
+            # an RTT class is its numbers; the built-in ones are named by their RTT_CLASSES key
+            (_set("timing", "device_classes", "phone", "rtt", {"name": "fixed", "mean_ms": 50.0}),
+             "config.timing.device_classes.phone.rtt.name"),
             # finite values whose token budget bounds would overflow a float lie outside their ranges
             (_set("timing", "device_classes", "phone", "k_device", 1e306),
              "config.timing.device_classes.phone.k_device"),

@@ -141,10 +141,10 @@ class TestServeRequest:
         mask = refine(prompt, scores, 0.25)
         assert mask == pack(select_sentences(prompt, scores, 0.25))
         trace = serve_request(Session("req-1", prompt, 100.0), calibrated_model, TokenSource(seed=5, total_tokens=500),
-                              mask, ratio=0.25, max_tokens=7, rtt_ms=80.0)
+                              mask, max_tokens=7, rtt_ms=80.0)
         assert trace.frame.max_tokens == 7 and len(trace.events) == 6
         assert trace.frame.mask is mask
-        ttft = ttft_cloud(calibrated_model, prompt.total_tokens, 0.25, 80.0)
+        ttft = ttft_cloud(calibrated_model, prompt.total_tokens, 80.0)
         assert trace.frame_time_ms == pytest.approx(100.0 + ttft)
 
     def test_determinism(self, calibrated_model):

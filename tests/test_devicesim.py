@@ -2,7 +2,9 @@ import random
 import struct
 import tracemalloc
 import zlib
+from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from helpers import OBSERVED, Session, observed, reference_run_session, serve_at
 from pdsim.cloudsim import EOT_TOKEN, TokenSource
 from pdsim.devicesim import (
     CorrectionPolicy,
+    DeviceTrace,
     ScrubRule,
     StallError,
     run_session,
@@ -224,7 +227,7 @@ class TestMatchesEventReference:
         n, budget, device_extra = shape
         model = TimingModel(
             k_cloud=k[0], k_device=k[1], tpot_cloud=float(tpots[0]), tpot_device=float(tpots[1]),
-            rtt=RttClass("fixed", mean_ms=float(rtt), jitter_ms=0.0),
+            rtt=RttClass(mean_ms=float(rtt), jitter_ms=0.0),
         )
         prompt = content_prompt(sentences=sentences)
         # n below the budget ends the stream with a cloud EOT inside the window
@@ -415,6 +418,34 @@ class TestWireStream:
             run_session(Session("req-1", prompt), [*delivered[:-1], delivered[0], delivered[-1]], calibrated_model,
                         source)
 
+    def test_a_stream_is_read_once_so_an_iterator_serves(self, calibrated_model, plan):
+        prompt = content_prompt()
+        source = TokenSource(seed=77, total_tokens=60, divergence=frozenset({3, 9}))
+        trace_c = serve_at(prompt, calibrated_model, source, plan.ratio, plan.max_tokens)
+        from_list, from_iterator = (
+            run_session(Session("req-1", prompt), stream, calibrated_model, source)
+            for stream in (trace_c.delivery(), iter(trace_c.delivery()))
+        )
+        for field in fields(DeviceTrace):
+            got, want = getattr(from_iterator, field.name), getattr(from_list, field.name)
+            assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want, field.name
+
+    @pytest.mark.parametrize(
+        "tail",
+        [
+            lambda delivered: [delivered[-1], *delivered[1:-1]],  # DONE ahead of the events
+            lambda delivered: [*delivered[1:], delivered[-1]],  # a second DONE
+            lambda delivered: [*delivered[1:], delivered[1]],  # an event after DONE
+        ],
+        ids=["done-first", "second-done", "event-after-done"],
+    )
+    def test_done_ends_the_stream(self, calibrated_model, plan, tail):
+        prompt = content_prompt()
+        source = TokenSource(seed=77, total_tokens=12)
+        delivered = serve_at(prompt, calibrated_model, source, plan.ratio, plan.max_tokens).delivery()
+        with pytest.raises(ProtocolError, match="^stream continues after DONE$"):
+            run_session(Session("req-1", prompt), [delivered[0], *tail(delivered)], calibrated_model, source)
+
     @pytest.mark.parametrize("stray, name", [(b"data: junk", "bytes"), (None, "NoneType")])
     def test_an_item_of_another_type_is_refused(self, calibrated_model, plan, stray, name):
         prompt = content_prompt()
@@ -451,6 +482,8 @@ class TestFailureModes:
         [
             ([1, 2, *range(4, 30)], "stream event index 3 missing"),
             ([1, 2, 3, 3, *range(4, 30)], "stream event index 3 repeated"),
+            # the wire order is the index order, whatever the arrival times
+            ([2, 1, *range(3, 30)], "stream event index 1 missing"),
         ],
     )
     def test_event_indices_must_run_one_to_k(self, calibrated_model, indices, message):

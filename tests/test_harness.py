@@ -48,7 +48,7 @@ def base_config_dict(**overrides) -> dict:
         "timing": {
             "device_classes": {
                 "phone": {
-                    "rtt": {"name": "fixed", "mean_ms": 50.0, "jitter_ms": 0.0},
+                    "rtt": {"mean_ms": 50.0, "jitter_ms": 0.0},
                 }
             }
         },
@@ -446,7 +446,7 @@ class TestRunExperiment:
         for row in rows:
             # user-perceived TTFT is the cloud TTFT, recorded from the same float
             assert row["user_ttft"] == row["ttft_c"]
-            predicted = ttft_cloud(model, int(row["l"]), float(row["r"]), float(row["rtt_ms"]))
+            predicted = ttft_cloud(model, int(row["l"]), float(row["rtt_ms"]))
             assert float(row["ttft_c"]) == pytest.approx(predicted, abs=1e-5)
 
     def test_empty_workload_reports_cleanly(self, tmp_path):
@@ -539,13 +539,19 @@ class TestRunExperiment:
                 return original(*args)
 
             monkeypatch.setattr(cloudsim, name, counting)
-        served = {}
-        original_serve = harness.serve_request
+        served, solved = {}, []
+        original_solve, original_serve = harness.solve_plan, harness.serve_request
+
+        def solving(*args, **kwargs):
+            solved.append(original_solve(*args, **kwargs))
+            return solved[-1]
 
         def recording(gen, model, source, mask, **point):
-            served.setdefault((gen.request_id, point["ratio"]), []).append(mask)
+            # each session is served at the point solved just before it
+            served.setdefault((gen.request_id, solved[-1].ratio), []).append(mask)
             return original_serve(gen, model, source, mask, **point)
 
+        monkeypatch.setattr(harness, "solve_plan", solving)
         monkeypatch.setattr(harness, "serve_request", recording)
         run_experiment(default_config(), tmp_path)
         assert sum(map(len, served.values())) == 180

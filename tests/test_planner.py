@@ -48,7 +48,7 @@ class TestBudgetBounds:
         constraints = PlanConstraints(0.125, 100.0)
         for tokens, moderate in ((8000, 40), (32000, 50)):
             plan = solve_plan(calibrated_model, constraints, tokens)
-            tc = ttft_cloud(calibrated_model, tokens, plan.ratio, 50.0)
+            tc = ttft_cloud(calibrated_model, tokens, 50.0)
             td = ttft_device(calibrated_model, tokens, prefill_device(calibrated_model, tokens, plan.ratio), tc)
             lo, hi = l_bounds(calibrated_model, constraints, tokens, plan.ratio, tc, td)
             assert lo <= moderate <= hi
@@ -61,7 +61,7 @@ class TestSolvePlan:
         assert plan.ratio == 0.6
         assert plan.max_tokens == 74
         assert plan.achieved_tpot_smooth <= 100.0
-        ttft_c = ttft_cloud(calibrated_model, 8000, plan.ratio, calibrated_model.rtt.mean_ms)
+        ttft_c = ttft_cloud(calibrated_model, 8000, calibrated_model.rtt.mean_ms)
         prefill = prefill_device(calibrated_model, 8000, plan.ratio)
         assert ttft_device(calibrated_model, 8000, prefill, ttft_c) == pytest.approx(7000.0)
         assert brute_force_plan(calibrated_model, PlanConstraints(0.6, 100.0), 8000) == (0.6, 74)
@@ -85,7 +85,7 @@ class TestSolvePlan:
         plan = solve_plan(calibrated_model, PlanConstraints(0.25, 100.0), 8000, ratio=0.5)
         assert plan.ratio == 0.5
         assert plan.feasible
-        tc = ttft_cloud(calibrated_model, 8000, 0.5, 50.0)
+        tc = ttft_cloud(calibrated_model, 8000, 50.0)
         expected = smoothed_tpot(calibrated_model, 0.5 * 8000 * 1.25, tc, plan.max_tokens)
         assert plan.achieved_tpot_smooth == pytest.approx(expected)
         with pytest.raises(ValueError):
@@ -106,7 +106,7 @@ class TestSolvePlan:
     def test_unpinned_budget_is_the_lower_bound_or_the_occupancy_clamp(self, calibrated_model):
         for constraints in (PlanConstraints(0.25, 100.0), PlanConstraints(0.25, 31.0)):
             plan = solve_plan(calibrated_model, constraints, 8000)
-            tc = ttft_cloud(calibrated_model, 8000, plan.ratio, calibrated_model.rtt.mean_ms)
+            tc = ttft_cloud(calibrated_model, 8000, calibrated_model.rtt.mean_ms)
             td = ttft_device(calibrated_model, 8000, prefill_device(calibrated_model, 8000, plan.ratio), tc)
             lo, hi = l_bounds(calibrated_model, constraints, 8000, plan.ratio, tc, td)
             if lo <= hi:
@@ -137,7 +137,7 @@ class TestSolvePlan:
         estimates = []
         for floor in (0.8, 0.6, 0.4, 0.25, 0.125):
             ratio = solve_plan(calibrated_model, PlanConstraints(floor, 100.0), 8000).ratio
-            ttft_c = ttft_cloud(calibrated_model, 8000, ratio, calibrated_model.rtt.mean_ms)
+            ttft_c = ttft_cloud(calibrated_model, 8000, calibrated_model.rtt.mean_ms)
             prefill = prefill_device(calibrated_model, 8000, ratio)
             estimates.append(ttft_device(calibrated_model, 8000, prefill, ttft_c))
         assert all(a >= b for a, b in zip(estimates, estimates[1:]))
@@ -249,7 +249,7 @@ def _timing_models(draw) -> TimingModel:
         k_device=draw(st.floats(k_cloud, 5.0, exclude_min=True)),
         tpot_cloud=draw(st.floats(1.0, 100.0)),
         tpot_device=draw(st.floats(1.0, 100.0)),
-        rtt=RttClass("drawn", mean_ms=draw(st.floats(0.0, 300.0))),
+        rtt=RttClass(mean_ms=draw(st.floats(0.0, 300.0))),
         compress=draw(_COSTS),
         decompress=draw(_COSTS),
     )
@@ -289,7 +289,7 @@ class TestFeasibleMeansSubstitution:
         constraints = PlanConstraints(min_ratio, model.tpot_device + slack_ms)
         assume(constraints.max_tpot_ms > model.tpot_device)
         served = solve_plan(model, constraints, prompt_tokens, ratio=ratio).ratio
-        tc = ttft_cloud(model, prompt_tokens, served, model.rtt.mean_ms)
+        tc = ttft_cloud(model, prompt_tokens, model.rtt.mean_ms)
         td = ttft_device(model, prompt_tokens, prefill_device(model, prompt_tokens, served), tc)
         lo, hi = l_bounds(model, constraints, prompt_tokens, served, tc, td)
         edges = sorted({1, 2, lo - 1, lo, hi, hi + 1} - {b for b in (lo - 1, hi, hi + 1) if b < 1})

@@ -42,24 +42,19 @@ class TestPrefillDevice:
 
 class TestTtftCloud:
     def test_eight_k_stays_under_a_second(self, calibrated_model):
-        assert ttft_cloud(calibrated_model, 8000, 0.25, 50.0) == pytest.approx(950.0)
+        assert ttft_cloud(calibrated_model, 8000, 50.0) == pytest.approx(950.0)
 
     def test_unit_length(self):
         model = TimingModel(compress=AffineCost(0.0, 0.0))
-        assert ttft_cloud(model, 1, 1.0, 0.0) == pytest.approx(0.1)
+        assert ttft_cloud(model, 1, 0.0) == pytest.approx(0.1)
 
     def test_thirty_two_k(self, calibrated_model):
         # compress(32000) = 400 under the calibrated model
-        assert ttft_cloud(calibrated_model, 32000, 0.25, 50.0) == pytest.approx(3650.0)
-
-    @pytest.mark.parametrize("ratio", [0.0, -0.1, 1.01])
-    def test_ratio_domain(self, calibrated_model, ratio):
-        with pytest.raises(ValueError):
-            ttft_cloud(calibrated_model, 8000, ratio, 50.0)
+        assert ttft_cloud(calibrated_model, 32000, 50.0) == pytest.approx(3650.0)
 
     def test_rejects_nonpositive_length(self, calibrated_model):
         with pytest.raises(ValueError):
-            ttft_cloud(calibrated_model, 0, 0.5, 50.0)
+            ttft_cloud(calibrated_model, 0, 50.0)
 
 
 class TestTtftDevice:
@@ -150,7 +145,7 @@ class TestComposition:
         for _ in range(200):
             tokens = rng.randint(100, 32000)
             ratio = rng.uniform(0.05, 1.0)
-            tc = ttft_cloud(calibrated_model, tokens, ratio, rng.uniform(0.0, 200.0))
+            tc = ttft_cloud(calibrated_model, tokens, rng.uniform(0.0, 200.0))
             td = ttft_device(calibrated_model, tokens, prefill_device(calibrated_model, tokens, ratio), tc)
             assert td == tc + calibrated_model.decompress(tokens) + prefill_device(calibrated_model, tokens, ratio)
 
@@ -165,14 +160,14 @@ class TestModelValidation:
             TimingModel(tpot_cloud=0.0)
 
     def test_rtt_class(self):
-        wifi = RttClass("wifi", 50.0, 10.0)
+        wifi = RttClass(50.0, 10.0)
         assert wifi.p95_ms == pytest.approx(50.0 + 16.45)
-        assert RttClass("fixed", 50.0, 0.0).sample(random.Random(0)) == 50.0
+        assert RttClass(50.0, 0.0).sample(random.Random(0)) == 50.0
         samples = [wifi.sample(random.Random(i)) for i in range(50)]
         assert all(s >= 0.0 for s in samples)
         assert len(set(samples)) > 1
         with pytest.raises(ValueError):
-            RttClass("bad", -1.0)
+            RttClass(-1.0)
 
 
 class TestModelIsAValue:
@@ -191,7 +186,7 @@ class TestModelIsAValue:
         for l in self.LENGTHS:
             assert cost(l) == 20.0 + 0.01 * l
 
-    @pytest.mark.parametrize("rtt", [*RTT_CLASSES.values(), RttClass("jittery", mean_ms=60.0, jitter_ms=25.0)])
+    @pytest.mark.parametrize("rtt", [*RTT_CLASSES.values(), RttClass(mean_ms=60.0, jitter_ms=25.0)])
     def test_default_overhead_bound_is_compress_plus_decompress_plus_p95(self, rtt):
         model = TimingModel(rtt=rtt)
         for l in self.LENGTHS:
