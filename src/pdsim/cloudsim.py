@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -180,11 +179,10 @@ def run_throughput(batch: BatchModel, occupancies_ms: Sequence[float], *, seed: 
     occupancy`` (the Kiefer-Wolfowitz recursion for the FIFO G/G/c queue).
     Closed mode, where each completion admits the next request, has every
     arrival ``a_i`` at 0; Poisson mode draws the gaps between arrivals
-    from ``random.Random(f"throughput:{seed}")``, each bit-equal to its
-    ``expovariate``. All ``completions + slots`` requests of ``batch``
-    complete; the first ``slots`` completions are warmup, so the
-    measurement window holds exactly ``completions``. The returned analytic
-    rate is slots / mean occupancy for cross-checks.
+    from ``random.Random(f"throughput:{seed}")``. All ``completions + slots``
+    requests of ``batch`` complete; the first ``slots`` completions are warmup,
+    so the measurement window holds exactly ``completions``. The returned
+    analytic rate is slots / mean occupancy for cross-checks.
     """
     if not occupancies_ms:
         raise ValueError("need at least one occupancy sample")
@@ -195,9 +193,9 @@ def run_throughput(batch: BatchModel, occupancies_ms: Sequence[float], *, seed: 
     if batch.mode == "closed":
         arrivals: Iterable[float] = itertools.repeat(0.0, target)
     else:
+        rng = random.Random(f"throughput:{seed}")
         rate_per_ms = batch.arrival_rate_per_s / 1000.0
-        uniforms = mt_uniform(random.Random(f"throughput:{seed}"), target).tolist()
-        arrivals = itertools.accumulate(-math.log(1.0 - u) / rate_per_ms for u in uniforms)
+        arrivals = itertools.accumulate(rng.expovariate(rate_per_ms) for _ in range(target))
     released = [0.0] * batch.slots  # heap of slot release times
     ends = []
     for arrival, occupancy in zip(arrivals, itertools.cycle(occupancies_ms)):

@@ -393,46 +393,6 @@ _DRAW_OUTPUTS_PER_TOKEN = 1.7
 _DRAW_BLOCK_WORDS = 4096  # the smallest block
 _WORD_LIMIT = 10000 << 18  # randrange(10000) keeps w >> 18 and rejects values >= 10000
 _LENGTH_LIMIT = 25 << 27  # randint(8, 32) keeps 8 + (w >> 27) and rejects w >> 27 >= 25
-_MT_N = 624  # Mersenne Twister state words, the outputs of one twist
-
-
-def _untemper(y: np.ndarray) -> np.ndarray:
-    """The Mersenne Twister state words (uint32) whose tempered outputs are ``y``.
-
-    Each step undoes one tempering step, last first; a shift step that does
-    not clear all 32 bits at once is undone by doubling its shift.
-    """
-    b = 0x9D2C5680  # the mask of the 7-bit left shift
-    y = y ^ (y >> 18)
-    y ^= (y << 15) & 0xEFC60000
-    y ^= (y << 7) & b
-    y ^= (y << 14) & (b & (b << 7))
-    y ^= (y << 28) & (b & (b << 7) & (b << 14) & (b << 21))
-    y ^= y >> 11
-    y ^= y >> 22
-    return y
-
-
-def _advance(rng: random.Random, state: tuple, block: np.ndarray, pos: int) -> None:
-    """Leave ``rng``, which drew ``block`` from ``state``, where the first ``pos`` outputs of ``block`` leave it.
-
-    The state words are those of the twist that produced output ``pos - 1``
-    and the index is ``pos`` less that twist's first output; the twist's
-    words are ``block``'s outputs untempered, ``state``'s own before the
-    first twist, or ``rng``'s own when ``block`` ended inside that twist.
-    """
-    version, internal, gauss = state
-    index = internal[-1]
-    last = index + pos - 1  # output pos - 1, counted from the first output of the state's words
-    twist = last // _MT_N
-    if twist == (index + len(block) - 1) // _MT_N:
-        words = rng.getstate()[1][:_MT_N]
-    elif twist:
-        first = twist * _MT_N - index
-        words = _untemper(block[first:first + _MT_N]).tolist()
-    else:
-        words = internal[:_MT_N]
-    rng.setstate((version, (*words, last % _MT_N + 1), gauss))
 
 
 def _draw_prompt(rng: random.Random, total_tokens: int, prefix_tokens: int,
@@ -448,8 +408,7 @@ def _draw_prompt(rng: random.Random, total_tokens: int, prefix_tokens: int,
     sentence to sentence: it skips to the next length output, takes the word
     count from it and continues one past the output of the sentence's last
     word. A block that runs short is redrawn twice as long from the same
-    state. Finally ``rng``'s state is rebuilt as the outputs consumed leave
-    it (``_advance``), without drawing them again.
+    state. Finally ``rng`` is rewound and advanced by exactly the outputs consumed.
     """
     content_target = total_tokens - prefix_tokens - suffix_tokens
     if content_target < 2:
@@ -486,7 +445,8 @@ def _draw_prompt(rng: random.Random, total_tokens: int, prefix_tokens: int,
         except IndexError:
             rng.setstate(state)
             size *= 2
-    _advance(rng, state, block, pos)
+    rng.setstate(state)
+    rng.getrandbits(32 * pos)
     return block, starts, sizes
 
 
@@ -502,8 +462,7 @@ def synthesize_prompt(rng: random.Random, total_tokens: int, prefix_tokens: int,
     Exact replay: the sizes, and the state ``rng`` is left in, equal those of
     drawing one by one with ``rng`` the prefix words, the suffix words, then
     per sentence a length ``randint(8, 32)`` and its words, each word
-    ``f"w{rng.randrange(10000)}"``. The sizes are read from one bulk block of
-    outputs, and the state is rebuilt from that block, not drawn again.
+    ``f"w{rng.randrange(10000)}"``.
     """
     return tuple(n + 1 for n in _draw_prompt(rng, total_tokens, prefix_tokens, suffix_tokens)[2])
 
@@ -768,9 +727,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path, seed: int | No
     write_plans(out / "plans.csv", build_plan_table(config.models, config.scenes, config.buckets))
     metrics: list[VariantMetrics] = []
 
-    # requests outer, variants inner: each prompt is built and scored once per
-    # request, refined once per request and ratio, each token source is built
-    # once per request, and only one request's prompt is alive at a time; each
+    # requests outer, variants inner: generate_workload built every prompt
+    # above, so a bad scrub rule fails before a file is written; the scores,
+    # masks (one per ratio) and token sources live for one request, and each
     # variant keeps its own RTT stream, drawn in request order
     rtt_rngs = [random.Random(f"{seed}:{variant.name}:rtt") for variant in config.variants]
     variant_rows: list[list[TraceRow]] = [[] for _ in config.variants]

@@ -3,14 +3,15 @@
 The objective is the lowest on-device TTFT subject to a per-scene quality
 floor on the ratio and two budget constraints: the display pace of assisted
 tokens must stay under the tolerable TPOT, and the cloud must finish its
-stream before the device finishes prefill. The structure admits a closed
-form (smallest feasible ratio, then smallest feasible budget), so no MILP
-library is involved. ``solve_plan`` is the one place a session's
-(ratio, budget) is decided: solved at the prompt's own length, or from the
-values a sweep variant pins, and judged feasible by the same two bounds
-(``r_bounds``, ``l_bounds``) it solves with. ``build_plan_table`` tabulates
-the same solve over a grid of prompt lengths for ``plans.csv``; no session
-reads it.
+stream before the device finishes prefill. A shown token waits for its
+arrival, so the cloud must also stream at the tolerable TPOT or faster. The
+structure admits a closed form (smallest feasible ratio, then smallest
+feasible budget), so no MILP library is involved. ``solve_plan`` is the one
+place a session's (ratio, budget) is decided: solved at the prompt's own
+length, or from the values a sweep variant pins, and judged feasible by the
+same two bounds (``r_bounds``, ``l_bounds``) it solves with and the stream
+pace. ``build_plan_table`` tabulates the same solve over a grid of prompt
+lengths for ``plans.csv``; no session reads it.
 """
 
 from __future__ import annotations
@@ -81,14 +82,21 @@ def l_bounds(
 
     The lower bound keeps the smoothed display pace under max_tpot_ms; the
     upper bound keeps the cloud stream inside the device prefill window.
+    Each quotient rounds and may land one budget off, so each bound is then
+    settled on its own inequality, evaluated in floats at the budgets beside it.
     """
     if not 0.0 < ratio <= 1.0:
         raise ValueError(f"ratio must be in (0, 1], got {ratio}")
     if constraints.max_tpot_ms <= model.tpot_device:
         raise ValueError("max_tpot_ms must exceed the device TPOT")
+    slack = constraints.max_tpot_ms - model.tpot_device
     surplus = prefill_device(model, prompt_tokens, ratio) - ttft_cloud_ms
-    lo = 1 + math.ceil(surplus / (constraints.max_tpot_ms - model.tpot_device))
+    lo = 1 + math.ceil(surplus / slack)
+    lo += surplus > (lo - 1) * slack  # budget lo is still too slow
+    lo -= surplus <= (lo - 2) * slack  # budget lo - 1 already keeps the pace
     hi = 1 + math.floor((ttft_device_ms - ttft_cloud_ms) / model.tpot_cloud)
+    hi += ttft_cloud_ms + hi * model.tpot_cloud <= ttft_device_ms  # budget hi + 1 still fits
+    hi -= ttft_cloud_ms + (hi - 1) * model.tpot_cloud > ttft_device_ms  # budget hi does not
     return max(2, lo), hi
 
 
@@ -108,8 +116,9 @@ def solve_plan(
     ``max_tokens`` pin a sweep variant's point: an unpinned ratio is solved
     as above, and an unpinned budget is solved at the ratio served (a budget
     sized for another ratio would skew the display pace). A plan is
-    ``feasible`` when its ratio lies in ``r_bounds`` and its budget in
-    ``l_bounds``; infeasibility is encoded in the plan, never raised:
+    ``feasible`` when its ratio lies in ``r_bounds``, its budget in
+    ``l_bounds`` and ``tpot_cloud`` is at most ``max_tpot_ms``; infeasibility
+    is encoded in the plan, never raised:
 
     - empty ratio interval (above the 0.01 floor) -> refinement disabled
       (ratio 1), token-level assist still planned;
@@ -138,7 +147,7 @@ def solve_plan(
     return Plan(
         ratio=ratio,
         max_tokens=max_tokens,
-        feasible=ratio_ok and b_lo <= max_tokens <= b_hi,
+        feasible=ratio_ok and b_lo <= max_tokens <= b_hi and model.tpot_cloud <= constraints.max_tpot_ms,
         achieved_tpot_smooth=achieved,
     )
 

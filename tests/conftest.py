@@ -1,4 +1,7 @@
+import os
+
 import pytest
+from hypothesis import settings
 
 from pdsim.timing import AffineCost, RttClass, TimingModel
 
@@ -12,3 +15,22 @@ def calibrated_model():
         compress=AffineCost(0.0, 0.0125),
         decompress=AffineCost(0.0, 0.00625),
     )
+
+
+# ``HYPOTHESIS_PROFILE=deep`` draws deeper: each property test runs ten times
+# its own ``max_examples`` and a failure prints its reproduction blob. Without
+# it, tests keep the counts they declare.
+DEEP = os.environ.get("HYPOTHESIS_PROFILE") == "deep"
+settings.register_profile("deep", print_blob=True)
+if DEEP:
+    settings.load_profile("deep")
+
+
+def pytest_collection_modifyitems(items):
+    if not DEEP:
+        return
+    # parametrized items share one function, so scale each function once
+    for test in {getattr(item, "function", None) for item in items}:
+        if getattr(test, "is_hypothesis_test", False):
+            own = test._hypothesis_internal_use_settings
+            test._hypothesis_internal_use_settings = settings(own, max_examples=10 * own.max_examples)

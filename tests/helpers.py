@@ -41,8 +41,9 @@ def feasible_by_substitution(model: TimingModel, constraints: PlanConstraints, p
     td = ttft_device(model, prompt_tokens, refined_prefill, tc)
     pace_ok = refined_prefill - tc <= steps * (constraints.max_tpot_ms - model.tpot_device)
     occupancy_ok = tc + steps * model.tpot_cloud <= td
-    feasible = ratio_ok & (steps >= 1) & pace_ok & occupancy_ok
-    return feasible if feasible.ndim else bool(feasible)
+    stream_ok = model.tpot_cloud <= constraints.max_tpot_ms  # each shown position waits for its arrival
+    feasible = ratio_ok & (steps >= 1) & pace_ok & occupancy_ok & stream_ok
+    return feasible if np.ndim(feasible) else bool(feasible)
 
 
 def brute_force_plan(model: TimingModel, constraints: PlanConstraints, prompt_tokens: int, max_budget: int = 4096):

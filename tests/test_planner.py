@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -127,6 +128,21 @@ class TestSolvePlan:
                 assert (plan.ratio, plan.max_tokens) == oracle
                 agreements += 1
         assert agreements >= 10
+
+    def test_a_cloud_streaming_slower_than_tau_is_infeasible(self, calibrated_model):
+        # each shown position waits for its arrival, so every window gap is at
+        # least tpot_cloud whatever the pace; both budget bounds hold here
+        constraints = PlanConstraints(0.1, 100.0)
+        assert solve_plan(dataclasses.replace(calibrated_model, tpot_cloud=100.0), constraints, 8000).feasible
+        slow = dataclasses.replace(calibrated_model, tpot_cloud=150.0)
+        plan = solve_plan(slow, constraints, 8000)
+        tc = ttft_cloud(slow, 8000, slow.rtt.mean_ms)
+        td = ttft_device(slow, 8000, prefill_device(slow, 8000, plan.ratio), tc)
+        lo, hi = l_bounds(slow, constraints, 8000, plan.ratio, tc, td)
+        assert (plan.ratio, plan.max_tokens, lo, hi) == (0.1, 2, 2, 8)
+        assert not plan.feasible
+        assert not feasible_by_substitution(slow, constraints, 8000, plan.ratio, plan.max_tokens)
+        assert brute_force_plan(slow, constraints, 8000) is None
 
     def test_monotone_response(self, calibrated_model):
         budgets = []
@@ -296,3 +312,48 @@ class TestFeasibleMeansSubstitution:
         budget = data.draw(st.sampled_from(edges), label="budget")
         plan = solve_plan(model, constraints, prompt_tokens, ratio=served, max_tokens=budget)
         assert plan.feasible == feasible_by_substitution(model, constraints, prompt_tokens, served, budget)
+
+    @pytest.mark.parametrize(
+        "model, constraints, prompt_tokens, ratio, budget, feasible",
+        [
+            # drawn under the deep profile: the decompression base equals
+            # tpot_cloud, and ttft_d - ttft_c rounds to just below it
+            (TimingModel(k_cloud=0.125, k_device=1.0, tpot_cloud=14.952055753462666, tpot_device=1.0,
+                         rtt=RttClass(0.0), compress=AffineCost(0.0, 0.0024208805010626174),
+                         decompress=AffineCost(14.952055753462666, 0.0)),
+             PlanConstraints(0.0, 15.0), 140, 1.9077547507909104e-65, 2, True),
+            # the window quotient rounds up to a budget whose last token arrives late
+            (TimingModel(k_cloud=0.01, k_device=1.0, tpot_cloud=0.1, tpot_device=19.817225712897315,
+                         rtt=RttClass(0.1), compress=AffineCost(0.0, 0.01), decompress=AffineCost(0.7, 0.0)),
+             PlanConstraints(0.0, 26.917225712897313), 2633, 0.7, 18439, False),
+            # the pace quotient rounds up past a budget that keeps the pace
+            (TimingModel(k_cloud=0.01, k_device=1.25, tpot_cloud=1.0, tpot_device=1.0, rtt=RttClass(0.0),
+                         compress=AffineCost(0.0, 0.01), decompress=AffineCost(10.0, 0.0)),
+             PlanConstraints(0.0, 1.7), 100, 0.1, 16, True),
+            # and down to a budget that does not
+            (TimingModel(k_cloud=0.01, k_device=1.0, tpot_cloud=0.1, tpot_device=1.0, rtt=RttClass(0.0),
+                         compress=AffineCost(0.0, 0.0), decompress=AffineCost(0.0, 0.0)),
+             PlanConstraints(0.0, 1.7), 8000, 0.5, 5601, False),
+        ],
+    )
+    def test_a_rounded_budget_bound_is_judged_as_by_substitution(
+        self, model, constraints, prompt_tokens, ratio, budget, feasible
+    ):
+        plan = solve_plan(model, constraints, prompt_tokens, ratio=ratio, max_tokens=budget)
+        assert plan.feasible == feasible_by_substitution(model, constraints, prompt_tokens, ratio, budget) == feasible
+
+    def test_budgets_past_two_to_the_64_are_judged_as_by_substitution(self):
+        # a budget of 2^64 or more is no numpy integer; the edges property drew
+        # budgets at this lower bound and crashed the oracle
+        model = TimingModel(k_cloud=0.01, k_device=1.0, tpot_cloud=1.0, tpot_device=1.0, rtt=RttClass(0.0),
+                            compress=AffineCost(0.0, 0.0), decompress=AffineCost(0.0, 0.0))
+        constraints = PlanConstraints(0.5, 1.0 + 2**-52)
+        plan = solve_plan(model, constraints, 9000)
+        tc = ttft_cloud(model, 9000, 0.0)
+        td = ttft_device(model, 9000, prefill_device(model, 9000, plan.ratio), tc)
+        lo, hi = l_bounds(model, constraints, 9000, plan.ratio, tc, td)
+        assert lo - 1 >= 2**64 and hi == 4501
+        for budget in (lo - 1, lo):
+            pinned = solve_plan(model, constraints, 9000, ratio=plan.ratio, max_tokens=budget)
+            assert not pinned.feasible
+            assert feasible_by_substitution(model, constraints, 9000, plan.ratio, budget) is False
