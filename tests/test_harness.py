@@ -289,6 +289,36 @@ class TestWorkloadSynthesis:
         assert rng.calls == 2  # one block, then the rewind replays what was consumed
 
     @pytest.mark.parametrize("index", [0, 1, 623, 624])
+    @pytest.mark.parametrize(
+        "size, pos",
+        [
+            (4096, 1),  # inside the state's own words, or at the first output of a twist
+            (4096, 1247),  # the twist ends at 1,247 (index 1) or 1,248 (index 0 and 624) outputs
+            (4096, 1248),
+            (4096, 2000),  # inside a twist the block runs past
+            (2010, 2000),  # inside the twist where the block ends
+            (1248, 1248),  # the block ends where pos does
+            (1249, 1248),
+        ],
+    )
+    def test_the_rebuilt_state_is_that_of_drawing_pos_outputs(self, index, size, pos):
+        # _draw_prompt draws a block of ``size`` outputs, then rewinds to ``state`` and
+        # redraws the ``pos`` it consumed with the bulk ``getrandbits(32 * pos)`` mt_words makes
+        state = at_index(random.Random(index), index).getstate()
+        singles = random.Random()
+        singles.setstate(state)
+        rng = random.Random()
+        rng.setstate(state)
+        assert cloudsim.mt_words(rng, size).tolist() == [singles.getrandbits(32) for _ in range(size)]
+        assert rng.getstate() == singles.getstate()
+        singles.setstate(state)
+        for _ in range(pos):
+            singles.getrandbits(32)
+        rng.setstate(state)
+        cloudsim.mt_words(rng, pos)
+        assert rng.getstate() == singles.getstate()
+
+    @pytest.mark.parametrize("index", [0, 1, 623, 624])
     @pytest.mark.parametrize("block", [None, 7])  # the default first block, or one every prompt runs short
     def test_a_drawn_prompt_leaves_the_state_of_drawing_its_outputs(self, monkeypatch, index, block):
         if block is not None:
