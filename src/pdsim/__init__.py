@@ -4,7 +4,7 @@ from .cloudsim import EOT_TOKEN, BatchModel, CloudTrace, TokenSource, refine, ru
 from .devicesim import CorrectionPolicy, DeviceTrace, StallError, run_session, scrub
 from .harness import ExperimentConfig, MetricsReport, default_config, load_config, run_experiment
 from .maskcodec import CompressedMask, MaskCodecError, pack, unpack
-from .planner import Plan, PlanConstraints, build_plan_table, l_bounds, r_bounds, solve_plan
+from .planner import Plan, PlanConstraints, build_plan_table, l_bounds, solve_plan
 from .protocol import (
     DONE,
     FirstTokenFrame,

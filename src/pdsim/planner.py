@@ -7,11 +7,11 @@ stream before the device finishes prefill. A shown token waits for its
 arrival, so the cloud must also stream at the tolerable TPOT or faster. The
 structure admits a closed form (smallest feasible ratio, then smallest
 feasible budget), so no MILP library is involved. ``solve_plan`` is the one
-place a session's (ratio, budget) is decided: solved at the prompt's own
-length, or from the values a sweep variant pins, and judged feasible by the
-same two bounds (``r_bounds``, ``l_bounds``) it solves with and the stream
-pace. ``build_plan_table`` tabulates the same solve over a grid of prompt
-lengths for ``plans.csv``; no session reads it.
+place a session's (ratio, budget) is decided, at the prompt's own length or
+from what a sweep variant pins: its ratio judged by substitution into the
+TTFT formulas, its budget by the bounds it solves with (``l_bounds``) and
+the stream pace. ``build_plan_table`` tabulates the same solve over a grid
+of prompt lengths for ``plans.csv``; no session reads it.
 """
 
 from __future__ import annotations
@@ -55,19 +55,6 @@ class Plan:
             raise ValueError(f"ratio must be in [0, 1], got {self.ratio}")
         if self.max_tokens < 1:
             raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
-
-
-def r_bounds(model: TimingModel, constraints: PlanConstraints, prompt_tokens: int) -> tuple[float, float]:
-    """Feasible ratio interval; may be empty (lo > hi).
-
-    The upper bound is where the collaboration stops paying for itself: the
-    cloud prefill plus per-token overhead, translated to the device's time
-    scale, must be recovered by the prompt reduction.
-    """
-    if prompt_tokens <= 0:
-        raise ValueError(f"prompt_tokens must be positive, got {prompt_tokens}")
-    hi = 1.0 - (model.k_cloud + model.overhead_ms(prompt_tokens) / prompt_tokens) / model.k_device
-    return constraints.min_ratio, hi
 
 
 def l_bounds(
@@ -116,25 +103,27 @@ def solve_plan(
     ``max_tokens`` pin a sweep variant's point: an unpinned ratio is solved
     as above, and an unpinned budget is solved at the ratio served (a budget
     sized for another ratio would skew the display pace). A plan is
-    ``feasible`` when its ratio lies in ``r_bounds``, its budget in
-    ``l_bounds`` and ``tpot_cloud`` is at most ``max_tpot_ms``; infeasibility
-    is encoded in the plan, never raised:
+    ``feasible`` when its ratio is at least ``min_ratio`` and pays off (at
+    the p95 RTT the assisted device is ready no later than the device
+    alone), its budget lies in ``l_bounds`` and ``tpot_cloud`` is at most
+    ``max_tpot_ms``; infeasibility is encoded in the plan, never raised:
 
-    - empty ratio interval (above the 0.01 floor) -> refinement disabled
-      (ratio 1), token-level assist still planned;
+    - the smallest ratio (``min_ratio``, at least 0.01) does not pay off ->
+      refinement disabled (ratio 1), token-level assist still planned;
     - empty budget interval -> clamp to the occupancy cap (the hard bound)
       and record the resulting over-target pace.
     """
-    lo, hi = r_bounds(model, constraints, prompt_tokens)
-    if ratio is None:
-        ratio = max(lo, _RATIO_FLOOR)
-        ratio_ok = ratio <= hi
-        if not ratio_ok:
-            ratio = 1.0
-    else:
-        if not 0.0 < ratio <= 1.0:
-            raise ValueError(f"pinned ratio must be in (0, 1], got {ratio}")
-        ratio_ok = lo <= ratio <= hi
+    pinned = ratio is not None
+    if not pinned:
+        ratio = max(constraints.min_ratio, _RATIO_FLOOR)
+    elif not 0.0 < ratio <= 1.0:
+        raise ValueError(f"pinned ratio must be in (0, 1], got {ratio}")
+    # assistance pays when, at the p95 RTT, the assisted device is ready no later than the device alone
+    ttft_p95 = ttft_cloud(model, prompt_tokens, model.rtt.p95_ms)
+    ready_p95 = ttft_device(model, prompt_tokens, prefill_device(model, prompt_tokens, ratio), ttft_p95)
+    ratio_ok = constraints.min_ratio <= ratio and ready_p95 <= prefill_device(model, prompt_tokens)
+    if not (ratio_ok or pinned):
+        ratio = 1.0
 
     ttft_c = ttft_cloud(model, prompt_tokens, model.rtt.mean_ms)
     prefill = prefill_device(model, prompt_tokens, ratio)

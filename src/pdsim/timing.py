@@ -10,15 +10,14 @@ equal and print as numbers. Each formula is a pure function defined once
 here. Its callers:
 
 - ``ttft_cloud(model, prompt_tokens, rtt_ms)``: planner (``solve_plan``, at the
-  mean RTT), ``cloudsim.serve_request`` (at the sampled RTT).
+  mean RTT, and at the p95 RTT to judge the ratio), ``cloudsim.serve_request``
+  (at the sampled RTT).
 - ``prefill_device``, the refined prefill: planner (``l_bounds``,
   ``solve_plan``), ``devicesim.run_session`` with the refined length of the mask.
 - ``ttft_device``, the device's ready instant (frame + recovery + refined
-  prefill): planner (``solve_plan``, from the planned TTFT),
+  prefill): planner (``solve_plan``, from the planned and the p95 TTFT),
   ``devicesim.run_session`` (from the frame's arrival).
 - ``smoothed_tpot``: planner (achieved pace), ``devicesim`` (display schedule).
-- ``TimingModel.overhead_ms``, the collaboration overhead (compress + decompress
-  + p95 RTT, derived, never configured): planner (``r_bounds``).
 - ``request_occupancy``: ``cloudsim.serve_request``, whose ``CloudTrace.occupancy_ms``
   becomes the trace's ``occupancy`` column and feeds ``cloudsim.run_throughput``.
 
@@ -79,9 +78,8 @@ class TimingModel:
     The defaults put an 8k-token prompt at 800 ms cloud prefill, 10 s device
     prefill, ~100 ms mask compression and ~50 ms recovery. ``compress``
     covers mask build + compression on the cloud side, ``decompress`` the
-    device-side recovery. The planner's collaboration overhead is derived
-    from them, not configured: compress + decompress + the 95th-percentile
-    RTT of the class (``overhead_ms``), deliberately conservative.
+    device-side recovery. The planner judges a ratio at the 95th-percentile
+    RTT of the class, deliberately conservative; no overhead is configured.
     """
 
     k_cloud: float = 0.1        # cloud prefill, ms per prompt token
@@ -98,10 +96,6 @@ class TimingModel:
                 raise ValueError(f"{name} must be strictly positive")
         if self.k_device <= self.k_cloud:
             raise ValueError("device prefill must be slower than cloud (k_device > k_cloud)")
-
-    def overhead_ms(self, tokens: int) -> float:
-        """The collaboration overhead at ``tokens`` prompt tokens: compress + decompress + p95 RTT."""
-        return self.compress(tokens) + self.decompress(tokens) + self.rtt.p95_ms
 
 
 def prefill_device(model: TimingModel, tokens: int, ratio: float = 1.0) -> float:

@@ -148,7 +148,7 @@ class TestMalformedConfig:
             (_set("batch", "complet", 64), "config.batch.complet"),
             (_set("variants", [{"name": "r50", "ratoi": 0.5}]), "config.variants[0].ratoi"),
             (_set("scrub_rules", [{"pattern": "a", "replacement": "b", "flags": "i"}]), "config.scrub_rules[0].flags"),
-            # the planner's overhead is derived from compress, decompress and the RTT, never configured
+            # the planner judges a ratio from compress, decompress and the p95 RTT; no overhead is configured
             (_set("timing", "device_classes", "phone", "overhead_bound", "auto"),
              "config.timing.device_classes.phone.overhead_bound"),
             # an RTT class is its numbers; the built-in ones are named by their RTT_CLASSES key

@@ -9,25 +9,62 @@ from hypothesis import strategies as st
 from helpers import brute_force_plan, feasible_by_substitution, random_planner_instance
 
 from pdsim.harness import default_config, write_plans
-from pdsim.planner import PlanConstraints, build_plan_table, l_bounds, r_bounds, solve_plan
-from pdsim.timing import AffineCost, RttClass, TimingModel, prefill_device, smoothed_tpot, ttft_cloud, ttft_device
+from pdsim.planner import PlanConstraints, build_plan_table, l_bounds, solve_plan
+from pdsim.timing import RTT_CLASSES, AffineCost, RttClass, TimingModel, prefill_device, smoothed_tpot, ttft_cloud, ttft_device
 
 
-class TestRatioBounds:
+class TestRatioJudgedBySubstitution:
     def test_worked_example(self, calibrated_model):
-        lo, hi = r_bounds(calibrated_model, PlanConstraints(0.6, 100.0), 8000)
-        assert lo == 0.6
-        assert hi == pytest.approx(0.9)  # 1 - (0.1 + 200 / 8000) / 1.25
+        # 950 ms p95 TTFT + 50 ms recovery + 1.25 * 0.9 * 8000 ms = 10 s, the device alone
+        constraints = PlanConstraints(0.6, 100.0)
+        assert solve_plan(calibrated_model, constraints, 8000, ratio=0.9).feasible
+        assert not solve_plan(calibrated_model, constraints, 8000, ratio=0.901).feasible
 
-    def test_interval_empty_when_collaboration_cannot_pay_off(self):
-        model = TimingModel(k_cloud=1.24, k_device=1.25)
-        lo, hi = r_bounds(model, PlanConstraints(0.25, 100.0), 8000)
-        assert hi <= 0.0
-        assert lo > hi
+    def test_refinement_disabled_when_collaboration_cannot_pay_off(self):
+        plan = solve_plan(TimingModel(k_cloud=1.24, k_device=1.25), PlanConstraints(0.25, 100.0), 8000)
+        assert plan.ratio == 1.0
+        assert not plan.feasible
 
     def test_rejects_nonpositive_length(self, calibrated_model):
         with pytest.raises(ValueError):
-            r_bounds(calibrated_model, PlanConstraints(0.6, 100.0), 0)
+            solve_plan(calibrated_model, PlanConstraints(0.6, 100.0), 0)
+
+    def test_a_ratio_on_the_boundary_is_judged_as_by_substitution(self):
+        # 10 + 80 + 10 <= 100 holds with equality; a quotient bound, 1 - (0.1 + 80 / 100) / 1.0, rounds below 0.1
+        model = TimingModel(k_cloud=0.1, k_device=1.0, tpot_cloud=0.7, tpot_device=1.0, rtt=RttClass(50.0),
+                            compress=AffineCost(20.0, 0.0), decompress=AffineCost(10.0, 0.0))
+        constraints = PlanConstraints(0.0, 1.1)
+        plan = solve_plan(model, constraints, 100, ratio=0.1, max_tokens=2)
+        assert plan.feasible
+        assert plan.feasible == feasible_by_substitution(model, constraints, 100, 0.1, 2)
+
+    def test_the_ratio_is_judged_at_the_p95_rtt_and_the_budget_at_the_mean(self, calibrated_model):
+        # ratio 0.897 leaves 30 ms to spare at 50 ms; 30 ms of jitter adds 49.35 ms at the p95
+        constraints = PlanConstraints(0.6, 100.0)
+        steady = solve_plan(calibrated_model, constraints, 8000, ratio=0.897)
+        jittery_model = dataclasses.replace(calibrated_model, rtt=RttClass(mean_ms=50.0, jitter_ms=30.0))
+        jittery = solve_plan(jittery_model, constraints, 8000, ratio=0.897)
+        assert steady.feasible and not jittery.feasible
+        assert steady.max_tokens == jittery.max_tokens
+
+    @pytest.mark.parametrize("rtt", [*RTT_CLASSES.values(), RttClass(mean_ms=60.0, jitter_ms=25.0)])
+    def test_each_rtt_class_judges_the_ratio_at_its_p95(self, rtt):
+        # a ratio whose saving covers the RTT halfway between mean and p95 pays at the mean only
+        constraints = PlanConstraints(0.0, 100.0)
+        jittery = TimingModel(rtt=rtt)
+        steady = dataclasses.replace(jittery, rtt=RttClass(mean_ms=rtt.mean_ms))
+        for l in (1000, 8000, 32000):
+            alone = prefill_device(jittery, l)
+            fixed = jittery.k_cloud * l + jittery.compress(l) + jittery.decompress(l)
+            halfway = 1.0 - (fixed + (rtt.mean_ms + rtt.p95_ms) / 2) / alone
+            safe = 1.0 - (fixed + rtt.p95_ms + 1.0) / alone
+            assert 0.0 < safe < halfway < 1.0
+            paid = solve_plan(steady, constraints, l, ratio=halfway)
+            unpaid = solve_plan(jittery, constraints, l, ratio=halfway)
+            assert paid.feasible and not unpaid.feasible
+            assert paid.max_tokens == unpaid.max_tokens
+            assert not feasible_by_substitution(jittery, constraints, l, halfway, unpaid.max_tokens)
+            assert solve_plan(jittery, constraints, l, ratio=safe).feasible
 
 
 class TestBudgetBounds:
@@ -245,8 +282,8 @@ class TestPinnedPoints:
         assert not self.point(calibrated_model, ratio=0.95, max_tokens=20).feasible
 
     def test_pinned_ratio_outside_the_ratio_interval_is_infeasible_at_any_budget(self, calibrated_model):
-        lo, hi = r_bounds(calibrated_model, self.CONSTRAINTS, 8000)
-        for ratio in (lo / 2, (hi + 1.0) / 2):
+        # below the 0.25 floor, and past 0.9, where assistance no longer pays
+        for ratio in (0.125, 0.95):
             solved = self.point(calibrated_model, ratio=ratio)
             assert solved.ratio == ratio and not solved.feasible
             for budget in (2, solved.max_tokens, 200):

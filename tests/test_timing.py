@@ -4,7 +4,6 @@ import random
 import pytest
 
 from pdsim.timing import (
-    RTT_CLASSES,
     AffineCost,
     RttClass,
     TimingModel,
@@ -185,11 +184,3 @@ class TestModelIsAValue:
         cost = AffineCost(20.0, 0.01)
         for l in self.LENGTHS:
             assert cost(l) == 20.0 + 0.01 * l
-
-    @pytest.mark.parametrize("rtt", [*RTT_CLASSES.values(), RttClass(mean_ms=60.0, jitter_ms=25.0)])
-    def test_default_overhead_bound_is_compress_plus_decompress_plus_p95(self, rtt):
-        model = TimingModel(rtt=rtt)
-        for l in self.LENGTHS:
-            bound = model.overhead_ms(l)
-            assert bound == model.compress(l) + model.decompress(l) + model.rtt.p95_ms
-            assert bound == (20.0 + 0.01 * l) + (10.0 + 0.005 * l) + (rtt.mean_ms + 1.645 * rtt.jitter_ms)
