@@ -711,7 +711,8 @@ def _variant_metrics(name: str, rows: Sequence[TraceRow], tps: float | None = No
         mean_occupancy_ms=_mean([r.occupancy for r in rows]),
         corrections=sum(r.corrections for r in rows),
         mean_mask_bytes=_mean(masks),
-        median_mask_bytes=statistics.median(masks) if masks else 0.0,
+        # statistics.median returns the middle row's int when the count is odd
+        median_mask_bytes=float(statistics.median(masks)) if masks else 0.0,
         planning_misses=sum(1 for r in rows if r.planning_miss),
         above_tau_requests=above_tau,
     )

@@ -15,17 +15,21 @@ ensure_ascii=False)`` of the same body (an oracle test checks this): strings
 go through ``json.encoder.encode_basestring``, the routine ``json.dumps``
 itself uses, and the constructors admit only plain ints (no bools), for
 which ``%d`` and ``json.dumps`` agree. Decoding costs time linear in the
-bytes fed, however they are chunked: ``SseDecoder`` resumes its boundary
-search where the last feed stopped and trims its buffer once per feed.
+bytes fed, however they are chunked: ``SseDecoder`` searches each feed's new
+bytes once for the last frame terminator and trims its buffer once per feed.
 
-A complete frame in the event form the encoder writes (``"i"`` of at
-most 18 digits, so below 2**63, then ``"token"``, no whitespace) is decoded
-by one precompiled bytes match; a token with escapes goes through
-``json.decoder.scanstring``, the routine ``json.loads`` itself uses. First
-frames, ``[DONE]``, every other body and every error take the general path,
-so each error message comes from one place. The match runs only once a
-frame's blank-line terminator has been found: matching a partial frame on
-every feed would rescan it and make decoding quadratic.
+Events in the form the encoder writes (``"i"`` of at most 18 digits, so
+below 2**63, then ``"token"``, no whitespace) are decoded a run at a time.
+At each frame start one precompiled bytes match checks the longest run of
+whole such frames whose tokens are well-formed UTF-8. It stops at the end of
+the last terminator fed so far, so a partial frame is never scanned, and a
+token that is not UTF-8 cuts the run before its frame. Only a checked run is
+taken apart: one ``findall`` yields its indices and token bodies, the bodies
+are decoded as UTF-8 in one call, and a token with escapes goes through
+``json.decoder.scanstring``, the routine ``json.loads`` itself uses. So only
+frames that are delivered are built. First frames, ``[DONE]``, every other
+body and every error take the general path one frame at a time, so each
+error message comes from one place.
 """
 
 from __future__ import annotations
@@ -51,12 +55,20 @@ _FIRST_FRAME = FRAME_PREFIX + b'{"first_token":%b,"mask_b64":"%b","L":%d}' + FRA
 _EVENT_FRAME = FRAME_PREFIX + b'{"i":%d,"token":%b}' + FRAME_SUFFIX
 _DONE_FRAME = FRAME_PREFIX + DONE_BODY + FRAME_SUFFIX
 
-# an event frame as _EVENT_FRAME writes it, without its terminator; the index
-# has at most 18 digits (below 2**63) and the token is one JSON string body
-_EVENT_RE = re.compile(
-    rb'data: \{"i":([1-9][0-9]{0,17}),"token":"'
-    rb'([^"\\\x00-\x1f]*(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})[^"\\\x00-\x1f]*)*)"\}'
+# the longest run of whole event frames as _EVENT_FRAME writes them: an index of
+# at most 18 digits (below 2**63), and a token that is one JSON string body of
+# well-formed UTF-8, the byte sequences bytes.decode("utf-8") accepts
+_EVENT_RUN_RE = re.compile(
+    rb'(?:data: \{"i":[1-9][0-9]{0,17},"token":"'
+    rb'[^"\\\x00-\x1f\x80-\xff]*'
+    rb'(?:(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})'
+    rb'|[\xc2-\xdf][\x80-\xbf]|\xe0[\xa0-\xbf][\x80-\xbf]|[\xe1-\xec\xee\xef][\x80-\xbf]{2}|\xed[\x80-\x9f][\x80-\xbf]'
+    rb'|\xf0[\x90-\xbf][\x80-\xbf]{2}|[\xf1-\xf3][\x80-\xbf]{3}|\xf4[\x80-\x8f][\x80-\xbf]{2})'
+    rb'[^"\\\x00-\x1f\x80-\xff]*)*'
+    rb'"\}\n\n)+'
 )
+# one event of a run _EVENT_RUN_RE has checked; its token holds no newline
+_RUN_EVENT_RE = re.compile(rb'"i":([0-9]+),"token":"([^\n]*)"\}\n\n')
 
 
 class ProtocolError(Exception):
@@ -172,62 +184,66 @@ def _parse_event_json(obj: dict) -> StreamEvent:
 class SseDecoder:
     """Incremental frame decoder over a byte stream. Single-owner, stateful.
 
-    ``feed`` returns the items completed so far. A complete frame in the
-    encoder's event form is decoded by one match, any other frame
-    through ``json.loads``. A malformed frame raises ProtocolError after the
-    frame has been consumed, so feeding can simply continue; items parsed
-    before the error are delivered by the next call.
-    The boundary search resumes where the last feed stopped and the buffer
-    is trimmed once per feed, so decoding costs time linear in the bytes fed.
+    ``feed`` returns the items completed so far. At each frame start one
+    match checks the longest run of whole frames in the encoder's event form,
+    up to the end of the last terminator fed so far; a token that is not
+    UTF-8 cuts the run. The checked run is then taken apart in one pass and
+    each of its events built once. Any other frame goes through
+    ``json.loads`` on its own. A malformed frame raises ProtocolError after
+    the frame has been consumed, so feeding can simply continue; items parsed
+    before the error are delivered by the next call. Each feed's new bytes
+    are searched once for the last terminator and the buffer is trimmed once
+    per feed, so decoding costs time linear in the bytes fed.
     """
 
     def __init__(self) -> None:
         self._buf = bytearray()
-        self._scanned = 0  # leading bytes of _buf known to hold no frame boundary
+        self._last = 0  # where the last frame terminator in _buf ends; below 2 if there is none
         self._pending: list[FirstTokenFrame | StreamEvent | DoneMarker] = []
 
     def feed(self, data: bytes) -> list[FirstTokenFrame | StreamEvent | DoneMarker]:
         buf = self._buf
+        # a terminator may straddle the previous feed, so its first byte is searched again
+        searched = max(len(buf) - len(FRAME_SUFFIX) + 1, 0)
         buf += data
+        found = buf.rfind(FRAME_SUFFIX, searched)
+        last = found + len(FRAME_SUFFIX) if found >= 0 else self._last
         items, self._pending = self._pending, []
         start = 0  # first byte of the next unconsumed frame
-        idx = buf.find(FRAME_SUFFIX, self._scanned)
-        while idx >= 0:
-            frame_start, start = start, idx + len(FRAME_SUFFIX)
+        while start <= last - len(FRAME_SUFFIX):
+            run = _EVENT_RUN_RE.match(buf, start, last)
+            if run is not None:
+                indices, bodies = zip(*_RUN_EVENT_RE.findall(buf, start, run.end()))
+                # the checked tokens are well-formed UTF-8 and hold no newline
+                text = b"\n".join(bodies).decode("utf-8")
+                tokens = text.split("\n")
+                if "\\" in text:
+                    tokens = [scanstring(f'"{token}"', 1)[0] if "\\" in token else token for token in tokens]
+                items.extend(map(StreamEvent, map(int, indices), tokens))
+                start = run.end()
+                continue
+            frame_start, start = start, buf.find(FRAME_SUFFIX, start) + len(FRAME_SUFFIX)
             try:
-                items.append(self._parse_frame(buf, frame_start, idx))
+                items.append(self._parse_frame(buf, frame_start, start - len(FRAME_SUFFIX)))
             except ProtocolError:
-                self._consume(start, scanned=0)
+                self._consume(start, last)
                 self._pending = items
                 raise
-            idx = buf.find(FRAME_SUFFIX, start)
         if len(buf) - start > _MAX_BUFFER:
-            self._consume(len(buf), scanned=0)
+            self._consume(len(buf), last)
             self._pending = items
             raise ProtocolError("unbounded garbage without a frame boundary")
-        # a boundary may straddle the next feed, so its first byte is searched again
-        self._consume(start, scanned=max(len(buf) - start - len(FRAME_SUFFIX) + 1, 0))
+        self._consume(start, last)
         return items
 
-    def _consume(self, end: int, *, scanned: int) -> None:
-        """Drop ``_buf[:end]``; the first ``scanned`` bytes left hold no boundary."""
+    def _consume(self, end: int, last: int) -> None:
+        """Drop ``_buf[:end]``; the last frame terminator fed so far ends at index ``last`` of ``_buf``."""
         del self._buf[:end]
-        self._scanned = scanned
+        self._last = max(last - end, 0)
 
     @staticmethod
     def _parse_frame(buf: bytearray, start: int, end: int) -> FirstTokenFrame | StreamEvent | DoneMarker:
         """Parse the frame in ``buf[start:end]``, which stops just before its blank-line terminator."""
-        event = _EVENT_RE.fullmatch(buf, start, end)
-        if event is not None:
-            raw = event[2]
-            try:
-                token = raw.decode("utf-8")
-                if b"\\" in raw:
-                    token = scanstring(f'"{token}"', 1)[0]
-            except ValueError:
-                pass  # the JSON path below raises the error for this body
-            else:
-                return StreamEvent(int(event[1]), token)
         if not buf.startswith(FRAME_PREFIX, start, end):
             raise ProtocolError("frame must start with 'data: '")
         body = buf[start + len(FRAME_PREFIX) : end]

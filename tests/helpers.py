@@ -166,7 +166,8 @@ def reference_encode_first_frame(frame: FirstTokenFrame) -> bytes:
 
 
 class ReferenceSseDecoder:
-    """SseDecoder with no event match: each non-[DONE] body goes through ``protocol._parse_json``."""
+    """The per-frame JSON reference for SseDecoder, without its run path: each frame is found on its own and
+    each non-[DONE] body goes through ``protocol._parse_json``."""
 
     def __init__(self) -> None:
         self._buf = bytearray()

@@ -626,6 +626,16 @@ class TestReport:
         assert (tmp_path / "rep" / "report.txt").exists()
         assert result.variants[0].requests == 12
 
+    def test_median_mask_bytes_is_a_float_for_an_odd_row_count(self, tmp_path):
+        data = base_config_dict()
+        data["workload"]["requests"] = 5
+        run_experiment(config_from_dict(data), tmp_path / "run")
+        report([tmp_path / "run" / "trace_planned.csv"], tmp_path / "rep")
+        for path in (tmp_path / "run" / "summary.csv", tmp_path / "rep" / "report.csv"):
+            (row,) = read_rows(path)
+            assert row["requests"] == "5"
+            assert re.fullmatch(r"[0-9]+\.0{6}", row["median_mask_bytes"]), path
+
     def test_missing_columns_raise(self, tmp_path):
         bad = tmp_path / "trace_bad.csv"
         bad.write_text("variant,request_id\nplanned,x\n")

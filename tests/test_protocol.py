@@ -241,6 +241,20 @@ class TestSseDecoder:
             decoder.feed(b"x" * (2 << 20))
         assert decoder.feed(encode_done()) == [DONE]
 
+    def test_one_large_hostile_feed_has_bounded_memory(self):
+        decoder = SseDecoder()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ProtocolError, match="frame must start with 'data: '"):
+                decoder.feed(b"\n\n" * 2**19)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+        # only the first empty frame was consumed: the next one raises on the next feed
+        with pytest.raises(ProtocolError, match="frame must start with 'data: '"):
+            decoder.feed(b"")
+
     def test_each_frame_body_is_parsed_once(self, monkeypatch):
         calls = []
         loads = protocol.json.loads
@@ -255,6 +269,13 @@ class TestSseDecoder:
         assert items[0] == frame and items[-1] is DONE
         # the first frame is parsed as JSON; canonical events are matched and [DONE] is not JSON
         assert len(calls) == 1
+        # fed a byte at a time, each canonical event is a run of one
+        calls.clear()
+        events = [StreamEvent(index=i, token=f"t{i}") for i in range(1, 201)]
+        data = b"".join(map(encode_stream_event, events))
+        decoder = SseDecoder()
+        assert [item for k in range(len(data)) for item in decoder.feed(data[k : k + 1])] == events
+        assert calls == []
         non_canonical = [
             (b'{"i": 1, "token": "x"}', StreamEvent(index=1, token="x")),
             (b'{"token":"x","i":1}', StreamEvent(index=1, token="x")),
@@ -315,6 +336,66 @@ def raised(outcomes: list) -> set:
 
 def decoded(outcomes: list) -> list:
     return [item for o in outcomes if isinstance(o, list) for item in o]
+
+
+def _event(index: int, token_json: bytes) -> bytes:
+    return sse_frame(b'{"i":%d,"token":%b}' % (index, token_json))
+
+
+def _run_with(position: int, frame: bytes) -> bytes:
+    """A first frame, then six events and [DONE], with ``frame`` in place of event ``position``."""
+    head = encode_first_frame(FirstTokenFrame(token="go", mask=pack(SelectionMask([1, 0, 1])), max_tokens=7))
+    events = [_event(i, b'"t%d"' % i) for i in range(1, 7)]
+    events[position - 1] = frame
+    return head + b"".join(events) + encode_done()
+
+
+# frames that end or break a run of canonical events, and whether they raise
+_RUN_EDGES = {
+    "not-utf8-first": (_run_with(1, _event(1, b'"a\xffb"')), True),
+    "not-utf8-middle": (_run_with(3, _event(3, b'"\xe6\x97"')), True),
+    "not-utf8-last": (_run_with(6, _event(6, b'"\xed\xa0\x80"')), True),  # an encoded surrogate
+    "quote-middle": (_run_with(3, _event(3, b'"say \\"hi\\""')), False),
+    "backslash-middle": (_run_with(3, _event(3, b'"a\\\\b"')), False),
+    "e-acute-middle": (_run_with(3, _event(3, '"na\u00efve \u00e9"'.encode())), False),
+    "e-acute-escaped-middle": (_run_with(3, _event(3, b'"\\u00e9"')), False),
+    "surrogate-pair-middle": (_run_with(3, _event(3, b'"\\ud83d\\ude00"')), False),
+    "19-digit-index": (_run_with(3, _event(10**18, b'"x"')), False),
+    "leading-zero-index": (_run_with(3, sse_frame(b'{"i":03,"token":"x"}')), True),
+    "first-frame": (_run_with(3, encode_first_frame(FirstTokenFrame(token="x", mask=pack(SelectionMask([1])), max_tokens=2))), False),
+    "done": (_run_with(3, encode_done()), False),
+}
+
+
+class TestRunEdges:
+    """Where a run of canonical events starts, stops or is cut, SseDecoder decodes as the per-frame reference does."""
+
+    @pytest.mark.parametrize("name", _RUN_EDGES)
+    def test_every_cut_position_decodes_as_the_reference(self, name):
+        data, raises = _RUN_EDGES[name]
+        for cut in range(len(data) + 1):
+            ours = decode_outcomes(SseDecoder(), data, [cut])
+            assert ours == decode_outcomes(ReferenceSseDecoder(), data, [cut]), cut
+            assert raised(ours) == ({ProtocolError} if raises else set()), cut
+        assert len(decoded(ours)) == (7 if raises else 8)
+
+    def test_a_run_holds_a_token_exactly_when_it_is_utf8(self):
+        # each lead byte with each second byte and the continuation bytes at the
+        # edges of their range cover every range of well-formed UTF-8 and the bytes next to it
+        tails = (b"", b"\x7f", b"\x80", b"\xbf", b"\xc0", b"\x80\x80", b"\xbf\xbf", b"\x80\x7f", b"\x80\xc0")
+        for lead in range(0x80, 0x100):
+            for second in range(0x20, 0x100):
+                for tail in tails:
+                    body = bytes([lead, second]) + tail
+                    if b'"' in body or b"\\" in body:
+                        continue
+                    try:
+                        body.decode("utf-8")
+                    except UnicodeDecodeError:
+                        utf8 = False
+                    else:
+                        utf8 = True
+                    assert (protocol._EVENT_RUN_RE.fullmatch(_event(1, b'"%b"' % body)) is not None) == utf8, body
 
 
 _SURROGATES = st.integers(0xD800, 0xDFFF).map(chr)
@@ -497,6 +578,27 @@ class TestLinearDecoding:
         assert len(_feed_in_chunks(large, 64)) == 1
         small_s = _best_of_3(lambda: _feed_in_chunks(small, 64))
         large_s = _best_of_3(lambda: _feed_in_chunks(large, 64))
+        assert large_s < 8 * small_s
+
+    @pytest.mark.parametrize(
+        "bad", [b"data: {bad}\n\n", _event(2, b'"x\xff"')], ids=["not-json", "token-not-utf8"]
+    )
+    def test_draining_four_times_more_bad_frames_takes_under_eight_times_longer(self, bad):
+        pair = encode_stream_event(StreamEvent(index=1, token="x")) + bad
+
+        def drain(pairs: int) -> int:
+            decoder, data, errors = SseDecoder(), pair * pairs, 0
+            while True:
+                try:
+                    decoder.feed(data)
+                except ProtocolError:
+                    data, errors = b"", errors + 1
+                else:
+                    return errors
+
+        assert drain(2000) == 2000
+        small_s = _best_of_3(lambda: drain(2000))
+        large_s = _best_of_3(lambda: drain(8000))
         assert large_s < 8 * small_s
 
     def test_one_feed_of_many_events_costs_what_chunked_feeds_cost(self):
