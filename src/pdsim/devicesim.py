@@ -31,12 +31,12 @@ stream. Arrival times need not increase. It is computed as three timelines:
 A session costs its cloud window, not its output length. The decode
 instants are one array, accumulated in order (``np.add.accumulate``, bit-equal
 to adding ``tpot_device`` once per decode). Only positions 2..cloud_last + 1
-are stepped one at a time, for corrections and the effective EOT; past them
-no cloud token is in scope, so the device EOT is its own. A cloud-EOT show
-cuts the timeline at the first decode after its instant. The device display
-is described, not listed: the trace keeps its first position, its slice of
-the timeline, ``begin`` and the device source, and ``DeviceTrace.displays``
-expands it on demand.
+are stepped one at a time, in one decode loop that applies either policy's
+correction and finds the effective EOT; it stops at the first decode after a
+cloud-EOT show. Past those positions no cloud token is in scope, so the
+device EOT is its own. The device display is described, not listed: the
+trace keeps its first position, its slice of the timeline, ``begin`` and the
+device source, and ``DeviceTrace.displays`` expands it on demand.
 
 When a decode and a show fall on the same instant, the decode runs first, as
 the prefill does.
@@ -207,19 +207,17 @@ def run_session(
     timeline = np.add.accumulate(steps)  # sequential: bit-equal to adding one step at a time
     timeline.setflags(write=False)  # the trace keeps a view of it
 
-    # the first decode that does not run: a cloud-EOT show, the frame's
-    # included, stops the first decode after its instant
-    cut = decodes + 1
-    if eot_at is not None:
-        cut = max(int(np.searchsorted(timeline, eot_at, side="right")), 1) + 1
-
-    # decodes within the window, one position at a time
+    # decodes within the window, one position at a time, each deciding its
+    # correction under either policy; a cloud-EOT show, the frame's
+    # included, stops the first decode after its instant. The device's own
+    # EOT ends decoding unless a decode meets an effective EOT first.
     corrections = 0
-    device_eot_position = None
+    device_eot_position = device_source.total_tokens
     own: dict[int, str] = {}
-    stepped = min(cloud_last + 1, cut - 1)
-    at = timeline[:stepped].tolist()
-    for k in range(2, stepped + 1):
+    at = timeline[: cloud_last + 1].tolist()
+    for k in range(2, cloud_last + 2):
+        if eot_at is not None and at[k - 1] > eot_at:
+            break
         raw = device_source.token_at(k) if k <= device_source.total_tokens else EOT_TOKEN
         own[k] = raw
         effective = raw
@@ -227,19 +225,14 @@ def run_session(
         if in_scope and raw != cloud[k - 1] and policy is CorrectionPolicy.CLOUD_WINS:
             corrections += 1
             effective = cloud[k - 1]
+        if policy is CorrectionPolicy.DEVICE_DISPLAY and k <= len(shows):
+            when, _, token = shows[k - 1]
+            if raw not in (token, EOT_TOKEN) and at[k - 1] <= when:
+                shows[k - 1] = (when, k, raw)  # no retroactive edits: only this position changes
+                corrections += 1
         if effective == EOT_TOKEN:
             device_eot_position = k
             break
-    else:
-        if stepped == cloud_last + 1 and device_source.total_tokens < cut:
-            device_eot_position = device_source.total_tokens  # the device's own EOT, past the window
-
-    if policy is CorrectionPolicy.DEVICE_DISPLAY:
-        for i, (when, p, token) in enumerate(shows):
-            mine = own.get(p)
-            if mine not in (None, token, EOT_TOKEN) and at[p - 1] <= when:
-                shows[i] = (when, p, mine)  # no retroactive edits: only this position changes
-                corrections += 1
 
     # once the window is shown in full, the device shows its own tokens up to its EOT
     begin = None

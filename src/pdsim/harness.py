@@ -376,16 +376,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
 # --- workload synthesis -------------------------------------------------------
 
 
-def _choice(rng: random.Random, weights: Mapping):
-    point = rng.random() * sum(weights.values())  # the config reader checks the sum is positive
-    acc = 0.0
-    for key, weight in weights.items():
-        acc += weight
-        if point <= acc:
-            return key
-    return key  # float rounding: fall through to the last key
-
-
 # Mersenne Twister outputs per prompt token in the first bulk draw: a prompt
 # consumes about 1.62 (1.64 per word, 1.28 per sentence length), so one block
 # almost always suffices; a block that runs short is redrawn twice as long.
@@ -509,9 +499,9 @@ def generate_workload(config: ExperimentConfig, seed: int) -> list[GeneratedRequ
     arrival = 0.0
     for i in range(w.requests):
         request_id = f"req-{i:04d}"
-        scene = _choice(rng, w.scene_mix)
-        device = _choice(rng, w.device_mix)
-        length = _choice(rng, w.prompt_lengths)
+        scene = rng.choices(list(w.scene_mix), list(w.scene_mix.values()))[0]
+        device = rng.choices(list(w.device_mix), list(w.device_mix.values()))[0]
+        length = rng.choices(list(w.prompt_lengths), list(w.prompt_lengths.values()))[0]
         n = rng.randint(w.output_min, w.output_max)
         arrival += rng.expovariate(w.arrival_rate_per_s / 1000.0)
         if not config.scrub_rules:  # only scrub rules read the prompt's text

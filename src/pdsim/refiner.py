@@ -55,9 +55,9 @@ class TokenizedPrompt:
     The content is a run of sentences: ``sentence_sizes`` holds each one's
     token count, in order, each a plain ``int`` of at least 1; the content
     holds their sum. ``prefix_tokens`` and ``suffix_tokens`` are plain
-    ``int``s of at least 0. Selection reads the sizes and the per-token
-    sentence labels derived from them (``sentence_ids``) as arrays. The
-    shape holds no token strings; ``refined_text`` makes them from the texts.
+    ``int``s of at least 0. Selection reads the sizes, and each content
+    token's sentence label derived from them, as arrays. The shape holds no
+    token strings; ``refined_text`` makes them from the texts.
     """
 
     prefix_tokens: int
@@ -78,11 +78,6 @@ class TokenizedPrompt:
         ids.flags.writeable = sizes.flags.writeable = False
         object.__setattr__(self, "_ids", ids)
         object.__setattr__(self, "_sizes", sizes)
-
-    @property
-    def sentence_ids(self) -> tuple[int, ...]:
-        """Each content token's sentence: 0 for the first sentence's tokens, then 1, and so on."""
-        return tuple(self._ids.tolist())
 
     @property
     def content_tokens(self) -> int:

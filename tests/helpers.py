@@ -232,7 +232,7 @@ def reference_split_sentences(text: str) -> list[str]:
 
 
 def reference_from_text(prefix: str, content: str, suffix: str) -> tuple:
-    """(prefix, content, sentence_ids, suffix) built sentence by sentence, token by token."""
+    """(prefix, content, sentence labels, suffix) built sentence by sentence, token by token."""
     content_tokens: list[str] = []
     ids: list[int] = []
     for sid, sentence in enumerate(reference_split_sentences(content)):
@@ -242,10 +242,15 @@ def reference_from_text(prefix: str, content: str, suffix: str) -> tuple:
     return tuple(tokenize(prefix)), tuple(content_tokens), tuple(ids), tuple(tokenize(suffix))
 
 
+def sentence_labels(prompt: TokenizedPrompt) -> np.ndarray:
+    """Each content token's sentence, from ``sentence_sizes``: 0 for the first sentence's tokens, then 1, and so on."""
+    return np.repeat(np.arange(len(prompt.sentence_sizes)), np.asarray(prompt.sentence_sizes, dtype=np.int64))
+
+
 def reference_sentence_order(prompt: TokenizedPrompt, scores: TokenScores) -> list[int]:
     """np.add.at sums per sentence, then a Python sort on (-mean, sentence id)."""
-    n_sentences = prompt.sentence_ids[-1] + 1 if prompt.sentence_ids else 0
-    ids = np.asarray(prompt.sentence_ids, dtype=np.int64)
+    n_sentences = len(prompt.sentence_sizes)
+    ids = sentence_labels(prompt)
     totals = np.zeros(n_sentences)
     counts = np.zeros(n_sentences)
     np.add.at(totals, ids, scores.scores)
@@ -261,7 +266,7 @@ def reference_select_sentences(prompt: TokenizedPrompt, scores: TokenScores, rat
     if n_content == 0 or ratio == 1.0:
         return SelectionMask(bits)
     budget = math.ceil(ratio * n_content)
-    ids = np.asarray(prompt.sentence_ids)
+    ids = sentence_labels(prompt)
     selected: set[int] = set()
     count = 0
     for sid in reference_sentence_order(prompt, scores):

@@ -2,13 +2,17 @@
 
 ``benchmarks/tracer.py`` records a hooked name it cannot find as absent and
 lets the traced run go on, so a refactor that drops or moves a hooked name
-(such as ``harness.solve_plan``) would otherwise pass every test.
+(such as ``harness.solve_plan``) would otherwise pass every test. A name
+that is still defined but no longer called installs too, so one small run
+of each path must reach every hook site.
 """
 
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TRACER = Path(__file__).resolve().parent.parent / "benchmarks" / "tracer.py"
@@ -63,3 +67,39 @@ def test_install_finds_every_hook_and_uninstall_restores_it(tracer):
     finally:
         traced.uninstall()
     assert harness.solve_plan is original and planner.solve_plan is original
+
+
+def test_every_hook_site_is_called(tracer, tmp_path):
+    # a hooked name that is still defined but no longer called resolves and
+    # installs, so only a run that reaches each site can tell
+    from pdsim import harness, maskcodec, protocol
+    from pdsim.refiner import SelectionMask
+
+    def shortened(config, requests):
+        return dataclasses.replace(config, workload=dataclasses.replace(config.workload, requests=requests))
+
+    sites = tuple(dataclasses.replace(h, name=f"{h.module}.{h.attr}") for h in tracer.HOOKS)
+    traced = tracer.Tracer()
+    traced.install(sites)
+    try:
+        # through the module, where the hook is installed
+        harness.run_experiment(shortened(harness.default_config(), 2), tmp_path / "default")
+        data = Path(__file__).parent / "data"
+        harness.run_experiment(shortened(harness.load_config(data / "scrub_config.json"), 1), tmp_path / "scrub")
+        # one wire round trip, the way benchmarks/worker.py makes it
+        compressed = maskcodec.pack(SelectionMask(np.array([1, 0, 1], dtype=np.uint8)))
+        frame = protocol.FirstTokenFrame(token="a", mask=compressed, max_tokens=2)
+        stream = b"".join([
+            protocol.encode_first_frame(frame),
+            protocol.encode_stream_event(protocol.StreamEvent(index=1, token="b")),
+            protocol.encode_done(),
+        ])
+        items = protocol.SseDecoder().feed(stream)
+        maskcodec.unpack(items[0].mask)
+    finally:
+        traced.uninstall()
+    assert traced.absent == []
+    fired = {span[0] for span in traced.spans} | set(traced.counters)
+    never = {h.name for h in sites} - fired
+    # EventLoop has no caller: the simulated path runs no scheduler
+    assert never == {"pdsim.eventloop.EventLoop.run", "pdsim.eventloop.EventLoop.schedule_at"}

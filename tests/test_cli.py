@@ -171,6 +171,12 @@ class TestMalformedConfig:
             (_set("batch", "slots", 10**20), "config.batch.slots"),
             (_set("workload", "output_max", 10**20), "config.workload.output_max"),
             (_set("workload", "prompt_lengths", {str(10**20): 1.0}), f"config.workload.prompt_lengths.{10**20}"),
+            # empty tables, a mix key that names no device class, and an empty output range
+            (_set("timing", "device_classes", {}), "config.timing.device_classes"),
+            (_set("scenes", {}), "config.scenes"),
+            (_set("buckets", []), "config.buckets"),
+            (_set("workload", "device_mix", {"phone": 0.5, "watch": 0.5}), "config.workload.device_mix.watch"),
+            (_set("workload", "output_max", 59), "config.workload.output_max"),
         ],
     )
     def test_ends_in_one_error_line_with_exit_code_2(self, tmp_path, config_path, capsys, mutate, key_path):
@@ -341,6 +347,17 @@ class TestRefineCommand:
         write_weight_dump(dump, [np.full((4, prompt.content_tokens), 0.25)], hidden=8)
         message = self.refine_exit(tmp_path, prompt_text, dump.read_bytes())
         assert message == "weight dump covers 5 keys; prompt has 7 tokens"
+
+    @pytest.mark.parametrize("extra", [-4, 4], ids=["short", "long"])
+    def test_a_dump_whose_length_disagrees_with_its_header(self, tmp_path, extra):
+        prompt_text = json.dumps({"prefix": "sys", "content": "alpha beta. gamma.", "suffix": "q"})
+        prompt = TokenizedPrompt.from_text("sys", "alpha beta. gamma.", "q")
+        dump = tmp_path / "dump.bin"
+        write_weight_dump(dump, [np.full((4, prompt.total_tokens), 0.25)], hidden=8)
+        whole = dump.read_bytes()
+        weights = whole[:extra] if extra < 0 else whole + bytes(extra)
+        message = self.refine_exit(tmp_path, prompt_text, weights)
+        assert message.endswith(f": weight dump is {len(weights)} bytes, expected {len(whole)}")
 
     @pytest.mark.parametrize("ratio", ["0", "-0.5", "1.5", "nan"])
     def test_ratio_outside_unit_interval(self, tmp_path, ratio):

@@ -142,6 +142,7 @@ class TestFirstFrameCodec:
         [
             # without "first_token" the body is not recognised as a first frame
             (b'data: {"mask_b64":"AAAAAHjaAwAAAAAB","L":5}\n\n', "neither a first frame"),
+            (b'data: {"first_token":5,"mask_b64":"AAAAAHjaAwAAAAAB","L":5}\n\n', "first_token"),
             (b'data: {"first_token":"x","L":5}\n\n', "mask_b64"),
             (b'data: {"first_token":"x","mask_b64":"AAAAAHjaAwAAAAAB"}\n\n', "L"),
             (b'data: {"first_token":"x","mask_b64":"AAAAAHjaAwAAAAAB","L":-1}\n\n', "L"),

@@ -12,6 +12,7 @@ from helpers import (
     reference_select_sentences,
     reference_sentence_order,
     reference_split_sentences,
+    sentence_labels,
     synthetic_prompt,
     synthetic_texts,
 )
@@ -47,7 +48,6 @@ class TestTokenizer:
         prompt = TokenizedPrompt.from_text("sys", "Aa bb. Cc dd!", "q?")
         assert prompt == TokenizedPrompt(prefix_tokens=1, sentence_sizes=(3, 3), suffix_tokens=2)
         assert prompt.content_tokens == 6
-        assert prompt.sentence_ids == (0, 0, 0, 1, 1, 1)
         assert prompt.total_tokens == 9
         assert prompt.content_span == slice(1, 7)
 
@@ -157,7 +157,7 @@ class TestSelectSentences:
         prompt, scores = equal_sentence_prompt([9, 1, 5, 3])
         mask = select_sentences(prompt, scores, 0.5)
         span = prompt.content_span
-        ids = np.asarray(prompt.sentence_ids)
+        ids = sentence_labels(prompt)
         kept = {int(s) for s in ids[mask.bits[span] == 1]}
         assert kept == {0, 2}
         prefix, content, suffix = equal_sentence_texts(4)
@@ -172,7 +172,7 @@ class TestSelectSentences:
             prompt, scores = equal_sentence_prompt(sentence_scores)
             ratio = rng.randint(1, 100) / 100.0
             mask = select_sentences(prompt, scores, ratio)
-            ids = np.asarray(prompt.sentence_ids)
+            ids = sentence_labels(prompt)
             span = prompt.content_span
             kept = {int(s) for s in ids[mask.bits[span] == 1]}
             budget = math.ceil(ratio * prompt.content_tokens)
@@ -196,12 +196,12 @@ class TestSelectSentences:
             ratio = rng.randint(1, 100) / 100.0
             mask = select_sentences(prompt, scores, ratio)
             span = prompt.content_span
-            ids = np.asarray(prompt.sentence_ids)
+            ids = sentence_labels(prompt)
             content_bits = mask.bits[span]
             # prefix/suffix always kept
             assert mask.bits[: span.start].all() and mask.bits[span.stop :].all()
             # no partially selected sentence
-            for sid in set(prompt.sentence_ids):
+            for sid in set(ids.tolist()):
                 sentence_bits = content_bits[ids == sid]
                 assert sentence_bits.all() or not sentence_bits.any()
             # selected count lands in [budget, budget + longest sentence)
@@ -260,7 +260,7 @@ class TestRefinedText:
             prompt_device = TokenizedPrompt.from_text(*rejoined)
             assert prompt_device == prompt_cloud
             assert refined_text(*rejoined, mask) == refined_text(*texts, mask)
-            ids = np.asarray(prompt_cloud.sentence_ids)
+            ids = sentence_labels(prompt_cloud)
             kept = set(ids[mask.bits[prompt_cloud.content_span] == 1].tolist())
             body = [t for t, sid in zip(tokenize(texts[1]), ids) if sid in kept]
             assert refined_text(*texts, mask) == tokenize(texts[0]) + body + tokenize(texts[2])
@@ -331,9 +331,9 @@ def scored_prompts(draw):
     """A tokenized prompt with scores; half the draws force ties with exact per-sentence values."""
     prompt = TokenizedPrompt.from_text("sys tokens", draw(prompt_text), "q ?")
     if draw(st.booleans()):
-        n_sentences = prompt.sentence_ids[-1] + 1 if prompt.sentence_ids else 0
+        n_sentences = len(prompt.sentence_sizes)
         levels = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=n_sentences, max_size=n_sentences))
-        values = [levels[sid] for sid in prompt.sentence_ids]
+        values = [levels[sid] for sid in sentence_labels(prompt).tolist()]
     else:
         n = prompt.content_tokens
         values = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
@@ -354,7 +354,7 @@ class TestMatchesLoopReference:
         assert (prompt.prefix_tokens, prompt.content_tokens, prompt.suffix_tokens) == (
             len(ref_prefix), len(ref_content), len(ref_suffix)
         )
-        assert prompt.sentence_ids == ref_ids
+        assert tuple(sentence_labels(prompt).tolist()) == ref_ids
 
     @settings(max_examples=200, deadline=None)
     @given(scored_prompts(), st.floats(0.0, 1.0, exclude_min=True))
