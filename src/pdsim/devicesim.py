@@ -208,11 +208,10 @@ def run_session(
     timeline.setflags(write=False)  # the trace keeps a view of it
 
     # decodes within the window, one position at a time, each deciding its
-    # correction under either policy; a cloud-EOT show, the frame's
-    # included, stops the first decode after its instant. The device's own
-    # EOT ends decoding unless a decode meets an effective EOT first.
+    # correction under either policy; a cloud-EOT show, the frame's included,
+    # stops the first decode after its instant, and an effective EOT stops
+    # decoding. Without such a show the continuation ends at the device's EOT.
     corrections = 0
-    device_eot_position = device_source.total_tokens
     own: dict[int, str] = {}
     at = timeline[: cloud_last + 1].tolist()
     for k in range(2, cloud_last + 2):
@@ -231,7 +230,6 @@ def run_session(
                 shows[k - 1] = (when, k, raw)  # no retroactive edits: only this position changes
                 corrections += 1
         if effective == EOT_TOKEN:
-            device_eot_position = k
             break
 
     # once the window is shown in full, the device shows its own tokens up to its EOT
@@ -241,7 +239,7 @@ def run_session(
         begin = shows[-1][0]
         if cloud_last < budget:
             begin = max(begin, done)
-        continuation = timeline[window_end : device_eot_position - 1]
+        continuation = timeline[window_end : device_source.total_tokens - 1]
 
     common = 0
     for position in range(1, min(cloud_last, device_source.total_tokens) + 1):

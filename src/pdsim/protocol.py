@@ -4,9 +4,9 @@ Every payload rides in an SSE-style frame ``data: <body>\\n\\n``. The first
 response frame piggybacks the selection mask and the assisted-token budget
 next to the first token; each following frame carries one decode token; a
 literal ``[DONE]`` frame closes the stream and is the only end-of-stream
-marker; ``devicesim.run_session`` refuses any item after it. ``SseDecoder``
-is the one decoder for response frames: it parses each frame body once,
-whole or split across receive chunks.
+marker; ``devicesim.run_session`` refuses any item after it. Every count on
+the wire (an event's ``"i"``, a first frame's ``"L"``) is an int in
+[1, 10**18), so it has at most 18 digits.
 
 Canonical bodies are compact JSON with pinned key order, so encoders are
 byte-deterministic. The event and first-frame encoders format their frames
@@ -14,22 +14,22 @@ directly, yet give the same bytes as compact ``json.dumps(...,
 ensure_ascii=False)`` of the same body (an oracle test checks this): strings
 go through ``json.encoder.encode_basestring``, the routine ``json.dumps``
 itself uses, and the constructors admit only plain ints (no bools), for
-which ``%d`` and ``json.dumps`` agree. Decoding costs time linear in the
-bytes fed, however they are chunked: ``SseDecoder`` searches each feed's new
-bytes once for the last frame terminator and trims its buffer once per feed.
+which ``%d`` and ``json.dumps`` agree.
 
-Events in the form the encoder writes (``"i"`` of at most 18 digits, so
-below 2**63, then ``"token"``, no whitespace) are decoded a run at a time.
-At each frame start one precompiled bytes match checks the longest run of
-whole such frames whose tokens are well-formed UTF-8. It stops at the end of
-the last terminator fed so far, so a partial frame is never scanned, and a
-token that is not UTF-8 cuts the run before its frame. Only a checked run is
-taken apart: one ``findall`` yields its indices and token bodies, the bodies
-are decoded as UTF-8 in one call, and a token with escapes goes through
-``json.decoder.scanstring``, the routine ``json.loads`` itself uses. So only
-frames that are delivered are built. First frames, ``[DONE]``, every other
-body and every error take the general path one frame at a time, so each
-error message comes from one place.
+``SseDecoder`` is the one decoder for response frames, whole or split across
+receive chunks; it parses each frame body once and reads each frame kind one
+way. An event is read only in the form ``encode_stream_event`` writes, a run
+at a time: at each frame start one precompiled bytes match checks the longest
+run of whole such frames whose tokens are well-formed UTF-8, up to the end of
+the last terminator fed so far, so a partial frame is never scanned. Only a
+checked run is taken apart: one ``findall`` yields its indices and token
+bodies, the bodies are decoded as UTF-8 in one call, and a token with escapes
+goes through ``json.decoder.scanstring``, the routine ``json.loads`` itself
+uses. A first frame is read by ``json.loads``, so its errors name the field;
+``[DONE]`` is read as its literal bytes; any other body raises. Decoding
+costs time linear in the bytes fed, however they are chunked: each feed's
+new bytes are searched once for the last frame terminator and the buffer is
+trimmed once per feed.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ _EVENT_FRAME = FRAME_PREFIX + b'{"i":%d,"token":%b}' + FRAME_SUFFIX
 _DONE_FRAME = FRAME_PREFIX + DONE_BODY + FRAME_SUFFIX
 
 # the longest run of whole event frames as _EVENT_FRAME writes them: an index of
-# at most 18 digits (below 2**63), and a token that is one JSON string body of
-# well-formed UTF-8, the byte sequences bytes.decode("utf-8") accepts
+# 1-18 digits (below 10**18, the bound on every count), and a token that is one
+# JSON string body of well-formed UTF-8, the byte sequences bytes.decode("utf-8") accepts
 _EVENT_RUN_RE = re.compile(
     rb'(?:data: \{"i":[1-9][0-9]{0,17},"token":"'
     rb'[^"\\\x00-\x1f\x80-\xff]*'
@@ -72,7 +72,8 @@ _RUN_EVENT_RE = re.compile(rb'"i":([0-9]+),"token":"([^\n]*)"\}\n\n')
 
 
 class ProtocolError(Exception):
-    """Malformed response frame; the message names the offending field."""
+    """Malformed response frame. A first frame's message names the offending field; an event is read
+    only in the encoder's form, and a count on the wire has at most 18 digits."""
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,8 @@ class FirstTokenFrame:
     """First token plus piggybacked mask and budget.
 
     ``max_tokens`` mirrors the wire field ``L``: total tokens the cloud will
-    produce at most, counting this one, so at least 1.
+    produce at most, counting this one, so at least 1, and below 10**18 as
+    every count on the wire.
     """
 
     token: str
@@ -88,20 +90,20 @@ class FirstTokenFrame:
     max_tokens: int
 
     def __post_init__(self) -> None:
-        if type(self.max_tokens) is not int or self.max_tokens < 1:
-            raise ValueError("max_tokens must be an int >= 1")
+        if type(self.max_tokens) is not int or not 1 <= self.max_tokens < 10**18:
+            raise ValueError("max_tokens must be an int in [1, 10**18)")
 
 
 @dataclass(frozen=True, slots=True)
 class StreamEvent:
-    """One decode token; index 1 is the first token after the piggyback frame."""
+    """One decode token; index 1 is the first token after the piggyback frame, and every index is below 10**18."""
 
     index: int
     token: str
 
     def __post_init__(self) -> None:
-        if type(self.index) is not int or self.index < 1:
-            raise ValueError("stream event indices are ints starting at 1")
+        if type(self.index) is not int or not 1 <= self.index < 10**18:
+            raise ValueError("stream event indices are ints in [1, 10**18)")
 
 
 class DoneMarker:
@@ -166,34 +168,23 @@ def _parse_first_json(obj: dict) -> FirstTokenFrame:
     if not isinstance(mask_b64, str):
         raise ProtocolError("field 'mask_b64' missing or not a string")
     budget = obj.get("L")
-    if type(budget) is not int or budget < 1:
-        raise ProtocolError("field 'L' missing or not a positive integer")
+    if type(budget) is not int or not 1 <= budget < 10**18:
+        raise ProtocolError("field 'L' missing or not a positive integer below 10**18")
     return FirstTokenFrame(token=token, mask=_decode_mask_b64(mask_b64), max_tokens=budget)
-
-
-def _parse_event_json(obj: dict) -> StreamEvent:
-    index = obj.get("i")
-    if type(index) is not int or index < 1:
-        raise ProtocolError("field 'i' missing or not a positive integer")
-    token = obj.get("token")
-    if not isinstance(token, str):
-        raise ProtocolError("field 'token' missing or not a string")
-    return StreamEvent(index=index, token=token)
 
 
 class SseDecoder:
     """Incremental frame decoder over a byte stream. Single-owner, stateful.
 
-    ``feed`` returns the items completed so far. At each frame start one
-    match checks the longest run of whole frames in the encoder's event form,
-    up to the end of the last terminator fed so far; a token that is not
-    UTF-8 cuts the run. The checked run is then taken apart in one pass and
-    each of its events built once. Any other frame goes through
-    ``json.loads`` on its own. A malformed frame raises ProtocolError after
-    the frame has been consumed, so feeding can simply continue; items parsed
-    before the error are delivered by the next call. Each feed's new bytes
-    are searched once for the last terminator and the buffer is trimmed once
-    per feed, so decoding costs time linear in the bytes fed.
+    ``feed`` returns the items completed so far. An event is read only in
+    the encoder's form, by the run match at a frame start, and a first frame
+    by ``json.loads``, so its errors name the field; ``[DONE]`` is read as
+    its bytes. Any other frame, and any count of 19 or more digits, raises
+    ProtocolError after the frame has been consumed, so feeding can simply
+    continue; items parsed before the error are delivered by the next call.
+    Each feed's new bytes are searched once for the last terminator and the
+    buffer is trimmed once per feed, so decoding costs time linear in the
+    bytes fed.
     """
 
     def __init__(self) -> None:
@@ -252,6 +243,4 @@ class SseDecoder:
         obj = _parse_json(body)
         if "first_token" in obj:
             return _parse_first_json(obj)
-        if "i" in obj:
-            return _parse_event_json(obj)
-        raise ProtocolError("frame body is neither a first frame, an event, nor [DONE]")
+        raise ProtocolError("frame body is neither a first frame, an event as encode_stream_event writes it, nor [DONE]")

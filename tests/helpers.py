@@ -6,6 +6,7 @@ import base64
 import json
 import math
 import random
+import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -164,10 +165,16 @@ def reference_encode_first_frame(frame: FirstTokenFrame) -> bytes:
 
 # --- reference frame decoder: every frame body through json.loads ---------------
 
+# an event body as encode_stream_event writes it: an index of 1-18 digits without a leading zero, then one
+# JSON string, which json.loads judges
+_EVENT_BODY = re.compile(rb'\{"i":[1-9][0-9]{0,17},"token":"(?:[^"\\]|\\.)*"\}', re.DOTALL)
+
 
 class ReferenceSseDecoder:
     """The per-frame JSON reference for SseDecoder, without its run path: each frame is found on its own and
-    each non-[DONE] body goes through ``protocol._parse_json``."""
+    each non-[DONE] body goes through ``protocol._parse_json``. A body is an event when it fullmatches
+    ``_EVENT_BODY`` and ``json.loads`` reads it; its index and token are then the ones json.loads reads. Any
+    other body must be a first frame, which ``protocol._parse_first_json`` judges."""
 
     def __init__(self) -> None:
         self._buf = bytearray()
@@ -209,11 +216,11 @@ class ReferenceSseDecoder:
         if body == protocol.DONE_BODY:
             return protocol.DONE
         obj = protocol._parse_json(body)
+        if _EVENT_BODY.fullmatch(body):
+            return StreamEvent(index=obj["i"], token=obj["token"])
         if "first_token" in obj:
             return protocol._parse_first_json(obj)
-        if "i" in obj:
-            return protocol._parse_event_json(obj)
-        raise ProtocolError("frame body is neither a first frame, an event, nor [DONE]")
+        raise ProtocolError("frame body is neither a first frame, an event as encode_stream_event writes it, nor [DONE]")
 
 
 # --- reference refiner: the loop forms the vectorised refiner must match -------

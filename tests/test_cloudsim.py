@@ -212,5 +212,7 @@ class TestThroughput:
             run_throughput(BatchModel(slots=1, completions=10), [0.0])
         with pytest.raises(ValueError):
             BatchModel(slots=0)
+        with pytest.raises(ValueError, match="completions must be >= 1"):
+            BatchModel(slots=1, completions=0)
         with pytest.raises(ValueError):
             BatchModel(slots=1, mode="poisson")

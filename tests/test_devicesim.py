@@ -532,3 +532,12 @@ class TestScrub:
         text = "secret42 phone 98765432109 end"
         once = scrub(text, rules)
         assert scrub(once, rules) == once
+
+
+class TestEventLoop:
+    """The scheduler the reference session and the reference throughput simulator run on."""
+
+    def test_an_event_loop_refuses_the_past(self):
+        loop = EventLoop(start_ms=5.0)
+        with pytest.raises(ValueError, match="cannot schedule in the past"):
+            loop.schedule_at(4.0, lambda: None)

@@ -213,6 +213,11 @@ class TestWorkloadSynthesis:
             count = len(tokenize(prefix)) + len(tokenize(content)) + len(tokenize(suffix))
             assert count == total
 
+    @pytest.mark.parametrize("total", [4, 5], ids=["no-content", "one-content-token"])
+    def test_a_prompt_needs_two_content_tokens(self, total):
+        with pytest.raises(ValueError, match="prompt too short"):
+            synthesize_prompt(random.Random(0), total, 2, 2)
+
     def test_no_prefix_or_suffix(self):
         rng = random.Random(1)
         prefix, content, suffix = render_prompt(rng, 500, 0, 0)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from helpers import brute_force_plan, feasible_by_substitution, random_planner_instance
 
 from pdsim.harness import default_config, write_plans
-from pdsim.planner import PlanConstraints, build_plan_table, l_bounds, solve_plan
+from pdsim.planner import Plan, PlanConstraints, build_plan_table, l_bounds, solve_plan
 from pdsim.timing import RTT_CLASSES, AffineCost, RttClass, TimingModel, prefill_device, smoothed_tpot, ttft_cloud, ttft_device
 
 
@@ -28,6 +28,25 @@ class TestRatioJudgedBySubstitution:
     def test_rejects_nonpositive_length(self, calibrated_model):
         with pytest.raises(ValueError):
             solve_plan(calibrated_model, PlanConstraints(0.6, 100.0), 0)
+
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda model: PlanConstraints(-0.01, 100.0), r"min_ratio must be in \[0, 1\]"),
+            (lambda model: PlanConstraints(1.01, 100.0), r"min_ratio must be in \[0, 1\]"),
+            (lambda model: PlanConstraints(0.25, 0.0), "max_tpot_ms must be positive"),
+            (lambda model: solve_plan(model, PlanConstraints(0.25, 100.0), 8000, max_tokens=0), "max_tokens must be >= 1"),
+            (lambda model: Plan(ratio=1.5, max_tokens=5, feasible=True, achieved_tpot_smooth=50.0),
+             r"ratio must be in \[0, 1\]"),
+            (lambda model: l_bounds(model, PlanConstraints(0.25, 100.0), 8000, 0.0, 950.0, 7000.0),
+             r"ratio must be in \(0, 1\]"),
+        ],
+        ids=["min-ratio-negative", "min-ratio-above-one", "max-tpot-zero", "pinned-budget-zero", "plan-ratio-above-one",
+             "bounds-ratio-zero"],
+    )
+    def test_out_of_range_inputs_are_rejected(self, calibrated_model, build, match):
+        with pytest.raises(ValueError, match=match):
+            build(calibrated_model)
 
     def test_a_ratio_on_the_boundary_is_judged_as_by_substitution(self):
         # 10 + 80 + 10 <= 100 holds with equality; a quotient bound, 1 - (0.1 + 80 / 100) / 1.0, rounds below 0.1

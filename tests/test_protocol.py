@@ -68,8 +68,8 @@ class TestReferenceEncoders:
     """Direct frame formatting gives the bytes of compact ``json.dumps``."""
 
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(1, 2**63), st.text())
-    @example(2**63, _HARD_TOKEN)
+    @given(st.integers(1, 10**18 - 1), st.text())
+    @example(10**18 - 1, _HARD_TOKEN)
     def test_stream_event_matches_json_dumps(self, index, token):
         event = StreamEvent(index=index, token=token)
         data = encode_stream_event(event)
@@ -77,8 +77,8 @@ class TestReferenceEncoders:
         assert SseDecoder().feed(data) == [event]
 
     @settings(max_examples=200, deadline=None)
-    @given(st.text(), st.lists(st.integers(0, 1), max_size=200), st.integers(1, 2**63))
-    @example(_HARD_TOKEN, [1, 0, 1], 2**63)
+    @given(st.text(), st.lists(st.integers(0, 1), max_size=200), st.integers(1, 10**18 - 1))
+    @example(_HARD_TOKEN, [1, 0, 1], 10**18 - 1)
     def test_first_frame_matches_json_dumps(self, token, bits, budget):
         frame = FirstTokenFrame(token=token, mask=pack(SelectionMask(bits)), max_tokens=budget)
         data = encode_first_frame(frame)
@@ -115,11 +115,15 @@ class TestReferenceEncoders:
             lambda: FirstTokenFrame(token="x", mask=pack(SelectionMask([1])), max_tokens=False),
             lambda: FirstTokenFrame(token="x", mask=pack(SelectionMask([1])), max_tokens=3.0),
             lambda: FirstTokenFrame(token="x", mask=pack(SelectionMask([1])), max_tokens=0),
+            lambda: StreamEvent(index=10**18, token="x"),
+            lambda: FirstTokenFrame(token="x", mask=pack(SelectionMask([1])), max_tokens=10**18),
         ],
-        ids=["index-true", "index-float", "budget-true", "budget-false", "budget-float", "budget-zero"],
+        ids=["index-true", "index-float", "budget-true", "budget-false", "budget-float", "budget-zero",
+             "index-19-digits", "budget-19-digits"],
     )
     def test_non_int_counts_are_rejected_at_construction(self, build):
-        # the decoder rejects "i":true, "L":true and "L":0, so no frame that builds may encode to them
+        # the decoder rejects "i":true, "L":true, "L":0 and counts of 19 digits, so no frame that builds
+        # may encode to them
         with pytest.raises(ValueError):
             build()
 
@@ -156,6 +160,15 @@ class TestFirstFrameCodec:
         with pytest.raises(ProtocolError, match=field):
             SseDecoder().feed(body)
 
+    @pytest.mark.parametrize("budget", [10**18, 10**400], ids=["19-digits", "401-digits"])
+    def test_budget_of_19_or_more_digits_is_one_error_naming_l(self, budget):
+        # a budget that float() cannot hold would fail run_session's smoothed_tpot with OverflowError
+        body = b'{"first_token":"x","mask_b64":"AAAAAHjaAwAAAAAB","L":%d}' % budget
+        outcomes = decode_outcomes(SseDecoder(), sse_frame(body) + encode_done(), [])
+        errors = [o for o in outcomes if isinstance(o, tuple)]
+        assert errors == [(ProtocolError, "field 'L' missing or not a positive integer below 10**18")]
+        assert decoded(outcomes) == [DONE]
+
     def test_framing_errors(self):
         with pytest.raises(ProtocolError, match="data: "):
             SseDecoder().feed(b'{"first_token":"x"}\n\n')
@@ -173,7 +186,7 @@ class TestStreamEventCodec:
     def test_index_must_be_positive(self):
         with pytest.raises(ValueError):
             StreamEvent(index=0, token="x")
-        with pytest.raises(ProtocolError, match="'i'"):
+        with pytest.raises(ProtocolError, match="an event as encode_stream_event writes it"):
             SseDecoder().feed(b'data: {"i":0,"token":"x"}\n\n')
 
     def test_trailing_garbage_rejected(self):
@@ -277,20 +290,17 @@ class TestSseDecoder:
         decoder = SseDecoder()
         assert [item for k in range(len(data)) for item in decoder.feed(data[k : k + 1])] == events
         assert calls == []
+        # an event is read only in the encoder's form: any other body is parsed once, then raises
         non_canonical = [
-            (b'{"i": 1, "token": "x"}', StreamEvent(index=1, token="x")),
-            (b'{"token":"x","i":1}', StreamEvent(index=1, token="x")),
-            (b'{"i":%d,"token":"x"}' % 10**18, StreamEvent(index=10**18, token="x")),  # 19 digits
-            (b'{"i":01,"token":"x"}', None),  # leading zero: not JSON
+            (b'{"i": 1, "token": "x"}', "neither a first frame"),
+            (b'{"token":"x","i":1}', "neither a first frame"),
+            (b'{"i":%d,"token":"x"}' % 10**18, "neither a first frame"),  # 19 digits
+            (b'{"i":01,"token":"x"}', "JSON"),  # leading zero: not JSON
         ]
-        for body, event in non_canonical:
+        for body, message in non_canonical:
             calls.clear()
-            decoder = SseDecoder()
-            if event is None:
-                with pytest.raises(ProtocolError, match="JSON"):
-                    decoder.feed(sse_frame(body))
-            else:
-                assert decoder.feed(sse_frame(body)) == [event]
+            with pytest.raises(ProtocolError, match=message):
+                SseDecoder().feed(sse_frame(body))
             assert len(calls) == 1, body
 
     @pytest.mark.parametrize("body", _HOSTILE_BODIES, ids=_HOSTILE_IDS)
@@ -361,7 +371,7 @@ _RUN_EDGES = {
     "e-acute-middle": (_run_with(3, _event(3, '"na\u00efve \u00e9"'.encode())), False),
     "e-acute-escaped-middle": (_run_with(3, _event(3, b'"\\u00e9"')), False),
     "surrogate-pair-middle": (_run_with(3, _event(3, b'"\\ud83d\\ude00"')), False),
-    "19-digit-index": (_run_with(3, _event(10**18, b'"x"')), False),
+    "19-digit-index": (_run_with(3, _event(10**18, b'"x"')), True),
     "leading-zero-index": (_run_with(3, sse_frame(b'{"i":03,"token":"x"}')), True),
     "first-frame": (_run_with(3, encode_first_frame(FirstTokenFrame(token="x", mask=pack(SelectionMask([1])), max_tokens=2))), False),
     "done": (_run_with(3, encode_done()), False),
@@ -402,7 +412,7 @@ class TestRunEdges:
 _SURROGATES = st.integers(0xD800, 0xDFFF).map(chr)
 # lone surrogates can only reach the wire as \u escapes, which json.dumps writes
 _TOKENS = st.lists(st.one_of(st.text(max_size=8), _SURROGATES), max_size=4).map("".join)
-_INDICES = st.one_of(st.integers(1, 2**63), st.integers(2**63, 10**40), st.integers(-2, 0))
+_INDICES = st.one_of(st.integers(1, 10**18 - 1), st.integers(10**18, 10**40), st.integers(-2, 0))
 _EVENT_TEMPLATES = (
     b'{"i":%(i)d,"token":%(t)b}',  # the canonical form
     b'{"i": %(i)d, "token": %(t)b}',
@@ -436,7 +446,7 @@ _FIRST_FRAMES = st.builds(
     ),
     st.text(max_size=8),
     st.lists(st.integers(0, 1), max_size=40),
-    st.integers(1, 2**63),
+    st.integers(1, 10**18 - 1),
 )
 _FRAMES = st.one_of(
     _event_frames(), _FIRST_FRAMES, st.just(encode_done()), st.binary(max_size=24).map(sse_frame), st.binary(max_size=24)
@@ -460,8 +470,8 @@ class TestReferenceDecoder:
         assert raised(ours) <= {ProtocolError}
 
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(1, 2**63), _TOKENS, st.booleans())
-    @example(2**63, "\ud83d\ude00\ud800", False)
+    @given(st.integers(1, 10**18 - 1), _TOKENS, st.booleans())
+    @example(10**18 - 1, "\ud83d\ude00\ud800", False)
     @example(10**18 - 1, _HARD_TOKEN, True)
     def test_event_in_canonical_key_order_decodes_exactly(self, index, token, ascii_escapes):
         token_json = _token_json(token, ascii_escapes)

@@ -127,6 +127,21 @@ class TestScoreTokens:
         with pytest.raises(ValueError):
             score_tokens([], window=1, kernel=1, content_span=slice(0, 0))
 
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda: TokenScores(np.array([1.0, math.nan])), "finite 1-D"),
+            (lambda: TokenScores(np.ones((2, 2))), "finite 1-D"),
+            (lambda: score_tokens([np.ones((1, 2))], window=0, kernel=1, content_span=slice(0, 2)), "window must be >= 1"),
+            (lambda: score_tokens([np.ones((1, 2)), np.ones((1, 3))], window=1, kernel=1, content_span=slice(0, 2)),
+             "share the key dimension"),
+        ],
+        ids=["nan-score", "2d-scores", "window-zero", "heads-of-different-key-counts"],
+    )
+    def test_malformed_scores_rejected(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
+
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError):
             max_pool_1d(np.ones(4), 2)

@@ -55,6 +55,10 @@ class TestTtftCloud:
         with pytest.raises(ValueError):
             ttft_cloud(calibrated_model, 0, 50.0)
 
+    def test_rejects_negative_rtt(self, calibrated_model):
+        with pytest.raises(ValueError, match="rtt_ms must be nonnegative"):
+            ttft_cloud(calibrated_model, 8000, -1.0)
+
 
 class TestTtftDevice:
     def test_worked_example(self, calibrated_model):
@@ -88,6 +92,11 @@ class TestSmoothedTpot:
     def test_single_token_is_undefined(self, calibrated_model):
         with pytest.raises(ValueError, match="need at least 2 assisted tokens, got 1"):
             smoothed_tpot(calibrated_model, 2000.0, 500.0, 1)
+
+    @pytest.mark.parametrize("prefill, ttft", [(-1.0, 500.0), (2000.0, -1.0)], ids=["prefill", "ttft"])
+    def test_negative_latency_rejected(self, calibrated_model, prefill, ttft):
+        with pytest.raises(ValueError, match="latencies must be nonnegative"):
+            smoothed_tpot(calibrated_model, prefill, ttft, 9)
 
     def test_strictly_decreasing_toward_device_pace(self, calibrated_model):
         paces = [smoothed_tpot(calibrated_model, 5000.0, 800.0, budget) for budget in range(2, 200)]
