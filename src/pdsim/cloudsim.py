@@ -11,6 +11,7 @@ scores and the ratio, so a caller makes it once per request and ratio.
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import itertools
 import random
@@ -27,25 +28,107 @@ from .timing import TimingModel, request_occupancy, ttft_cloud
 EOT_TOKEN = "<eot>"
 
 
-def mt_words(rng: random.Random, k: int) -> np.ndarray:
-    """The next ``k`` 32-bit Mersenne Twister outputs of ``rng``, in draw order.
+def _mt_key(seed: str) -> np.ndarray:
+    """The key ``random.Random(seed)`` passes to ``init_by_array`` for a str seed.
 
-    ``getrandbits(32 * k)`` consumes exactly ``k`` outputs and puts the first
-    in the least significant word, so the generator ends where ``k`` single
-    draws would leave it.
+    CPython reads the seed's UTF-8 bytes followed by their SHA-512 digest as
+    one big-endian integer and splits it into 32-bit words, least significant
+    first. numpy's legacy ``RandomState`` seeded with these words draws the
+    same 32-bit outputs.
     """
-    return np.frombuffer(rng.getrandbits(32 * k).to_bytes(4 * k, "little"), dtype="<u4")
+    data = seed.encode()
+    key = int.from_bytes(data + hashlib.sha512(data).digest(), "big")
+    return np.frombuffer(key.to_bytes(4 * ((key.bit_length() + 31) // 32), "little"), dtype="<u4")
 
 
-def mt_uniform(rng: random.Random, k: int) -> np.ndarray:
-    """The next ``k`` values of ``rng.random()``, bit-equal, from one bulk draw.
+class MtStream(random.Random):
+    """``random.Random(seed)`` for a str seed, its outputs drawn in bulk by numpy's MT19937.
 
-    Each ``random()`` takes two 32-bit outputs ``w0, w1`` and returns
-    ``((w0 >> 5) * 2**26 + (w1 >> 6)) * 2**-53``, which is exact in float64;
-    the generator ends where ``k`` calls would leave it.
+    A uint32 buffer holds the generator's next outputs, at least 4,096 fresh
+    ones per refill. ``random`` and ``getrandbits``, the two primitives the
+    stdlib's other methods (``choices``, ``randint``, ``expovariate``,
+    ``randrange`` ...) build on, read it the way CPython's C code reads its
+    generator, so every draw equals the same draw on ``random.Random(seed)``.
+    ``peek``, ``skip`` and ``uniform`` read it in bulk. The base class's C
+    state is never used, so ``seed``, ``getstate`` and ``setstate`` raise
+    ``TypeError``.
     """
-    words = mt_words(rng, 2 * k).reshape(-1, 2)
-    return ((words[:, 0] >> 5) * 67108864.0 + (words[:, 1] >> 6)) * (1.0 / 9007199254740992.0)
+
+    _REFILL_WORDS = 4096  # the fewest fresh outputs one refill draws
+
+    def __init__(self, seed: str) -> None:
+        self._source = np.random.RandomState(_mt_key(seed))
+        self._buffer = np.empty(0, dtype=np.uint32)
+        self._words = memoryview(self._buffer)  # indexing it gives Python ints
+        self._pos = 0  # the buffer index of the next output
+        self.gauss_next = None  # set by random.Random.seed, read by gauss
+
+    def seed(self, *args, **kwargs):
+        raise TypeError("an MtStream is seeded once, by its constructor")
+
+    def getstate(self):
+        raise TypeError("an MtStream has no random.Random state")
+
+    def setstate(self, state):
+        raise TypeError("an MtStream has no random.Random state")
+
+    def _unread(self, k: int) -> int:
+        """The buffer index of the next output, with at least ``k`` outputs buffered from it."""
+        if k < 0:
+            raise ValueError("cannot draw a negative number of outputs")
+        if len(self._buffer) - self._pos < k:
+            self._refill(k)
+        return self._pos
+
+    def _refill(self, k: int) -> None:
+        left = self._buffer[self._pos:]
+        fresh = self._source.randint(0, 1 << 32, size=max(self._REFILL_WORDS, k - len(left)), dtype=np.uint32)
+        # a new array, so views that peek handed out keep their outputs
+        self._buffer = np.concatenate((left, fresh))
+        self._buffer.flags.writeable = False
+        self._words = memoryview(self._buffer)
+        self._pos = 0
+
+    def peek(self, k: int) -> np.ndarray:
+        """The next ``k`` 32-bit outputs, in draw order, without consuming them (a read-only view)."""
+        pos = self._unread(k)
+        return self._buffer[pos:pos + k]
+
+    def skip(self, k: int) -> None:
+        """Consume the next ``k`` outputs."""
+        self._pos = self._unread(k) + k
+
+    def uniform(self, k: int) -> np.ndarray:
+        """The next ``k`` values of ``random()``, bit-equal, as one float64 array.
+
+        Shadows ``random.Random.uniform(a, b)``, which nothing here calls.
+        """
+        pos = self._unread(2 * k)
+        self._pos = pos + 2 * k
+        words = self._buffer[pos:pos + 2 * k]
+        return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (1.0 / 9007199254740992.0)
+
+    def random(self) -> float:
+        """Two outputs ``w0, w1`` give ``((w0 >> 5) * 2**26 + (w1 >> 6)) * 2**-53``, exact in float64."""
+        pos = self._unread(2)
+        self._pos = pos + 2
+        words = self._words
+        return ((words[pos] >> 5) * 67108864.0 + (words[pos + 1] >> 6)) * (1.0 / 9007199254740992.0)
+
+    def getrandbits(self, k: int) -> int:
+        """``k`` bits from ``ceil(k / 32)`` outputs: the first is the least significant word, the last keeps its top bits."""
+        if k < 0:
+            raise ValueError("number of bits must be non-negative")
+        if k == 0:
+            return 0
+        n = (k + 31) // 32
+        pos = self._unread(n)
+        self._pos = pos + n
+        if n == 1:
+            return self._words[pos] >> (32 - k)
+        words = self._buffer[pos:pos + n].astype("<u4")  # a copy, little-endian
+        words[-1] >>= 32 * n - k
+        return int.from_bytes(words.tobytes(), "little")
 
 
 @dataclass(frozen=True)
@@ -91,12 +174,21 @@ class CloudTrace:
         return [(self.frame_time_ms, self.frame), *self.events, (self.done_time_ms, DONE)]
 
 
+# One generator, reseeded at the start of every score draw, so no state
+# carries from one draw to the next. Constructing a RandomState costs about
+# 120 µs (it first seeds itself through SeedSequence.generate_state(624)),
+# more than a whole 2k-token draw; reseeding costs about 17 µs.
+_SCORES = np.random.RandomState()
+
+
 def uniform_scores(prompt: TokenizedPrompt, seed: int | str) -> TokenScores:
     """Synthetic stand-in for attention-derived scores, deterministic per seed.
 
-    Score i is bit-equal to the i-th ``random()`` of ``random.Random(f"scores:{seed}")``.
+    Score i is bit-equal to the i-th ``random()`` of ``random.Random(f"scores:{seed}")``:
+    numpy's legacy MT19937, seeded with that generator's key, draws them in one call.
     """
-    return TokenScores(mt_uniform(random.Random(f"scores:{seed}"), prompt.content_tokens))
+    _SCORES.seed(_mt_key(f"scores:{seed}"))
+    return TokenScores(_SCORES.random_sample(prompt.content_tokens))
 
 
 def refine(prompt: TokenizedPrompt, scores: TokenScores, ratio: float) -> CompressedMask:

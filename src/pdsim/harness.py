@@ -59,7 +59,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import cloudsim
-from .cloudsim import BatchModel, TokenSource, mt_uniform, mt_words, run_throughput, serve_request
+from .cloudsim import BatchModel, MtStream, TokenSource, run_throughput, serve_request
 from .devicesim import CorrectionPolicy, ScrubRule, run_session, scrub
 from .planner import Plan, PlanConstraints, build_plan_table, solve_plan
 from .refiner import MAX_PROMPT_TOKENS, TokenizedPrompt
@@ -376,18 +376,20 @@ def load_config(path: str | Path) -> ExperimentConfig:
 # --- workload synthesis -------------------------------------------------------
 
 
-# Mersenne Twister outputs per prompt token in the first bulk draw: a prompt
-# consumes about 1.62 (1.64 per word, 1.28 per sentence length), so one block
-# almost always suffices; a block that runs short is redrawn twice as long.
+# Mersenne Twister outputs per prompt token in the first block peeked: a
+# prompt consumes about 1.62 (1.64 per word, 1.28 per sentence length), so one
+# block almost always suffices; a block that runs short is peeked again twice
+# as long. Outputs peeked past the prompt's last one stay in the stream's
+# buffer for the next draw.
 _DRAW_OUTPUTS_PER_TOKEN = 1.7
 _DRAW_BLOCK_WORDS = 4096  # the smallest block
 _WORD_LIMIT = 10000 << 18  # randrange(10000) keeps w >> 18 and rejects values >= 10000
 _LENGTH_LIMIT = 25 << 27  # randint(8, 32) keeps 8 + (w >> 27) and rejects w >> 27 >= 25
 
 
-def _draw_prompt(rng: random.Random, total_tokens: int, prefix_tokens: int,
+def _draw_prompt(rng: MtStream, total_tokens: int, prefix_tokens: int,
                  suffix_tokens: int) -> tuple[np.ndarray, list[int], list[int]]:
-    """Replay ``synthesize_prompt``'s draws over one bulk block of ``rng``'s outputs.
+    """Replay ``synthesize_prompt``'s draws over one block of ``rng``'s next outputs.
 
     Returns the block and each sentence's first word rank (the block's word
     outputs ranked from 0) and word count. CPython draws words and lengths
@@ -397,17 +399,16 @@ def _draw_prompt(rng: random.Random, total_tokens: int, prefix_tokens: int,
     once, so a sentence's words are consecutive ranks, and a loop hops from
     sentence to sentence: it skips to the next length output, takes the word
     count from it and continues one past the output of the sentence's last
-    word. A block that runs short is redrawn twice as long from the same
-    state. Finally ``rng`` is rewound and advanced by exactly the outputs consumed.
+    word. A block that runs short is peeked again twice as long. Finally
+    ``rng`` skips exactly the outputs consumed.
     """
     content_target = total_tokens - prefix_tokens - suffix_tokens
     if content_target < 2:
         raise ValueError("prompt too short for the requested prefix/suffix")
     head_words = prefix_tokens + max(suffix_tokens - 1, 0)
-    state = rng.getstate()
     size = max(_DRAW_BLOCK_WORDS, math.ceil(_DRAW_OUTPUTS_PER_TOKEN * total_tokens))
     while True:
-        block = mt_words(rng, size)
+        block = rng.peek(size)
         is_word = block < _WORD_LIMIT
         word_at = np.flatnonzero(is_word)  # word_at[r]: the output of the word of rank r
         # rank[q]: the rank of the first word output after q (int32 sums run about 3x faster than int64)
@@ -433,14 +434,12 @@ def _draw_prompt(rng: random.Random, total_tokens: int, prefix_tokens: int,
                 remaining -= words + 1
             break
         except IndexError:
-            rng.setstate(state)
             size *= 2
-    rng.setstate(state)
-    rng.getrandbits(32 * pos)
+    rng.skip(pos)
     return block, starts, sizes
 
 
-def synthesize_prompt(rng: random.Random, total_tokens: int, prefix_tokens: int,
+def synthesize_prompt(rng: MtStream, total_tokens: int, prefix_tokens: int,
                       suffix_tokens: int) -> tuple[int, ...]:
     """Draw a prompt of exactly total_tokens tokens as its shape: each content sentence's size.
 
@@ -449,21 +448,21 @@ def synthesize_prompt(rng: random.Random, total_tokens: int, prefix_tokens: int,
     ``TokenizedPrompt.from_text`` counts in the text ``render_prompt``
     writes from the same draws; no word value or text is made here.
 
-    Exact replay: the sizes, and the state ``rng`` is left in, equal those of
-    drawing one by one with ``rng`` the prefix words, the suffix words, then
-    per sentence a length ``randint(8, 32)`` and its words, each word
-    ``f"w{rng.randrange(10000)}"``.
+    Exact replay: the sizes, and the stream's next output, equal those of
+    drawing one by one with ``random.Random`` of the stream's seed the prefix
+    words, the suffix words, then per sentence a length ``randint(8, 32)`` and
+    its words, each word ``f"w{rng.randrange(10000)}"``.
     """
     return tuple(n + 1 for n in _draw_prompt(rng, total_tokens, prefix_tokens, suffix_tokens)[2])
 
 
-def render_prompt(rng: random.Random, total_tokens: int, prefix_tokens: int,
+def render_prompt(rng: MtStream, total_tokens: int, prefix_tokens: int,
                   suffix_tokens: int) -> tuple[str, str, str]:
     """The prompt ``synthesize_prompt`` draws as its prefix, content and suffix texts.
 
-    The same draws, replayed the same way: ``rng`` ends where
-    ``synthesize_prompt`` leaves it, and ``TokenizedPrompt.from_text`` of the
-    texts is the shape it returns.
+    The same draws, replayed the same way: the stream's next output is the
+    one ``synthesize_prompt`` leaves next, and ``TokenizedPrompt.from_text``
+    of the texts is the shape it returns.
     """
     block, starts, words = _draw_prompt(rng, total_tokens, prefix_tokens, suffix_tokens)
     text = [f"w{v}" for v in (block[block < _WORD_LIMIT] >> 18).tolist()]  # the words, by rank
@@ -493,7 +492,7 @@ class GeneratedRequest:
 
 
 def generate_workload(config: ExperimentConfig, seed: int) -> list[GeneratedRequest]:
-    rng = random.Random(f"{seed}:workload")
+    rng = MtStream(f"{seed}:workload")
     w = config.workload
     out: list[GeneratedRequest] = []
     arrival = 0.0
@@ -516,7 +515,7 @@ def generate_workload(config: ExperimentConfig, seed: int) -> list[GeneratedRequ
             if prompt.total_tokens > MAX_PROMPT_TOKENS:
                 raise ConfigError(f"config.scrub_rules: {request_id} grows past {MAX_PROMPT_TOKENS} tokens")
         # position p in 2..n-1 diverges when the next random() falls below the rate
-        flips = mt_uniform(rng, max(n - 2, 0))
+        flips = rng.uniform(max(n - 2, 0))
         divergence = frozenset((np.flatnonzero(flips < w.divergence_rate) + 2).tolist())
         out.append(
             GeneratedRequest(

@@ -10,8 +10,8 @@ from helpers import Session, reference_run_throughput, reference_uniform_scores,
 from pdsim.cloudsim import (
     EOT_TOKEN,
     BatchModel,
+    MtStream,
     TokenSource,
-    mt_uniform,
     refine,
     run_throughput,
     serve_request,
@@ -96,18 +96,65 @@ class TestUniformScores:
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-class TestMtUniform:
+# one draw, by name and argument (the sizes of the bulk draws cross the 4,096-word refill)
+_DRAWS = st.one_of(
+    st.tuples(st.sampled_from(["random", "randint", "choices", "expovariate", "randrange"]), st.none()),
+    st.tuples(st.just("getrandbits"), st.integers(0, 96)),
+    st.tuples(st.sampled_from(["uniform", "peek"]), st.integers(0, 2500) | st.integers(4000, 5000)),
+)
+
+
+def draw(rng: random.Random, name: str, k: int | None):
+    """One draw from ``rng``: an ``MtStream`` makes the bulk ones in bulk, a ``random.Random`` one output at a time."""
+    bulk = isinstance(rng, MtStream)
+    if name == "random":
+        return rng.random()
+    if name == "getrandbits":
+        return rng.getrandbits(k)
+    if name == "randint":
+        return rng.randint(60, 320)
+    if name == "choices":
+        return rng.choices(["chat", "summary", "code"], [0.5, 0.3, 0.2])[0]
+    if name == "expovariate":
+        return rng.expovariate(0.002)
+    if name == "randrange":
+        return rng.randrange(1 << 32)
+    if name == "uniform":
+        return rng.uniform(k).tolist() if bulk else [rng.random() for _ in range(k)]
+    assert name == "peek"
+    if not bulk:
+        return [rng.getrandbits(32) for _ in range(k)]
+    words = rng.peek(k).tolist()
+    rng.skip(k)
+    return words
+
+
+class TestMtStream:
     @settings(max_examples=150, deadline=None)
-    @given(st.integers(0, 2**64 - 1), st.integers(0, 3000) | st.integers(0, 3), st.floats(0.0, 1.0))
-    @example(0, 2, 0.5)  # positions 2..n-1: nothing to draw
-    def test_bit_equal_to_random_calls(self, seed, n, rate):
-        rng, ref = random.Random(seed), random.Random(seed)
-        got = mt_uniform(rng, max(n - 2, 0))
-        want = [ref.random() for _ in range(2, n)]
-        assert got.tolist() == want
-        # the divergence set generate_workload draws from it
-        assert set((np.flatnonzero(got < rate) + 2).tolist()) == {p for p, u in enumerate(want, 2) if u < rate}
-        assert rng.randrange(1 << 32) == ref.randrange(1 << 32)
+    @given(st.text(max_size=12), st.lists(_DRAWS, max_size=20))
+    # draws that start at or cross the second twist (624 outputs in) and the third (1,248)
+    @example("1:workload", [("peek", 623), ("random", None), ("getrandbits", 95)])
+    @example("1:workload", [("peek", 624), ("getrandbits", 64), ("uniform", 2)])
+    @example("scores:1:req-0000", [("uniform", 623), ("getrandbits", 96), ("randrange", None)])
+    @example("", [("peek", 1247), ("random", None), ("peek", 1247), ("getrandbits", 96)])
+    # a draw across the refill: 1, 2 or 0 outputs left of the first 4,096
+    @example("0", [("peek", 4095), ("random", None)])
+    @example("0", [("uniform", 2047), ("getrandbits", 96), ("peek", 4094), ("getrandbits", 33)])
+    @example("0", [("peek", 4096), ("uniform", 2048), ("peek", 5000), ("expovariate", None)])
+    def test_each_draw_equals_that_of_random_random(self, seed, draws):
+        stream, ref = MtStream(seed), random.Random(seed)
+        for name, k in draws:
+            assert draw(stream, name, k) == draw(ref, name, k), (name, k)
+        assert stream.getrandbits(32) == ref.getrandbits(32)
+
+    def test_has_no_random_random_state(self):
+        stream = MtStream("1")
+        with pytest.raises(TypeError):
+            stream.seed("2")
+        with pytest.raises(TypeError):
+            stream.getstate()
+        with pytest.raises(TypeError):
+            stream.setstate(random.Random("1").getstate())
 
 
 class TestServeRequest:

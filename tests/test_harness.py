@@ -6,7 +6,6 @@ import statistics
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,7 +13,7 @@ from hypothesis import strategies as st
 from helpers import feasible_by_substitution, reference_synthesize_prompt
 
 from pdsim import cloudsim, harness
-from pdsim.cloudsim import BatchModel
+from pdsim.cloudsim import BatchModel, MtStream
 from pdsim.devicesim import ScrubRule, scrub
 from pdsim.eventloop import EventLoop
 from pdsim.harness import (
@@ -137,44 +136,33 @@ def prompt_shapes(draw) -> tuple[int, int, int]:
     return prefix_tokens, suffix_tokens, draw(st.integers(prefix_tokens + suffix_tokens + 2, 32000))
 
 
-class CountingRandom(random.Random):
-    """A ``random.Random`` that counts its ``getrandbits`` calls."""
+class RefillCountingStream(MtStream):
+    """An ``MtStream`` that counts its buffer refills."""
 
-    calls = 0
+    refills = 0
 
-    def getrandbits(self, k):
-        self.calls += 1
-        return super().getrandbits(k)
-
-
-def at_index(rng: random.Random, index: int) -> random.Random:
-    """``rng`` with its Mersenne Twister words kept and its next output at ``index`` (624: a twist comes first)."""
-    version, words, gauss = rng.getstate()
-    rng.setstate((version, (*words[:-1], index), gauss))
-    return rng
+    def _refill(self, k):
+        self.refills += 1
+        super()._refill(k)
 
 
-def consumed(state: tuple, pos: int) -> random.Random:
-    """A generator in ``state`` that has then drawn ``pos`` outputs one by one."""
-    rng = random.Random()
-    rng.setstate(state)
-    rng.getrandbits(32 * pos)
-    return rng
+def assert_matches_the_draw_loop(seed: int, total: int, prefix_tokens: int, suffix_tokens: int) -> int:
+    """The shape and the rendered text each equal the per-draw loop's, and the stream goes on as it does.
 
-
-def assert_matches_the_draw_loop(make_rng, seed: int, total: int, prefix_tokens: int, suffix_tokens: int):
-    """The shape and the rendered text each equal the per-draw loop's, and leave ``rng`` in its state.
-
-    Returns the generator the shape was drawn with.
+    The stream's next 1,300 outputs, past the next twist, equal the loop's
+    ``random.Random`` after it. Returns how often drawing the shape refilled
+    the stream's buffer.
     """
-    ref = random.Random(seed)
+    ref = random.Random(str(seed))
     want = reference_synthesize_prompt(ref, total, prefix_tokens, suffix_tokens)
-    shaped, rendered = make_rng(seed), make_rng(seed)
+    after = [ref.getrandbits(32) for _ in range(1300)]
+    shaped, rendered = RefillCountingStream(str(seed)), MtStream(str(seed))
     assert synthesize_prompt(shaped, total, prefix_tokens, suffix_tokens) == want[3]
-    assert shaped.getstate() == ref.getstate()
+    refills = shaped.refills
+    assert shaped.peek(1300).tolist() == after
     assert render_prompt(rendered, total, prefix_tokens, suffix_tokens) == want[:3]
-    assert rendered.getstate() == ref.getstate()
-    return shaped
+    assert rendered.peek(1300).tolist() == after
+    return refills
 
 
 def record_renders(monkeypatch) -> list:
@@ -206,7 +194,7 @@ def record_from_text(monkeypatch) -> list:
 
 class TestWorkloadSynthesis:
     def test_prompt_token_counts_are_exact(self):
-        rng = random.Random(0)
+        rng = MtStream("0")
         for _ in range(40):
             total = rng.randint(64, 4000)
             prefix, content, suffix = render_prompt(rng, total, 6, 4)
@@ -216,11 +204,10 @@ class TestWorkloadSynthesis:
     @pytest.mark.parametrize("total", [4, 5], ids=["no-content", "one-content-token"])
     def test_a_prompt_needs_two_content_tokens(self, total):
         with pytest.raises(ValueError, match="prompt too short"):
-            synthesize_prompt(random.Random(0), total, 2, 2)
+            synthesize_prompt(MtStream("0"), total, 2, 2)
 
     def test_no_prefix_or_suffix(self):
-        rng = random.Random(1)
-        prefix, content, suffix = render_prompt(rng, 500, 0, 0)
+        prefix, content, suffix = render_prompt(MtStream("1"), 500, 0, 0)
         assert prefix == "" and suffix == ""
         assert len(tokenize(content)) == 500
 
@@ -236,23 +223,23 @@ class TestWorkloadSynthesis:
     @example(1, 32000, 2, 2)
     def test_matches_the_draw_loop(self, seed, content_tokens, prefix_tokens, suffix_tokens):
         total = content_tokens + prefix_tokens + suffix_tokens
-        assert_matches_the_draw_loop(random.Random, seed, total, prefix_tokens, suffix_tokens)
+        assert_matches_the_draw_loop(seed, total, prefix_tokens, suffix_tokens)
 
     @pytest.mark.parametrize("block", [1, 7, 64])
     def test_extended_blocks_match_the_draw_loop(self, monkeypatch, block):
-        # a first block of ``block`` outputs, whatever the prompt's length,
-        # so most prompts run it short and redraw it longer
+        # a first block of ``block`` outputs, whatever the prompt's length, and
+        # refills as small, so most prompts run it short and peek past the buffer
         monkeypatch.setattr(harness, "_DRAW_BLOCK_WORDS", block)
         monkeypatch.setattr(harness, "_DRAW_OUTPUTS_PER_TOKEN", 0)
+        monkeypatch.setattr(MtStream, "_REFILL_WORDS", block)
         cases = random.Random(block)
         extended = 0
         for _ in range(40):
             seed = cases.getrandbits(32)
             prefix_tokens, suffix_tokens = cases.randint(0, 12), cases.randint(0, 12)
             total = prefix_tokens + suffix_tokens + cases.choice([2, 3, cases.randint(2, 300), cases.randint(2, 3000)])
-            rng = assert_matches_the_draw_loop(CountingRandom, seed, total, prefix_tokens, suffix_tokens)
-            extended += rng.calls > 2  # more than one block and the rewind
-        assert extended >= 10  # 40, 39 and 17 of the 40 cases at blocks 1, 7 and 64
+            extended += assert_matches_the_draw_loop(seed, total, prefix_tokens, suffix_tokens) > 1  # past the first block
+        assert extended >= 10  # 40, 40 and 16 of the 40 cases at blocks 1, 7 and 64
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -266,8 +253,8 @@ class TestWorkloadSynthesis:
     @example(1, 32000, 6, 4)
     def test_synthesized_tokens_equal_from_text(self, seed, content_tokens, prefix_tokens, suffix_tokens):
         total = content_tokens + prefix_tokens + suffix_tokens
-        texts = render_prompt(random.Random(seed), total, prefix_tokens, suffix_tokens)
-        sizes = synthesize_prompt(random.Random(seed), total, prefix_tokens, suffix_tokens)
+        texts = render_prompt(MtStream(str(seed)), total, prefix_tokens, suffix_tokens)
+        sizes = synthesize_prompt(MtStream(str(seed)), total, prefix_tokens, suffix_tokens)
         prompt = TokenizedPrompt(prefix_tokens, sizes, suffix_tokens)  # the shape generate_workload builds
         assert prompt == TokenizedPrompt.from_text(*texts)  # sentence_sizes included
         assert prompt.total_tokens == total
@@ -283,61 +270,9 @@ class TestWorkloadSynthesis:
         # an 11-digit phone number never fires on a synthesized prompt
         prefix_tokens, suffix_tokens, total = shape
         phone = (ScrubRule(r"\d{11}", "[PHONE]"),)
-        for text in render_prompt(random.Random(seed), total, prefix_tokens, suffix_tokens):
+        for text in render_prompt(MtStream(str(seed)), total, prefix_tokens, suffix_tokens):
             assert re.search(r"\d{5}", text) is None
             assert scrub(text, phone) is text
-
-    @pytest.mark.parametrize("draw", [synthesize_prompt, render_prompt])
-    def test_words_are_drawn_in_bulk(self, draw):
-        rng = CountingRandom(5)
-        draw(rng, 8192, 16, 24)
-        assert rng.calls == 2  # one block, then the rewind replays what was consumed
-
-    @pytest.mark.parametrize("index", [0, 1, 623, 624])
-    @pytest.mark.parametrize(
-        "size, pos",
-        [
-            (4096, 1),  # inside the state's own words, or at the first output of a twist
-            (4096, 1247),  # the twist ends at 1,247 (index 1) or 1,248 (index 0 and 624) outputs
-            (4096, 1248),
-            (4096, 2000),  # inside a twist the block runs past
-            (2010, 2000),  # inside the twist where the block ends
-            (1248, 1248),  # the block ends where pos does
-            (1249, 1248),
-        ],
-    )
-    def test_the_rebuilt_state_is_that_of_drawing_pos_outputs(self, index, size, pos):
-        # _draw_prompt draws a block of ``size`` outputs, then rewinds to ``state`` and
-        # redraws the ``pos`` it consumed with the bulk ``getrandbits(32 * pos)`` mt_words makes
-        state = at_index(random.Random(index), index).getstate()
-        singles = random.Random()
-        singles.setstate(state)
-        rng = random.Random()
-        rng.setstate(state)
-        assert cloudsim.mt_words(rng, size).tolist() == [singles.getrandbits(32) for _ in range(size)]
-        assert rng.getstate() == singles.getstate()
-        singles.setstate(state)
-        for _ in range(pos):
-            singles.getrandbits(32)
-        rng.setstate(state)
-        cloudsim.mt_words(rng, pos)
-        assert rng.getstate() == singles.getstate()
-
-    @pytest.mark.parametrize("index", [0, 1, 623, 624])
-    @pytest.mark.parametrize("block", [None, 7])  # the default first block, or one every prompt runs short
-    def test_a_drawn_prompt_leaves_the_state_of_drawing_its_outputs(self, monkeypatch, index, block):
-        if block is not None:
-            monkeypatch.setattr(harness, "_DRAW_BLOCK_WORDS", block)
-            monkeypatch.setattr(harness, "_DRAW_OUTPUTS_PER_TOKEN", 0)
-        cases = random.Random(index)
-        for total in (30, 700, 3000, 8000):
-            rng = at_index(random.Random(cases.getrandbits(32)), index)
-            state = rng.getstate()
-            drawn, starts, words = harness._draw_prompt(rng, total, 12, 8)
-            assert block is None or len(drawn) > block
-            # one past the output of the last sentence's last word
-            pos = int(np.flatnonzero(drawn < harness._WORD_LIMIT)[starts[-1] + words[-1] - 1]) + 1
-            assert rng.getstate() == consumed(state, pos).getstate()
 
     def test_workload_is_deterministic(self):
         config = config_from_dict(base_config_dict())
