@@ -156,6 +156,28 @@ class TestMtStream:
         with pytest.raises(TypeError):
             stream.setstate(random.Random("1").getstate())
 
+    @pytest.mark.parametrize("lead", [0, 1, 623, 4095])  # outputs skipped first; at 4,095 the peek refills
+    @pytest.mark.parametrize(
+        "size, pos",
+        [
+            (4096, 1),
+            (4096, 1247),  # pos one short of, at, and past the twist 1,248 outputs in
+            (4096, 1248),
+            (4096, 2000),
+            (2010, 2000),  # the block ends just past pos
+            (1248, 1248),  # the block ends where pos does
+            (1249, 1248),
+        ],
+    )
+    def test_peek_then_skip_leaves_the_stream_at_pos(self, lead, size, pos):
+        # _draw_prompt peeks a block of ``size`` outputs, then skips the ``pos`` it consumed
+        stream, ref = MtStream("7"), random.Random("7")
+        outputs = [ref.getrandbits(32) for _ in range(lead + max(size, pos + 1300))]
+        stream.skip(lead)
+        assert stream.peek(size).tolist() == outputs[lead:lead + size]
+        stream.skip(pos)
+        assert stream.peek(1300).tolist() == outputs[lead + pos:lead + pos + 1300]
+
 
 class TestServeRequest:
     def test_budget_cuts_stream_and_slot(self, calibrated_model):

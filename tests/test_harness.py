@@ -6,6 +6,7 @@ import statistics
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -273,6 +274,31 @@ class TestWorkloadSynthesis:
         for text in render_prompt(MtStream(str(seed)), total, prefix_tokens, suffix_tokens):
             assert re.search(r"\d{5}", text) is None
             assert scrub(text, phone) is text
+
+    @pytest.mark.parametrize("draw", [synthesize_prompt, render_prompt])
+    def test_words_are_drawn_in_bulk(self, draw):
+        rng = RefillCountingStream("5")
+        draw(rng, 8192, 16, 24)
+        assert rng.refills == 1  # one block; skipping what was consumed stays inside it
+
+    @pytest.mark.parametrize("lead", [0, 1, 623, 624])  # outputs drawn before the prompt
+    @pytest.mark.parametrize("block", [None, 7])  # the default first block, or one every prompt runs short
+    def test_a_drawn_prompt_leaves_the_stream_at_its_next_output(self, monkeypatch, lead, block):
+        if block is not None:
+            monkeypatch.setattr(harness, "_DRAW_BLOCK_WORDS", block)
+            monkeypatch.setattr(harness, "_DRAW_OUTPUTS_PER_TOKEN", 0)
+        cases = random.Random(lead)
+        for total in (30, 700, 3000, 8000):
+            seed = str(cases.getrandbits(32))
+            rng, ref = MtStream(seed), random.Random(seed)
+            rng.skip(lead)
+            drawn, starts, words = harness._draw_prompt(rng, total, 12, 8)
+            assert block is None or len(drawn) > block
+            # one past the output of the last sentence's last word
+            pos = int(np.flatnonzero(drawn < harness._WORD_LIMIT)[starts[-1] + words[-1] - 1]) + 1
+            outputs = [ref.getrandbits(32) for _ in range(lead + pos + 1300)]
+            assert drawn[:pos].tolist() == outputs[lead:lead + pos]
+            assert rng.peek(1300).tolist() == outputs[lead + pos:]
 
     def test_workload_is_deterministic(self):
         config = config_from_dict(base_config_dict())
